@@ -21,7 +21,7 @@ from typing import Iterable, Iterator, Optional
 
 from .pop import (CD, DP, GOAL_ID, INIT_ID, PC, CycleDetected, FlexScore,
                   PartialOrderPlan, Reason, closure_from_edges,
-                  reason_sort_key)
+                  reason_sort_key, topological_order)
 from .task import (Fact, OperatorDef, PlanningTask, SequentialPlan,
                    ValidationReport, cons_prod_del)
 
@@ -58,7 +58,11 @@ class Block:
 
 
 class BdpoPlan:
-    """POP plus a laminar block family; orderings live between root blocks."""
+    """POP plus a laminar block family; orderings live between root blocks.
+
+    `closure[a]` is a successor bitmask keyed by root block id: bit `b` is
+    set when block `a` is ordered before block `b`.
+    """
 
     def __init__(self, task: PlanningTask):
         self.task = task
@@ -67,7 +71,7 @@ class BdpoPlan:
         self.roots: set[int] = set()
         self.links: dict[tuple[int, Fact], int] = {}   # (consumer, fact) -> producer
         self.resolutions: dict[tuple[int, int], set[Reason]] = {}
-        self.closure: dict[int, set[int]] = {}
+        self.closure: dict[int, int] = {}
         self.next_step_id = 2
         self.next_block_id = 2
 
@@ -80,7 +84,7 @@ class BdpoPlan:
         other.roots = set(self.roots)
         other.links = dict(self.links)
         other.resolutions = {k: set(v) for k, v in self.resolutions.items()}
-        other.closure = {k: set(v) for k, v in self.closure.items()}
+        other.closure = dict(self.closure)
         other.next_step_id = self.next_step_id
         other.next_block_id = self.next_block_id
         return other
@@ -204,21 +208,45 @@ class BdpoPlan:
 
     # -- ordering ------------------------------------------------------------
 
-    def commitment_edges(self) -> list[tuple[int, int]]:
-        edges = {(p, c) for (c, _), p in self.links.items() if p != c}
-        edges |= {pair for pair, rs in self.resolutions.items() if rs}
+    def rebuild_closure(self) -> None:
+        """Closure of the links, the resolutions and init-first/goal-last."""
+        direct: dict[int, set[int]] = {b: set() for b in self.roots}
+        for (c, _), p in self.links.items():
+            if p != c:
+                direct[p].add(c)
+        for (a, b), rs in self.resolutions.items():
+            if rs:
+                direct[a].add(b)
         for b in self.roots:
             if b != INIT_BLOCK:
-                edges.add((INIT_BLOCK, b))
+                direct[INIT_BLOCK].add(b)
             if b != GOAL_BLOCK:
-                edges.add((b, GOAL_BLOCK))
-        return sorted(edges)
+                direct[b].add(GOAL_BLOCK)
+        closure: dict[int, int] = {}
+        for a in reversed(topological_order(direct)):
+            acc = 0
+            for b in direct[a]:
+                acc |= closure[b] | 1 << b
+            closure[a] = acc
+        self.closure = closure
 
-    def rebuild_closure(self) -> None:
-        self.closure = closure_from_edges(self.roots, self.commitment_edges())
+    def add_ordering(self, a: int, b: int) -> None:
+        """Extend the closure by the edge a < b, whose link or resolution the
+        caller has just recorded, without rebuilding it."""
+        closure = self.closure
+        if a == b or self.ordered(b, a):
+            raise CycleDetected([a, b] if a == b else [a, b, a])
+        if self.ordered(a, b):
+            return
+        gain = closure[b] | 1 << b
+        a_bit = 1 << a
+        for x, succ in closure.items():
+            if succ & a_bit:
+                closure[x] = succ | gain
+        closure[a] |= gain
 
     def ordered(self, a: int, b: int) -> bool:
-        return b in self.closure[a]
+        return self.closure[a] >> b & 1 == 1
 
     def reasons(self) -> dict[tuple[int, int], set[Reason]]:
         out: dict[tuple[int, int], set[Reason]] = {}
@@ -231,12 +259,15 @@ class BdpoPlan:
 
     def threats(self) -> list[tuple[int, tuple[int, Fact, int]]]:
         """All (deleter, link) conflicts, resolved or not."""
+        deleters: dict[Fact, list[int]] = {}
+        for t in sorted(self.roots):
+            if t not in (INIT_BLOCK, GOAL_BLOCK):
+                for f in self.blocks[t].dels:
+                    deleters.setdefault(f, []).append(t)
         out = []
         for (c, f), p in sorted(self.links.items()):
-            for t in sorted(self.roots):
-                if t in (p, c, INIT_BLOCK, GOAL_BLOCK):
-                    continue
-                if f in self.blocks[t].dels:
+            for t in deleters.get(f, ()):
+                if t != p and t != c:
                     out.append((t, (p, f, c)))
         return out
 
@@ -247,7 +278,9 @@ class BdpoPlan:
     def refresh(self) -> None:
         """Re-derive demotion/promotion commitments from the current threats,
         keeping each threat's direction as the current closure has it, then
-        rebuild the closure from scratch.  Stale commitments drop out."""
+        rebuild the closure from scratch unless the set of resolution edges
+        is unchanged.  Stale commitments drop out.  The closure must be
+        current on entry."""
         new_res: dict[tuple[int, int], set[Reason]] = {}
         for t, (p, f, c) in self.threats():
             if self.ordered(t, p):
@@ -255,22 +288,33 @@ class BdpoPlan:
             elif self.ordered(c, t):
                 new_res.setdefault((c, t), set()).add(Reason(CD, f))
             # else: left unresolved; validate() reports it
+        old_edges = {pair for pair, rs in self.resolutions.items() if rs}
         self.resolutions = new_res
-        self.rebuild_closure()
+        if new_res.keys() != old_edges:
+            self.rebuild_closure()
 
     # -- metrics -------------------------------------------------------------
 
     def ordered_step_pairs(self) -> int:
+        real = self.roots - {INIT_BLOCK, GOAL_BLOCK}
+        real_mask = 0
+        big_mask = 0        # roots of more than one step
+        for b in real:
+            real_mask |= 1 << b
+            if self.blocks[b].size() > 1:
+                big_mask |= 1 << b
         total = 0
-        roots = self.real_roots()
-        for i, a in enumerate(roots):
-            for b in roots[i + 1:]:
-                if self.ordered(a, b) or self.ordered(b, a):
-                    total += self.blocks[a].size() * self.blocks[b].size()
-        for bid in sorted(self.live_blocks()):
+        for a in real:
+            succ = self.closure[a] & real_mask
+            steps = succ.bit_count()
+            big = succ & big_mask
+            while big:
+                low = big & -big
+                steps += self.blocks[low.bit_length() - 1].size() - 1
+                big ^= low
+            total += self.blocks[a].size() * steps
+        for bid in self._compound_blocks():
             b = self.blocks[bid]
-            if b.primitive or bid in (INIT_BLOCK, GOAL_BLOCK):
-                continue
             kids = b.children
             for i, x in enumerate(kids):
                 for y in kids[i + 1:]:
@@ -293,6 +337,15 @@ class BdpoPlan:
             out |= self._descendant_blocks(r)
         return out
 
+    def _compound_blocks(self) -> set[int]:
+        """Live compound blocks, at any nesting level."""
+        out: set[int] = set()
+        for r in self.roots:
+            if not self.blocks[r].primitive:
+                out |= {b for b in self._descendant_blocks(r)
+                        if not self.blocks[b].primitive}
+        return out
+
     def flex(self) -> FlexScore:
         n = len(self.real_step_ids())
         total = n * (n - 1) // 2
@@ -308,7 +361,6 @@ class BdpoPlan:
             self.rebuild_closure()
         except CycleDetected as exc:
             return ValidationReport(False, reason=str(exc))
-        live = self.live_blocks()
         for (c, f), p in sorted(self.links.items()):
             if c not in self.roots or p not in self.roots:
                 return ValidationReport(False, reason=f"dangling link {p}->{c}")
@@ -327,11 +379,8 @@ class BdpoPlan:
         for t, (p, f, c) in self.unresolved_threats():
             return ValidationReport(
                 False, reason=f"block {t} threatens {p}-{f}->{c}")
-        for bid in sorted(live):
-            blk = self.blocks[bid]
-            if blk.primitive or bid in (INIT_BLOCK, GOAL_BLOCK):
-                continue
-            report = self._validate_interior(blk)
+        for bid in sorted(self._compound_blocks()):
+            report = self._validate_interior(self.blocks[bid])
             if not report:
                 return report
         return ValidationReport(True)

@@ -71,37 +71,38 @@ class FlexScore:
 def closure_from_edges(nodes: Iterable[int], edges: Iterable[tuple[int, int]]
                        ) -> dict[int, set[int]]:
     """Strict descendants per node; raises CycleDetected on a cycle."""
-    nodes = list(nodes)
     direct: dict[int, set[int]] = {n: set() for n in nodes}
     for a, b in edges:
         direct[a].add(b)
-    indeg = {n: 0 for n in nodes}
-    for a in nodes:
-        for b in direct[a]:
-            indeg[b] += 1
-    order: list[int] = []
-    ready = sorted((n for n in nodes if indeg[n] == 0), reverse=True)
-    while ready:
-        n = ready.pop()
-        order.append(n)
-        freed = []
-        for m in direct[n]:
-            indeg[m] -= 1
-            if indeg[m] == 0:
-                freed.append(m)
-        if freed:
-            ready.extend(sorted(freed, reverse=True))
-            ready.sort(reverse=True)
-    if len(order) != len(nodes):
-        cyclic = [n for n in nodes if indeg[n] > 0]
-        raise CycleDetected(_find_cycle(direct, cyclic))
-    succ: dict[int, set[int]] = {n: set() for n in nodes}
-    for n in reversed(order):
+    succ: dict[int, set[int]] = {n: set() for n in direct}
+    for n in reversed(topological_order(direct)):
         acc = succ[n]
         for m in direct[n]:
             acc.add(m)
             acc |= succ[m]
     return succ
+
+
+def topological_order(direct: dict[int, set[int]]) -> list[int]:
+    """Kahn's pass over a successor map that has every node as a key;
+    raises CycleDetected on a cycle."""
+    indeg = dict.fromkeys(direct, 0)
+    for succs in direct.values():
+        for m in succs:
+            indeg[m] += 1
+    ready = [n for n, d in indeg.items() if d == 0]
+    order: list[int] = []
+    while ready:
+        n = ready.pop()
+        order.append(n)
+        for m in direct[n]:
+            indeg[m] -= 1
+            if indeg[m] == 0:
+                ready.append(m)
+    if len(order) != len(direct):
+        cyclic = [n for n, d in indeg.items() if d > 0]
+        raise CycleDetected(_find_cycle(direct, cyclic))
+    return order
 
 
 def _find_cycle(direct: dict[int, set[int]], candidates: list[int]) -> list[int]:

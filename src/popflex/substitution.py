@@ -174,7 +174,7 @@ def substitute(plan: BdpoPlan, old: int,
                 return SubstitutionOutcome(plan, False, UNBOUND_PRECONDITION,
                                            trace + [f"no producer for {fact}"])
             work.links[(b_new, fact)] = producer
-            work.rebuild_closure()
+            work.add_ordering(producer, b_new)
             trace.append(f"link {producer} -{fact}-> {b_new}")
     else:
         b_new = new
@@ -240,7 +240,7 @@ def _resolve_all_threats(work: BdpoPlan, marker: Optional[int],
             edge, reason = (t, p), Reason(DP, f)
         if not work.ordered(edge[1], edge[0]):
             work.resolutions.setdefault(edge, set()).add(reason)
-            work.rebuild_closure()
+            work.add_ordering(*edge)
             trace.append(f"resolved {t} vs {p}-{f}->{c} via {reason}")
             continue
         # both orderings would close a cycle: internal substitution, only
