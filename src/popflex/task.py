@@ -230,6 +230,14 @@ class _Lines:
         except ValueError:
             raise SasSyntaxError(self.pos, f"expected integer, got {line!r}") from None
 
+    def next_ints(self, what: str) -> list[int]:
+        line = self.next()
+        try:
+            return [int(x) for x in line.split()]
+        except ValueError:
+            raise SasSyntaxError(self.pos, f"{what}: expected integers, "
+                                           f"got {line!r}") from None
+
 
 def parse_sas(text: str | bytes) -> PlanningTask:
     """Parse translator output (SAS+ version 3) into a task.
@@ -275,10 +283,10 @@ def parse_sas(text: str | bytes) -> PlanningTask:
     src.expect("begin_goal")
     goal: PartialState = {}
     for _ in range(src.next_int()):
-        parts = src.next().split()
+        parts = src.next_ints("goal fact")
         if len(parts) != 2:
             raise SasSyntaxError(src.pos, "goal fact needs 'var val'")
-        goal[int(parts[0])] = int(parts[1])
+        goal[parts[0]] = parts[1]
     src.expect("end_goal")
 
     operators: list[OperatorDef] = []
@@ -288,14 +296,19 @@ def parse_sas(text: str | bytes) -> PlanningTask:
         pre: dict[int, int] = {}
         eff: dict[int, int] = {}
         for _ in range(src.next_int()):  # prevail conditions
-            var, val = (int(x) for x in src.next().split())
+            parts = src.next_ints("prevail condition")
+            if len(parts) != 2:
+                raise SasSyntaxError(src.pos,
+                                     "prevail condition needs 'var val'")
+            var, val = parts
             pre[var] = val
         for _ in range(src.next_int()):  # pre/post effects
-            parts = src.next().split()
-            n_conds = int(parts[0])
-            if n_conds != 0:
+            parts = src.next_ints("effect")
+            if parts and parts[0] != 0:
                 raise Unsupported("conditional effects")
-            var, pre_val, post_val = int(parts[1]), int(parts[2]), int(parts[3])
+            if len(parts) != 4:
+                raise SasSyntaxError(src.pos, "effect needs '0 var pre post'")
+            _, var, pre_val, post_val = parts
             if pre_val != -1:
                 pre[var] = pre_val
             eff[var] = post_val

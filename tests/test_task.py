@@ -1,3 +1,5 @@
+from pathlib import Path
+
 import pytest
 
 from popflex.corpus import elevator_plan, elevator_task
@@ -72,6 +74,29 @@ def test_parse_sas_syntax_error_carries_line():
     with pytest.raises(SasSyntaxError) as err:
         parse_sas("begin_version\nnot-a-number\nend_version\n")
     assert err.value.line_no == 2
+
+
+def test_parse_sas_short_effect_line_is_syntax_error():
+    corpus = Path(__file__).resolve().parent.parent / "corpus"
+    text = (corpus / "chain4.sas").read_text()
+    line_no = text.splitlines().index("0 0 0 1") + 1
+    with pytest.raises(SasSyntaxError) as err:
+        parse_sas(text.replace("0 0 0 1", "0 0", 1))
+    assert err.value.line_no == line_no
+
+
+def test_parse_sas_prevail_line_needs_two_fields():
+    bad = MINIMAL_SAS.replace("flip\n0\n", "flip\n1\n0\n", 1)
+    line_no = bad.splitlines().index("flip") + 3
+    with pytest.raises(SasSyntaxError) as err:
+        parse_sas(bad)
+    assert err.value.line_no == line_no
+
+
+def test_parse_sas_non_integer_field_is_syntax_error():
+    with pytest.raises(SasSyntaxError) as err:
+        parse_sas(MINIMAL_SAS.replace("0 0 0 1", "0 0 x 1"))
+    assert err.value.line_no == MINIMAL_SAS.splitlines().index("0 0 0 1") + 1
 
 
 def test_elevator_encoding_matches_walkthrough():
