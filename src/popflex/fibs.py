@@ -10,6 +10,7 @@ worsened) or cost-first (strict cost drop, or equal cost with a flex gain).
 from __future__ import annotations
 
 import logging
+import random
 import time
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -19,7 +20,7 @@ from .bdpo import (BdpoPlan, GOAL_BLOCK, INIT_BLOCK, block_deorder, init_bdpo)
 from .eog import eog
 from .subplanner import Subtask, solve_subtask
 from .substitution import candidate_from_pop, substitute
-from .task import Fact, PlanningTask, SequentialPlan
+from .task import Fact, PlanningTask, SequentialPlan, apply_op
 
 logger = logging.getLogger(__name__)
 
@@ -109,9 +110,7 @@ def build_subtask(task: PlanningTask, plan: BdpoPlan, excluded: int,
     before_blocks = [b for b in plan.real_roots()
                      if b not in (excluded, target) and plan.ordered(b, target)]
     state = dict(task.init)
-    from .task import apply_op
-    import random as _random
-    rng = _random.Random(0)
+    rng = random.Random(config.seed)
     order = plan._linearize_context(before_blocks,
                                     lambda a, b: plan.ordered(a, b), rng)
     for sid in order:

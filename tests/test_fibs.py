@@ -1,3 +1,4 @@
+import random
 from fractions import Fraction
 
 import pytest
@@ -45,6 +46,22 @@ def test_build_subtask_for_p2_block():
     assert st.init[p2] == val_of(task, p2, "at-n1")
     assert st.goal == {p2: val_of(task, p2, "at-n2")}
     assert st.cost_bound == 4
+
+
+@pytest.mark.parametrize("seed", [0, 7])
+def test_build_subtask_draws_from_config_seed(seed, monkeypatch):
+    task, plan = elevator_bd()
+    states = []
+    original = plan._linearize_context
+
+    def recording(blocks, before, rng):
+        states.append(rng.getstate())
+        return original(blocks, before, rng)
+
+    monkeypatch.setattr(plan, "_linearize_context", recording)
+    first, second = plan.real_roots()[:2]
+    build_subtask(task, plan, first, second, FibsConfig(seed=seed))
+    assert states == [random.Random(seed).getstate()]
 
 
 def test_build_subtask_goal_of_goal_feeder():
