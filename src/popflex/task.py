@@ -233,7 +233,7 @@ class _Lines:
     def next_ints(self, what: str) -> list[int]:
         line = self.next()
         try:
-            return [int(x) for x in line.split()]
+            return list(map(int, line.split()))
         except ValueError:
             raise SasSyntaxError(self.pos, f"{what}: expected integers, "
                                            f"got {line!r}") from None

@@ -20,8 +20,9 @@ from popflex.corpus import chain_task, random_task
 from popflex.eog import eog
 from popflex.fibs import FibsConfig, fibs, try_remove_block
 from popflex.pop import CD, CycleDetected, Reason, closure_from_edges
-from popflex.substitution import CandidateBlock, substitute
+from popflex.substitution import substitute
 from popflex.task import Fact
+from scenarios import single_op_candidate
 
 # `popflex.fibs` the attribute is the function the package re-exports
 fibs_module = importlib.import_module("popflex.fibs")
@@ -88,10 +89,6 @@ def core_checked_after_each_update():
         yield mp
 
 
-def single_op(op) -> CandidateBlock:
-    return CandidateBlock(ops=(op,), links=(), resolutions=(), cost=op.cost)
-
-
 @given(st.integers(0, 299), st.data())
 @settings(max_examples=60, deadline=None)
 def test_core_after_direct_operations(seed, data):
@@ -119,7 +116,7 @@ def test_core_after_direct_operations(seed, data):
 
     old = data.draw(st.sampled_from(roots))
     before = plan.snapshot()
-    replacements = [single_op(data.draw(st.sampled_from(task.operators)))]
+    replacements = [single_op_candidate(data.draw(st.sampled_from(task.operators)))]
     replacements += [b for b in roots if b != old][:1]
     for new in replacements:
         with core_checked_after_each_update():
