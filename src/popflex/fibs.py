@@ -185,10 +185,11 @@ def resolve(task: PlanningTask, plan: BdpoPlan, excluded: int, target: int,
         subtask.max_len = max_len_override
     flex_before = plan.flex().frac
     cost_before = plan.cost()
+    sub_task = subtask.as_task()
     for seq in solve_subtask(subtask):
         if seq.cost(task) > subtask.cost_bound:
             raise AssertionError("subplanner exceeded the cost bound")
-        pop = eog(subtask.as_task(), seq)
+        pop = eog(sub_task, seq)
         cand = candidate_from_pop(pop)
         outcome = substitute(plan, target, cand)
         if not outcome.success:

@@ -6,6 +6,12 @@ going after the first solution, banning already-emitted operator multisets,
 so several alternative subplans come out; results are sorted by cost and
 then by operator index sequence, which makes the whole thing deterministic.
 
+Each search compiles its subtask once.  h_add is computed over the operators
+backward-relevant to the goal only, by a single priority-queue pass per
+state, and the successors of a state come from an index of the operators by
+their first precondition fact.  The search itself still branches over every
+operator, so both give exactly the plans of a sweep over all operators.
+
 With max_plans=None the solver switches to exhaustive loop-free enumeration,
 which on tiny tasks yields exactly the set of cost-bounded plans that never
 revisit a state.  An external planner can be plugged in through a subprocess
@@ -18,14 +24,17 @@ import glob as globmod
 import heapq
 import logging
 import os
+import shlex
+import signal
 import subprocess
 import tempfile
 import time
 from dataclasses import dataclass
 from typing import Optional
 
-from .task import (PlanningTask, SequentialPlan, State, apply_op,
-                   emit_sas, parse_plan, validate_sequential)
+from .task import (OperatorDef, PlanningTask, SequentialPlan, State,
+                   UnknownOperator, apply_op, emit_sas, parse_plan,
+                   validate_sequential)
 
 logger = logging.getLogger(__name__)
 
@@ -49,40 +58,132 @@ class Subtask:
                             metric=self.base.metric)
 
 
-def _h_add(task: PlanningTask, state: State, goal: dict[int, int]
-           ) -> Optional[int]:
-    """Additive delete-relaxation estimate; None when the goal is unreachable
-    even ignoring deletes."""
-    INF = float("inf")
-    cost: dict = {}
-    for v, d in state.items():
-        cost[(v, d)] = 0
-    changed = True
-    while changed:
-        changed = False
-        for op in task.operators:
-            total = 0
-            for f in op.pre:
-                c = cost.get((f.var, f.val))
-                if c is None:
-                    total = None
-                    break
-                total += c
-            if total is None:
-                continue
-            new_cost = total + op.cost
+class _Relaxation:
+    """The delete relaxation of the operators backward-relevant to a goal.
+
+    Only those operators can lower the additive cost of a goal fact, so h_add
+    over them equals h_add over all operators (Bonet & Geffner 2001).  Facts
+    are (var, val) pairs; operators are numbered locally.
+    """
+
+    __slots__ = ("goal", "facts", "pre_of", "n_pre", "cost", "eff", "no_pre")
+
+    def __init__(self, operators: list[OperatorDef], goal: dict[int, int]):
+        achievers: dict[tuple[int, int], list[int]] = {}
+        for i, op in enumerate(operators):
             for f in op.eff:
-                old = cost.get((f.var, f.val), INF)
-                if new_cost < old:
-                    cost[(f.var, f.val)] = new_cost
-                    changed = True
+                achievers.setdefault(f, []).append(i)
+        self.goal = tuple(sorted(goal.items()))
+        self.facts = set(self.goal)
+        relevant: set[int] = set()
+        stack = list(self.facts)
+        while stack:
+            for i in achievers.get(stack.pop(), ()):
+                if i in relevant:
+                    continue
+                relevant.add(i)
+                for f in operators[i].pre:
+                    if f not in self.facts:
+                        self.facts.add(f)
+                        stack.append(f)
+        self.pre_of: dict[tuple[int, int], list[int]] = {}
+        self.n_pre: list[int] = []
+        self.cost: list[int] = []
+        self.eff: list[tuple[tuple[int, int], ...]] = []
+        self.no_pre: list[int] = []
+        for i in sorted(relevant):
+            op = operators[i]
+            local = len(self.cost)
+            for f in op.pre:  # a fact listed twice is counted twice
+                self.pre_of.setdefault(f, []).append(local)
+            if not op.pre:
+                self.no_pre.append(local)
+            self.n_pre.append(len(op.pre))
+            self.cost.append(op.cost)
+            self.eff.append(tuple(f for f in op.eff if f in self.facts))
+
+
+def _h_add(rx: _Relaxation, state: State) -> Optional[int]:
+    """Additive delete-relaxation estimate of the goal of `rx`; None when the
+    goal is unreachable even ignoring deletes.
+
+    One generalized-Dijkstra pass (Knuth 1977): facts are settled cheapest
+    first and an operator fires once, when its last precondition settles.
+    With nonnegative costs this is the least fixpoint of the sweep
+    h(f) = min over achievers of cost(op) + sum of h over its preconditions.
+    """
+    facts = rx.facts
+    heap = [(0, f) for f in state.items() if f in facts]
+    best: dict[tuple[int, int], int] = {}
+    for o in rx.no_pre:
+        c = rx.cost[o]
+        for f in rx.eff[o]:
+            if f not in best or c < best[f]:
+                best[f] = c
+                heap.append((c, f))
+    heapq.heapify(heap)
+    pre_of, eff = rx.pre_of, rx.eff
+    unmet = rx.n_pre[:]
+    acc = rx.cost[:]
+    settled: dict[tuple[int, int], int] = {}
+    open_goals = len(rx.goal)
+    goal_facts = rx.goal
+    while heap and open_goals:
+        c, f = heapq.heappop(heap)
+        if f in settled:
+            continue
+        settled[f] = c
+        if f in goal_facts:
+            open_goals -= 1
+        for o in pre_of.get(f, ()):
+            acc[o] += c
+            unmet[o] -= 1
+            if unmet[o]:
+                continue
+            c2 = acc[o]
+            for f2 in eff[o]:
+                if f2 not in settled and (f2 not in best or c2 < best[f2]):
+                    best[f2] = c2
+                    heapq.heappush(heap, (c2, f2))
     total = 0
-    for v, d in sorted(goal.items()):
-        c = cost.get((v, d))
+    for f in goal_facts:
+        c = settled.get(f)
         if c is None:
             return None
         total += c
     return total
+
+
+class _SuccessorGenerator:
+    """Applicable operators of a state, found through an index of operators
+    by their first precondition fact (cf. Helmert 2006)."""
+
+    __slots__ = ("no_pre", "by_first", "rest")
+
+    def __init__(self, operators: list[OperatorDef]):
+        self.no_pre: list[int] = []
+        self.by_first: dict[tuple[int, int], list[int]] = {}
+        self.rest: list[tuple[tuple[int, int], ...]] = []
+        for i, op in enumerate(operators):
+            self.rest.append(tuple(op.pre[1:]))
+            if op.pre:
+                self.by_first.setdefault(op.pre[0], []).append(i)
+            else:
+                self.no_pre.append(i)
+
+    def applicable(self, state: State) -> list[int]:
+        """Indices of the operators applicable in `state`, ascending."""
+        out = list(self.no_pre)
+        by_first, rest = self.by_first, self.rest
+        for f in state.items():
+            for i in by_first.get(f, ()):
+                for v, d in rest[i]:
+                    if state.get(v) != d:
+                        break
+                else:
+                    out.append(i)
+        out.sort()
+        return out
 
 
 def _goal_satisfied(state: State, goal: dict[int, int]) -> bool:
@@ -102,20 +203,15 @@ def solve_subtask(st: Subtask) -> list[SequentialPlan]:
     return plans
 
 
-def _applicable(task: PlanningTask, state: State) -> list[int]:
-    out = []
-    for i, op in enumerate(task.operators):
-        if all(state.get(f.var) == f.val for f in op.pre):
-            out.append(i)
-    return out
-
-
 def _solve_gbfs(st: Subtask) -> list[SequentialPlan]:
-    task = st.as_task()
+    operators = st.base.operators
     deadline = time.monotonic() + st.time_bound
-    h0 = _h_add(task, st.init, st.goal)
+    rx = _Relaxation(operators, st.goal)
+    h0 = _h_add(rx, st.init)
     if h0 is None:
         return []
+    successors = _SuccessorGenerator(operators)
+    effects = [op.eff_map() for op in operators]
     found: list[SequentialPlan] = []
     banned: set[tuple] = set()
     counter = 0
@@ -140,18 +236,18 @@ def _solve_gbfs(st: Subtask) -> list[SequentialPlan]:
             # keep searching for alternatives from other queue entries
         if len(path) >= st.max_len:
             continue
-        for op_idx in _applicable(task, state):
-            op = task.operators[op_idx]
-            g2 = g + op.cost
+        for op_idx in successors.applicable(state):
+            g2 = g + operators[op_idx].cost
             if g2 > st.cost_bound:
                 continue
-            state2 = apply_op(op, state)
+            state2 = dict(state)
+            state2.update(effects[op_idx])
             key2 = tuple(sorted(state2.items()))
             prev = best_g.get(key2)
             if prev is not None and g2 >= prev:
                 continue
             best_g[key2] = g2
-            h2 = _h_add(task, state2, st.goal)
+            h2 = _h_add(rx, state2)
             if h2 is None:
                 continue
             counter += 1
@@ -164,7 +260,8 @@ def _solve_gbfs(st: Subtask) -> list[SequentialPlan]:
 
 
 def _enumerate_exhaustive(st: Subtask) -> list[SequentialPlan]:
-    task = st.as_task()
+    operators = st.base.operators
+    successors = _SuccessorGenerator(operators)
     found: list[SequentialPlan] = []
     seen_states = {tuple(sorted(st.init.items()))}
 
@@ -173,8 +270,8 @@ def _enumerate_exhaustive(st: Subtask) -> list[SequentialPlan]:
             found.append(SequentialPlan(list(path)))
         if len(path) >= st.max_len:
             return
-        for op_idx in _applicable(task, state):
-            op = task.operators[op_idx]
+        for op_idx in successors.applicable(state):
+            op = operators[op_idx]
             g2 = g + op.cost
             if g2 > st.cost_bound:
                 continue
@@ -196,7 +293,10 @@ def _solve_external(st: Subtask, cmd: str) -> list[SequentialPlan]:
     """Run a planner subprocess on the subtask.
 
     The command may reference {sas} (task file path) and {plans} (output
-    prefix); plan files are collected as <prefix>* in IPC plan format.
+    prefix), which are substituted shell-quoted, so the command must not
+    quote them itself; plan files are collected as <prefix>* in IPC plan
+    format.  The planner runs in a process group of its own, and the whole
+    group is killed when it overruns the subtask's time bound.
     """
     task = st.as_task()
     plans: list[SequentialPlan] = []
@@ -205,19 +305,27 @@ def _solve_external(st: Subtask, cmd: str) -> list[SequentialPlan]:
         plan_prefix = os.path.join(tmp, "plan")
         with open(sas_path, "w", encoding="utf-8") as fh:
             fh.write(emit_sas(task))
-        command = cmd.format(sas=sas_path, plans=plan_prefix)
+        command = cmd.format(sas=shlex.quote(sas_path),
+                             plans=shlex.quote(plan_prefix))
+        proc = subprocess.Popen(command, shell=True, cwd=tmp,
+                                stdin=subprocess.DEVNULL,
+                                stdout=subprocess.DEVNULL,
+                                stderr=subprocess.DEVNULL,
+                                start_new_session=True)
         try:
-            subprocess.run(command, shell=True, cwd=tmp,
-                           timeout=st.time_bound,
-                           capture_output=True, check=False)
+            proc.wait(timeout=st.time_bound)
         except subprocess.TimeoutExpired:
             logger.warning("external planner timed out after %.1fs",
                            st.time_bound)
+        finally:
+            if proc.returncode is None:  # the group leader is not reaped yet
+                os.killpg(proc.pid, signal.SIGKILL)
+                proc.wait()
         for path in sorted(globmod.glob(plan_prefix + "*")):
             with open(path, encoding="utf-8") as fh:
                 try:
                     plan = parse_plan(fh.read(), task)
-                except Exception:
+                except (UnknownOperator, UnicodeDecodeError):
                     continue
             if not validate_sequential(task, plan):
                 continue

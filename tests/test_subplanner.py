@@ -1,10 +1,20 @@
+import dataclasses
+import os
+import shlex
 import sys
+import tempfile
 import textwrap
+import time
 
-from popflex.corpus import chain_task, elevator_task
-from popflex.subplanner import (PLANNER_CMD_ENV, Subtask, solve_subtask)
-from popflex.task import (PlanningTask, Variable, make_operator,
-                          validate_sequential)
+from hypothesis import given, settings
+from hypothesis import strategies as hst
+
+from popflex.corpus import chain_task, elevator_task, random_task
+from popflex.subplanner import (PLANNER_CMD_ENV, Subtask, _h_add,
+                                _Relaxation, _SuccessorGenerator,
+                                solve_subtask)
+from popflex.task import (Fact, OperatorDef, PlanningTask, Variable,
+                          make_operator, validate_sequential)
 
 
 def test_elevator_second_lift_subplan_found():
@@ -121,3 +131,121 @@ def test_external_planner_hook(tmp_path, monkeypatch):
     plans = solve_subtask(st)
     assert len(plans) == 1
     assert plans[0].steps == [0, 1]
+
+
+def _sweep_h_add(operators, state, goal):
+    """Reference h_add: sweep every operator until no fact gets cheaper."""
+    cost = {(v, d): 0 for v, d in state.items()}
+    changed = True
+    while changed:
+        changed = False
+        for op in operators:
+            if any(f not in cost for f in op.pre):
+                continue
+            new_cost = op.cost + sum(cost[f] for f in op.pre)
+            for f in op.eff:
+                if new_cost < cost.get(f, float("inf")):
+                    cost[f] = new_cost
+                    changed = True
+    if any(f not in cost for f in goal.items()):
+        return None
+    return sum(cost[f] for f in goal.items())
+
+
+@hst.composite
+def relaxed_queries(draw):
+    """A random task's operators, some at cost 0 and possibly one with a
+    precondition listed twice, with a random full state and a goal of 0 to
+    3 facts (often unreachable)."""
+    task, _ = random_task(draw(hst.integers(0, 10_000)), max_vars=6,
+                          max_steps=10)
+    ops = [dataclasses.replace(op, cost=0) if draw(hst.booleans()) else op
+           for op in task.operators]
+    sizes = [len(v.values) for v in task.variables]
+    if draw(hst.booleans()):
+        f = Fact(0, draw(hst.integers(0, sizes[0] - 1)))
+        g = Fact(1, draw(hst.integers(0, sizes[1] - 1)))
+        ops.append(OperatorDef("twice", (f, f), (g,), draw(hst.integers(0, 2))))
+    state = {v: draw(hst.integers(0, n - 1)) for v, n in enumerate(sizes)}
+    goal_vars = draw(hst.lists(hst.integers(0, len(sizes) - 1), max_size=3,
+                               unique=True))
+    goal = {v: draw(hst.integers(0, sizes[v] - 1)) for v in goal_vars}
+    return ops, state, goal
+
+
+@settings(max_examples=300, deadline=None)
+@given(relaxed_queries())
+def test_h_add_and_successors_match_naive_references(query):
+    ops, state, goal = query
+    expected = _sweep_h_add(ops, state, goal)
+    got = _h_add(_Relaxation(ops, goal), state)
+    assert got == expected and type(got) is type(expected)
+    applicable = [i for i, op in enumerate(ops)
+                  if all(state.get(f.var) == f.val for f in op.pre)]
+    assert _SuccessorGenerator(ops).applicable(state) == applicable
+
+
+def test_h_add_counts_a_repeated_precondition_twice():
+    make_x = make_operator("make x", [], [(0, 1)], cost=2)
+    twice = OperatorDef("twice", (Fact(0, 1), Fact(0, 1)), (Fact(1, 1),), 0)
+    state, goal = {0: 0, 1: 0}, {1: 1}
+    assert _sweep_h_add([make_x, twice], state, goal) == 4
+    assert _h_add(_Relaxation([make_x, twice], goal), state) == 4
+
+
+def test_external_planner_paths_with_spaces(tmp_path, monkeypatch):
+    task, _ = chain_task(2)
+    spaced = tmp_path / "a dir with spaces"
+    spaced.mkdir()
+    script = spaced / "fake planner.py"
+    script.write_text(textwrap.dedent("""\
+        import sys
+        sas, prefix = sys.argv[1], sys.argv[2]
+        with open(sas) as fh:
+            assert fh.read().startswith("begin_version")
+        with open(prefix + ".1", "w") as fh:
+            fh.write("(advance 0)\\n(advance 1)\\n")
+        """))
+    monkeypatch.setattr(tempfile, "tempdir", str(spaced))
+    monkeypatch.setenv(PLANNER_CMD_ENV,
+                       f"{shlex.quote(sys.executable)} "
+                       f"{shlex.quote(str(script))} {{sas}} {{plans}}")
+    st = Subtask(base=task, init={0: 0}, goal={0: 2}, cost_bound=4, max_len=4)
+    plans = solve_subtask(st)
+    assert [p.steps for p in plans] == [[0, 1]]
+
+
+def _pid_gone(pid):
+    try:
+        os.kill(pid, 0)
+    except ProcessLookupError:
+        return True
+    return False
+
+
+def test_external_planner_timeout_kills_its_process_group(tmp_path,
+                                                          monkeypatch):
+    task, _ = chain_task(2)
+    pid_file = tmp_path / "child.pid"
+    script = tmp_path / "slow-planner.py"
+    script.write_text(textwrap.dedent("""\
+        import subprocess, sys, time
+        child = subprocess.Popen(["sleep", "30"])
+        with open(sys.argv[1], "w") as fh:
+            fh.write(str(child.pid))
+        time.sleep(30)
+        """))
+    monkeypatch.setenv(PLANNER_CMD_ENV,
+                       f"{shlex.quote(sys.executable)} "
+                       f"{shlex.quote(str(script))} "
+                       f"{shlex.quote(str(pid_file))}")
+    st = Subtask(base=task, init={0: 0}, goal={0: 2}, cost_bound=4,
+                 max_len=4, time_bound=2.0)
+    start = time.monotonic()
+    assert solve_subtask(st) == []
+    assert time.monotonic() - start < st.time_bound + 2.0
+    child = int(pid_file.read_text())
+    deadline = time.monotonic() + 5.0
+    while not _pid_gone(child) and time.monotonic() < deadline:
+        time.sleep(0.05)
+    assert _pid_gone(child)
