@@ -1,10 +1,13 @@
-"""Frozen digests of full `fibs` runs.
+"""Frozen digests of full `fibs` runs and of the MaxSAT layer.
 
-Each run contributes `json.dumps([plan.to_json(), [report dicts]],
+Each `fibs` run contributes `json.dumps([plan.to_json(), [report dicts]],
 sort_keys=True)` to one sha1, in a fixed order.  Wall-clock budgets are
 infinite, so only the expansion caps bind and the digests do not depend on
-machine speed.  A change that keeps behaviour leaves both digests as they
-are; a change of behaviour has to regenerate them and say why.
+machine speed.  The MaxSAT digest covers the DIMACS text and variable
+catalogue of large encodings, and the optimal model, its violated weight,
+its decoded plan and the clauses of tiny ones.  A change that keeps
+behaviour leaves every digest as it is; a change of behaviour has to
+regenerate them and say why.
 """
 
 import hashlib
@@ -12,10 +15,13 @@ import json
 import math
 
 from popflex.corpus import micro_corpus, random_task
+from popflex.eog import eog
 from popflex.fibs import AcceptanceCriteria, FibsConfig, fibs
+from popflex.maxsat import decode_model, encode_mr, optimal_model
 
 RANDOM_DIGEST = "c8eb2200297e136b41180f12c516c421e1b5c02b"
 MICRO_DIGEST = "3c35e3a595f6493b556f1f5aededb0e882fcca95"
+MAXSAT_DIGEST = "59ba8af0b92c0e91278d688095d5ac4e3b76ff16"
 
 
 def _run_text(task, seq, config) -> bytes:
@@ -44,3 +50,37 @@ def test_golden_micro_corpus():
                                     time_limit=math.inf)
                 digest.update(_run_text(task, seq, config))
     assert digest.hexdigest() == MICRO_DIGEST
+
+
+def _emit_tasks(count: int):
+    """The first `count` random tasks whose plans have 40 to 50 steps."""
+    seed = 0
+    while count:
+        task, plan = random_task(seed, max_vars=8, max_steps=80)
+        if 40 <= len(plan.steps) <= 50:
+            yield task, plan
+            count -= 1
+        seed += 1
+
+
+def test_golden_maxsat():
+    digest = hashlib.sha1()
+    for task, plan in _emit_tasks(6):
+        pop = eog(task, plan)
+        for mclcp in (False, True):
+            wcnf, cat = encode_mr(task, pop, mclcp)
+            digest.update(wcnf.to_dimacs().encode())
+            digest.update(json.dumps(
+                sorted((str(k), v) for k, v in cat.rev.items())).encode())
+    for seed in range(1, 101):
+        task, plan = random_task(seed, max_vars=4, max_steps=5,
+                                 unit_costs=True)
+        pop = eog(task, plan)
+        for mclcp in (False, True):
+            wcnf, cat = encode_mr(task, pop, mclcp)
+            model, violated = optimal_model(task, pop, mclcp)
+            decoded = decode_model(model, cat, task, pop, wcnf)
+            digest.update(json.dumps(
+                [sorted(model), violated, decoded.to_json(), wcnf.hard,
+                 wcnf.soft], sort_keys=True).encode())
+    assert digest.hexdigest() == MAXSAT_DIGEST
