@@ -18,9 +18,11 @@ from typing import Optional
 
 from .bdpo import (BdpoPlan, GOAL_BLOCK, INIT_BLOCK, block_deorder, init_bdpo)
 from .eog import eog
+from .pop import CycleDetected
 from .subplanner import Subtask, solve_subtask
 from .substitution import candidate_from_pop, substitute
-from .task import Fact, PlanningTask, SequentialPlan, apply_op
+from .task import (Fact, NotApplicable, PlanningTask, SequentialPlan,
+                   apply_op)
 
 logger = logging.getLogger(__name__)
 
@@ -117,7 +119,7 @@ def build_subtask(task: PlanningTask, plan: BdpoPlan, excluded: int,
         op = plan.steps[sid]
         try:
             state = apply_op(op, state)
-        except Exception as exc:
+        except NotApplicable as exc:
             raise SubtaskInfeasible(str(exc)) from exc
 
     goal: dict[int, int] = {}
@@ -415,7 +417,7 @@ def try_remove_block(plan: BdpoPlan, bid: int) -> Optional[BdpoPlan]:
             work.resolutions = new_res
     try:
         work.rebuild_closure()
-    except Exception:
+    except CycleDetected:
         return None
     work.refresh()
     if not work.validate():

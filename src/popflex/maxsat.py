@@ -10,16 +10,23 @@ ordering total).  Without cost minimization every original operator is
 forced into the target plan, which keeps the encoding a pure reordering.
 
 A structured exhaustive optimizer and a plain enumeration oracle cover tiny
-instances; larger instances are emit-only (solve the file externally).
+instances; larger instances are emit-only (solve the file externally).  The
+optimizer is a depth-first branch-and-bound over causal-link choices and
+threat resolutions.  Each node holds its transitive closure as one successor
+bitmask per step; a node is dropped when its edges form a cycle or when its
+ordered-pair count already puts it strictly above the best objective found.
+Ties are never pruned, so the optimum and its tie-break are those of the
+full enumeration.
 """
 
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass, field
 from typing import Iterable, Optional
 
-from .pop import GOAL_ID, INIT_ID, PartialOrderPlan, closure_from_edges
+from .pop import GOAL_ID, INIT_ID, PartialOrderPlan
 from .task import Fact, PlanningTask, SequentialPlan, cons_prod_del
 
 MAX_ENCODE_STEPS = 200
@@ -76,10 +83,11 @@ class Wcnf:
     def to_dimacs(self) -> str:
         top = self.top
         lines = [f"p wcnf {self.n_vars} {len(self.hard) + len(self.soft)} {top}"]
-        for clause in self.hard:
-            lines.append(" ".join(str(l) for l in (top,) + clause + (0,)))
+        # one %-format per run of hard clauses of the same width
+        for width, run in itertools.groupby(self.hard, len):
+            lines += map((f"{top}" + " %d" * width + " 0").__mod__, run)
         for weight, clause in self.soft:
-            lines.append(" ".join(str(l) for l in (weight,) + clause + (0,)))
+            lines.append(" ".join(map(str, (weight,) + clause + (0,))))
         return "\n".join(lines) + "\n"
 
 
@@ -132,10 +140,12 @@ def encode_mr(task: PlanningTask, pop: PartialOrderPlan, mclcp: bool = False
 
     for s in steps:
         cat.x[s] = cat.new_var(("x", s))
-    for a in steps:
-        for b in steps:
-            if a != b:
-                cat.tau[(a, b)] = cat.new_var(("tau", a, b))
+    # t[i][j] is the variable of steps[i] < steps[j]; the diagonal stays 0
+    t = [[0] * len(steps) for _ in steps]
+    for i, a in enumerate(steps):
+        for j, b in enumerate(steps):
+            if i != j:
+                t[i][j] = cat.tau[(a, b)] = cat.new_var(("tau", a, b))
     for c in steps:
         if c == INIT_ID:
             continue
@@ -149,9 +159,16 @@ def encode_mr(task: PlanningTask, pop: PartialOrderPlan, mclcp: bool = False
 
     wcnf = Wcnf()
 
-    # transitivity over every ordered triple
-    for a, b, c in itertools.permutations(steps, 3):
-        wcnf.add_hard(-cat.tau[(a, b)], -cat.tau[(b, c)], cat.tau[(a, c)])
+    # transitivity over every ordered triple, in permutations order; a zero
+    # in either row is the diagonal, where c would repeat a or b
+    neg = [[-v for v in row] for row in t]
+    for i, row_a in enumerate(t):
+        for j, neg_b in enumerate(neg):
+            if i != j:
+                not_ab = neg[i][j]
+                wcnf.hard.extend([(not_ab, not_bc, ac)
+                                  for not_bc, ac in zip(neg_b, row_a)
+                                  if not_bc and ac])
     # synthetic endpoints are always in
     wcnf.add_hard(cat.x[INIT_ID])
     wcnf.add_hard(cat.x[GOAL_ID])
@@ -259,13 +276,22 @@ def optimal_model(task: PlanningTask, pop: PartialOrderPlan,
                   mclcp: bool = False) -> tuple[set[int], int]:
     """Exhaustive optimum over the encoding's meaningful assignments.
 
-    Enumerates step subsets (singleton when not cost-minimizing), causal-link
-    choices, and per-threat resolutions; every other ordering variable is
-    completed by transitive closure, which can only lower the objective.
-    The winning assignment is checked against the emitted clauses.
+    Enumerates step subsets (singleton when not cost-minimizing), then walks
+    the causal-link choices depth first in product order and, below each
+    full choice, the per-threat resolutions; every other ordering variable
+    is completed by transitive closure, which can only lower the objective.
+    Each node of the walk carries its closure as one successor bitmask per
+    step, grown one edge at a time by `_add_edge`.  The closure only grows
+    down the walk, so a node whose edges form a cycle is dropped, and so is
+    a node whose ordered-pair count already puts the objective strictly
+    above the best one found: nothing below it can win.  Ties are kept, so
+    the winner is the full enumeration's: the least (objective, canonical
+    key), and among equal keys the first in product order.  The winning
+    assignment is checked against the emitted clauses.
     """
     wcnf, cat = encode_mr(task, pop, mclcp)
     steps = cat.steps
+    pos = {s: i for i, s in enumerate(steps)}
     real = [s for s in steps if s not in (INIT_ID, GOAL_ID)]
     profiles = {s: pop.profile(s) for s in steps}
     k = len(steps) ** 2 + 1
@@ -285,34 +311,43 @@ def optimal_model(task: PlanningTask, pop: PartialOrderPlan,
             pop.steps[s].cost + k for s in subset)
         if mclcp and best is not None and op_weight >= best[0]:
             continue
-        consumer_needs = []
-        feasible = True
-        for c in included:
-            if c == INIT_ID:
-                continue
-            for f in sorted(profiles[c][0]):
-                producers = [p for p in included
-                             if (p, f, c) in cat.gamma]
-                if not producers:
-                    feasible = False
-                    break
-                consumer_needs.append((c, f, producers))
-            if not feasible:
-                break
-        if not feasible:
+        needs = _link_needs(included, cat, profiles, pos)
+        if needs is None:
             continue
+        threat_order = sorted(range(len(needs)), key=lambda i: needs[i][:2])
+        included_key = tuple(sorted(included))
+        chosen: list = [None] * len(needs)
+        rows = [0] * len(steps)
+        for s in subset:
+            rows[pos[s]] = 1 << pos[GOAL_ID]
+        for s in included[1:]:
+            rows[pos[INIT_ID]] |= 1 << pos[s]
 
-        for links in _link_choices(consumer_needs):
-            result = _complete_orderings(included, links, profiles)
-            if result is None:
-                continue
-            closure, resolution_edges = result
-            n_tau = sum(len(v) for v in closure.values())
-            objective = op_weight + n_tau
-            key = _canonical_key(included, closure)
-            if best is None or (objective, key) < (best[0], best[1]):
-                model = _assignment(cat, included, links, closure)
-                best = (objective, key, model)
+        def walk(i: int, rows: Optional[list[int]]) -> None:
+            nonlocal best
+            if rows is None:
+                return
+            allowance = math.inf if best is None else best[0] - op_weight
+            if _pair_count(rows) > allowance:
+                return
+            if i < len(needs):
+                c, _, options = needs[i]
+                for option in options:
+                    chosen[i] = option
+                    walk(i + 1, _add_edge(rows, pos[option[0]], pos[c]))
+                return
+            threats = [th for j in threat_order for th in chosen[j][1]]
+            closure = _complete_orderings(rows, threats, allowance, steps)
+            if closure is None:
+                return
+            objective = op_weight + _pair_count(closure)
+            key = (included_key, _closure_key(closure, steps))
+            if best is None or (objective, key) < best[:2]:
+                links = {(c, f): p for (c, f, _), (p, _) in zip(needs, chosen)}
+                best = (objective, key,
+                        _assignment(cat, included, links, closure))
+
+        walk(0, rows)
 
     if best is None:
         raise InvalidModel("encoding unsatisfiable")
@@ -321,85 +356,88 @@ def optimal_model(task: PlanningTask, pop: PartialOrderPlan,
     return best[2], violated
 
 
-def _link_choices(needs: list[tuple[int, Fact, list[int]]]):
-    if not needs:
-        yield {}
-        return
-    heads = [ps for (_, _, ps) in needs]
-    for combo in itertools.product(*heads):
-        yield {(c, f): p for (c, f, _), p in zip(needs, combo)}
+def _link_needs(included, cat: VarCatalog, profiles, pos):
+    """(consumer, fact, [(producer, threats)]) per consumed fact of the
+    included steps, producers in step order; each producer's threats are the
+    (t, p, c) position triples of the included deleters of the fact.  None
+    when some fact has no included producer."""
+    needs = []
+    for c in included[1:]:
+        for f in sorted(profiles[c][0]):
+            options = [(p, [(pos[t], pos[p], pos[c]) for t in included
+                            if t not in (p, c, INIT_ID)
+                            and f in profiles[t][2]])
+                       for p in included if (p, f, c) in cat.gamma]
+            if not options:
+                return None
+            needs.append((c, f, options))
+    return needs
 
 
-def _complete_orderings(included, links, profiles):
-    """Forced edges from links, endpoints, and threat resolutions; branches
-    on each unresolved threat and returns the best completion."""
-    base_edges = set()
-    for (c, f), p in links.items():
-        if p != c:
-            base_edges.add((p, c))
-    for s in included:
-        if s != INIT_ID:
-            base_edges.add((INIT_ID, s))
-        if s != GOAL_ID:
-            base_edges.add((s, GOAL_ID))
+def _add_edge(rows: list[int], a: int, b: int) -> Optional[list[int]]:
+    """The transitive closure `rows` (bit b of rows[a] set when a precedes
+    b) extended by a < b, as a new list; None when that closes a cycle."""
+    if a == b or rows[b] >> a & 1:
+        return None
+    if rows[a] >> b & 1:
+        return rows
+    gain = rows[b] | 1 << b
+    a_bit = 1 << a
+    grown = [row | gain if row & a_bit else row for row in rows]
+    grown[a] |= gain
+    return grown
 
-    threats = []
-    for (c, f), p in sorted(links.items()):
-        for t in included:
-            if t in (p, c, INIT_ID):
-                continue
-            if f in profiles[t][2]:
-                threats.append((t, p, c))
 
+def _pair_count(rows: list[int]) -> int:
+    return sum(map(int.bit_count, rows))
+
+
+def _complete_orderings(rows, threats, allowance, steps):
+    """Least closure, by pair count and then by `_closure_key`, that extends
+    `rows` by resolving each threat (t, p, c) as t < p or c < t, branching
+    in threat order; a branch whose count exceeds `allowance` or the best
+    count so far is dropped.  None when no completion fits."""
     best = None
 
-    def rec(idx: int, edges: set):
+    def rec(idx: int, rows: Optional[list[int]]) -> None:
         nonlocal best
-        try:
-            closure = closure_from_edges(included, sorted(edges))
-        except Exception:
+        if rows is None:
+            return
+        n_tau = _pair_count(rows)
+        if n_tau > allowance or best is not None and n_tau > best[0]:
             return
         while idx < len(threats):
             t, p, c = threats[idx]
-            if p in closure[t] or t in closure[c]:
+            if rows[t] >> p & 1 or rows[c] >> t & 1:
                 idx += 1
                 continue
             break
         if idx == len(threats):
-            n_tau = sum(len(v) for v in closure.values())
-            if best is None or n_tau < best[0]:
-                best = (n_tau, closure, edges)
-            elif n_tau == best[0]:
-                if _closure_key(closure) < _closure_key(best[1]):
-                    best = (n_tau, closure, edges)
+            if (best is None or n_tau < best[0]
+                    or _closure_key(rows, steps) < _closure_key(best[1], steps)):
+                best = (n_tau, rows)
             return
         t, p, c = threats[idx]
-        rec(idx + 1, edges | {(t, p)})
-        rec(idx + 1, edges | {(c, t)})
+        rec(idx + 1, _add_edge(rows, t, p))
+        rec(idx + 1, _add_edge(rows, c, t))
 
-    rec(0, base_edges)
-    if best is None:
-        return None
-    return best[1], best[2]
+    rec(0, rows)
+    return None if best is None else best[1]
 
 
-def _closure_key(closure):
-    return tuple(sorted((a, b) for a, succ in closure.items() for b in succ))
+def _closure_key(rows, steps):
+    return tuple((steps[a], steps[b]) for a, row in enumerate(rows)
+                 for b in range(len(rows)) if row >> b & 1)
 
 
-def _canonical_key(included, closure):
-    return (tuple(sorted(included)), _closure_key(closure))
-
-
-def _assignment(cat: VarCatalog, included, links, closure) -> set[int]:
+def _assignment(cat: VarCatalog, included, links, rows) -> set[int]:
     true_vars = set()
     for s in included:
         true_vars.add(cat.x[s])
     for (c, f), p in links.items():
         true_vars.add(cat.gamma[(p, f, c)])
-    for a in included:
-        for b in closure[a]:
-            true_vars.add(cat.tau[(a, b)])
+    for a, b in _closure_key(rows, cat.steps):
+        true_vars.add(cat.tau[(a, b)])
     return true_vars
 
 

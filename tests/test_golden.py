@@ -22,6 +22,7 @@ from popflex.maxsat import decode_model, encode_mr, optimal_model
 RANDOM_DIGEST = "c8eb2200297e136b41180f12c516c421e1b5c02b"
 MICRO_DIGEST = "3c35e3a595f6493b556f1f5aededb0e882fcca95"
 MAXSAT_DIGEST = "59ba8af0b92c0e91278d688095d5ac4e3b76ff16"
+SIX_STEP_DIGEST = "b816897b0fe973dc713d61b4cf1c91c228b809b8"
 
 
 def _run_text(task, seq, config) -> bytes:
@@ -84,3 +85,25 @@ def test_golden_maxsat():
                 [sorted(model), violated, decoded.to_json(), wcnf.hard,
                  wcnf.soft], sort_keys=True).encode())
     assert digest.hexdigest() == MAXSAT_DIGEST
+
+
+def test_golden_maxsat_six_steps():
+    """The optimal models of the criterion-4 corpus, up to 6 steps: MR on
+    all 140 tasks, MCLCP on those below 6 steps."""
+    digest = hashlib.sha1()
+    checked = seed = 0
+    while checked < 140:
+        seed += 1
+        task, plan = random_task(seed, max_vars=4, max_steps=6,
+                                 unit_costs=True)
+        if len(plan.steps) > 6:
+            continue
+        pop = eog(task, plan)
+        for mclcp in (False, True):
+            if mclcp and len(plan.steps) == 6:
+                continue
+            model, violated = optimal_model(task, pop, mclcp)
+            digest.update(
+                json.dumps([seed, mclcp, sorted(model), violated]).encode())
+        checked += 1
+    assert digest.hexdigest() == SIX_STEP_DIGEST

@@ -1,13 +1,15 @@
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from popflex.corpus import (chain_task, independent_task,
                             produce_consume_task, random_task, scaling_task)
 from popflex.eog import eog
 from popflex.maxsat import (EncodingTooLarge, InvalidModel, TooLarge,
-                            _posets, brute_force_mr, check_model,
+                            _add_edge, _posets, brute_force_mr, check_model,
                             decode_model, encode_mr, model_from_v_line,
                             optimal_model, ordering_count, parse_dimacs_wcnf)
-from popflex.pop import GOAL_ID
+from popflex.pop import GOAL_ID, CycleDetected, closure_from_edges
 from popflex.task import (PlanningTask, SequentialPlan, Variable,
                           make_operator, validate_sequential)
 
@@ -173,3 +175,37 @@ def test_decoded_models_validate_and_linearize():
         assert decoded.validate()
         for lin in decoded.all_linearizations():
             assert validate_sequential(task, lin)
+
+
+def test_optimum_keeps_a_later_tie_with_a_smaller_key():
+    """A later link choice ties the first on the objective and wins on the
+    canonical key, so the search must not prune ties.  The model is the one
+    the unpruned enumeration returned."""
+    task, plan = random_task(195, max_vars=2, max_steps=5)
+    model, violated = optimal_model(task, eog(task, plan))
+    assert sorted(model) == [1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 18, 19, 20,
+                             23, 25, 28, 33, 37, 40, 42, 43, 46]
+    assert violated == 12
+
+
+@st.composite
+def _edge_sequences(draw):
+    n = draw(st.integers(2, 9))
+    node = st.integers(0, n - 1)
+    return n, draw(st.lists(st.tuples(node, node), max_size=20))
+
+
+@given(_edge_sequences())
+@settings(max_examples=300, deadline=None)
+def test_add_edge_matches_closure_from_edges(case):
+    n, edges = case
+    rows = [0] * n
+    for k, (a, b) in enumerate(edges, 1):
+        rows = _add_edge(rows, a, b)
+        if rows is None:
+            with pytest.raises(CycleDetected):
+                closure_from_edges(range(n), edges[:k])
+            return
+        closure = closure_from_edges(range(n), edges[:k])
+        assert [{x for x in range(n) if row >> x & 1} for row in rows] \
+            == [closure[a] for a in range(n)]
