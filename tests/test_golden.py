@@ -1,9 +1,12 @@
-"""Frozen digests of full `fibs` runs and of the MaxSAT layer.
+"""Frozen digests of full `fibs` runs, of block removal, of candidate
+blocks and of the MaxSAT layer.
 
 Each `fibs` run contributes `json.dumps([plan.to_json(), [report dicts]],
 sort_keys=True)` to one sha1, in a fixed order.  Wall-clock budgets are
 infinite, so only the expansion caps bind and the digests do not depend on
-machine speed.  The MaxSAT digest covers the DIMACS text and variable
+machine speed.  The removal digest covers every single-block removal from
+deordered plans whose blocks nest up to seven deep, which the fibs corpora
+never reach.  The MaxSAT digest covers the DIMACS text and variable
 catalogue of large encodings, and the optimal model, its violated weight,
 its decoded plan and the clauses of tiny ones.  A change that keeps
 behaviour leaves every digest as it is; a change of behaviour has to
@@ -14,15 +17,22 @@ import hashlib
 import json
 import math
 
+from popflex.bdpo import GOAL_BLOCK, INIT_BLOCK, block_deorder, init_bdpo
 from popflex.corpus import micro_corpus, random_task
 from popflex.eog import eog
-from popflex.fibs import AcceptanceCriteria, FibsConfig, fibs
+from popflex.fibs import (AcceptanceCriteria, FibsConfig, SubtaskInfeasible,
+                          _scan_basic_edges, build_subtask, fibs, reduce_plan,
+                          try_remove_block)
 from popflex.maxsat import decode_model, encode_mr, optimal_model
+from popflex.subplanner import solve_subtask
+from popflex.substitution import candidate_from_pop
 
 RANDOM_DIGEST = "c8eb2200297e136b41180f12c516c421e1b5c02b"
 MICRO_DIGEST = "3c35e3a595f6493b556f1f5aededb0e882fcca95"
 MAXSAT_DIGEST = "59ba8af0b92c0e91278d688095d5ac4e3b76ff16"
 SIX_STEP_DIGEST = "b816897b0fe973dc713d61b4cf1c91c228b809b8"
+REMOVAL_DIGEST = "81af02410b7379f7fa7b8cb1ed6e66785c45bda7"
+CANDIDATE_DIGEST = "50ef8a504d6f723579119c7fedf209a1dff1e5f7"
 
 
 def _run_text(task, seq, config) -> bytes:
@@ -107,3 +117,70 @@ def test_golden_maxsat_six_steps():
                 json.dumps([seed, mclcp, sorted(model), violated]).encode())
         checked += 1
     assert digest.hexdigest() == SIX_STEP_DIGEST
+
+
+def _block_depths(plan) -> dict[int, int]:
+    """Nesting depth of every live block; root blocks are at depth 1."""
+    depths = {}
+    stack = [(r, 1) for r in plan.roots]
+    while stack:
+        bid, depth = stack.pop()
+        depths[bid] = depth
+        stack.extend((c, depth + 1) for c in plan.blocks[bid].children)
+    return depths
+
+
+def test_golden_removal():
+    """Every single-block removal, at every nesting depth, and the bj
+    reduction of 40 deordered plans of 15 steps or more."""
+    digest = hashlib.sha1()
+    deep_removals = plans = seed = 0
+    while plans < 40:
+        task, seq = random_task(seed, max_vars=8, max_steps=30)
+        seed += 1
+        if len(seq.steps) < 15:
+            continue
+        plans += 1
+        plan = block_deorder(init_bdpo(eog(task, seq)))
+        depths = _block_depths(plan)
+        for bid in sorted(depths):
+            if bid in (INIT_BLOCK, GOAL_BLOCK):
+                continue
+            result = try_remove_block(plan, bid)
+            if result is not None and depths[bid] >= 3:
+                deep_removals += 1
+            digest.update(json.dumps(
+                None if result is None else result.to_json(),
+                sort_keys=True).encode())
+        digest.update(json.dumps(reduce_plan(plan, "bj").to_json(),
+                                 sort_keys=True).encode())
+    assert deep_removals > 0
+    assert digest.hexdigest() == REMOVAL_DIGEST
+
+
+def test_golden_candidates():
+    """The candidate block of every subplanner plan for both directions of
+    every basic ordering of the golden random corpus, deordered."""
+    config = FibsConfig(reduce="gj", max_plans=3, max_expansions=1500,
+                        subtask_time=math.inf, time_limit=math.inf)
+    digest = hashlib.sha1()
+    with_links = with_resolutions = 0
+    for seed in range(300):
+        task, seq = random_task(seed, max_vars=8, max_steps=12)
+        plan = block_deorder(init_bdpo(eog(task, seq)))
+        for a, b in _scan_basic_edges(plan):
+            for excluded, target in ((a, b), (b, a)):
+                try:
+                    subtask = build_subtask(task, plan, excluded, target,
+                                            config)
+                except SubtaskInfeasible:
+                    continue
+                for found in solve_subtask(subtask):
+                    cand = candidate_from_pop(eog(subtask.as_task(), found))
+                    with_links += bool(cand.links)
+                    with_resolutions += bool(cand.resolutions)
+                    digest.update(json.dumps(
+                        [[op.name for op in cand.ops], cand.links,
+                         cand.resolutions, cand.cost]).encode())
+    assert with_links and with_resolutions
+    assert digest.hexdigest() == CANDIDATE_DIGEST
