@@ -19,7 +19,7 @@ def main() -> None:
               f"ordered pairs {r.ordered_after:2d}  "
               f"(vs original {total0} pairs: {r.flex_vs_input:.4f})")
     print("final operators:")
-    for sid in out.real_step_ids():
+    for sid in out.real_steps():
         print(f"  ({out.steps[sid].name})")
 
 

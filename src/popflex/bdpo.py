@@ -1,10 +1,17 @@
 """Block-decomposed partial-order plans and greedy block deordering.
 
+A plan holds operator instances keyed by step id (including the synthetic
+init and goal steps), a laminar family of blocks over them, and causal-link
+and demotion/promotion commitments between its outermost blocks (the root
+context).  The ordering relation is the transitive closure of those
+commitments plus init-first/goal-last; ordering reasons (PC, CD, DP) are
+derived from the commitments rather than stored separately.  A flat
+partial-order plan is the case whose roots are all primitive blocks.
+
 Blocks are frozen once created: a compound block carries its own internal
 causal links, demotion/promotion commitments, and closure over its children,
 plus precondition/effect/consumed/produced/deleted fact sets computed from
-the children.  The plan mutates only its outermost level (the root context),
-which mirrors the flat POP representation but over block ids.
+the children.  The plan mutates only its root context.
 
 Deordering scans the committed orderings and tries to strip each one of all
 its reasons by encapsulating spans of blocks, following the four removal
@@ -17,18 +24,123 @@ from __future__ import annotations
 import logging
 import random
 from dataclasses import dataclass, field
-from typing import Iterable, Iterator, Optional
+from fractions import Fraction
+from typing import Iterable, Iterator, NamedTuple, Optional
 
-from .pop import (CD, DP, GOAL_ID, INIT_ID, PC, CycleDetected, FlexScore,
-                  PartialOrderPlan, Reason, closure_from_edges,
-                  reason_sort_key, topological_order)
 from .task import (Fact, OperatorDef, PlanningTask, SequentialPlan,
                    ValidationReport, cons_prod_del)
 
 logger = logging.getLogger(__name__)
 
+PC = "PC"
+CD = "CD"
+DP = "DP"
+
+INIT_ID = 0
+GOAL_ID = 1
 INIT_BLOCK = 0
 GOAL_BLOCK = 1
+
+_KIND_ORDER = {PC: 0, CD: 1, DP: 2}
+
+
+class Reason(NamedTuple):
+    kind: str
+    fact: Fact
+
+    def __repr__(self) -> str:
+        return f"{self.kind}{self.fact!r}"
+
+
+def reason_sort_key(r: Reason) -> tuple:
+    return (_KIND_ORDER[r.kind], r.fact)
+
+
+class CycleDetected(Exception):
+    def __init__(self, path: list):
+        super().__init__(f"ordering cycle: {' < '.join(map(str, path))}")
+        self.path = path
+
+
+@dataclass
+class FlexScore:
+    unordered_pairs: int
+    total_pairs: int
+
+    @property
+    def value(self) -> float:
+        if self.total_pairs == 0:
+            return 1.0
+        return self.unordered_pairs / self.total_pairs
+
+    @property
+    def frac(self) -> Fraction:
+        if self.total_pairs == 0:
+            return Fraction(1)
+        return Fraction(self.unordered_pairs, self.total_pairs)
+
+
+def closure_from_edges(nodes: Iterable[int], edges: Iterable[tuple[int, int]]
+                       ) -> dict[int, set[int]]:
+    """Strict descendants per node; raises CycleDetected on a cycle."""
+    direct: dict[int, set[int]] = {n: set() for n in nodes}
+    for a, b in edges:
+        direct[a].add(b)
+    succ: dict[int, set[int]] = {n: set() for n in direct}
+    for n in reversed(topological_order(direct)):
+        acc = succ[n]
+        for m in direct[n]:
+            acc.add(m)
+            acc |= succ[m]
+    return succ
+
+
+def topological_order(direct: dict[int, set[int]]) -> list[int]:
+    """Kahn's pass over a successor map that has every node as a key;
+    raises CycleDetected on a cycle."""
+    indeg = dict.fromkeys(direct, 0)
+    for succs in direct.values():
+        for m in succs:
+            indeg[m] += 1
+    ready = [n for n, d in indeg.items() if d == 0]
+    order: list[int] = []
+    while ready:
+        n = ready.pop()
+        order.append(n)
+        for m in direct[n]:
+            indeg[m] -= 1
+            if indeg[m] == 0:
+                ready.append(m)
+    if len(order) != len(direct):
+        cyclic = [n for n, d in indeg.items() if d > 0]
+        raise CycleDetected(_find_cycle(direct, cyclic))
+    return order
+
+
+def _find_cycle(direct: dict[int, set[int]], candidates: list[int]) -> list[int]:
+    seen: dict[int, int] = {}
+    path: list[int] = []
+
+    def dfs(n: int) -> Optional[list[int]]:
+        seen[n] = 1
+        path.append(n)
+        for m in sorted(direct.get(n, ())):
+            if seen.get(m) == 1:
+                return path[path.index(m):] + [m]
+            if m not in seen:
+                found = dfs(m)
+                if found:
+                    return found
+        seen[n] = 2
+        path.pop()
+        return None
+
+    for n in sorted(candidates):
+        if n not in seen:
+            found = dfs(n)
+            if found:
+                return found
+    return candidates[:1]
 
 
 @dataclass(frozen=True)
@@ -61,7 +173,8 @@ class BdpoPlan:
     """POP plus a laminar block family; orderings live between root blocks.
 
     `closure[a]` is a successor bitmask keyed by root block id: bit `b` is
-    set when block `a` is ordered before block `b`.
+    set when block `a` is ordered before block `b`.  `extra_orderings` are
+    bare root orderings with no recorded reason (decoded MaxSAT models).
     """
 
     def __init__(self, task: PlanningTask):
@@ -71,6 +184,7 @@ class BdpoPlan:
         self.roots: set[int] = set()
         self.links: dict[tuple[int, Fact], int] = {}   # (consumer, fact) -> producer
         self.resolutions: dict[tuple[int, int], set[Reason]] = {}
+        self.extra_orderings: set[tuple[int, int]] = set()
         self.closure: dict[int, int] = {}
         self.next_step_id = 2
         self.next_block_id = 2
@@ -78,12 +192,14 @@ class BdpoPlan:
     # -- bookkeeping ---------------------------------------------------------
 
     def clone(self) -> "BdpoPlan":
+        """A copy as a BdpoPlan; a flat plan's copy is its block view."""
         other = BdpoPlan(self.task)
         other.steps = dict(self.steps)
         other.blocks = dict(self.blocks)
         other.roots = set(self.roots)
         other.links = dict(self.links)
         other.resolutions = {k: set(v) for k, v in self.resolutions.items()}
+        other.extra_orderings = set(self.extra_orderings)
         other.closure = dict(self.closure)
         other.next_step_id = self.next_step_id
         other.next_block_id = self.next_block_id
@@ -95,6 +211,7 @@ class BdpoPlan:
         self.roots = other.roots
         self.links = other.links
         self.resolutions = other.resolutions
+        self.extra_orderings = other.extra_orderings
         self.closure = other.closure
         self.next_step_id = other.next_step_id
         self.next_block_id = other.next_block_id
@@ -124,8 +241,10 @@ class BdpoPlan:
         return sorted((b for b in self.roots if b not in (INIT_BLOCK, GOAL_BLOCK)),
                       key=self.pos_key)
 
-    def real_step_ids(self) -> list[int]:
+    def real_steps(self) -> list[int]:
         return sorted(s for s in self.steps if s not in (INIT_ID, GOAL_ID))
+
+    real_step_ids = real_steps      # the name perfbench/test_checks.py calls
 
     def pos_key(self, bid: int) -> tuple[int, int]:
         return (1 if bid == GOAL_BLOCK else 0, self.blocks[bid].pos)
@@ -209,7 +328,8 @@ class BdpoPlan:
     # -- ordering ------------------------------------------------------------
 
     def rebuild_closure(self) -> None:
-        """Closure of the links, the resolutions and init-first/goal-last."""
+        """Closure of the links, the resolutions, the extra orderings and
+        init-first/goal-last."""
         direct: dict[int, set[int]] = {b: set() for b in self.roots}
         for (c, _), p in self.links.items():
             if p != c:
@@ -217,6 +337,8 @@ class BdpoPlan:
         for (a, b), rs in self.resolutions.items():
             if rs:
                 direct[a].add(b)
+        for a, b in self.extra_orderings:
+            direct[a].add(b)
         for b in self.roots:
             if b != INIT_BLOCK:
                 direct[INIT_BLOCK].add(b)
@@ -347,12 +469,12 @@ class BdpoPlan:
         return out
 
     def flex(self) -> FlexScore:
-        n = len(self.real_step_ids())
+        n = len(self.real_steps())
         total = n * (n - 1) // 2
         return FlexScore(total - self.ordered_step_pairs(), total)
 
     def cost(self) -> int:
-        return sum(self.steps[s].cost for s in self.real_step_ids())
+        return sum(self.steps[s].cost for s in self.real_steps())
 
     # -- validation ----------------------------------------------------------
 
@@ -523,7 +645,7 @@ class BdpoPlan:
             yield SequentialPlan([self.task.operator_index(self.steps[s].name)
                                   for s in steps])
 
-    # -- exports -------------------------------------------------------------
+    # -- exports (a flat plan has its own) ----------------------------------
 
     def to_json(self) -> dict:
         def block_json(bid: int) -> dict:
@@ -591,35 +713,13 @@ class BdpoPlan:
         return min(blk.members)
 
 
-# ---------------------------------------------------------------------------
-# construction from a flat POP
-
-
-def init_bdpo(pop: PartialOrderPlan) -> BdpoPlan:
-    """One primitive block per step; orderings mirror the step orderings."""
-    plan = BdpoPlan(pop.task)
-    plan.steps = dict(pop.steps)
-    plan.next_step_id = max(pop.steps, default=1) + 1
-    step_block: dict[int, int] = {}
-    for s in sorted(pop.steps):
-        if s == INIT_ID:
-            bid = plan.make_primitive(s, INIT_BLOCK)
-        elif s == GOAL_ID:
-            bid = plan.make_primitive(s, GOAL_BLOCK)
-        else:
-            bid = plan.make_primitive(s)
-        step_block[s] = bid
-        plan.roots.add(bid)
-    for (c, f), p in pop.links.items():
-        plan.links[(step_block[c], f)] = step_block[p]
-    for (a, b), rs in pop.resolutions.items():
-        plan.resolutions[(step_block[a], step_block[b])] = set(rs)
+def init_bdpo(pop: BdpoPlan) -> BdpoPlan:
+    """A flat plan as a BdpoPlan to deorder: the same primitive blocks and
+    commitments, without the bare orderings."""
+    plan = pop.clone()
+    plan.extra_orderings = set()
     plan.rebuild_closure()
     return plan
-
-
-def block_profile(plan: BdpoPlan, bid: int) -> Block:
-    return plan.blocks[bid]
 
 
 # ---------------------------------------------------------------------------
@@ -652,12 +752,6 @@ def candidate_producers(plan: BdpoPlan, fact: Fact, consumer: int,
     minimal = [p for p in out
                if not any(q != p and plan.ordered(q, p) for q in out)]
     return sorted(minimal, key=plan.pos_key)
-
-
-def earliest_candidate_producer(plan: BdpoPlan, fact: Fact,
-                                consumer: int) -> Optional[int]:
-    cands = candidate_producers(plan, fact, consumer)
-    return cands[0] if cands else None
 
 
 def earliest_producer_for_insert(plan: BdpoPlan, fact: Fact, consumer: int,

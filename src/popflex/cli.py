@@ -17,7 +17,6 @@ from .bdpo import BdpoPlan, block_deorder, init_bdpo
 from .eog import eog
 from .fibs import (AcceptanceCriteria, FibsConfig, fibs, reduce_plan)
 from .maxsat import EncodingTooLarge, encode_mr
-from .pop import pop_to_json_text
 from .subplanner import PLANNER_CMD_ENV
 from .task import (PlanningTask, SequentialPlan, emit_plan, parse_plan,
                    parse_sas, validate_sequential)
@@ -39,6 +38,10 @@ def _write(path: Optional[str], text: str) -> None:
         sys.stdout.write(text)
 
 
+def _json(data) -> str:
+    return json.dumps(data, indent=2, sort_keys=True) + "\n"
+
+
 def _config(args) -> FibsConfig:
     return FibsConfig(
         criteria=AcceptanceCriteria(args.criteria),
@@ -51,8 +54,7 @@ def _config(args) -> FibsConfig:
 
 
 def _report_text(reports, with_timings: bool) -> str:
-    return json.dumps([r.to_dict(with_timings) for r in reports],
-                      indent=2, sort_keys=True) + "\n"
+    return _json([r.to_dict(with_timings) for r in reports])
 
 
 def _report_csv(reports, with_timings: bool) -> str:
@@ -66,8 +68,7 @@ def _report_csv(reports, with_timings: bool) -> str:
 
 def _emit_plan_outputs(args, plan: BdpoPlan) -> None:
     if getattr(args, "out", None):
-        _write(args.out, json.dumps(plan.to_json(), indent=2,
-                                    sort_keys=True) + "\n")
+        _write(args.out, _json(plan.to_json()))
     if getattr(args, "dot", None):
         _write(args.dot, plan.to_dot())
 
@@ -165,7 +166,7 @@ def run(argv: Sequence[str]) -> int:
 
     if args.command == "eog":
         pop = eog(task, plan)
-        _write(getattr(args, "out", None), pop_to_json_text(pop))
+        _write(args.out, _json(pop.to_json()))
         if args.dot:
             _write(args.dot, pop.to_dot())
         print(f"flex {pop.flex().value:.6f}")
@@ -199,7 +200,7 @@ def run(argv: Sequence[str]) -> int:
         _emit_plan_outputs(args, reduced)
         if args.plan_out:
             _write(args.plan_out, emit_plan(task, reduced.linearize(args.seed)))
-        print(f"cost {reduced.cost()} steps {len(reduced.real_step_ids())}")
+        print(f"cost {reduced.cost()} steps {len(reduced.real_steps())}")
         return 0
 
     if args.command == "flex":
@@ -222,8 +223,7 @@ def run(argv: Sequence[str]) -> int:
                 "gamma": {f"{p},{f.var},{f.val},{c}": v
                           for (p, f, c), v in cat.gamma.items()},
             }
-            _write(args.catalog,
-                   json.dumps(catalog, indent=2, sort_keys=True) + "\n")
+            _write(args.catalog, _json(catalog))
         print(f"wcnf: {wcnf.n_vars} vars, "
               f"{len(wcnf.hard)} hard, {len(wcnf.soft)} soft")
         return 0

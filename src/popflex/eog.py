@@ -8,8 +8,53 @@ conflict with the other's links.
 
 from __future__ import annotations
 
-from .pop import CD, DP, GOAL_ID, INIT_ID, InvalidInput, PartialOrderPlan, Reason
-from .task import PlanningTask, SequentialPlan, validate_sequential
+from .bdpo import CD, DP, GOAL_ID, INIT_ID, Reason
+from .pop import PartialOrderPlan
+from .task import Fact, PlanningTask, SequentialPlan, validate_sequential
+
+Profile = tuple[frozenset[Fact], frozenset[Fact], frozenset[Fact]]
+
+
+class InvalidInput(Exception):
+    """Input plan fails sequential validation."""
+
+
+def generalize(init: Profile, steps: list[Profile], goal: Profile
+               ) -> tuple[dict[tuple[int, Fact], int],
+                          dict[tuple[int, int], set[Reason]]]:
+    """Causal links and demotion/promotion commitments of a valid step
+    sequence, given the (consumed, produced, deleted) facts of its steps
+    and of the init and goal steps.  Position 0 is the init step, 1 to n
+    the steps, n + 1 the goal step; commitments orient with the sequence.
+    """
+    profiles = [init, *steps, goal]
+    links: dict[tuple[int, Fact], int] = {}
+    supplier: dict[Fact, int] = {}   # earliest producer since the last deleter
+    for i, (cons, prod, dels) in enumerate(profiles):
+        for fact in sorted(cons):
+            if fact in supplier:
+                links[(i, fact)] = supplier[fact]
+        for fact in dels:
+            supplier.pop(fact, None)
+        for fact in prod:
+            supplier.setdefault(fact, i)
+
+    consumed: list[set[Fact]] = [set() for _ in profiles]
+    supplied: list[set[Fact]] = [set() for _ in profiles]
+    for (c, fact), p in links.items():
+        consumed[c].add(fact)
+        supplied[p].add(fact)
+    # demotion (consumer before deleter) and promotion (deleter before
+    # producer) between real steps
+    resolutions: dict[tuple[int, int], set[Reason]] = {}
+    for a in range(1, len(steps) + 1):
+        dels_a = profiles[a][2]
+        for b in range(a + 1, len(steps) + 1):
+            reasons = {Reason(CD, f) for f in consumed[a] & profiles[b][2]}
+            reasons.update(Reason(DP, f) for f in dels_a & supplied[b])
+            if reasons:
+                resolutions[(a, b)] = reasons
+    return links, resolutions
 
 
 def eog(task: PlanningTask, plan: SequentialPlan) -> PartialOrderPlan:
@@ -21,48 +66,12 @@ def eog(task: PlanningTask, plan: SequentialPlan) -> PartialOrderPlan:
 
     pop = PartialOrderPlan(task)
     pop.install_synthetics()
-    seq = [INIT_ID]
-    for op_idx in plan.steps:
-        seq.append(pop.add_step(task.operators[op_idx]))
-    seq.append(GOAL_ID)
-
-    profiles = {s: pop.profile(s) for s in seq}
-
-    # earliest producer with no intervening deleter, for every consumed fact
-    for i, consumer in enumerate(seq):
-        cons, _, _ = profiles[consumer]
-        for fact in sorted(cons):
-            for k in range(i):
-                producer = seq[k]
-                if fact not in profiles[producer][1]:
-                    continue
-                if any(fact in profiles[seq[j]][2] for j in range(k + 1, i)):
-                    continue
-                pop.links[(consumer, fact)] = producer
-                break
-
-    # demotion (consumer before deleter) and promotion (deleter before
-    # producer) commitments, oriented with the input sequence
-    producer_links: dict[int, set] = {}
-    for (c, f), p in pop.links.items():
-        producer_links.setdefault(p, set()).add(f)
-    for i, a in enumerate(seq):
-        if a in (INIT_ID, GOAL_ID):
-            continue
-        cons_a, _, del_a = profiles[a]
-        consumed_linked = {f for (c, f) in pop.links if c == a}
-        for b in seq[i + 1:]:
-            if b in (INIT_ID, GOAL_ID):
-                continue
-            del_b = profiles[b][2]
-            reasons = set()
-            for f in sorted(consumed_linked & del_b):
-                if pop.links.get((a, f)) != b:
-                    reasons.add(Reason(CD, f))
-            for f in sorted(del_a & producer_links.get(b, set())):
-                reasons.add(Reason(DP, f))
-            if reasons:
-                pop.resolutions.setdefault((a, b), set()).update(reasons)
-
+    seq = [INIT_ID] + [pop.add_step(task.operators[i]) for i in plan.steps] \
+        + [GOAL_ID]
+    profiles = [(b.cons, b.prod, b.dels) for b in map(pop.blocks.get, seq)]
+    links, resolutions = generalize(profiles[0], profiles[1:-1], profiles[-1])
+    pop.links = {(seq[c], f): seq[p] for (c, f), p in links.items()}
+    pop.resolutions = {(seq[a], seq[b]): rs
+                       for (a, b), rs in resolutions.items()}
     pop.rebuild_closure()
     return pop

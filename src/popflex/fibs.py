@@ -14,13 +14,13 @@ import random
 import time
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Optional
+from typing import Iterable, Optional
 
-from .bdpo import (BdpoPlan, GOAL_BLOCK, INIT_BLOCK, block_deorder, init_bdpo)
+from .bdpo import (GOAL_BLOCK, INIT_BLOCK, BdpoPlan, CycleDetected,
+                   block_deorder, init_bdpo)
 from .eog import eog
-from .pop import CycleDetected
 from .subplanner import Subtask, solve_subtask
-from .substitution import candidate_from_pop, substitute
+from .substitution import _delete_block, candidate_block, substitute
 from .task import (Fact, NotApplicable, PlanningTask, SequentialPlan,
                    apply_op)
 
@@ -28,11 +28,16 @@ logger = logging.getLogger(__name__)
 
 RFO = "rfo"
 RCO = "rco"
+REDUCE_MODES = ("none", "bj", "gj")
 
 
 @dataclass(frozen=True)
 class AcceptanceCriteria:
     mode: str = RFO
+
+    def __post_init__(self) -> None:
+        if self.mode not in (RFO, RCO):
+            raise ValueError(f"unknown acceptance mode {self.mode!r}")
 
     def accepts(self, flex_before: Fraction, cost_before: int,
                 flex_after: Fraction, cost_after: int) -> bool:
@@ -61,6 +66,10 @@ class FibsConfig:
     max_accepts_per_phase: int = 1000
     time_limit: float = 1800.0          # whole-run budget in seconds
     seed: int = 0
+
+    def __post_init__(self) -> None:
+        if self.reduce not in REDUCE_MODES:
+            raise ValueError(f"unknown reduction mode {self.reduce!r}")
 
 
 @dataclass
@@ -187,12 +196,10 @@ def resolve(task: PlanningTask, plan: BdpoPlan, excluded: int, target: int,
         subtask.max_len = max_len_override
     flex_before = plan.flex().frac
     cost_before = plan.cost()
-    sub_task = subtask.as_task()
     for seq in solve_subtask(subtask):
         if seq.cost(task) > subtask.cost_bound:
             raise AssertionError("subplanner exceeded the cost bound")
-        pop = eog(sub_task, seq)
-        cand = candidate_from_pop(pop)
+        cand = candidate_block(task, subtask.init, subtask.goal, seq)
         outcome = substitute(plan, target, cand)
         if not outcome.success:
             continue
@@ -269,12 +276,14 @@ def backward_justify(plan: BdpoPlan) -> set[int]:
     return {b for b in plan.real_roots() if b not in justified}
 
 
-def _root_dependents(plan: BdpoPlan, bid: int) -> set[int]:
-    doomed = {bid}
+def _dependents(links: dict[tuple[int, Fact], int],
+                seeds: set[int]) -> set[int]:
+    """The seeds and every block that consumes from them, transitively."""
+    doomed = set(seeds)
     changed = True
     while changed:
         changed = False
-        for (c, f), p in plan.links.items():
+        for (c, f), p in links.items():
             if p in doomed and c not in doomed:
                 doomed.add(c)
                 changed = True
@@ -301,128 +310,65 @@ def _block_path(plan: BdpoPlan, bid: int) -> Optional[list[int]]:
     return None
 
 
-def _context_dependents(blk, bid: int) -> set[int]:
-    doomed = {bid}
-    changed = True
-    while changed:
-        changed = False
-        for (c, f), p in blk.ilinks.items():
-            if p in doomed and c not in doomed:
-                doomed.add(c)
-                changed = True
-    return doomed
+def _relinked(links: dict, resolutions: dict,
+              swap: dict[int, Optional[int]]) -> tuple[dict, dict]:
+    """A context's links and resolutions after each block `b` in `swap`
+    became `swap[b]` (None: gone); those that touch a gone block drop out."""
+    new_links = {}
+    for (c, f), p in links.items():
+        nc, np = swap.get(c, c), swap.get(p, p)
+        if nc is not None and np is not None and nc != np:
+            new_links[(nc, f)] = np
+    new_res: dict[tuple[int, int], set] = {}
+    for (x, y), rs in resolutions.items():
+        nx, ny = swap.get(x, x), swap.get(y, y)
+        if nx is not None and ny is not None and nx != ny:
+            new_res.setdefault((nx, ny), set()).update(rs)
+    return new_links, new_res
 
 
-def try_remove_block(plan: BdpoPlan, bid: int) -> Optional[BdpoPlan]:
-    """Delete a block (at any nesting level) together with the blocks that
-    depend on it through causal links; None when the remainder is invalid."""
-    path = _block_path(plan, bid)
-    if path is None or bid in (INIT_BLOCK, GOAL_BLOCK):
+def remove_blocks(plan: BdpoPlan, blocks: Iterable[int]) -> Optional[BdpoPlan]:
+    """Delete blocks of one context (the root or one compound block) with
+    the blocks of that context that depend on them through causal links,
+    and rebuild each enclosing block up to the root.  None when a synthetic
+    endpoint would go or the remainder is invalid.
+
+    A link re-pointed to a rebuilt block that no longer supplies its fact
+    drops out inside a block, where the consumer then needs the fact from
+    outside it, and stays at the root, where `validate` rejects it."""
+    blocks = set(blocks)
+    path = _block_path(plan, min(blocks))
+    if path is None or blocks & {INIT_BLOCK, GOAL_BLOCK}:
+        return None
+    enclosing = path[:-1]           # root first
+    links = plan.blocks[enclosing[-1]].ilinks if enclosing else plan.links
+    doomed = _dependents(links, blocks)
+    if doomed & {INIT_BLOCK, GOAL_BLOCK}:
         return None
     work = plan.clone()
-    if len(path) == 1:
-        doomed = _root_dependents(work, bid)
-        if INIT_BLOCK in doomed or GOAL_BLOCK in doomed:
-            return None
-        from .substitution import _delete_block
-        for b in sorted(doomed):
-            _delete_block(work, b)
-    else:
-        parent_id = path[-2]
-        parent = work.blocks[parent_id]
-        doomed = _context_dependents(parent, bid)
-        doomed_steps = set()
-        for d in doomed:
-            doomed_steps |= work.blocks[d].members
-        survivors = [c for c in parent.children if c not in doomed]
-        replacement: Optional[int]
-        if not survivors:
-            replacement = None
-        elif len(survivors) == 1:
-            replacement = survivors[0]
+    for b in sorted(doomed):
+        _delete_block(work, b)
+    swap: dict[int, Optional[int]] = dict.fromkeys(doomed)
+    for anc in reversed(enclosing):
+        blk = work.blocks.pop(anc)
+        kids = [k for k in (swap.get(c, c) for c in blk.children)
+                if k is not None]
+        ilinks, ires = _relinked(blk.ilinks, blk.iresolutions, swap)
+        ilinks = {(c, f): p for (c, f), p in ilinks.items()
+                  if f in work.blocks[p].eff}
+        if len(kids) > 1:
+            swap = {anc: work.make_compound(kids, ilinks, ires)}
         else:
-            ilinks = {(c, f): p for (c, f), p in parent.ilinks.items()
-                      if c in survivors and p in survivors}
-            ires = {(x, y): set(rs)
-                    for (x, y), rs in parent.iresolutions.items()
-                    if x in survivors and y in survivors}
-            replacement = work.make_compound(survivors, ilinks, ires)
-        for d in sorted(doomed):
-            for sub in sorted(work._descendant_blocks(d)):
-                work.blocks.pop(sub, None)
-        for s in doomed_steps:
-            work.steps.pop(s, None)
-        # splice the rebuilt block up the ancestor chain
-        child_old = parent_id
-        for anc_id in reversed(path[:-2]):
-            anc = work.blocks[anc_id]
-            if replacement is None:
-                kids = [c for c in anc.children if c != child_old]
-            else:
-                kids = [replacement if c == child_old else c
-                        for c in anc.children]
-            ilinks = {(c, f): p for (c, f), p in anc.ilinks.items()
-                      if c != child_old and p != child_old}
-            if replacement is not None:
-                for (c, f), p in anc.ilinks.items():
-                    nc = replacement if c == child_old else c
-                    np = replacement if p == child_old else p
-                    if nc != np and (c == child_old or p == child_old):
-                        if f in work.blocks[np].eff:
-                            ilinks[(nc, f)] = np
-            ires = {}
-            for (x, y), rs in anc.iresolutions.items():
-                if replacement is None and child_old in (x, y):
-                    continue
-                nx = replacement if x == child_old else x
-                ny = replacement if y == child_old else y
-                if nx != ny and (nx in kids or nx == replacement) \
-                        and (ny in kids or ny == replacement):
-                    ires.setdefault((nx, ny), set()).update(rs)
-            if not kids:
-                replacement = None
-            elif len(kids) == 1:
-                replacement = kids[0]
-            else:
-                replacement = work.make_compound(kids, ilinks, ires)
-            work.blocks.pop(anc_id, None)
-            child_old = anc_id
-        old_root = path[0]
-        work.roots.discard(old_root)
-        work.blocks.pop(parent_id, None)
-        if replacement is None:
-            work.links = {(c, f): p for (c, f), p in work.links.items()
-                          if c != old_root and p != old_root}
-            work.resolutions = {pair: rs
-                                for pair, rs in work.resolutions.items()
-                                if old_root not in pair}
-        else:
-            work.roots.add(replacement)
-            new_links = {}
-            for (c, f), p in work.links.items():
-                nc = replacement if c == old_root else c
-                np = replacement if p == old_root else p
-                if nc == np:
-                    continue
-                if np == replacement and f not in work.blocks[replacement].eff:
-                    return None
-                new_links[(nc, f)] = np
-            work.links = new_links
-            new_res = {}
-            for (x, y), rs in work.resolutions.items():
-                nx = replacement if x == old_root else x
-                ny = replacement if y == old_root else y
-                if nx != ny:
-                    new_res.setdefault((nx, ny), set()).update(rs)
-            work.resolutions = new_res
+            swap = {anc: kids[0] if kids else None}
+    work.links, work.resolutions = _relinked(work.links, work.resolutions,
+                                             swap)
+    work.roots = {swap.get(r, r) for r in work.roots} - {None}
     try:
         work.rebuild_closure()
     except CycleDetected:
         return None
     work.refresh()
-    if not work.validate():
-        return None
-    return work
+    return work if work.validate() else None
 
 
 def _removal_candidates(plan: BdpoPlan) -> list[tuple[int, int, BdpoPlan]]:
@@ -431,7 +377,7 @@ def _removal_candidates(plan: BdpoPlan) -> list[tuple[int, int, BdpoPlan]]:
     live = sorted(plan.live_blocks() - {INIT_BLOCK, GOAL_BLOCK},
                   key=lambda b: (plan.blocks[b].size(), plan.pos_key(b)))
     for bid in live:
-        result = try_remove_block(plan, bid)
+        result = remove_blocks(plan, {bid})
         if result is not None:
             out.append((plan.cost() - result.cost(), bid, result))
     return out
@@ -451,22 +397,12 @@ def reduce_plan(plan: BdpoPlan, mode: str) -> BdpoPlan:
         redundant = backward_justify(plan)
         if not redundant:
             return plan
-        work = plan.clone()
-        from .substitution import _delete_block
-        doomed = set()
-        for b in sorted(redundant):
-            doomed |= _root_dependents(work, b)
-        if INIT_BLOCK in doomed or GOAL_BLOCK in doomed:
-            return plan
-        for b in sorted(doomed):
-            _delete_block(work, b)
-        work.rebuild_closure()
-        work.refresh()
-        if not work.validate():
+        reduced = remove_blocks(plan, redundant)
+        if reduced is None:
             logger.warning("backward justification produced an invalid "
                            "remainder; keeping the input plan")
             return plan
-        return work
+        return reduced
     if mode != "gj":
         raise ValueError(f"unknown reduction mode {mode!r}")
     while True:
@@ -493,8 +429,8 @@ def fibs(task: PlanningTask, seq_plan: SequentialPlan,
                     else 1.0 - after.ordered_step_pairs() / total_input_pairs)
         reports.append(PhaseReport(
             phase=phase,
-            steps_before=len(before.real_step_ids()),
-            steps_after=len(after.real_step_ids()),
+            steps_before=len(before.real_steps()),
+            steps_after=len(after.real_steps()),
             cost_before=before.cost(), cost_after=after.cost(),
             ordered_before=fb.total_pairs - fb.unordered_pairs,
             ordered_after=fa.total_pairs - fa.unordered_pairs,

@@ -26,7 +26,8 @@ import math
 from dataclasses import dataclass, field
 from typing import Iterable, Optional
 
-from .pop import GOAL_ID, INIT_ID, PartialOrderPlan
+from .bdpo import GOAL_ID, INIT_ID
+from .pop import PartialOrderPlan, synthetic_operators
 from .task import Fact, PlanningTask, SequentialPlan, cons_prod_del
 
 MAX_ENCODE_STEPS = 200
@@ -136,7 +137,7 @@ def encode_mr(task: PlanningTask, pop: PartialOrderPlan, mclcp: bool = False
         raise EncodingTooLarge(
             f"{len(steps) - 2} steps exceed the {MAX_ENCODE_STEPS}-step cap")
     cat = VarCatalog(steps=steps)
-    profiles = {s: pop.profile(s) for s in steps}
+    blocks = pop.blocks
 
     for s in steps:
         cat.x[s] = cat.new_var(("x", s))
@@ -149,12 +150,11 @@ def encode_mr(task: PlanningTask, pop: PartialOrderPlan, mclcp: bool = False
     for c in steps:
         if c == INIT_ID:
             continue
-        cons_c = profiles[c][0]
-        for f in sorted(cons_c):
+        for f in sorted(blocks[c].cons):
             for p in steps:
                 if p == c or p == GOAL_ID:
                     continue
-                if f in profiles[p][1]:
+                if f in blocks[p].prod:
                     cat.gamma[(p, f, c)] = cat.new_var(("gamma", p, f, c))
 
     wcnf = Wcnf()
@@ -183,7 +183,7 @@ def encode_mr(task: PlanningTask, pop: PartialOrderPlan, mclcp: bool = False
     for c in steps:
         if c == INIT_ID:
             continue
-        for f in sorted(profiles[c][0]):
+        for f in sorted(blocks[c].cons):
             producers = [p for p in steps
                          if (p, f, c) in cat.gamma]
             support = [cat.gamma[(p, f, c)] for p in producers]
@@ -197,7 +197,7 @@ def encode_mr(task: PlanningTask, pop: PartialOrderPlan, mclcp: bool = False
         for t in steps:
             if t in (p, c, INIT_ID):
                 continue
-            if f in profiles[t][2]:
+            if f in blocks[t].dels:
                 wcnf.add_hard(-g, -cat.x[t],
                               cat.tau[(t, p)], cat.tau[(c, t)])
     # soft: each ordering costs 1
@@ -242,8 +242,7 @@ def decode_model(true_vars: set[int], cat: VarCatalog, task: PlanningTask,
         raise InvalidModel("synthetic endpoints excluded")
     out = PartialOrderPlan(task)
     for s in included:
-        out.steps[s] = pop.steps[s]
-    out._next_id = max(included) + 1
+        out.add_step(pop.steps[s], s)
     for (p, f, c), g in sorted(cat.gamma.items()):
         if g not in true_vars:
             continue
@@ -293,7 +292,6 @@ def optimal_model(task: PlanningTask, pop: PartialOrderPlan,
     steps = cat.steps
     pos = {s: i for i, s in enumerate(steps)}
     real = [s for s in steps if s not in (INIT_ID, GOAL_ID)]
-    profiles = {s: pop.profile(s) for s in steps}
     k = len(steps) ** 2 + 1
 
     best: Optional[tuple[int, tuple, set[int]]] = None
@@ -311,7 +309,7 @@ def optimal_model(task: PlanningTask, pop: PartialOrderPlan,
             pop.steps[s].cost + k for s in subset)
         if mclcp and best is not None and op_weight >= best[0]:
             continue
-        needs = _link_needs(included, cat, profiles, pos)
+        needs = _link_needs(included, cat, pop.blocks, pos)
         if needs is None:
             continue
         threat_order = sorted(range(len(needs)), key=lambda i: needs[i][:2])
@@ -356,17 +354,17 @@ def optimal_model(task: PlanningTask, pop: PartialOrderPlan,
     return best[2], violated
 
 
-def _link_needs(included, cat: VarCatalog, profiles, pos):
+def _link_needs(included, cat: VarCatalog, blocks, pos):
     """(consumer, fact, [(producer, threats)]) per consumed fact of the
     included steps, producers in step order; each producer's threats are the
     (t, p, c) position triples of the included deleters of the fact.  None
     when some fact has no included producer."""
     needs = []
     for c in included[1:]:
-        for f in sorted(profiles[c][0]):
+        for f in sorted(blocks[c].cons):
             options = [(p, [(pos[t], pos[p], pos[c]) for t in included
                             if t not in (p, c, INIT_ID)
-                            and f in profiles[t][2]])
+                            and f in blocks[t].dels])
                        for p in included if (p, f, c) in cat.gamma]
             if not options:
                 return None
@@ -511,11 +509,8 @@ def brute_force_mr(task: PlanningTask, plan: SequentialPlan,
     ops = [task.operators[i] for i in plan.steps]
     sizes = task.domain_sizes()
     profiles = [cons_prod_del(op, sizes) for op in ops]
-    from .task import make_operator
-    init_op = make_operator("<init>", [], sorted(task.init.items()), 0)
-    goal_op = make_operator("<goal>", sorted(task.goal.items()), [], 0)
-    init_prof = cons_prod_del(init_op, sizes)
-    goal_prof = cons_prod_del(goal_op, sizes)
+    init_prof, goal_prof = (cons_prod_del(op, sizes) for op in
+                            synthetic_operators(task.init, task.goal))
 
     best: Optional[tuple[tuple, list[int], tuple[int, ...]]] = None
 

@@ -16,11 +16,12 @@ import logging
 from dataclasses import dataclass, field
 from typing import Optional
 
-from .bdpo import (BdpoPlan, GOAL_BLOCK, INIT_BLOCK,
-                   earliest_producer_for_insert)
-from .pop import (CD, DP, GOAL_ID, INIT_ID, CycleDetected, PartialOrderPlan,
-                  Reason)
-from .task import Fact, OperatorDef
+from .bdpo import (CD, DP, GOAL_BLOCK, INIT_BLOCK, BdpoPlan, CycleDetected,
+                   Reason, earliest_producer_for_insert)
+from .eog import generalize
+from .pop import synthetic_operators
+from .task import (Fact, OperatorDef, PartialState, PlanningTask,
+                   SequentialPlan, State, cons_prod_del)
 
 logger = logging.getLogger(__name__)
 
@@ -41,32 +42,29 @@ class CandidateBlock:
     def __len__(self) -> int:
         return len(self.ops)
 
-    def op_names(self) -> tuple[str, ...]:
-        return tuple(sorted(op.name for op in self.ops))
 
+def candidate_block(task: PlanningTask, init: State, goal: PartialState,
+                    plan: SequentialPlan) -> CandidateBlock:
+    """A plan of `task` from `init` to `goal` as a candidate block, with the
+    links and commitments `eog` gives it there, steps numbered from 0.
 
-def candidate_from_pop(pop: PartialOrderPlan) -> CandidateBlock:
-    """Strip the synthetic endpoints from a POP and renumber its steps.
-
-    Links from the init step disappear; the facts they supplied surface in
-    the block's precondition.
+    Links from the init step and to the goal step are left out; the facts
+    they carry surface in the block's precondition and effect.
     """
-    real = pop.real_steps()
-    index = {s: i for i, s in enumerate(real)}
-    links = tuple(sorted(
-        (index[p], f, index[c])
-        for (c, f), p in pop.links.items()
-        if p not in (INIT_ID, GOAL_ID) and c not in (INIT_ID, GOAL_ID)))
-    resolutions = tuple(sorted(
-        (index[a], index[b], r)
-        for (a, b), rs in pop.resolutions.items()
-        for r in sorted(rs)
-        if a not in (INIT_ID, GOAL_ID) and b not in (INIT_ID, GOAL_ID)))
+    sizes = task.domain_sizes()
+    ops = tuple(task.operators[i] for i in plan.steps)
+    init_prof, goal_prof = (cons_prod_del(op, sizes) for op in
+                            synthetic_operators(init, goal))
+    links, resolutions = generalize(
+        init_prof, [cons_prod_del(op, sizes) for op in ops], goal_prof)
     return CandidateBlock(
-        ops=tuple(pop.steps[s] for s in real),
-        links=links,
-        resolutions=resolutions,
-        cost=sum(pop.steps[s].cost for s in real))
+        ops=ops,
+        links=tuple(sorted((p - 1, f, c - 1) for (c, f), p in links.items()
+                           if p != 0 and c <= len(ops))),
+        resolutions=tuple(sorted((a - 1, b - 1, r)
+                                 for (a, b), rs in resolutions.items()
+                                 for r in rs)),
+        cost=sum(op.cost for op in ops))
 
 
 @dataclass
@@ -76,11 +74,6 @@ class SubstitutionOutcome:
     reason: str = ""
     trace: list[str] = field(default_factory=list)
     new_block: Optional[int] = None
-
-    def to_json(self) -> str:
-        import json
-        return json.dumps({"success": self.success, "reason": self.reason,
-                           "trace": self.trace}, indent=2) + "\n"
 
 
 def _materialize(plan: BdpoPlan, cand: CandidateBlock) -> int:
@@ -104,11 +97,6 @@ def _materialize(plan: BdpoPlan, cand: CandidateBlock) -> int:
     bid = plan.make_compound(child_ids, ilinks, iresolutions)
     plan.roots.add(bid)
     return bid
-
-
-def detect_threats(plan: BdpoPlan) -> list[tuple[int, tuple[int, Fact, int]]]:
-    """Unresolved (deleter, causal link) conflicts in the current plan."""
-    return plan.unresolved_threats()
 
 
 def _delete_block(plan: BdpoPlan, bid: int) -> None:

@@ -8,7 +8,6 @@ plan files, and validates sequential plans by state progression.
 
 from __future__ import annotations
 
-import json
 import logging
 import re
 from dataclasses import dataclass
@@ -421,7 +420,3 @@ def emit_plan(task: PlanningTask, plan: SequentialPlan) -> str:
     lines = [f"({name})" for name in plan.names(task)]
     lines.append(f"; cost = {plan.cost(task)} (general cost)")
     return "\n".join(lines) + "\n"
-
-
-def task_to_json_text(task: PlanningTask) -> str:
-    return json.dumps(task.to_json(), indent=2, sort_keys=True) + "\n"

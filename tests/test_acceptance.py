@@ -33,8 +33,7 @@ def _passed(n: int, label: str) -> None:
 
 
 def _check_linearizations(task, plan_like, samples: int = 20) -> None:
-    n = len(plan_like.real_step_ids()) if hasattr(plan_like, "real_step_ids") \
-        else len(plan_like.real_steps())
+    n = len(plan_like.real_steps())
     if n <= 7:
         lins = list(plan_like.all_linearizations())
     else:
@@ -163,7 +162,7 @@ def test_criterion_5_incompleteness_witness():
     assert bdp.snapshot() == snap
 
     # exhaustive producer-binding search still finds a valid substitution
-    from popflex.pop import CD, DP, Reason
+    from popflex.bdpo import CD, DP, Reason
     from popflex.substitution import _delete_block
     from popflex.task import Fact
 

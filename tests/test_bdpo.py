@@ -1,12 +1,11 @@
 import pytest
 
-from popflex.bdpo import (GOAL_BLOCK, INIT_BLOCK, block_deorder,
-                          candidate_producers, earliest_candidate_producer,
-                          init_bdpo, try_remove_reason, wrap_blocks)
+from popflex.bdpo import (DP, GOAL_BLOCK, INIT_BLOCK, PC, Reason,
+                          block_deorder, candidate_producers, init_bdpo,
+                          try_remove_reason, wrap_blocks)
 from popflex.corpus import (chain_task, elevator_plan, elevator_task,
                             independent_task, random_task)
 from popflex.eog import eog
-from popflex.pop import DP, PC, Reason
 from popflex.task import (Fact, PlanningTask, SequentialPlan, Variable,
                           make_operator, validate_sequential)
 
@@ -41,11 +40,10 @@ def test_init_bdpo_preserves_flex():
 
 
 def test_primitive_profile_equals_operator_sets():
-    from popflex.bdpo import block_profile
     from popflex.task import cons_prod_del
     task, plan = elevator_bdpo()
     for bid in plan.real_roots():
-        blk = block_profile(plan, bid)
+        blk = plan.blocks[bid]
         cons, prod, dels = cons_prod_del(plan.steps[blk.step],
                                          task.domain_sizes())
         assert blk.cons == cons and blk.prod == prod and blk.dels == dels
@@ -108,7 +106,7 @@ def test_earliest_candidate_producer_blocked_by_deleter():
     bdp = init_bdpo(eog(task, plan))
     consumer = max(bdp.real_roots(), key=bdp.pos_key)
     fact = Fact(0, 1)
-    producer = earliest_candidate_producer(bdp, fact, consumer)
+    producer = candidate_producers(bdp, fact, consumer)[0]
     assert bdp.steps[bdp.blocks[producer].step].name == "p2"
 
 
@@ -116,7 +114,7 @@ def test_earliest_candidate_producer_prefers_earliest():
     task, plan = _producer_chain_task(with_deleter=False)
     bdp = init_bdpo(eog(task, plan))
     consumer = max(bdp.real_roots(), key=bdp.pos_key)
-    producer = earliest_candidate_producer(bdp, Fact(0, 1), consumer)
+    producer = candidate_producers(bdp, Fact(0, 1), consumer)[0]
     assert bdp.steps[bdp.blocks[producer].step].name == "p1"
 
 
@@ -127,7 +125,7 @@ def test_init_block_is_producer_of_initial_facts():
     fact = Fact(p1_var, task.variables[p1_var].values.index("at-n2"))
     consumer = next(b for b in plan.real_roots()
                     if plan.steps[plan.blocks[b].step].name == "board p1 n2 e1")
-    assert earliest_candidate_producer(plan, fact, consumer) == INIT_BLOCK
+    assert candidate_producers(plan, fact, consumer)[0] == INIT_BLOCK
 
 
 def test_candidate_producer_absent():
@@ -216,7 +214,7 @@ def test_block_deorder_never_decreases_flex_and_stays_valid():
         assert after.unordered_pairs >= before.unordered_pairs
         assert out.validate()
         assert out.check_laminar() and out.check_contiguity()
-        n = len(out.real_step_ids())
+        n = len(out.real_steps())
         lins = (list(out.all_linearizations()) if n <= 6
                 else [out.linearize(s) for s in range(20)])
         for lin in lins:

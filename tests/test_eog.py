@@ -3,8 +3,8 @@ import pytest
 from popflex.corpus import (chain_task, elevator_plan, elevator_task,
                             independent_task, produce_consume_task,
                             random_task)
-from popflex.eog import eog
-from popflex.pop import GOAL_ID, INIT_ID, PC, InvalidInput, Reason
+from popflex.bdpo import GOAL_ID, INIT_ID, PC, Reason
+from popflex.eog import InvalidInput, eog
 from popflex.task import Fact, SequentialPlan
 
 
@@ -60,16 +60,16 @@ def test_every_precondition_has_minimal_producer():
         for s in seq:
             if s == INIT_ID:
                 continue
-            cons = pop.profile(s)[0]
+            cons = pop.blocks[s].cons
             for fact in cons:
                 producer = pop.links.get((s, fact))
                 assert producer is not None
                 # no earlier step could also supply the fact threat-free
                 for k in seq[:idx[producer]]:
-                    if fact not in pop.profile(k)[1]:
+                    if fact not in pop.blocks[k].prod:
                         continue
                     between = seq[idx[k] + 1:idx[s]]
-                    assert any(fact in pop.profile(j)[2] for j in between), \
+                    assert any(fact in pop.blocks[j].dels for j in between), \
                         f"{k} would have been an earlier producer for {fact}"
 
 

@@ -10,7 +10,7 @@ from popflex.eog import eog
 from popflex.fibs import (AcceptanceCriteria, FibsConfig,
                           backward_justify, build_subtask, fibs,
                           greedy_justify, reduce_plan, resolve,
-                          substitution_deorder, try_remove_block)
+                          remove_blocks, substitution_deorder)
 from popflex.task import SequentialPlan, validate_sequential
 
 CFG = FibsConfig(max_plans=5, max_expansions=4000)
@@ -90,7 +90,7 @@ def test_resolve_replaces_p2_block_with_second_lift():
     assert ok
     assert out.flex().frac > plan.flex().frac
     assert out.cost() <= plan.cost()
-    names = {out.steps[s].name for s in out.real_step_ids()}
+    names = {out.steps[s].name for s in out.real_steps()}
     assert "board p2 n1 e2" in names
 
 
@@ -156,6 +156,16 @@ def test_fibs_rco_accepts_only_cost_improvements():
     assert not crit.accepts(Fraction(1, 2), 5, Fraction(1, 2), 5)
 
 
+def test_acceptance_criteria_reject_an_unknown_mode():
+    with pytest.raises(ValueError, match="flex-first"):
+        AcceptanceCriteria("flex-first")
+
+
+def test_fibs_config_rejects_an_unknown_reduction_mode():
+    with pytest.raises(ValueError, match="gjj"):
+        FibsConfig(reduce="gjj")
+
+
 def test_rfo_criteria():
     crit = AcceptanceCriteria("rfo")
     assert crit.accepts(Fraction(1, 2), 5, Fraction(3, 4), 5)
@@ -200,7 +210,7 @@ def test_reduce_bj_removes_danglers():
     task, seq = inverse_pair_task()
     plan = init_bdpo(eog(task, seq))
     out = reduce_plan(plan, "bj")
-    names = {out.steps[s].name for s in out.real_step_ids()}
+    names = {out.steps[s].name for s in out.real_steps()}
     assert names == {"work-a", "work-b"}
     assert out.validate()
 
@@ -208,21 +218,19 @@ def test_reduce_bj_removes_danglers():
 def _elevator_after_second_lift_substitution():
     """The walkthrough state in which the trailing lift move turns redundant:
     the p2 pipeline has been moved onto the second lift."""
-    from popflex.substitution import candidate_from_pop, substitute
-    from popflex.task import PlanningTask
+    from popflex.substitution import candidate_block, substitute
 
     task, plan = elevator_bd()
     target = next(b for b in plan.real_roots()
                   if any(plan.steps[s].name == "board p2 n1 e1"
                          for s in plan.blocks[b].members))
     p2 = var_of(task, "pos-p2")
-    sub_task = PlanningTask(task.variables, task.operators, dict(task.init),
-                            {p2: val_of(task, p2, "at-n2")})
     sub_plan = SequentialPlan([task.operator_index(n) for n in
                                ("board p2 n1 e2", "move_up e2 n1 n2",
                                 "leave p2 n2 e2")])
-    outcome = substitute(plan, target, candidate_from_pop(eog(sub_task,
-                                                              sub_plan)))
+    cand = candidate_block(task, task.init, {p2: val_of(task, p2, "at-n2")},
+                           sub_plan)
+    outcome = substitute(plan, target, cand)
     assert outcome.success
     return task, outcome.plan
 
@@ -252,7 +260,7 @@ def test_reduce_gj_on_substituted_elevator():
     out = reduce_plan(plan, "gj")
     assert out.cost() == 7
     assert out.validate()
-    counts = [out.steps[s].name for s in out.real_step_ids()]
+    counts = [out.steps[s].name for s in out.real_steps()]
     assert counts.count("move_down e1 n3 n2") == 1
     score = out.flex()
     assert (score.total_pairs - score.unordered_pairs,
@@ -271,7 +279,7 @@ def test_greedy_justify_removes_inverse_block():
     task, seq = inverse_pair_task()
     plan = block_deorder(init_bdpo(eog(task, seq)))
     out = reduce_plan(plan, "gj")
-    names = {out.steps[s].name for s in out.real_step_ids()}
+    names = {out.steps[s].name for s in out.real_steps()}
     assert names == {"work-a", "work-b"}
     assert out.validate()
 
@@ -280,7 +288,21 @@ def test_try_remove_block_keeps_needed_blocks():
     task, seq = chain_task(3)
     plan = init_bdpo(eog(task, seq))
     for b in plan.real_roots():
-        assert try_remove_block(plan, b) is None
+        assert remove_blocks(plan, {b}) is None
+
+
+def test_remove_blocks_rejects_a_root_link_left_unsupplied():
+    """Nested removals can leave a root link whose consumer no longer needs
+    its fact.  A later removal that rebuilds the producer without that fact
+    is rejected all the same, as any unsupplied root link is."""
+    task, seq = random_task(47, max_vars=6, max_steps=40)
+    plan = block_deorder(init_bdpo(eog(task, seq)))
+    for bid in (46, 11, 2, 13, 15, 16, 18):      # the first gj removals
+        plan = remove_blocks(plan, {bid})
+    producer = next(p for (c, f), p in plan.links.items()
+                    if f not in plan.blocks[c].pre)
+    assert 9 in plan.blocks[producer].children
+    assert remove_blocks(plan, {9}) is None
 
 
 def test_time_limit_stops_substitution_phases_cleanly():

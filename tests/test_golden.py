@@ -22,10 +22,10 @@ from popflex.corpus import micro_corpus, random_task
 from popflex.eog import eog
 from popflex.fibs import (AcceptanceCriteria, FibsConfig, SubtaskInfeasible,
                           _scan_basic_edges, build_subtask, fibs, reduce_plan,
-                          try_remove_block)
+                          remove_blocks)
 from popflex.maxsat import decode_model, encode_mr, optimal_model
 from popflex.subplanner import solve_subtask
-from popflex.substitution import candidate_from_pop
+from popflex.substitution import candidate_block
 
 RANDOM_DIGEST = "c8eb2200297e136b41180f12c516c421e1b5c02b"
 MICRO_DIGEST = "3c35e3a595f6493b556f1f5aededb0e882fcca95"
@@ -146,7 +146,7 @@ def test_golden_removal():
         for bid in sorted(depths):
             if bid in (INIT_BLOCK, GOAL_BLOCK):
                 continue
-            result = try_remove_block(plan, bid)
+            result = remove_blocks(plan, {bid})
             if result is not None and depths[bid] >= 3:
                 deep_removals += 1
             digest.update(json.dumps(
@@ -176,7 +176,8 @@ def test_golden_candidates():
                 except SubtaskInfeasible:
                     continue
                 for found in solve_subtask(subtask):
-                    cand = candidate_from_pop(eog(subtask.as_task(), found))
+                    cand = candidate_block(task, subtask.init, subtask.goal,
+                                           found)
                     with_links += bool(cand.links)
                     with_resolutions += bool(cand.resolutions)
                     digest.update(json.dumps(

@@ -9,7 +9,7 @@ from popflex.maxsat import (EncodingTooLarge, InvalidModel, TooLarge,
                             _add_edge, _posets, brute_force_mr, check_model,
                             decode_model, encode_mr, model_from_v_line,
                             optimal_model, ordering_count, parse_dimacs_wcnf)
-from popflex.pop import GOAL_ID, CycleDetected, closure_from_edges
+from popflex.bdpo import GOAL_ID, CycleDetected, closure_from_edges
 from popflex.task import (PlanningTask, SequentialPlan, Variable,
                           make_operator, validate_sequential)
 

@@ -2,11 +2,10 @@
 
 The closure, the threat list and the ordered-pair count are checked on the
 plans that `init_bdpo`, `wrap_blocks`, `substitute` (success and failure)
-and `try_remove_block` produce, both on direct calls and on every call that
+and `remove_blocks` produce, both on direct calls and on every call that
 a whole `fibs` run makes.
 """
 
-import importlib
 import math
 from contextlib import contextmanager
 
@@ -14,19 +13,17 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from popflex.bdpo import (GOAL_BLOCK, INIT_BLOCK, BdpoPlan, between_closure,
+import popflex.bdpo as bdpo_module
+import popflex.fibs as fibs_module
+from popflex.bdpo import (CD, GOAL_BLOCK, INIT_BLOCK, BdpoPlan, CycleDetected,
+                          Reason, between_closure, closure_from_edges,
                           init_bdpo, wrap_blocks)
 from popflex.corpus import chain_task, random_task
 from popflex.eog import eog
-from popflex.fibs import FibsConfig, fibs, try_remove_block
-from popflex.pop import CD, CycleDetected, Reason, closure_from_edges
+from popflex.fibs import FibsConfig, fibs, remove_blocks
 from popflex.substitution import substitute
 from popflex.task import Fact
 from scenarios import single_op_candidate
-
-# `popflex.fibs` the attribute is the function the package re-exports
-fibs_module = importlib.import_module("popflex.fibs")
-bdpo_module = importlib.import_module("popflex.bdpo")
 
 
 def reference_closure(plan) -> dict[int, set[int]]:
@@ -58,7 +55,7 @@ def reference_threats(plan) -> list:
 
 def reference_ordered_step_pairs(plan) -> int:
     flat = plan.flat_closure()
-    real = plan.real_step_ids()
+    real = plan.real_steps()
     return sum(1 for i, s in enumerate(real) for t in real[i + 1:]
                if t in flat[s] or s in flat[t])
 
@@ -129,7 +126,7 @@ def test_core_after_direct_operations(seed, data):
 
     victim = data.draw(st.sampled_from(
         sorted(plan.live_blocks() - {INIT_BLOCK, GOAL_BLOCK})))
-    reduced = try_remove_block(plan, victim)
+    reduced = remove_blocks(plan, {victim})
     if reduced is not None:
         check_core(reduced)
 
@@ -150,8 +147,8 @@ def test_core_on_every_step_of_a_fibs_run(seed):
         check_core(plan)
         return bid
 
-    def checked_remove(plan, bid):
-        result = try_remove_block(plan, bid)
+    def checked_remove(plan, blocks):
+        result = remove_blocks(plan, blocks)
         if result is not None:
             check_core(result)
         return result
@@ -160,7 +157,7 @@ def test_core_on_every_step_of_a_fibs_run(seed):
                         subtask_time=math.inf, time_limit=math.inf)
     with core_checked_after_each_update() as mp:
         mp.setattr(fibs_module, "substitute", checked_substitute)
-        mp.setattr(fibs_module, "try_remove_block", checked_remove)
+        mp.setattr(fibs_module, "remove_blocks", checked_remove)
         mp.setattr(bdpo_module, "wrap_blocks", checked_wrap)
         plan, _ = fibs(task, seq, config)
     check_core(plan)

@@ -3,15 +3,14 @@ the success/failure contracts."""
 
 import pytest
 
-from popflex.bdpo import BdpoPlan, block_deorder, init_bdpo
+from popflex.bdpo import CD, DP, BdpoPlan, Reason, block_deorder, init_bdpo
 from popflex.corpus import elevator_plan, elevator_task, random_task
 from popflex.eog import eog
-from popflex.pop import CD, DP, Reason
 from popflex.substitution import (MISSING_PRODUCT, UNBOUND_PRECONDITION,
-                                  UNRESOLVABLE_THREAT, candidate_from_pop,
-                                  detect_threats, substitute)
-from popflex.task import (Fact, PlanningTask, SequentialPlan,
-                          make_operator, validate_sequential)
+                                  UNRESOLVABLE_THREAT, candidate_block,
+                                  substitute)
+from popflex.task import (Fact, SequentialPlan, make_operator,
+                          validate_sequential)
 
 from scenarios import (between_scenario as _between_scenario,
                        blocks_by_name, mutual_threat_scenario
@@ -88,13 +87,11 @@ def test_elevator_block_substitution_raises_flex():
     sub_ops = [task.operators[task.operator_index(n)]
                for n in ("board p2 n1 e2", "move_up e2 n1 n2",
                          "leave p2 n2 e2")]
-    sub_task = PlanningTask(task.variables, task.operators,
-                            dict(task.init),
-                            {next(i for i, v in enumerate(task.variables)
-                                  if v.name == "pos-p2"):
-                             task.variables[3].values.index("at-n2")})
+    goal = {next(i for i, v in enumerate(task.variables)
+                 if v.name == "pos-p2"):
+            task.variables[3].values.index("at-n2")}
     sub_plan = SequentialPlan([task.operator_index(o.name) for o in sub_ops])
-    cand = candidate_from_pop(eog(sub_task, sub_plan))
+    cand = candidate_block(task, task.init, goal, sub_plan)
     outcome = substitute(bdp, target, cand)
     assert outcome.success
     score = outcome.plan.flex()
@@ -120,7 +117,7 @@ def test_deleter_between_link_endpoints(substitutable):
         assert outcome.success
         assert outcome.plan.validate()
         remaining = {outcome.plan.steps[s].name
-                     for s in outcome.plan.real_step_ids()}
+                     for s in outcome.plan.real_steps()}
         assert remaining == {"b_i", "b_x_hat"}
         for lin in outcome.plan.all_linearizations():
             assert validate_sequential(task, lin)
@@ -142,7 +139,7 @@ def test_mutual_deleters_of_shared_producer(substitutable):
         assert outcome.success
         assert outcome.plan.validate()
         remaining = {outcome.plan.steps[s].name
-                     for s in outcome.plan.real_step_ids()}
+                     for s in outcome.plan.real_steps()}
         assert remaining == {"b_i", "b_x_hat"}
     else:
         assert not outcome.success
@@ -163,7 +160,7 @@ def test_mutual_threats_are_both_detected():
     from popflex.substitution import _delete_block
     _delete_block(work, names["b_x"])
     work.rebuild_closure()
-    threats = detect_threats(work)
+    threats = work.unresolved_threats()
     pairs = {(t, link[2]) for t, link in threats}
     assert (hat, names["b_j"]) in pairs
     assert (names["b_j"], hat) in pairs
@@ -172,7 +169,7 @@ def test_mutual_threats_are_both_detected():
 def test_detect_threats_empty_on_valid_plan():
     task = elevator_task()
     bdp = block_deorder(init_bdpo(eog(task, elevator_plan(task))))
-    assert detect_threats(bdp) == []
+    assert bdp.unresolved_threats() == []
 
 
 # ---------------------------------------------------------------------------
@@ -274,7 +271,7 @@ def test_substitution_contract_on_random_plans():
             if outcome.success:
                 accepted += 1
                 assert outcome.plan.validate()
-                n = len(outcome.plan.real_step_ids())
+                n = len(outcome.plan.real_steps())
                 lins = (list(outcome.plan.all_linearizations())
                         if n <= 6 else
                         [outcome.plan.linearize(s) for s in range(20)])
