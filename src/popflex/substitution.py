@@ -60,7 +60,7 @@ def candidate_block(task: PlanningTask, init: State, goal: PartialState,
     return CandidateBlock(
         ops=ops,
         links=tuple(sorted((p - 1, f, c - 1) for (c, f), p in links.items()
-                           if p != 0 and c <= len(ops))),
+                           if p != 0 and c != len(ops) + 1)),
         resolutions=tuple(sorted((a - 1, b - 1, r)
                                  for (a, b), rs in resolutions.items()
                                  for r in rs)),
