@@ -219,3 +219,24 @@ def test_block_deorder_never_decreases_flex_and_stays_valid():
                 else [out.linearize(s) for s in range(20)])
         for lin in lins:
             assert validate_sequential(task, lin)
+
+
+def test_validate_judges_hand_edits():
+    """`validate()` rebuilds the closure before judging a plan, so an edit
+    made by hand, with the closure left as it was, is judged as it stands."""
+    def edited(edit):
+        task = elevator_task()
+        pop = eog(task, elevator_plan(task))
+        assert pop.validate()
+        edit(pop)
+        return pop.validate()
+
+    def add_reverse(pop):
+        pop.resolutions[(4, 2)] = set(pop.resolutions[(2, 4)])
+
+    report = edited(add_reverse)
+    assert not report and report.reason == "ordering cycle: 2 < 3 < 4 < 2"
+    report = edited(lambda pop: pop.resolutions.pop((3, 4)))
+    assert not report and report.reason == "block 4 threatens 2-(0=1)->3"
+    report = edited(lambda pop: pop.resolutions.pop((5, 6)))
+    assert not report and report.reason == "block 6 threatens 4-(0=2)->5"
