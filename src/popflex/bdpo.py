@@ -8,6 +8,16 @@ commitments plus init-first/goal-last; ordering reasons (PC, CD, DP) are
 derived from the commitments rather than stored separately.  A flat
 partial-order plan is the case whose roots are all primitive blocks.
 
+The closure is kept current: after every mutator below it is the transitive
+closure of the plan's commitments.  `rebuild_closure` recomputes it from
+scratch; `add_ordering` extends it by one recorded edge,
+`remove_from_closure` and `rename_in_closure` update it after root blocks
+are removed or renamed, and `refresh` rebuilds it only when a stale commitment drops
+out.  Substitution and block removal keep it current through those calls
+and then judge the result with `validate_current`.  `validate()` first
+rebuilds the closure, so a plan whose commitments were edited by hand is
+judged as it stands.
+
 Blocks are frozen once created: a compound block carries its own internal
 causal links, demotion/promotion commitments, and closure over its children,
 plus precondition/effect/consumed/produced/deleted fact sets computed from
@@ -28,7 +38,7 @@ from fractions import Fraction
 from typing import Iterable, Iterator, NamedTuple, Optional
 
 from .task import (Fact, OperatorDef, PlanningTask, SequentialPlan,
-                   ValidationReport, cons_prod_del)
+                   ValidationReport)
 
 logger = logging.getLogger(__name__)
 
@@ -261,7 +271,7 @@ class BdpoPlan:
         if bid is None:
             bid = self.fresh_block_id()
         op = self.steps[step_id]
-        cons, prod, dels = cons_prod_del(op, self.task.domain_sizes())
+        cons, prod, dels = self.task.profile(op)
         self.blocks[bid] = Block(
             id=bid, members=frozenset([step_id]), step=step_id,
             pre=cons, eff=prod, cons=cons, prod=prod, dels=dels,
@@ -352,6 +362,52 @@ class BdpoPlan:
             closure[a] = acc
         self.closure = closure
 
+    def remove_from_closure(self, gone: Iterable[int]) -> None:
+        """Bring the closure up to date after the root blocks `gone` and
+        every commitment that touches them were removed.
+
+        Only the rows that held a bit of `gone` can change.  They are
+        recomputed from their direct successors, fewest successors first:
+        a block ordered before another has strictly more successors, so
+        each row is recomputed after the rows it reads."""
+        closure = self.closure
+        mask = 0
+        for b in gone:
+            del closure[b]
+            mask |= 1 << b
+        stale = sorted((succ.bit_count(), a) for a, succ in closure.items()
+                       if succ & mask)
+        direct: dict[int, set[int]] = {a: set() for _, a in stale}
+        for (c, _), p in self.links.items():
+            if p in direct and p != c:
+                direct[p].add(c)
+        for (a, b), rs in self.resolutions.items():
+            if a in direct and rs:
+                direct[a].add(b)
+        for a, b in self.extra_orderings:
+            if a in direct:
+                direct[a].add(b)
+        for a, succs in direct.items():
+            if a == INIT_BLOCK:
+                succs.update(self.roots - {INIT_BLOCK})
+            elif a != GOAL_BLOCK:
+                succs.add(GOAL_BLOCK)
+        for _, a in stale:
+            acc = 0
+            for b in direct[a]:
+                acc |= closure[b] | 1 << b
+            closure[a] = acc
+
+    def rename_in_closure(self, old: int, new: int) -> None:
+        """Bring the closure up to date after root `old` became root `new`,
+        a block that was not a root, with the same commitments."""
+        old_bit, new_bit = 1 << old, 1 << new
+        closure = self.closure
+        closure[new] = closure.pop(old)
+        for a, succ in closure.items():
+            if succ & old_bit:
+                closure[a] = succ ^ old_bit | new_bit
+
     def add_ordering(self, a: int, b: int) -> None:
         """Extend the closure by the edge a < b, whose link or resolution the
         caller has just recorded, without rebuilding it."""
@@ -393,26 +449,35 @@ class BdpoPlan:
                     out.append((t, (p, f, c)))
         return out
 
-    def unresolved_threats(self) -> list[tuple[int, tuple[int, Fact, int]]]:
-        return [(t, link) for t, link in self.threats()
+    def unresolved_threats(self, threats: Optional[list] = None
+                           ) -> list[tuple[int, tuple[int, Fact, int]]]:
+        """The threats the closure leaves unordered; `threats`, when given,
+        is the plan's current `threats()` list."""
+        if threats is None:
+            threats = self.threats()
+        return [(t, link) for t, link in threats
                 if not self.ordered(t, link[0]) and not self.ordered(link[2], t)]
 
-    def refresh(self) -> None:
-        """Re-derive demotion/promotion commitments from the current threats,
-        keeping each threat's direction as the current closure has it, then
-        rebuild the closure from scratch unless the set of resolution edges
-        is unchanged.  Stale commitments drop out.  The closure must be
+    def refresh(self, threats: Optional[list] = None) -> None:
+        """Re-derive demotion/promotion commitments from the current threats
+        (`threats`, when given, is the plan's `threats()` list), keeping each
+        threat's direction as the current closure has it.  Stale commitments
+        drop out, and only then is the closure rebuilt: a new commitment
+        follows an ordering the closure already has.  The closure must be
         current on entry."""
+        if threats is None:
+            threats = self.threats()
         new_res: dict[tuple[int, int], set[Reason]] = {}
-        for t, (p, f, c) in self.threats():
+        for t, (p, f, c) in threats:
             if self.ordered(t, p):
                 new_res.setdefault((t, p), set()).add(Reason(DP, f))
             elif self.ordered(c, t):
                 new_res.setdefault((c, t), set()).add(Reason(CD, f))
             # else: left unresolved; validate() reports it
-        old_edges = {pair for pair, rs in self.resolutions.items() if rs}
+        dropped = any(rs and pair not in new_res
+                      for pair, rs in self.resolutions.items())
         self.resolutions = new_res
-        if new_res.keys() != old_edges:
+        if dropped:
             self.rebuild_closure()
 
     # -- metrics -------------------------------------------------------------
@@ -469,20 +534,30 @@ class BdpoPlan:
         return out
 
     def flex(self) -> FlexScore:
-        n = len(self.real_steps())
+        n = len(self.steps) - (INIT_ID in self.steps) - (GOAL_ID in self.steps)
         total = n * (n - 1) // 2
         return FlexScore(total - self.ordered_step_pairs(), total)
 
     def cost(self) -> int:
-        return sum(self.steps[s].cost for s in self.real_steps())
+        return sum(op.cost for s, op in self.steps.items()
+                   if s not in (INIT_ID, GOAL_ID))
 
     # -- validation ----------------------------------------------------------
 
     def validate(self) -> ValidationReport:
+        """Rebuild the closure from the commitments, then check the plan
+        against it."""
         try:
             self.rebuild_closure()
         except CycleDetected as exc:
             return ValidationReport(False, reason=str(exc))
+        return self.validate_current()
+
+    def validate_current(self, threats: Optional[list] = None
+                         ) -> ValidationReport:
+        """Check the plan against its closure as it stands, which the caller
+        keeps current; `threats`, when given, is the plan's `threats()`
+        list."""
         for (c, f), p in sorted(self.links.items()):
             if c not in self.roots or p not in self.roots:
                 return ValidationReport(False, reason=f"dangling link {p}->{c}")
@@ -498,7 +573,7 @@ class BdpoPlan:
                 if (b, f) not in self.links:
                     return ValidationReport(
                         False, reason=f"block {b}: no producer for {f}")
-        for t, (p, f, c) in self.unresolved_threats():
+        for t, (p, f, c) in self.unresolved_threats(threats):
             return ValidationReport(
                 False, reason=f"block {t} threatens {p}-{f}->{c}")
         for bid in sorted(self._compound_blocks()):

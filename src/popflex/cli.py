@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from typing import Optional, Sequence
 
@@ -179,10 +180,16 @@ def run(argv: Sequence[str]) -> int:
         return 0
 
     if args.command == "fibs":
-        if getattr(args, "planner_cmd", None):
-            import os
+        prior = os.environ.get(PLANNER_CMD_ENV)
+        if args.planner_cmd:
             os.environ[PLANNER_CMD_ENV] = args.planner_cmd
-        out, reports = fibs(task, plan, _config(args))
+        try:
+            out, reports = fibs(task, plan, _config(args))
+        finally:
+            if prior is None:
+                os.environ.pop(PLANNER_CMD_ENV, None)
+            else:
+                os.environ[PLANNER_CMD_ENV] = prior
         if args.report:
             _write(args.report, _report_text(reports, args.with_timings))
         if args.report_csv:

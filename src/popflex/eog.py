@@ -10,9 +10,8 @@ from __future__ import annotations
 
 from .bdpo import CD, DP, GOAL_ID, INIT_ID, Reason
 from .pop import PartialOrderPlan
-from .task import Fact, PlanningTask, SequentialPlan, validate_sequential
-
-Profile = tuple[frozenset[Fact], frozenset[Fact], frozenset[Fact]]
+from .task import (Fact, PlanningTask, Profile, SequentialPlan,
+                   validate_sequential)
 
 
 class InvalidInput(Exception):
@@ -26,6 +25,8 @@ def generalize(init: Profile, steps: list[Profile], goal: Profile
     sequence, given the (consumed, produced, deleted) facts of its steps
     and of the init and goal steps.  Position 0 is the init step, 1 to n
     the steps, n + 1 the goal step; commitments orient with the sequence.
+    Of the init and goal steps only what the init step produces and what
+    the goal step consumes is read.
     """
     profiles = [init, *steps, goal]
     links: dict[tuple[int, Fact], int] = {}

@@ -16,8 +16,8 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Iterable, Optional
 
-from .bdpo import (GOAL_BLOCK, INIT_BLOCK, BdpoPlan, CycleDetected,
-                   block_deorder, init_bdpo)
+from .bdpo import (GOAL_BLOCK, INIT_BLOCK, BdpoPlan, block_deorder,
+                   init_bdpo)
 from .eog import eog
 from .subplanner import Subtask, solve_subtask
 from .substitution import _delete_block, candidate_block, substitute
@@ -331,7 +331,8 @@ def remove_blocks(plan: BdpoPlan, blocks: Iterable[int]) -> Optional[BdpoPlan]:
     """Delete blocks of one context (the root or one compound block) with
     the blocks of that context that depend on them through causal links,
     and rebuild each enclosing block up to the root.  None when a synthetic
-    endpoint would go or the remainder is invalid.
+    endpoint would go or the remainder is invalid.  The plan's closure must
+    be current; the result keeps it current.
 
     A link re-pointed to a rebuilt block that no longer supplies its fact
     drops out inside a block, where the consumer then needs the fact from
@@ -360,15 +361,23 @@ def remove_blocks(plan: BdpoPlan, blocks: Iterable[int]) -> Optional[BdpoPlan]:
             swap = {anc: work.make_compound(kids, ilinks, ires)}
         else:
             swap = {anc: kids[0] if kids else None}
-    work.links, work.resolutions = _relinked(work.links, work.resolutions,
-                                             swap)
-    work.roots = {swap.get(r, r) for r in work.roots} - {None}
-    try:
-        work.rebuild_closure()
-    except CycleDetected:
-        return None
-    work.refresh()
-    return work if work.validate() else None
+    if not enclosing:
+        work.remove_from_closure(doomed)
+    else:
+        # the root that held the blocks keeps its commitments under a new
+        # id, or loses them when nothing of it is left
+        top, new = enclosing[0], swap[enclosing[0]]
+        work.links, work.resolutions = _relinked(work.links,
+                                                 work.resolutions, swap)
+        work.roots.discard(top)
+        if new is None:
+            work.remove_from_closure([top])
+        else:
+            work.roots.add(new)
+            work.rename_in_closure(top, new)
+    threats = work.threats()
+    work.refresh(threats)
+    return work if work.validate_current(threats) else None
 
 
 def _removal_candidates(plan: BdpoPlan) -> list[tuple[int, int, BdpoPlan]]:

@@ -241,8 +241,11 @@ def decode_model(true_vars: set[int], cat: VarCatalog, task: PlanningTask,
     if INIT_ID not in included or GOAL_ID not in included:
         raise InvalidModel("synthetic endpoints excluded")
     out = PartialOrderPlan(task)
-    for s in included:
-        out.add_step(pop.steps[s], s)
+    for s in included:      # a flat plan numbers each root block by its step
+        out.steps[s] = pop.steps[s]
+        out.blocks[s] = pop.blocks[s]
+    out.roots = set(included)
+    out.next_step_id = out.next_block_id = max(included) + 1
     for (p, f, c), g in sorted(cat.gamma.items()):
         if g not in true_vars:
             continue

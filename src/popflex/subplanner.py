@@ -6,10 +6,12 @@ going after the first solution, banning already-emitted operator multisets,
 so several alternative subplans come out; results are sorted by cost and
 then by operator index sequence, which makes the whole thing deterministic.
 
-Each search compiles its subtask once.  h_add is computed over the operators
-backward-relevant to the goal only, by a single priority-queue pass per
-state, and the successors of a state come from an index of the operators by
-their first precondition fact.  The search itself still branches over every
+The tables that depend only on the task (the achievers of each fact, an
+index of the operators by their first precondition fact, each operator's
+effect map) are built once per task and kept on it, so the subtasks of one
+run share them.  Each search then compiles its goal once: h_add is computed
+over the operators backward-relevant to the goal only, by a single
+priority-queue pass per state.  The search itself still branches over every
 operator, so both give exactly the plans of a sweep over all operators.
 
 With max_plans=None the solver switches to exhaustive loop-free enumeration,
@@ -58,6 +60,31 @@ class Subtask:
                             metric=self.base.metric)
 
 
+class _TaskTables:
+    """What the search needs of a task's operators, whatever the subtask:
+    the achievers of each fact, the successor generator, and each
+    operator's effect as a map."""
+
+    __slots__ = ("operators", "achievers", "successors", "effects")
+
+    def __init__(self, operators: list[OperatorDef]):
+        self.operators = operators
+        self.achievers: dict[tuple[int, int], list[int]] = {}
+        for i, op in enumerate(operators):
+            for f in op.eff:
+                self.achievers.setdefault(f, []).append(i)
+        self.successors = _SuccessorGenerator(operators)
+        self.effects = [op.eff_map() for op in operators]
+
+
+def _tables(task: PlanningTask) -> _TaskTables:
+    """The task's tables, built on first use and kept on the task."""
+    tables = getattr(task, "_search_tables", None)
+    if tables is None:
+        tables = task._search_tables = _TaskTables(task.operators)
+    return tables
+
+
 class _Relaxation:
     """The delete relaxation of the operators backward-relevant to a goal.
 
@@ -68,11 +95,8 @@ class _Relaxation:
 
     __slots__ = ("goal", "facts", "pre_of", "n_pre", "cost", "eff", "no_pre")
 
-    def __init__(self, operators: list[OperatorDef], goal: dict[int, int]):
-        achievers: dict[tuple[int, int], list[int]] = {}
-        for i, op in enumerate(operators):
-            for f in op.eff:
-                achievers.setdefault(f, []).append(i)
+    def __init__(self, tables: _TaskTables, goal: dict[int, int]):
+        operators, achievers = tables.operators, tables.achievers
         self.goal = tuple(sorted(goal.items()))
         self.facts = set(self.goal)
         relevant: set[int] = set()
@@ -190,6 +214,16 @@ def _goal_satisfied(state: State, goal: dict[int, int]) -> bool:
     return all(state.get(v) == d for v, d in goal.items())
 
 
+def _start_state(st: Subtask) -> State:
+    """The subtask's initial state over every variable of the task, in index
+    order, None where it leaves one unset.  Effects only rebind variables,
+    so every state reached from it keeps that order and a state's values
+    are its key."""
+    start: State = dict.fromkeys(range(len(st.base.variables)))
+    start.update(st.init)
+    return start
+
+
 def solve_subtask(st: Subtask) -> list[SequentialPlan]:
     """Plans for the subtask, valid and within the cost bound, cheapest first."""
     cmd = os.environ.get(PLANNER_CMD_ENV)
@@ -204,20 +238,20 @@ def solve_subtask(st: Subtask) -> list[SequentialPlan]:
 
 
 def _solve_gbfs(st: Subtask) -> list[SequentialPlan]:
-    operators = st.base.operators
+    tables = _tables(st.base)
+    operators = tables.operators
     deadline = time.monotonic() + st.time_bound
-    rx = _Relaxation(operators, st.goal)
+    rx = _Relaxation(tables, st.goal)
     h0 = _h_add(rx, st.init)
     if h0 is None:
         return []
-    successors = _SuccessorGenerator(operators)
-    effects = [op.eff_map() for op in operators]
+    successors, effects = tables.successors, tables.effects
     found: list[SequentialPlan] = []
     banned: set[tuple] = set()
     counter = 0
-    start_key = tuple(sorted(st.init.items()))
-    heap: list[tuple] = [(h0, 0, counter, st.init, [])]
-    best_g: dict[tuple, int] = {start_key: 0}
+    start = _start_state(st)
+    heap: list[tuple] = [(h0, 0, counter, start, [])]
+    best_g: dict[tuple, int] = {tuple(start.values()): 0}
     expansions = 0
     while heap:
         if len(found) >= (st.max_plans or 0):
@@ -242,7 +276,7 @@ def _solve_gbfs(st: Subtask) -> list[SequentialPlan]:
                 continue
             state2 = dict(state)
             state2.update(effects[op_idx])
-            key2 = tuple(sorted(state2.items()))
+            key2 = tuple(state2.values())
             prev = best_g.get(key2)
             if prev is not None and g2 >= prev:
                 continue
@@ -260,10 +294,11 @@ def _solve_gbfs(st: Subtask) -> list[SequentialPlan]:
 
 
 def _enumerate_exhaustive(st: Subtask) -> list[SequentialPlan]:
-    operators = st.base.operators
-    successors = _SuccessorGenerator(operators)
+    tables = _tables(st.base)
+    operators, successors = tables.operators, tables.successors
     found: list[SequentialPlan] = []
-    seen_states = {tuple(sorted(st.init.items()))}
+    start = _start_state(st)
+    seen_states = {tuple(start.values())}
 
     def rec(state: State, path: list[int], g: int) -> None:
         if _goal_satisfied(state, st.goal):
@@ -276,7 +311,7 @@ def _enumerate_exhaustive(st: Subtask) -> list[SequentialPlan]:
             if g2 > st.cost_bound:
                 continue
             state2 = apply_op(op, state)
-            key = tuple(sorted(state2.items()))
+            key = tuple(state2.values())
             if key in seen_states:
                 continue
             seen_states.add(key)
@@ -285,7 +320,7 @@ def _enumerate_exhaustive(st: Subtask) -> list[SequentialPlan]:
             path.pop()
             seen_states.discard(key)
 
-    rec(dict(st.init), [], 0)
+    rec(start, [], 0)
     return found
 
 

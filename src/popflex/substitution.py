@@ -19,9 +19,8 @@ from typing import Optional
 from .bdpo import (CD, DP, GOAL_BLOCK, INIT_BLOCK, BdpoPlan, CycleDetected,
                    Reason, earliest_producer_for_insert)
 from .eog import generalize
-from .pop import synthetic_operators
 from .task import (Fact, OperatorDef, PartialState, PlanningTask,
-                   SequentialPlan, State, cons_prod_del)
+                   SequentialPlan, State)
 
 logger = logging.getLogger(__name__)
 
@@ -51,12 +50,12 @@ def candidate_block(task: PlanningTask, init: State, goal: PartialState,
     Links from the init step and to the goal step are left out; the facts
     they carry surface in the block's precondition and effect.
     """
-    sizes = task.domain_sizes()
     ops = tuple(task.operators[i] for i in plan.steps)
-    init_prof, goal_prof = (cons_prod_del(op, sizes) for op in
-                            synthetic_operators(init, goal))
+    empty: frozenset[Fact] = frozenset()
+    init_prof = (empty, frozenset(Fact(v, d) for v, d in init.items()), empty)
+    goal_prof = (frozenset(Fact(v, d) for v, d in goal.items()), empty, empty)
     links, resolutions = generalize(
-        init_prof, [cons_prod_del(op, sizes) for op in ops], goal_prof)
+        init_prof, [task.profile(op) for op in ops], goal_prof)
     return CandidateBlock(
         ops=ops,
         links=tuple(sorted((p - 1, f, c - 1) for (c, f), p in links.items()
@@ -77,7 +76,8 @@ class SubstitutionOutcome:
 
 
 def _materialize(plan: BdpoPlan, cand: CandidateBlock) -> int:
-    """Install the candidate as a fresh root block with fresh step ids."""
+    """Install the candidate as a fresh root block with fresh step ids,
+    ordered only after init and before goal."""
     step_ids = []
     child_ids = []
     for op in cand.ops:
@@ -88,18 +88,22 @@ def _materialize(plan: BdpoPlan, cand: CandidateBlock) -> int:
         child_ids.append(plan.make_primitive(sid))
     if len(child_ids) == 1:
         bid = child_ids[0]
-        plan.roots.add(bid)
-        return bid
-    ilinks = {(child_ids[c], f): child_ids[p] for p, f, c in cand.links}
-    iresolutions: dict[tuple[int, int], set[Reason]] = {}
-    for a, b, r in cand.resolutions:
-        iresolutions.setdefault((child_ids[a], child_ids[b]), set()).add(r)
-    bid = plan.make_compound(child_ids, ilinks, iresolutions)
+    else:
+        ilinks = {(child_ids[c], f): child_ids[p] for p, f, c in cand.links}
+        iresolutions: dict[tuple[int, int], set[Reason]] = {}
+        for a, b, r in cand.resolutions:
+            iresolutions.setdefault((child_ids[a], child_ids[b]),
+                                    set()).add(r)
+        bid = plan.make_compound(child_ids, ilinks, iresolutions)
     plan.roots.add(bid)
+    plan.closure[bid] = 1 << GOAL_BLOCK
+    plan.closure[INIT_BLOCK] |= 1 << bid
     return bid
 
 
 def _delete_block(plan: BdpoPlan, bid: int) -> None:
+    """Remove a block, its descendants and steps, and the root commitments
+    that touch it; the closure is left for the caller to update."""
     doomed_steps = set(plan.blocks[bid].members)
     for sub in sorted(plan._descendant_blocks(bid)):
         plan.blocks.pop(sub, None)
@@ -119,8 +123,8 @@ def substitute(plan: BdpoPlan, old: int,
     """Replace block `old` with `new`, preserving plan validity.
 
     `new` is either a CandidateBlock (external) or the id of a block already
-    in the plan (internal).  On failure the returned plan is the input,
-    untouched.
+    in the plan (internal).  The plan's closure must be current; the result
+    keeps it current.  On failure the returned plan is the input, untouched.
     """
     if _depth > 8:
         return SubstitutionOutcome(plan, False, UNRESOLVABLE_THREAT,
@@ -138,22 +142,19 @@ def substitute(plan: BdpoPlan, old: int,
         if any(p == old for p in work.links.values()):
             return SubstitutionOutcome(plan, False, MISSING_PRODUCT, trace)
         _delete_block(work, old)
-        try:
-            work.rebuild_closure()
-        except CycleDetected:
-            return SubstitutionOutcome(plan, False, UNRESOLVABLE_THREAT, trace)
-        work.refresh()
-        outcome = _resolve_all_threats(work, None, trace, _depth)
+        work.remove_from_closure([old])
+        threats = work.threats()
+        work.refresh(threats)
+        outcome = _resolve_all_threats(work, threats, None, trace, _depth)
         if outcome is not None:
             return SubstitutionOutcome(plan, False, outcome, trace)
-        if not work.validate():
+        if not work.validate_current(threats):
             return SubstitutionOutcome(plan, False, UNRESOLVABLE_THREAT, trace)
         trace.append(f"deleted block {old}")
         return SubstitutionOutcome(work, True, EMPTY_CANDIDATE, trace)
 
     if external:
         b_new = _materialize(work, new)
-        work.rebuild_closure()
         trace.append(f"inserted candidate as block {b_new}")
         for fact in sorted(work.blocks[b_new].pre):
             producer = earliest_producer_for_insert(
@@ -171,31 +172,33 @@ def substitute(plan: BdpoPlan, old: int,
 
     marker = b_new if _new_marker is None else _new_marker
 
-    # re-point every causal link the old block supports
-    supported = sorted((c, f) for (c, f), p in work.links.items() if p == old)
+    # re-point every causal link the old block supports, once the old block
+    # and its commitments are gone from the closure
+    supported = sorted((c, f) for (c, f), p in work.links.items()
+                       if p == old and c != b_new)
     for c, f in supported:
-        if c == b_new:
-            continue
         if f not in work.blocks[b_new].prod:
             return SubstitutionOutcome(plan, False, MISSING_PRODUCT,
                                        trace + [f"{b_new} cannot produce {f}"])
-        work.links[(c, f)] = b_new
         trace.append(f"relink {b_new} -{f}-> {c}")
-
     _delete_block(work, old)
+    work.remove_from_closure([old])
     try:
-        work.rebuild_closure()
+        for c, f in supported:
+            work.links[(c, f)] = b_new
+            work.add_ordering(b_new, c)
     except CycleDetected:
         return SubstitutionOutcome(plan, False, UNRESOLVABLE_THREAT,
                                    trace + ["cycle after relinking"])
-    work.refresh()
+    threats = work.threats()
+    work.refresh(threats)
 
-    failure = _resolve_all_threats(work, marker, trace, _depth)
+    failure = _resolve_all_threats(work, threats, marker, trace, _depth)
     if failure is not None:
         return SubstitutionOutcome(plan, False, failure, trace)
 
-    work.refresh()
-    report = work.validate()
+    work.refresh(threats)
+    report = work.validate_current(threats)
     if not report:
         logger.debug("substitution left an invalid plan: %s", report.reason)
         return SubstitutionOutcome(plan, False, UNRESOLVABLE_THREAT,
@@ -203,25 +206,28 @@ def substitute(plan: BdpoPlan, old: int,
     return SubstitutionOutcome(work, True, "", trace, new_block=marker)
 
 
-def _resolve_all_threats(work: BdpoPlan, marker: Optional[int],
-                         trace: list[str], depth: int) -> Optional[str]:
+def _resolve_all_threats(work: BdpoPlan, threats: list,
+                         marker: Optional[int], trace: list[str],
+                         depth: int) -> Optional[str]:
     """Demotion first, promotion second, internal substitution last.
 
-    Mutates `work`; returns a failure code or None when every threat is
-    resolved.
+    `threats` is the plan's `threats()` list.  Resolutions only order
+    blocks, which leaves it as it is; an internal substitution changes the
+    blocks and links, and the list is recomputed in place.  Mutates `work`;
+    returns a failure code or None when every threat is resolved.
     """
     guard = 0
     while True:
         guard += 1
         if guard > 10000:
             return UNRESOLVABLE_THREAT
-        threats = work.unresolved_threats()
-        if not threats:
+        unresolved = work.unresolved_threats(threats)
+        if not unresolved:
             return None
-        threats.sort(key=lambda item: (work.pos_key(item[1][0]),
-                                       work.pos_key(item[1][2]),
-                                       work.pos_key(item[0])))
-        t, (p, f, c) = threats[0]
+        unresolved.sort(key=lambda item: (work.pos_key(item[1][0]),
+                                          work.pos_key(item[1][2]),
+                                          work.pos_key(item[0])))
+        t, (p, f, c) = unresolved[0]
         if not work.ordered(t, c):
             edge, reason = (c, t), Reason(CD, f)
         else:
@@ -248,3 +254,4 @@ def _resolve_all_threats(work: BdpoPlan, marker: Optional[int],
             return UNRESOLVABLE_THREAT
         trace.extend(inner.trace)
         work.adopt(inner.plan)
+        threats[:] = work.threats()

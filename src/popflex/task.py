@@ -29,6 +29,9 @@ class Fact(NamedTuple):
 PartialState = dict[int, int]
 State = dict[int, int]
 
+# The facts an operator consumes, produces and deletes (see cons_prod_del).
+Profile = tuple[frozenset[Fact], frozenset[Fact], frozenset[Fact]]
+
 
 class SasSyntaxError(Exception):
     """Malformed SAS+ input; carries the offending 1-based line number."""
@@ -100,6 +103,15 @@ class PlanningTask:
             if op.name in self._by_name:
                 raise ValueError(f"duplicate operator name {op.name!r}")
             self._by_name[op.name] = i
+        self._profiles: dict[OperatorDef, Profile] = {}
+
+    def profile(self, op: OperatorDef) -> Profile:
+        """`cons_prod_del` of an operator over this task's domains, computed
+        once per operator and task."""
+        prof = self._profiles.get(op)
+        if prof is None:
+            prof = self._profiles[op] = cons_prod_del(op, self.domain_sizes())
+        return prof
 
     def domain_size(self, var: int) -> int:
         return self.variables[var].size
@@ -152,8 +164,7 @@ class ValidationReport:
         return self.valid
 
 
-def cons_prod_del(op: OperatorDef, domain_sizes: list[int]
-                  ) -> tuple[frozenset[Fact], frozenset[Fact], frozenset[Fact]]:
+def cons_prod_del(op: OperatorDef, domain_sizes: list[int]) -> Profile:
     """Facts consumed, produced, and deleted by an operator.
 
     Consumed facts are the precondition; produced facts the effect.  A fact

@@ -1,4 +1,5 @@
 import json
+import os
 import sys
 
 import pytest
@@ -6,6 +7,7 @@ import pytest
 from popflex.cli import run
 from popflex.corpus import ELEVATOR_PLAN_TEXT, elevator_task
 from popflex.maxsat import parse_dimacs_wcnf
+from popflex.subplanner import PLANNER_CMD_ENV
 from popflex.task import emit_plan, emit_sas
 
 
@@ -131,3 +133,16 @@ def test_lineate_round_trips(elevator_files, tmp_path):
     assert run(["lineate", "--task", sas, "--plan", plan, "--seed", "3",
                 "-o", str(out)]) == 0
     assert run(["validate", "--task", sas, "--plan", str(out)]) == 0
+
+
+@pytest.mark.parametrize("prior", [None, "prior-planner {sas} {plans}"])
+def test_fibs_planner_cmd_does_not_outlive_the_command(elevator_files,
+                                                       monkeypatch, prior):
+    if prior is None:
+        monkeypatch.delenv(PLANNER_CMD_ENV, raising=False)
+    else:
+        monkeypatch.setenv(PLANNER_CMD_ENV, prior)
+    sas, plan = elevator_files
+    assert run(["fibs", "--task", sas, "--plan", plan,
+                "--planner-cmd", "true"]) == 0
+    assert os.environ.get(PLANNER_CMD_ENV) == prior

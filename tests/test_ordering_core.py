@@ -3,7 +3,8 @@
 The closure, the threat list and the ordered-pair count are checked on the
 plans that `init_bdpo`, `wrap_blocks`, `substitute` (success and failure)
 and `remove_blocks` produce, both on direct calls and on every call that
-a whole `fibs` run makes.
+a whole `fibs` run makes, and so are the closure after each incremental
+update and the threat list each of those calls reuses.
 """
 
 import math
@@ -15,6 +16,7 @@ from hypothesis import strategies as st
 
 import popflex.bdpo as bdpo_module
 import popflex.fibs as fibs_module
+import popflex.substitution as substitution_module
 from popflex.bdpo import (CD, GOAL_BLOCK, INIT_BLOCK, BdpoPlan, CycleDetected,
                           Reason, between_closure, closure_from_edges,
                           init_bdpo, wrap_blocks)
@@ -68,20 +70,56 @@ def check_core(plan) -> None:
 
 @contextmanager
 def core_checked_after_each_update():
-    """Check the closure after every incremental update, where a stale bit
-    would steer threat resolution before any rebuild could repair it."""
+    """Check the closure after every incremental update (a new root, a new
+    edge, removed or renamed roots, refreshed commitments), where a stale bit would
+    steer threat resolution before any rebuild could repair it, and check
+    a reused threat list against a fresh scan wherever it is read."""
     add_ordering, refresh = BdpoPlan.add_ordering, BdpoPlan.refresh
+    remove_from_closure = BdpoPlan.remove_from_closure
+    rename_in_closure = BdpoPlan.rename_in_closure
+    unresolved_threats = BdpoPlan.unresolved_threats
+    materialize = substitution_module._materialize
+
+    def check_closure(plan):
+        assert decoded_closure(plan) == reference_closure(plan)
+
+    def check_threats(plan, threats):
+        if threats is not None:
+            assert threats == reference_threats(plan)
+
+    def checked_materialize(plan, cand):
+        bid = materialize(plan, cand)
+        check_closure(plan)
+        return bid
 
     def checked_add_ordering(plan, a, b):
         add_ordering(plan, a, b)
-        assert decoded_closure(plan) == reference_closure(plan)
+        check_closure(plan)
 
-    def checked_refresh(plan):
-        refresh(plan)
-        assert decoded_closure(plan) == reference_closure(plan)
+    def checked_remove_from_closure(plan, gone):
+        remove_from_closure(plan, gone)
+        check_closure(plan)
+
+    def checked_rename_in_closure(plan, old, new):
+        rename_in_closure(plan, old, new)
+        check_closure(plan)
+
+    def checked_unresolved_threats(plan, threats=None):
+        check_threats(plan, threats)
+        return unresolved_threats(plan, threats)
+
+    def checked_refresh(plan, threats=None):
+        check_threats(plan, threats)
+        refresh(plan, threats)
+        check_closure(plan)
 
     with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(substitution_module, "_materialize", checked_materialize)
         mp.setattr(BdpoPlan, "add_ordering", checked_add_ordering)
+        mp.setattr(BdpoPlan, "remove_from_closure",
+                   checked_remove_from_closure)
+        mp.setattr(BdpoPlan, "rename_in_closure", checked_rename_in_closure)
+        mp.setattr(BdpoPlan, "unresolved_threats", checked_unresolved_threats)
         mp.setattr(BdpoPlan, "refresh", checked_refresh)
         yield mp
 

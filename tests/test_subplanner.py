@@ -11,10 +11,10 @@ from hypothesis import strategies as hst
 
 from popflex.corpus import chain_task, elevator_task, random_task
 from popflex.subplanner import (PLANNER_CMD_ENV, Subtask, _h_add,
-                                _Relaxation, _SuccessorGenerator,
+                                _Relaxation, _tables, _TaskTables,
                                 solve_subtask)
 from popflex.task import (Fact, OperatorDef, PlanningTask, Variable,
-                          make_operator, validate_sequential)
+                          apply_op, make_operator, validate_sequential)
 
 
 def test_elevator_second_lift_subplan_found():
@@ -177,12 +177,13 @@ def relaxed_queries(draw):
 @given(relaxed_queries())
 def test_h_add_and_successors_match_naive_references(query):
     ops, state, goal = query
+    tables = _TaskTables(ops)
     expected = _sweep_h_add(ops, state, goal)
-    got = _h_add(_Relaxation(ops, goal), state)
+    got = _h_add(_Relaxation(tables, goal), state)
     assert got == expected and type(got) is type(expected)
     applicable = [i for i, op in enumerate(ops)
                   if all(state.get(f.var) == f.val for f in op.pre)]
-    assert _SuccessorGenerator(ops).applicable(state) == applicable
+    assert tables.successors.applicable(state) == applicable
 
 
 def test_h_add_counts_a_repeated_precondition_twice():
@@ -190,7 +191,40 @@ def test_h_add_counts_a_repeated_precondition_twice():
     twice = OperatorDef("twice", (Fact(0, 1), Fact(0, 1)), (Fact(1, 1),), 0)
     state, goal = {0: 0, 1: 0}, {1: 1}
     assert _sweep_h_add([make_x, twice], state, goal) == 4
-    assert _h_add(_Relaxation([make_x, twice], goal), state) == 4
+    assert _h_add(_Relaxation(_TaskTables([make_x, twice]), goal), state) == 4
+
+
+def test_subtasks_of_one_task_share_its_tables():
+    """Two subtasks of one task with different goals are solved over one
+    set of task tables, and each gets what a fresh build gives it."""
+    task = elevator_task()
+    var = {v.name: i for i, v in enumerate(task.variables)}
+
+    def at(name, value):
+        return {var[name]: task.variables[var[name]].values.index(value)}
+
+    goals = [at("pos-p2", "at-n2"), {**at("pos-p1", "at-n3"),
+                                      **at("lift-e1", "at-n1")}]
+    shared = []
+    for goal in goals:
+        st = Subtask(base=task, init=dict(task.init), goal=goal,
+                     cost_bound=6, max_len=12)
+        plans = solve_subtask(st)
+        shared.append(_tables(task))
+        fresh_task = dataclasses.replace(task)
+        assert _tables(fresh_task) is not shared[-1]
+        fresh = solve_subtask(dataclasses.replace(st, base=fresh_task))
+        assert plans and [p.steps for p in plans] == [p.steps for p in fresh]
+        for plan in plans[:3]:
+            state = dict(task.init)
+            for i in plan.steps:
+                expected = _sweep_h_add(task.operators, state, goal)
+                assert _h_add(_Relaxation(shared[-1], goal), state) \
+                    == expected
+                assert _h_add(_Relaxation(_TaskTables(task.operators), goal),
+                              state) == expected
+                state = apply_op(task.operators[i], state)
+    assert shared[0] is shared[1]
 
 
 def test_external_planner_paths_with_spaces(tmp_path, monkeypatch):
