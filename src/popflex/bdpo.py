@@ -8,15 +8,17 @@ commitments plus init-first/goal-last; ordering reasons (PC, CD, DP) are
 derived from the commitments rather than stored separately.  A flat
 partial-order plan is the case whose roots are all primitive blocks.
 
-The closure is kept current: after every mutator below it is the transitive
-closure of the plan's commitments.  `rebuild_closure` recomputes it from
-scratch; `add_ordering` extends it by one recorded edge,
-`remove_from_closure` and `rename_in_closure` update it after root blocks
-are removed or renamed, and `refresh` rebuilds it only when a stale commitment drops
-out.  Substitution and block removal keep it current through those calls
-and then judge the result with `validate_current`.  `validate()` first
-rebuilds the closure, so a plan whose commitments were edited by hand is
-judged as it stands.
+The closure is current when it is the transitive closure of the plan's
+commitments.  `rebuild_closure` makes it so from scratch; given a current
+closure, `add_ordering` keeps it current across one recorded edge,
+`remove_from_closure` and `rename_in_closure` across root blocks removed
+or renamed with their commitments, and `refresh` across re-derived
+commitments (it rebuilds only when a stale one drops out).  `substitute`,
+whose new root needs only a row of its own and a bit in init's, and
+`remove_blocks` change a plan only through those, so they judge the result
+with `validate_current`, which trusts the closure.  `validate()`
+rebuilds the closure first, so a plan whose commitments were edited by
+hand is judged as it stands.
 
 Blocks are frozen once created: a compound block carries its own internal
 causal links, demotion/promotion commitments, and closure over its children,
