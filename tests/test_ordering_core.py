@@ -1,10 +1,12 @@
 """BdpoPlan's ordering core against naive references.
 
-The closure, the threat list and the ordered-pair count are checked on the
-plans that `init_bdpo`, `wrap_blocks`, `substitute` (success and failure)
-and `remove_blocks` produce, both on direct calls and on every call that
-a whole `fibs` run makes, and so are the closure after each incremental
-update and the threat list each of those calls reuses.
+The closure, the threat list, the step-level order and the ordered-pair
+count are checked on the plans that `init_bdpo`, `wrap_blocks`,
+`substitute` (success and failure) and `remove_blocks` produce, both on
+direct calls and on every call that a whole `fibs` run makes, and so are
+the closure after each incremental update and the threat list each of
+those calls reuses.  `between_closure` is checked against its fixpoint
+definition.
 """
 
 import math
@@ -17,9 +19,9 @@ from hypothesis import strategies as st
 import popflex.bdpo as bdpo_module
 import popflex.fibs as fibs_module
 import popflex.substitution as substitution_module
-from popflex.bdpo import (CD, GOAL_BLOCK, INIT_BLOCK, BdpoPlan, CycleDetected,
-                          Reason, between_closure, closure_from_edges,
-                          init_bdpo, wrap_blocks)
+from popflex.bdpo import (CD, GOAL_BLOCK, GOAL_ID, INIT_BLOCK, INIT_ID,
+                          BdpoPlan, CycleDetected, Reason, between_closure,
+                          closure_from_edges, init_bdpo, wrap_blocks)
 from popflex.corpus import chain_task, random_task
 from popflex.eog import eog
 from popflex.fibs import FibsConfig, fibs, remove_blocks
@@ -55,16 +57,52 @@ def reference_threats(plan) -> list:
     return out
 
 
+def reference_step_order(plan) -> dict[int, set[int]]:
+    """Step-level strict descendants from the commitments alone: the root
+    links and resolutions, each live compound block's internal links and
+    resolutions, and init-first/goal-last."""
+    contexts = [(plan.links, plan.resolutions)]
+    contexts += [(plan.blocks[b].ilinks, plan.blocks[b].iresolutions)
+                 for b in plan.live_blocks() if not plan.blocks[b].primitive]
+    edges = []
+    for links, resolutions in contexts:
+        pairs = [(p, c) for (c, _), p in links.items() if p != c]
+        pairs += [pair for pair, rs in resolutions.items() if rs]
+        for a, b in pairs:
+            edges += [(sa, sb) for sa in plan.blocks[a].members
+                      for sb in plan.blocks[b].members]
+    for s in plan.steps:
+        if s != INIT_ID:
+            edges.append((INIT_ID, s))
+        if s != GOAL_ID:
+            edges.append((s, GOAL_ID))
+    return closure_from_edges(plan.steps, edges)
+
+
 def reference_ordered_step_pairs(plan) -> int:
-    flat = plan.flat_closure()
+    order = reference_step_order(plan)
     real = plan.real_steps()
     return sum(1 for i, s in enumerate(real) for t in real[i + 1:]
-               if t in flat[s] or s in flat[t])
+               if t in order[s] or s in order[t])
+
+
+def reference_between_closure(plan, seed: set[int]) -> set[int]:
+    """The least superset of `seed` that holds every root block ordered
+    after one of its members and before another."""
+    span = set(seed)
+    while True:
+        extra = {x for x in plan.roots - span - {INIT_BLOCK, GOAL_BLOCK}
+                 if any(plan.ordered(a, x) for a in span)
+                 and any(plan.ordered(x, b) for b in span)}
+        if not extra:
+            return span
+        span |= extra
 
 
 def check_core(plan) -> None:
     assert decoded_closure(plan) == reference_closure(plan)
     assert plan.threats() == reference_threats(plan)
+    assert plan.flat_closure() == reference_step_order(plan)
     assert plan.ordered_step_pairs() == reference_ordered_step_pairs(plan)
 
 
@@ -138,6 +176,7 @@ def test_core_after_direct_operations(seed, data):
         pair = data.draw(st.lists(st.sampled_from(roots), min_size=2,
                                   max_size=2, unique=True))
         span = between_closure(plan, set(pair))
+        assert span == reference_between_closure(plan, set(pair))
         work = plan.clone()
         try:
             wrap_blocks(work, span)
