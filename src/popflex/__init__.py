@@ -2,7 +2,7 @@
 MaxSAT reordering encoder for grounded finite-domain planning tasks."""
 
 from .bdpo import (BdpoPlan, Block, FlexScore, Reason, block_deorder,
-                   candidate_producers, init_bdpo, try_remove_reason)
+                   candidate_producers, init_bdpo)
 from .fibs import (AcceptanceCriteria, FibsConfig, PhaseReport,
                    backward_justify, build_subtask, greedy_justify,
                    reduce_plan, remove_blocks, resolve, substitution_deorder)

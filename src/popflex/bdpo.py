@@ -23,7 +23,10 @@ hand is judged as it stands.
 Blocks are frozen once created: a compound block carries its own internal
 causal links, demotion/promotion commitments, and closure over its children,
 plus precondition/effect/consumed/produced/deleted fact sets computed from
-the children.  The plan mutates only its root context.
+the children.  The plan mutates only its root context.  Every context, the
+root or a compound block, is a set of blocks plus one successor-bitmask row
+per block, so ordered pairs, linearizations and minimal blocks are computed
+the same way in each.
 
 Deordering scans the committed orderings and tries to strip each one of all
 its reasons by encapsulating spans of blocks, following the four removal
@@ -37,7 +40,7 @@ import logging
 import random
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Iterable, Iterator, NamedTuple, Optional
+from typing import Collection, Iterable, Iterator, NamedTuple, Optional
 
 from .task import (Fact, OperatorDef, PlanningTask, SequentialPlan,
                    ValidationReport)
@@ -94,7 +97,8 @@ class FlexScore:
 
 def closure_from_edges(nodes: Iterable[int], edges: Iterable[tuple[int, int]]
                        ) -> dict[int, set[int]]:
-    """Strict descendants per node; raises CycleDetected on a cycle."""
+    """Strict descendants per node, as sets: the plain reference for the
+    bitmask rows of `closure_rows`; raises CycleDetected on a cycle."""
     direct: dict[int, set[int]] = {n: set() for n in nodes}
     for a, b in edges:
         direct[a].add(b)
@@ -105,6 +109,19 @@ def closure_from_edges(nodes: Iterable[int], edges: Iterable[tuple[int, int]]
             acc.add(m)
             acc |= succ[m]
     return succ
+
+
+def closure_rows(direct: dict[int, set[int]]) -> dict[int, int]:
+    """Successor bitmask per node of a successor map that has every node
+    as a key: bit `b` of row `a` is set when `b` is a strict descendant of
+    `a`; raises CycleDetected on a cycle."""
+    rows: dict[int, int] = {}
+    for a in reversed(topological_order(direct)):
+        acc = 0
+        for b in direct[a]:
+            acc |= rows[b] | 1 << b
+        rows[a] = acc
+    return rows
 
 
 def topological_order(direct: dict[int, set[int]]) -> list[int]:
@@ -164,7 +181,8 @@ class Block:
     children: tuple[int, ...] = ()     # block ids, compound only
     ilinks: dict = field(default_factory=dict)        # (child, Fact) -> child
     iresolutions: dict = field(default_factory=dict)  # (child, child) -> frozenset
-    iclosure: dict = field(default_factory=dict)      # child -> frozenset
+    # child -> successor bitmask, the format of BdpoPlan.closure
+    iclosure: dict = field(default_factory=dict)
     pre: frozenset[Fact] = frozenset()
     eff: frozenset[Fact] = frozenset()
     cons: frozenset[Fact] = frozenset()
@@ -285,9 +303,12 @@ class BdpoPlan:
         """Freeze a set of existing blocks into a new compound block."""
         children = tuple(sorted(children, key=self.pos_key))
         bid = self.fresh_block_id()
-        edges = {(p, c) for (c, _), p in ilinks.items()}
-        edges |= set(iresolutions)
-        iclosure = closure_from_edges(children, sorted(edges))
+        direct: dict[int, set[int]] = {c: set() for c in children}
+        for (c, _), p in ilinks.items():
+            direct[p].add(c)
+        for a, b in iresolutions:
+            direct[a].add(b)
+        iclosure = closure_rows(direct)
         members = frozenset().union(*(self.blocks[c].members for c in children))
         pre, eff = self._compound_pre_eff(children, ilinks, iclosure)
         cons = pre
@@ -313,7 +334,7 @@ class BdpoPlan:
             id=bid, members=members, children=children,
             ilinks=dict(ilinks),
             iresolutions={k: frozenset(v) for k, v in iresolutions.items() if v},
-            iclosure={k: frozenset(v) for k, v in iclosure.items()},
+            iclosure=iclosure,
             pre=pre, eff=eff, cons=cons, prod=prod, dels=frozenset(dels),
             cost=sum(self.blocks[c].cost for c in children),
             pos=min(self.blocks[c].pos for c in children))
@@ -329,7 +350,7 @@ class BdpoPlan:
         for c in children:
             for f in self.blocks[c].eff:
                 killed = any(
-                    c2 in iclosure[c] and any(
+                    iclosure[c] >> c2 & 1 and any(
                         g.var == f.var and g.val != f.val
                         for g in self.blocks[c2].eff)
                     for c2 in children)
@@ -339,10 +360,10 @@ class BdpoPlan:
 
     # -- ordering ------------------------------------------------------------
 
-    def rebuild_closure(self) -> None:
-        """Closure of the links, the resolutions, the extra orderings and
-        init-first/goal-last."""
-        direct: dict[int, set[int]] = {b: set() for b in self.roots}
+    def _direct_successors(self) -> dict[int, set[int]]:
+        """Direct successors of each root block: its links, resolutions and
+        extra orderings, and init-first/goal-last."""
+        direct: dict[int, set[int]] = {a: set() for a in self.roots}
         for (c, _), p in self.links.items():
             if p != c:
                 direct[p].add(c)
@@ -356,13 +377,12 @@ class BdpoPlan:
                 direct[INIT_BLOCK].add(b)
             if b != GOAL_BLOCK:
                 direct[b].add(GOAL_BLOCK)
-        closure: dict[int, int] = {}
-        for a in reversed(topological_order(direct)):
-            acc = 0
-            for b in direct[a]:
-                acc |= closure[b] | 1 << b
-            closure[a] = acc
-        self.closure = closure
+        return direct
+
+    def rebuild_closure(self) -> None:
+        """Closure of the links, the resolutions, the extra orderings and
+        init-first/goal-last."""
+        self.closure = closure_rows(self._direct_successors())
 
     def remove_from_closure(self, gone: Iterable[int]) -> None:
         """Bring the closure up to date after the root blocks `gone` and
@@ -379,21 +399,7 @@ class BdpoPlan:
             mask |= 1 << b
         stale = sorted((succ.bit_count(), a) for a, succ in closure.items()
                        if succ & mask)
-        direct: dict[int, set[int]] = {a: set() for _, a in stale}
-        for (c, _), p in self.links.items():
-            if p in direct and p != c:
-                direct[p].add(c)
-        for (a, b), rs in self.resolutions.items():
-            if a in direct and rs:
-                direct[a].add(b)
-        for a, b in self.extra_orderings:
-            if a in direct:
-                direct[a].add(b)
-        for a, succs in direct.items():
-            if a == INIT_BLOCK:
-                succs.update(self.roots - {INIT_BLOCK})
-            elif a != GOAL_BLOCK:
-                succs.add(GOAL_BLOCK)
+        direct = self._direct_successors()
         for _, a in stale:
             acc = 0
             for b in direct[a]:
@@ -485,16 +491,26 @@ class BdpoPlan:
     # -- metrics -------------------------------------------------------------
 
     def ordered_step_pairs(self) -> int:
-        real = self.roots - {INIT_BLOCK, GOAL_BLOCK}
-        real_mask = 0
-        big_mask = 0        # roots of more than one step
-        for b in real:
-            real_mask |= 1 << b
+        total = self._context_pairs(self.roots - {INIT_BLOCK, GOAL_BLOCK},
+                                    self.closure)
+        for bid in self._compound_blocks():
+            blk = self.blocks[bid]
+            total += self._context_pairs(blk.children, blk.iclosure)
+        return total
+
+    def _context_pairs(self, blocks: Collection[int], rows: dict[int, int]
+                       ) -> int:
+        """Step pairs that one context's order puts apart: a step of `a`
+        and a step of `b` for each `a` before `b` among `blocks`."""
+        mask = 0
+        big_mask = 0        # blocks of more than one step
+        for b in blocks:
+            mask |= 1 << b
             if self.blocks[b].size() > 1:
                 big_mask |= 1 << b
         total = 0
-        for a in real:
-            succ = self.closure[a] & real_mask
+        for a in blocks:
+            succ = rows[a] & mask
             steps = succ.bit_count()
             big = succ & big_mask
             while big:
@@ -502,13 +518,6 @@ class BdpoPlan:
                 steps += self.blocks[low.bit_length() - 1].size() - 1
                 big ^= low
             total += self.blocks[a].size() * steps
-        for bid in self._compound_blocks():
-            b = self.blocks[bid]
-            kids = b.children
-            for i, x in enumerate(kids):
-                for y in kids[i + 1:]:
-                    if y in b.iclosure[x] or x in b.iclosure[y]:
-                        total += self.blocks[x].size() * self.blocks[y].size()
         return total
 
     def _descendant_blocks(self, bid: int) -> set[int]:
@@ -603,8 +612,8 @@ class BdpoPlan:
                 if t in (p, c):
                     continue
                 if f in self.blocks[t].dels \
-                        and p not in blk.iclosure[t] \
-                        and t not in blk.iclosure[c]:
+                        and not blk.iclosure[t] >> p & 1 \
+                        and not blk.iclosure[c] >> t & 1:
                     return ValidationReport(
                         False,
                         reason=f"block {blk.id}: {t} threatens {p}-{f}->{c}")
@@ -638,24 +647,17 @@ class BdpoPlan:
         """Step-level strict descendants implied by the block structure."""
         out: dict[int, set[int]] = {s: set() for s in self.steps}
 
-        def expand(bid: int) -> None:
-            blk = self.blocks[bid]
-            if blk.primitive:
-                return
-            for x in blk.children:
-                for y in blk.children:
-                    if y in blk.iclosure[x]:
-                        for sx in self.blocks[x].members:
+        def expand(blocks: Collection[int], rows: dict[int, int]) -> None:
+            for x in blocks:
+                blk = self.blocks[x]
+                for y in blocks:
+                    if rows[x] >> y & 1:
+                        for sx in blk.members:
                             out[sx] |= self.blocks[y].members
-                expand(x)
+                if not blk.primitive:
+                    expand(blk.children, blk.iclosure)
 
-        roots = sorted(self.roots, key=self.pos_key)
-        for a in roots:
-            for b in roots:
-                if a != b and self.ordered(a, b):
-                    for sa in self.blocks[a].members:
-                        out[sa] |= self.blocks[b].members
-            expand(a)
+        expand(self.roots, self.closure)
         for s in self.steps:
             if s != INIT_ID:
                 out[INIT_ID].add(s)
@@ -665,45 +667,51 @@ class BdpoPlan:
 
     # -- linearization -------------------------------------------------------
 
+    def _ready(self, blocks: Collection[int], rows: dict[int, int]
+               ) -> list[int]:
+        """The blocks of `blocks` that none of them precedes, by position;
+        `rows` holds their context's successor bitmasks."""
+        later = 0
+        for b in blocks:
+            later |= rows[b]
+        return sorted((b for b in blocks if not later >> b & 1),
+                      key=self.pos_key)
+
     def linearize(self, seed: int = 0) -> SequentialPlan:
         rng = random.Random(seed)
-        steps = self._linearize_context(self.real_roots(),
-                                        lambda a, b: self.ordered(a, b), rng)
+        steps = self._linearize_context(self.real_roots(), self.closure, rng)
         return SequentialPlan([self.task.operator_index(self.steps[s].name)
                                for s in steps])
 
-    def _linearize_context(self, blocks: list[int], before, rng) -> list[int]:
+    def _linearize_context(self, blocks: list[int], rows: dict[int, int],
+                           rng) -> list[int]:
+        """Step ids of `blocks` in a random order that `rows`, their
+        context's successor bitmasks, allows; compound blocks recurse."""
         out: list[int] = []
         remaining = list(blocks)
         while remaining:
-            ready = sorted((b for b in remaining
-                            if not any(before(o, b) for o in remaining if o != b)),
-                           key=self.pos_key)
-            pick = rng.choice(ready)
+            pick = rng.choice(self._ready(remaining, rows))
             remaining.remove(pick)
-            out.extend(self._linearize_block(pick, rng))
+            blk = self.blocks[pick]
+            if blk.primitive:
+                out.append(blk.step)
+            else:
+                out.extend(self._linearize_context(blk.children,
+                                                   blk.iclosure, rng))
         return out
-
-    def _linearize_block(self, bid: int, rng) -> list[int]:
-        blk = self.blocks[bid]
-        if blk.primitive:
-            return [blk.step]
-        return self._linearize_context(
-            list(blk.children), lambda a, b: b in blk.iclosure[a], rng)
 
     def all_linearizations(self, cap: int = 50000) -> Iterator[SequentialPlan]:
         count = 0
 
-        def contexts(blocks: list[int], before) -> Iterator[list[int]]:
+        def contexts(blocks: list[int], rows: dict[int, int]
+                     ) -> Iterator[list[int]]:
             if not blocks:
                 yield []
                 return
-            for b in sorted(blocks, key=self.pos_key):
-                if any(before(o, b) for o in blocks if o != b):
-                    continue
+            for b in self._ready(blocks, rows):
                 rest = [o for o in blocks if o != b]
                 for head in expand(b):
-                    for tail in contexts(rest, before):
+                    for tail in contexts(rest, rows):
                         yield head + tail
 
         def expand(bid: int) -> Iterator[list[int]]:
@@ -711,11 +719,9 @@ class BdpoPlan:
             if blk.primitive:
                 yield [blk.step]
                 return
-            yield from contexts(list(blk.children),
-                                lambda a, b: b in blk.iclosure[a])
+            yield from contexts(list(blk.children), blk.iclosure)
 
-        for steps in contexts(self.real_roots(),
-                              lambda a, b: self.ordered(a, b)):
+        for steps in contexts(self.real_roots(), self.closure):
             count += 1
             if count > cap:
                 raise RuntimeError("too many linearizations")
@@ -826,9 +832,7 @@ def candidate_producers(plan: BdpoPlan, fact: Fact, consumer: int,
                 break
         if not blocked:
             out.append(p)
-    minimal = [p for p in out
-               if not any(q != p and plan.ordered(q, p) for q in out)]
-    return sorted(minimal, key=plan.pos_key)
+    return plan._ready(out, plan.closure)
 
 
 def earliest_producer_for_insert(plan: BdpoPlan, fact: Fact, consumer: int,
@@ -849,9 +853,7 @@ def earliest_producer_for_insert(plan: BdpoPlan, fact: Fact, consumer: int,
         if plan.ordered(consumer, p):
             continue
         cands.append(p)
-    minimal = [p for p in cands
-               if not any(q != p and plan.ordered(q, p) for q in cands)]
-    minimal.sort(key=plan.pos_key)
+    minimal = plan._ready(cands, plan.closure)
     return minimal[0] if minimal else None
 
 
@@ -860,19 +862,18 @@ def earliest_producer_for_insert(plan: BdpoPlan, fact: Fact, consumer: int,
 
 
 def between_closure(plan: BdpoPlan, seed: set[int]) -> set[int]:
-    """Close a root-block set under ordered-betweenness."""
+    """Close a root-block set under ordered-betweenness.  The order is
+    transitive, so a block between two added ones is already between two
+    of `seed`, and one pass does it."""
+    seed_mask = 0
+    after_seed = 0
+    for a in seed:
+        seed_mask |= 1 << a
+        after_seed |= plan.closure[a]
     span = set(seed)
-    changed = True
-    while changed:
-        changed = False
-        for x in sorted(plan.roots, key=plan.pos_key):
-            if x in span or x in (INIT_BLOCK, GOAL_BLOCK):
-                continue
-            above = any(plan.ordered(a, x) for a in span)
-            below = any(plan.ordered(x, b) for b in span)
-            if above and below:
-                span.add(x)
-                changed = True
+    for x in plan.roots - {INIT_BLOCK, GOAL_BLOCK}:
+        if after_seed >> x & 1 and plan.closure[x] & seed_mask:
+            span.add(x)
     return span
 
 
@@ -928,10 +929,8 @@ def wrap_blocks(plan: BdpoPlan, span: set[int]) -> int:
 # Rule-based reason removal and the greedy deordering loop
 
 
-def _span_ok(plan: BdpoPlan, span: set[int], forbidden: tuple[int, ...]) -> bool:
-    if INIT_BLOCK in span or GOAL_BLOCK in span:
-        return False
-    return not any(b in span for b in forbidden)
+def _span_ok(span: set[int], forbidden: int) -> bool:
+    return not span & {INIT_BLOCK, GOAL_BLOCK, forbidden}
 
 
 def _apply_wrap(plan: BdpoPlan, span: set[int]) -> Optional[BdpoPlan]:
@@ -943,29 +942,32 @@ def _apply_wrap(plan: BdpoPlan, span: set[int]) -> Optional[BdpoPlan]:
     return work
 
 
+def _wrapped_spans(plan: BdpoPlan, partner: int, anchors: list[int],
+                   forbidden: int) -> Iterator[tuple[BdpoPlan, int]]:
+    """Wrap `partner` with each anchor and the blocks between them, smallest
+    span first, then by the anchor's position; spans that would take in
+    `forbidden` or a synthetic block are skipped.  Yields each wrapped plan
+    with the id of the block that holds `partner`."""
+    spans = []
+    for b in anchors:
+        span = between_closure(plan, {b, partner})
+        if _span_ok(span, forbidden):
+            spans.append((len(span), plan.pos_key(b), span))
+    partner_step = min(plan.blocks[partner].members)
+    for _, _, span in sorted(spans, key=lambda t: (t[0], t[1])):
+        work = _apply_wrap(plan, span)
+        if work is not None:
+            yield work, work.block_of_step(partner_step)
+
+
 def _pc_candidates(plan: BdpoPlan, edge: tuple[int, int], fact: Fact
                    ) -> Iterator[BdpoPlan]:
     """Rebind the consumer to an earlier producer after wrapping the source
     together with an earlier consumer of the same fact."""
     b_i, b_j = edge
-    anchors = []
-    for b_c in sorted(plan.roots, key=plan.pos_key):
-        if b_c in (INIT_BLOCK, GOAL_BLOCK) or b_c == b_i:
-            continue
-        if not plan.ordered(b_c, b_i):
-            continue
-        if fact not in plan.blocks[b_c].pre:
-            continue
-        span = between_closure(plan, {b_c, b_i})
-        if not _span_ok(plan, span, (b_j,)):
-            continue
-        anchors.append((len(span), plan.pos_key(b_c), span))
-    for _, _, span in sorted(anchors, key=lambda t: (t[0], t[1])):
-        work = _apply_wrap(plan, span)
-        if work is None:
-            continue
-        wrapped = work.block_of_step(
-            min(plan.blocks[next(iter(span))].members))
+    anchors = [b_c for b_c in plan.real_roots()
+               if plan.ordered(b_c, b_i) and fact in plan.blocks[b_c].pre]
+    for work, wrapped in _wrapped_spans(plan, b_i, anchors, b_j):
         if (wrapped, fact) not in work.links:
             continue
         b_p = work.links[(wrapped, fact)]
@@ -985,41 +987,17 @@ def _cd_candidates(plan: BdpoPlan, edge: tuple[int, int], fact: Fact
     """Wrap the consumer with an internal producer (producer side), else wrap
     the deleter with a later restorer (deleter side)."""
     b_i, b_j = edge
-    producer_side = []
-    for b_p in sorted(plan.roots, key=plan.pos_key):
-        if b_p in (INIT_BLOCK, GOAL_BLOCK):
-            continue
-        if fact not in plan.blocks[b_p].prod or not plan.ordered(b_p, b_i):
-            continue
-        span = between_closure(plan, {b_p, b_i})
-        if not _span_ok(plan, span, (b_j,)):
-            continue
-        producer_side.append((len(span), plan.pos_key(b_p), span))
-    for _, _, span in sorted(producer_side, key=lambda t: (t[0], t[1])):
-        work = _apply_wrap(plan, span)
-        if work is None:
-            continue
-        wrapped = work.block_of_step(min(plan.blocks[b_i].members))
+    producers = [b_p for b_p in plan.real_roots()
+                 if fact in plan.blocks[b_p].prod]
+    earlier = [b_p for b_p in producers if plan.ordered(b_p, b_i)]
+    for work, wrapped in _wrapped_spans(plan, b_i, earlier, b_j):
         if fact in work.blocks[wrapped].cons:
             continue
         work.refresh()
         yield work
 
-    deleter_side = []
-    for b_p in sorted(plan.roots, key=plan.pos_key):
-        if b_p in (INIT_BLOCK, GOAL_BLOCK):
-            continue
-        if fact not in plan.blocks[b_p].prod or not plan.ordered(b_j, b_p):
-            continue
-        span = between_closure(plan, {b_j, b_p})
-        if not _span_ok(plan, span, (b_i,)):
-            continue
-        deleter_side.append((len(span), plan.pos_key(b_p), span))
-    for _, _, span in sorted(deleter_side, key=lambda t: (t[0], t[1])):
-        work = _apply_wrap(plan, span)
-        if work is None:
-            continue
-        wrapped = work.block_of_step(min(plan.blocks[b_j].members))
+    later = [b_p for b_p in producers if plan.ordered(b_j, b_p)]
+    for work, wrapped in _wrapped_spans(plan, b_j, later, b_i):
         if fact in work.blocks[wrapped].dels:
             continue
         work.refresh()
@@ -1037,7 +1015,7 @@ def _dp_candidates(plan: BdpoPlan, edge: tuple[int, int], fact: Fact
     if GOAL_BLOCK in consumers or INIT_BLOCK in consumers:
         return
     span = between_closure(plan, consumers | {b_j})
-    if len(span) < 2 or not _span_ok(plan, span, (b_i,)):
+    if len(span) < 2 or not _span_ok(span, b_i):
         return
     work = _apply_wrap(plan, span)
     if work is None:
@@ -1057,26 +1035,6 @@ def _reason_candidates(plan: BdpoPlan, edge: tuple[int, int], reason: Reason
         yield from _cd_candidates(plan, edge, reason.fact)
     else:
         yield from _dp_candidates(plan, edge, reason.fact)
-
-
-def try_remove_reason(plan: BdpoPlan, edge: tuple[int, int],
-                      reason: Reason) -> bool:
-    """Attempt one reason removal via its matching rule; mutates the plan on
-    success and leaves it untouched on failure."""
-    if reason not in plan.reasons().get(edge, set()):
-        raise ValueError(f"{reason} not on edge {edge}")
-    si = min(plan.blocks[edge[0]].members)
-    sj = min(plan.blocks[edge[1]].members)
-    for work in _reason_candidates(plan, edge, reason):
-        a2 = work.block_of_step(si)
-        b2 = work.block_of_step(sj)
-        if reason in work.reasons().get((a2, b2), set()):
-            continue
-        if not work.validate():
-            continue
-        plan.adopt(work)
-        return True
-    return False
 
 
 _MAX_CASCADE_DEPTH = 32

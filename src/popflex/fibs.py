@@ -122,8 +122,7 @@ def build_subtask(task: PlanningTask, plan: BdpoPlan, excluded: int,
                      if b not in (excluded, target) and plan.ordered(b, target)]
     state = dict(task.init)
     rng = random.Random(config.seed)
-    order = plan._linearize_context(before_blocks,
-                                    lambda a, b: plan.ordered(a, b), rng)
+    order = plan._linearize_context(before_blocks, plan.closure, rng)
     for sid in order:
         op = plan.steps[sid]
         try:
@@ -159,8 +158,10 @@ def build_subtask(task: PlanningTask, plan: BdpoPlan, excluded: int,
 
 
 def _post_accept_sweep(plan: BdpoPlan, new_block: Optional[int],
-                       criteria: AcceptanceCriteria) -> BdpoPlan:
-    """Remove blocks the freshly substituted block can itself substitute."""
+                       criteria: AcceptanceCriteria,
+                       current: tuple[Fraction, int]) -> BdpoPlan:
+    """Remove blocks the freshly substituted block can itself substitute;
+    `current` is the plan's flex and cost."""
     if new_block is None or new_block not in plan.roots:
         return plan
     changed = True
@@ -172,10 +173,9 @@ def _post_accept_sweep(plan: BdpoPlan, new_block: Optional[int],
             outcome = substitute(plan, b, new_block)
             if not outcome.success:
                 continue
-            if criteria.sweep_accepts(plan.flex().frac, plan.cost(),
-                                      outcome.plan.flex().frac,
-                                      outcome.plan.cost()):
-                plan = outcome.plan
+            after = (outcome.plan.flex().frac, outcome.plan.cost())
+            if criteria.sweep_accepts(*current, *after):
+                plan, current = outcome.plan, after
                 changed = True
                 break
     return plan
@@ -207,7 +207,7 @@ def resolve(task: PlanningTask, plan: BdpoPlan, excluded: int, target: int,
         cost_after = outcome.plan.cost()
         if criteria.accepts(flex_before, cost_before, flex_after, cost_after):
             new_plan = _post_accept_sweep(outcome.plan, outcome.new_block,
-                                          criteria)
+                                          criteria, (flex_after, cost_after))
             return new_plan, True
     return plan, False
 
@@ -431,20 +431,25 @@ def fibs(task: PlanningTask, seq_plan: SequentialPlan,
     n_input = len(seq_plan.steps)
     total_input_pairs = n_input * (n_input - 1) // 2
 
-    def report(phase: str, before: BdpoPlan, after: BdpoPlan,
-               attempted: int, accepted: int, t0: float) -> None:
-        fb, fa = before.flex(), after.flex()
-        vs_input = (1.0 if total_input_pairs == 0
-                    else 1.0 - after.ordered_step_pairs() / total_input_pairs)
+    def report(phase: str, plan: BdpoPlan, attempted: int, accepted: int,
+               t0: float) -> None:
+        """Report a phase's output plan; its input is the previous phase's
+        output, or the plan itself for the first phase."""
+        score = plan.flex()
+        ordered = score.total_pairs - score.unordered_pairs
+        steps, cost = len(plan.real_steps()), plan.cost()
+        prev = reports[-1] if reports else None
         reports.append(PhaseReport(
             phase=phase,
-            steps_before=len(before.real_steps()),
-            steps_after=len(after.real_steps()),
-            cost_before=before.cost(), cost_after=after.cost(),
-            ordered_before=fb.total_pairs - fb.unordered_pairs,
-            ordered_after=fa.total_pairs - fa.unordered_pairs,
-            flex_before=fb.value, flex_after=fa.value,
-            flex_vs_input=vs_input,
+            steps_before=prev.steps_after if prev else steps,
+            steps_after=steps,
+            cost_before=prev.cost_after if prev else cost, cost_after=cost,
+            ordered_before=prev.ordered_after if prev else ordered,
+            ordered_after=ordered,
+            flex_before=prev.flex_after if prev else score.value,
+            flex_after=score.value,
+            flex_vs_input=(1.0 if total_input_pairs == 0
+                           else 1.0 - ordered / total_input_pairs),
             attempted=attempted, accepted=accepted,
             elapsed=time.monotonic() - t0))
 
@@ -452,30 +457,26 @@ def fibs(task: PlanningTask, seq_plan: SequentialPlan,
     t0 = time.monotonic()
     pop = eog(task, seq_plan)
     plan = init_bdpo(pop)
-    report("EOG", plan, plan, 0, 0, t0)
+    report("EOG", plan, 0, 0, t0)
 
     t0 = time.monotonic()
-    plan2, att, acc = substitution_deorder(task, plan, config.criteria,
-                                           config, primitive_only=True,
-                                           deadline=deadline)
-    report("SD1", plan, plan2, att, acc, t0)
-    plan = plan2
+    plan, att, acc = substitution_deorder(task, plan, config.criteria,
+                                          config, primitive_only=True,
+                                          deadline=deadline)
+    report("SD1", plan, att, acc, t0)
 
     t0 = time.monotonic()
-    plan2 = block_deorder(plan)
-    report("BD", plan, plan2, 0, 0, t0)
-    plan = plan2
+    plan = block_deorder(plan)
+    report("BD", plan, 0, 0, t0)
 
     t0 = time.monotonic()
-    plan2, att, acc = substitution_deorder(task, plan, config.criteria,
-                                           config, deadline=deadline)
-    report("SD2", plan, plan2, att, acc, t0)
-    plan = plan2
+    plan, att, acc = substitution_deorder(task, plan, config.criteria,
+                                          config, deadline=deadline)
+    report("SD2", plan, att, acc, t0)
 
     if config.reduce != "none":
         t0 = time.monotonic()
-        plan2 = reduce_plan(plan, config.reduce)
-        report("REDUCE", plan, plan2, 0, 0, t0)
-        plan = plan2
+        plan = reduce_plan(plan, config.reduce)
+        report("REDUCE", plan, 0, 0, t0)
 
     return plan, reports

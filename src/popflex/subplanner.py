@@ -14,10 +14,9 @@ over the operators backward-relevant to the goal only, by a single
 priority-queue pass per state.  The search itself still branches over every
 operator, so both give exactly the plans of a sweep over all operators.
 
-With max_plans=None the solver switches to exhaustive loop-free enumeration,
-which on tiny tasks yields exactly the set of cost-bounded plans that never
-revisit a state.  An external planner can be plugged in through a subprocess
-hook speaking SAS+ in, plan files out.
+The search stops after max_plans plans, max_expansions expansions or the
+subtask's time bound, whichever comes first.  An external planner can be
+plugged in through a subprocess hook speaking SAS+ in, plan files out.
 """
 
 from __future__ import annotations
@@ -35,7 +34,7 @@ from dataclasses import dataclass
 from typing import Optional
 
 from .task import (OperatorDef, PlanningTask, SequentialPlan, State,
-                   UnknownOperator, apply_op, emit_sas, parse_plan,
+                   UnknownOperator, emit_sas, parse_plan,
                    validate_sequential)
 
 logger = logging.getLogger(__name__)
@@ -51,7 +50,7 @@ class Subtask:
     cost_bound: int
     max_len: int
     time_bound: float = 5.0
-    max_plans: Optional[int] = 10
+    max_plans: int = 10
     max_expansions: int = 20000
 
     def as_task(self) -> PlanningTask:
@@ -229,10 +228,7 @@ def solve_subtask(st: Subtask) -> list[SequentialPlan]:
     cmd = os.environ.get(PLANNER_CMD_ENV)
     if cmd:
         return _solve_external(st, cmd)
-    if st.max_plans is None:
-        plans = _enumerate_exhaustive(st)
-    else:
-        plans = _solve_gbfs(st)
+    plans = _solve_gbfs(st)
     plans.sort(key=lambda p: (p.cost(st.base), tuple(p.steps)))
     return plans
 
@@ -254,7 +250,7 @@ def _solve_gbfs(st: Subtask) -> list[SequentialPlan]:
     best_g: dict[tuple, int] = {tuple(start.values()): 0}
     expansions = 0
     while heap:
-        if len(found) >= (st.max_plans or 0):
+        if len(found) >= st.max_plans:
             break
         expansions += 1
         if expansions > st.max_expansions:
@@ -290,37 +286,6 @@ def _solve_gbfs(st: Subtask) -> list[SequentialPlan]:
         empty = SequentialPlan([])
         if tuple() not in banned:
             found.append(empty)
-    return found
-
-
-def _enumerate_exhaustive(st: Subtask) -> list[SequentialPlan]:
-    tables = _tables(st.base)
-    operators, successors = tables.operators, tables.successors
-    found: list[SequentialPlan] = []
-    start = _start_state(st)
-    seen_states = {tuple(start.values())}
-
-    def rec(state: State, path: list[int], g: int) -> None:
-        if _goal_satisfied(state, st.goal):
-            found.append(SequentialPlan(list(path)))
-        if len(path) >= st.max_len:
-            return
-        for op_idx in successors.applicable(state):
-            op = operators[op_idx]
-            g2 = g + op.cost
-            if g2 > st.cost_bound:
-                continue
-            state2 = apply_op(op, state)
-            key = tuple(state2.values())
-            if key in seen_states:
-                continue
-            seen_states.add(key)
-            path.append(op_idx)
-            rec(state2, path, g2)
-            path.pop()
-            seen_states.discard(key)
-
-    rec(start, [], 0)
     return found
 
 

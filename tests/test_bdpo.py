@@ -1,8 +1,8 @@
 import pytest
 
 from popflex.bdpo import (DP, GOAL_BLOCK, INIT_BLOCK, PC, Reason,
-                          block_deorder, candidate_producers, init_bdpo,
-                          try_remove_reason, wrap_blocks)
+                          _reason_candidates, block_deorder,
+                          candidate_producers, init_bdpo, wrap_blocks)
 from popflex.corpus import (chain_task, elevator_plan, elevator_task,
                             independent_task, random_task)
 from popflex.eog import eog
@@ -146,7 +146,7 @@ def _dp_micro():
     return task, SequentialPlan([0, 1, 2])
 
 
-def test_try_remove_reason_dp_wraps_producer_and_consumer():
+def test_dp_rule_wraps_producer_and_consumer():
     task, seq = _dp_micro()
     plan = init_bdpo(eog(task, seq))
     by_name = {plan.steps[plan.blocks[b].step].name: b
@@ -154,23 +154,26 @@ def test_try_remove_reason_dp_wraps_producer_and_consumer():
     edge = (by_name["clobber"], by_name["make"])
     reason = Reason(DP, Fact(0, 1))
     assert reason in plan.reasons()[edge]
-    assert try_remove_reason(plan, edge, reason)
-    wrapped = plan.block_of_step(plan.blocks[by_name["make"]].step)
-    assert plan.blocks[wrapped].size() == 2
-    assert reason not in plan.reasons().get(
+    work = next(_reason_candidates(plan, edge, reason))
+    wrapped = work.block_of_step(plan.blocks[by_name["make"]].step)
+    assert work.blocks[wrapped].size() == 2
+    assert reason not in work.reasons().get(
         (by_name["clobber"], wrapped), set())
-    assert plan.validate()
+    assert work.validate()
 
 
-def test_try_remove_reason_failure_leaves_plan_intact():
+def test_init_pc_reason_is_not_removed_and_plan_is_intact():
     task, plan = elevator_bdpo()
-    first = min(plan.real_roots(), key=plan.pos_key)
     edge = next((a, b) for (a, b) in sorted(plan.reasons())
                 if a == INIT_BLOCK)
     reason = next(iter(plan.reasons()[edge]))
     snap = plan.snapshot()
     assert reason.kind == PC
-    assert not try_remove_reason(plan, edge, reason)
+    si, sj = (min(plan.blocks[b].members) for b in edge)
+    for work in _reason_candidates(plan, edge, reason):
+        remapped = (work.block_of_step(si), work.block_of_step(sj))
+        assert (reason in work.reasons().get(remapped, set())
+                or not work.validate())
     assert plan.snapshot() == snap
 
 

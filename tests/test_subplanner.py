@@ -71,38 +71,6 @@ def test_multiple_plans_in_cost_order():
     assert [p.cost(task) for p in plans] == [2, 3]
 
 
-def test_exhaustive_mode_matches_enumeration_oracle():
-    task = _branching_task()
-    st = Subtask(base=task, init=dict(task.init), goal=dict(task.goal),
-                 cost_bound=5, max_len=3, max_plans=None)
-    got = {tuple(p.steps) for p in solve_subtask(st)}
-
-    # oracle: depth-first over loop-free operator sequences
-    def enumerate_plans(state, path, g, visited):
-        out = []
-        if all(state.get(v) == d for v, d in task.goal.items()):
-            out.append(tuple(path))
-        if len(path) >= st.max_len:
-            return out
-        for i, op in enumerate(task.operators):
-            if not all(state.get(f.var) == f.val for f in op.pre):
-                continue
-            if g + op.cost > st.cost_bound:
-                continue
-            from popflex.task import apply_op
-            nxt = apply_op(op, state)
-            key = tuple(sorted(nxt.items()))
-            if key in visited:
-                continue
-            out += enumerate_plans(nxt, path + [i], g + op.cost,
-                                   visited | {key})
-        return out
-
-    expected = set(enumerate_plans(dict(task.init), [], 0,
-                                   {tuple(sorted(task.init.items()))}))
-    assert got == expected
-
-
 def test_determinism():
     task = elevator_task()
     p2 = next(i for i, v in enumerate(task.variables) if v.name == "pos-p2")
