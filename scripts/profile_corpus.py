@@ -10,7 +10,8 @@ plans and 1,500 expansions per subtask, no wall-clock budget.
 criterion-8 configuration (no reduction, 3 plans, 2,000 expansions).
 Each runs under cProfile and prints the 25 functions with the largest
 cumulative time, the call counts of `BdpoPlan.rebuild_closure`,
-`BdpoPlan.threats` and `BdpoPlan.validate`, and a sha1 over each run's
+`BdpoPlan.threats`, `BdpoPlan.validate`, `BdpoPlan.flex`, `solve_subtask`
+and `substitute` (recursive calls included), and a sha1 over each run's
 plan JSON and phase reports.  The random digest is the one
 `tests/test_golden.py` pins as RANDOM_DIGEST, so a change that moves the
 cost can be seen to keep the outputs.
@@ -22,6 +23,7 @@ import cProfile
 import hashlib
 import json
 import math
+import os
 import pstats
 import sys
 import time
@@ -29,7 +31,13 @@ import time
 from popflex.corpus import random_task, scaling_task
 from popflex.fibs import FibsConfig, fibs
 
-COUNTED = ("rebuild_closure", "threats", "validate")
+# (module file, function, printed name)
+COUNTED = (("bdpo.py", "rebuild_closure", "BdpoPlan.rebuild_closure"),
+           ("bdpo.py", "threats", "BdpoPlan.threats"),
+           ("bdpo.py", "validate", "BdpoPlan.validate"),
+           ("bdpo.py", "flex", "BdpoPlan.flex"),
+           ("subplanner.py", "solve_subtask", "solve_subtask"),
+           ("substitution.py", "substitute", "substitute"))
 
 
 def random_corpus():
@@ -63,12 +71,13 @@ def profile(name: str) -> None:
     print(f"== {name}: {len(runs)} runs, {elapsed:.2f} s under the profiler")
     stats = pstats.Stats(profiler, stream=sys.stdout)
     stats.sort_stats("cumulative").print_stats(25)
-    calls = dict.fromkeys(COUNTED, 0)
+    calls = {(module, func): 0 for module, func, _ in COUNTED}
     for (path, _, func), (_, ncalls, *_) in stats.stats.items():
-        if path.endswith("bdpo.py") and func in calls:
-            calls[func] += ncalls
-    for func in COUNTED:
-        print(f"{name} BdpoPlan.{func} calls: {calls[func]}")
+        module = os.path.basename(path)
+        if (module, func) in calls:
+            calls[module, func] += ncalls
+    for module, func, printed in COUNTED:
+        print(f"{name} {printed} calls: {calls[module, func]}")
     print(f"{name} output digest: {digest.hexdigest()}")
 
 

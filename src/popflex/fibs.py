@@ -20,7 +20,8 @@ from .bdpo import (GOAL_BLOCK, INIT_BLOCK, BdpoPlan, block_deorder,
                    init_bdpo)
 from .eog import eog
 from .subplanner import Subtask, solve_subtask
-from .substitution import _delete_block, candidate_block, substitute
+from .substitution import (CandidateBlock, _delete_block, candidate_block,
+                           substitute)
 from .task import (Fact, NotApplicable, PlanningTask, SequentialPlan,
                    apply_op)
 
@@ -157,13 +158,47 @@ def build_subtask(task: PlanningTask, plan: BdpoPlan, excluded: int,
                    max_expansions=config.max_expansions)
 
 
+@dataclass
+class PhaseMemo:
+    """What one substitution phase has learnt, so that `resolve` does no
+    work twice.  `candidates` maps a subtask key to the subtask's candidate
+    blocks; they depend on the subtask and the task only, so the map holds
+    for the whole phase.  `tried` holds the (target, candidate) pairs
+    already substituted into the current plan, and `score` is that plan's
+    (flex, cost).  Both hold until an accept changes the plan: a pair tried
+    again on the same plan can only be rejected again."""
+    candidates: dict[tuple, list[CandidateBlock]] = field(default_factory=dict)
+    tried: set[tuple[int, CandidateBlock]] = field(default_factory=set)
+    score: Optional[tuple[Fraction, int]] = None
+
+
+def _candidates(task: PlanningTask, subtask: Subtask,
+                memo: PhaseMemo) -> list[CandidateBlock]:
+    """The subtask's candidate blocks, cheapest plan first, solved once."""
+    key = (tuple(sorted(subtask.init.items())),
+           tuple(sorted(subtask.goal.items())),
+           subtask.cost_bound, subtask.max_len)
+    cands = memo.candidates.get(key)
+    if cands is None:
+        cands = []
+        for seq in solve_subtask(subtask):
+            if seq.cost(task) > subtask.cost_bound:
+                raise AssertionError("subplanner exceeded the cost bound")
+            cands.append(candidate_block(task, subtask.init, subtask.goal,
+                                         seq))
+        memo.candidates[key] = cands
+    return cands
+
+
 def _post_accept_sweep(plan: BdpoPlan, new_block: Optional[int],
                        criteria: AcceptanceCriteria,
-                       current: tuple[Fraction, int]) -> BdpoPlan:
+                       current: tuple[Fraction, int]
+                       ) -> tuple[BdpoPlan, tuple[Fraction, int]]:
     """Remove blocks the freshly substituted block can itself substitute;
-    `current` is the plan's flex and cost."""
+    `current` is the plan's flex and cost.  Returns the plan with its flex
+    and cost."""
     if new_block is None or new_block not in plan.roots:
-        return plan
+        return plan, current
     changed = True
     while changed:
         changed = False
@@ -178,15 +213,18 @@ def _post_accept_sweep(plan: BdpoPlan, new_block: Optional[int],
                 plan, current = outcome.plan, after
                 changed = True
                 break
-    return plan
+    return plan, current
 
 
 def resolve(task: PlanningTask, plan: BdpoPlan, excluded: int, target: int,
             criteria: AcceptanceCriteria, config: FibsConfig,
-            max_len_override: Optional[int] = None
-            ) -> tuple[BdpoPlan, bool]:
+            max_len_override: Optional[int] = None,
+            memo: Optional[PhaseMemo] = None) -> tuple[BdpoPlan, bool]:
     """Try to improve the plan by substituting `target`, assuming the basic
-    ordering between `excluded` and `target` is the one under attack."""
+    ordering between `excluded` and `target` is the one under attack.
+
+    `memo`, when given, is the phase's memo for this plan; on an accept it
+    moves on to the returned plan."""
     try:
         subtask = build_subtask(task, plan, excluded, target, config)
     except SubtaskInfeasible as exc:
@@ -194,20 +232,22 @@ def resolve(task: PlanningTask, plan: BdpoPlan, excluded: int, target: int,
         return plan, False
     if max_len_override is not None:
         subtask.max_len = max_len_override
-    flex_before = plan.flex().frac
-    cost_before = plan.cost()
-    for seq in solve_subtask(subtask):
-        if seq.cost(task) > subtask.cost_bound:
-            raise AssertionError("subplanner exceeded the cost bound")
-        cand = candidate_block(task, subtask.init, subtask.goal, seq)
+    if memo is None:
+        memo = PhaseMemo()
+    if memo.score is None:
+        memo.score = (plan.flex().frac, plan.cost())
+    for cand in _candidates(task, subtask, memo):
+        if (target, cand) in memo.tried:
+            continue
+        memo.tried.add((target, cand))
         outcome = substitute(plan, target, cand)
         if not outcome.success:
             continue
-        flex_after = outcome.plan.flex().frac
-        cost_after = outcome.plan.cost()
-        if criteria.accepts(flex_before, cost_before, flex_after, cost_after):
-            new_plan = _post_accept_sweep(outcome.plan, outcome.new_block,
-                                          criteria, (flex_after, cost_after))
+        after = (outcome.plan.flex().frac, outcome.plan.cost())
+        if criteria.accepts(*memo.score, *after):
+            new_plan, memo.score = _post_accept_sweep(
+                outcome.plan, outcome.new_block, criteria, after)
+            memo.tried.clear()
             return new_plan, True
     return plan, False
 
@@ -234,27 +274,30 @@ def substitution_deorder(task: PlanningTask, plan: BdpoPlan,
                          deadline: Optional[float] = None
                          ) -> tuple[BdpoPlan, int, int]:
     """Attack each basic ordering by substituting its target, then its
-    source; restart on success.  Returns (plan, attempted, accepted)."""
+    source; restart on success.  Stops before any attempt that would start
+    past the deadline.  Returns (plan, attempted, accepted)."""
     attempted = 0
     accepted = 0
+    override = 1 if primitive_only else None
+    memo = PhaseMemo()
     while accepted < config.max_accepts_per_phase:
-        if deadline is not None and time.monotonic() > deadline:
-            logger.warning("substitution phase stopped at the time limit")
-            break
         progress = False
         for a, b in _scan_basic_edges(plan):
-            override = 1 if primitive_only else None
-            attempted += 1
-            plan2, ok = resolve(task, plan, a, b, criteria, config,
-                                max_len_override=override)
-            if not ok:
+            for excluded, target in ((a, b), (b, a)):
+                if deadline is not None and time.monotonic() > deadline:
+                    logger.warning("substitution phase stopped at the time "
+                                   "limit")
+                    return plan, attempted, accepted
                 attempted += 1
-                plan2, ok = resolve(task, plan, b, a, criteria, config,
-                                    max_len_override=override)
-            if ok:
+                plan2, progress = resolve(task, plan, excluded, target,
+                                          criteria, config,
+                                          max_len_override=override,
+                                          memo=memo)
+                if progress:
+                    break
+            if progress:
                 plan = plan2
                 accepted += 1
-                progress = True
                 break
         if not progress:
             break

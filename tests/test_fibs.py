@@ -1,16 +1,21 @@
+import math
 import random
+from collections import Counter
 from fractions import Fraction
+from types import SimpleNamespace
 
 import pytest
 
+import popflex.fibs as fibs_mod
 from popflex.bdpo import block_deorder, init_bdpo
 from popflex.corpus import (chain_task, elevator_plan, elevator_task,
                             independent_task, inverse_pair_task, random_task)
 from popflex.eog import eog
 from popflex.fibs import (AcceptanceCriteria, FibsConfig,
-                          backward_justify, build_subtask, fibs,
-                          greedy_justify, reduce_plan, resolve,
-                          remove_blocks, substitution_deorder)
+                          _scan_basic_edges, backward_justify,
+                          build_subtask, fibs, greedy_justify, reduce_plan,
+                          resolve, remove_blocks, substitution_deorder)
+from popflex.substitution import CandidateBlock
 from popflex.task import SequentialPlan, validate_sequential
 
 CFG = FibsConfig(max_plans=5, max_expansions=4000)
@@ -327,3 +332,121 @@ def test_fibs_rco_pipeline_on_randoms():
         assert out.validate()
         costs = [r.cost_after for r in reports]
         assert all(b <= a for a, b in zip(costs, costs[1:]))
+
+
+def test_deadline_is_checked_before_every_resolve(monkeypatch):
+    task = elevator_task()
+    seq = elevator_plan(task)
+    cfg = FibsConfig(max_plans=3, max_expansions=2000, reduce="gj",
+                     subtask_time=math.inf, time_limit=1.0)
+    _, unbounded = fibs(task, seq, FibsConfig(
+        max_plans=3, max_expansions=2000, reduce="gj",
+        subtask_time=math.inf, time_limit=math.inf))
+    assert unbounded[1].attempted > 1
+    calls = []
+    original = fibs_mod.resolve
+
+    def counting(*args, **kwargs):
+        calls.append(args[2:4])
+        return original(*args, **kwargs)
+
+    # the clock passes the deadline once the first attempt has started
+    clock = SimpleNamespace(monotonic=lambda: 2.0 if calls else 0.0)
+    monkeypatch.setattr(fibs_mod, "resolve", counting)
+    monkeypatch.setattr(fibs_mod, "time", clock)
+    out, reports = fibs(task, seq, cfg)
+    by_phase = {r.phase: r for r in reports}
+    assert len(calls) == 1
+    assert by_phase["SD1"].attempted == 1
+    assert by_phase["SD2"].attempted == 0
+    assert out.validate()
+
+
+SMALL = FibsConfig(reduce="gj", max_plans=3, max_expansions=1500,
+                   subtask_time=math.inf, time_limit=math.inf)
+
+
+def small_random(seed):
+    return random_task(seed, max_vars=8, max_steps=12)
+
+
+def test_a_phase_solves_each_subtask_once(monkeypatch):
+    phase = [0]
+    solved = Counter()
+    original_phase = fibs_mod.substitution_deorder
+    original_solve = fibs_mod.solve_subtask
+
+    def counting_phase(*args, **kwargs):
+        phase[0] += 1
+        return original_phase(*args, **kwargs)
+
+    def counting_solve(st):
+        key = (tuple(sorted(st.init.items())), tuple(sorted(st.goal.items())),
+               st.cost_bound, st.max_len)
+        solved[phase[0], key] += 1
+        return original_solve(st)
+
+    monkeypatch.setattr(fibs_mod, "substitution_deorder", counting_phase)
+    monkeypatch.setattr(fibs_mod, "solve_subtask", counting_solve)
+    for seed in range(30):
+        fibs(*small_random(seed), SMALL)
+    assert phase[0] == 60
+    assert solved and max(solved.values()) == 1
+
+
+def test_no_candidate_is_substituted_twice_into_one_plan(monkeypatch):
+    tried = Counter()
+    plans = {}          # keeps each plan alive, so that no id is reused
+    original = fibs_mod.substitute
+
+    def recording(plan, old, new, *args, **kwargs):
+        if isinstance(new, CandidateBlock):
+            plans[id(plan)] = plan
+            tried[id(plan), old, new] += 1
+        return original(plan, old, new, *args, **kwargs)
+
+    monkeypatch.setattr(fibs_mod, "substitute", recording)
+    for seed in range(30):
+        fibs(*small_random(seed), SMALL)
+    assert tried and max(tried.values()) == 1
+
+
+def memo_free_phase(task, plan, config, primitive_only):
+    """The substitution phase's loop, with direct resolve calls that share
+    no phase state."""
+    attempted = accepted = 0
+    override = 1 if primitive_only else None
+    while accepted < config.max_accepts_per_phase:
+        for a, b in _scan_basic_edges(plan):
+            attempted += 1
+            plan2, ok = resolve(task, plan, a, b, config.criteria, config,
+                                max_len_override=override)
+            if not ok:
+                attempted += 1
+                plan2, ok = resolve(task, plan, b, a, config.criteria,
+                                    config, max_len_override=override)
+            if ok:
+                plan = plan2
+                accepted += 1
+                break
+        else:
+            break
+    return plan, attempted, accepted
+
+
+def test_phase_counts_equal_memo_free_resolve_calls():
+    total_accepted = 0
+    for seed in range(30):
+        task, seq = small_random(seed)
+        plan = init_bdpo(eog(task, seq))
+        for primitive_only in (True, False):
+            ref, ref_att, ref_acc = memo_free_phase(task, plan, SMALL,
+                                                    primitive_only)
+            out, att, acc = substitution_deorder(
+                task, plan, SMALL.criteria, SMALL,
+                primitive_only=primitive_only)
+            assert (att, acc) == (ref_att, ref_acc)
+            assert out.to_json() == ref.to_json()
+            total_accepted += acc
+            plan = block_deorder(out)
+    assert total_accepted > 0
