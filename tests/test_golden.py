@@ -1,5 +1,5 @@
 """Frozen digests of full `fibs` runs, of block removal, of candidate
-blocks and of the MaxSAT layer.
+blocks, of empty substitutions, of the CLI and of the MaxSAT layer.
 
 Each `fibs` run contributes `json.dumps([plan.to_json(), [report dicts]],
 sort_keys=True)` to one sha1, in a fixed order.  Wall-clock budgets are
@@ -17,6 +17,8 @@ import hashlib
 import json
 import math
 
+from popflex.cli import run
+
 from popflex.bdpo import GOAL_BLOCK, INIT_BLOCK, block_deorder, init_bdpo
 from popflex.corpus import micro_corpus, random_task
 from popflex.eog import eog
@@ -25,7 +27,8 @@ from popflex.fibs import (AcceptanceCriteria, FibsConfig, SubtaskInfeasible,
                           remove_blocks)
 from popflex.maxsat import decode_model, encode_mr, optimal_model
 from popflex.subplanner import solve_subtask
-from popflex.substitution import candidate_block
+from popflex.substitution import CandidateBlock, candidate_block, substitute
+from popflex.task import emit_plan, emit_sas
 
 RANDOM_DIGEST = "c8eb2200297e136b41180f12c516c421e1b5c02b"
 MICRO_DIGEST = "3c35e3a595f6493b556f1f5aededb0e882fcca95"
@@ -33,6 +36,8 @@ MAXSAT_DIGEST = "59ba8af0b92c0e91278d688095d5ac4e3b76ff16"
 SIX_STEP_DIGEST = "b816897b0fe973dc713d61b4cf1c91c228b809b8"
 REMOVAL_DIGEST = "81af02410b7379f7fa7b8cb1ed6e66785c45bda7"
 CANDIDATE_DIGEST = "50ef8a504d6f723579119c7fedf209a1dff1e5f7"
+EMPTY_CANDIDATE_DIGEST = "f3c4a74357bd4a1e3b2d075dfe4490ce40b357ab"
+CLI_DIGEST = "8b70e41e55c9ddac02e63a0e31471442bebcc8f5"
 
 
 def _run_text(task, seq, config) -> bytes:
@@ -185,3 +190,71 @@ def test_golden_candidates():
                          cand.resolutions, cand.cost]).encode())
     assert with_links and with_resolutions
     assert digest.hexdigest() == CANDIDATE_DIGEST
+
+
+def test_golden_empty_candidates():
+    """Substituting every real root of the golden random corpus, deordered,
+    with an empty candidate: a removal of a block that supplies nothing."""
+    digest = hashlib.sha1()
+    empty = CandidateBlock((), (), (), 0)
+    succeeded = failed = 0
+    for seed in range(300):
+        task, seq = random_task(seed, max_vars=8, max_steps=12)
+        plan = block_deorder(init_bdpo(eog(task, seq)))
+        for b in plan.real_roots():
+            out = substitute(plan, b, empty)
+            succeeded += out.success
+            failed += not out.success
+            digest.update(json.dumps(
+                [out.success, out.reason, out.trace, out.new_block,
+                 out.plan.to_json() if out.success else None],
+                sort_keys=True).encode())
+    assert succeeded and failed
+    assert digest.hexdigest() == EMPTY_CANDIDATE_DIGEST
+
+
+# each subcommand with the flags it reads; every budget is infinite
+CLI_RUNS = [
+    ("validate",),
+    ("eog", "-o", "{out}", "--dot", "{dot}"),
+    ("block-deorder", "-o", "{out}", "--dot", "{dot}"),
+    ("fibs", "--seed", "3", "--criteria", "rco", "--max-plans", "3",
+     "--max-expansions", "1500", "--subtask-time", "inf",
+     "--time-limit", "inf", "--reduce", "gj", "--report", "{report}",
+     "--report-csv", "{csv}", "-o", "{out}", "--dot", "{dot}"),
+    ("fibs", "--reduce", "bj", "--subtask-time", "inf", "--time-limit",
+     "inf", "-o", "{out}"),
+    ("reduce", "--seed", "5", "--mode", "gj", "-o", "{out}", "--plan-out",
+     "{plan_out}"),
+    ("reduce", "--mode", "bj", "--skip-bd", "-o", "{out}", "--plan-out",
+     "{plan_out}"),
+    ("flex",),
+    ("encode-mr", "-o", "{out}", "--catalog", "{catalog}"),
+    ("encode-mr", "--mclcp", "-o", "{out}", "--catalog", "{catalog}"),
+    ("lineate", "--seed", "7", "-o", "{out}"),
+]
+
+
+def test_golden_cli(tmp_path, capsys):
+    """Exit code, stdout and every output file of each subcommand on the
+    micro corpus."""
+    digest = hashlib.sha1()
+    for name, (task, seq) in sorted(micro_corpus().items()):
+        sas, plan = tmp_path / "task.sas", tmp_path / "task.plan"
+        sas.write_text(emit_sas(task), encoding="utf-8")
+        plan.write_text(emit_plan(task, seq), encoding="utf-8")
+        for command in CLI_RUNS:
+            paths = {key: tmp_path / key for key in
+                     ("out", "dot", "report", "csv", "plan_out", "catalog")}
+            for path in paths.values():
+                path.unlink(missing_ok=True)
+            argv = [command[0], "--task", str(sas), "--plan", str(plan)]
+            argv += [arg.format(**paths) for arg in command[1:]]
+            code = run(argv)
+            outputs = {key: path.read_text(encoding="utf-8")
+                       for key, path in sorted(paths.items())
+                       if path.exists()}
+            digest.update(json.dumps(
+                [name, command[0], code, capsys.readouterr().out, outputs],
+                sort_keys=True).encode())
+    assert digest.hexdigest() == CLI_DIGEST
