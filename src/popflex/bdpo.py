@@ -13,12 +13,17 @@ commitments.  `rebuild_closure` makes it so from scratch; given a current
 closure, `add_ordering` keeps it current across one recorded edge,
 `remove_from_closure` and `rename_in_closure` across root blocks removed
 or renamed with their commitments, and `refresh` across re-derived
-commitments (it rebuilds only when a stale one drops out).  `substitute`,
-whose new root needs only a row of its own and a bit in init's, and
-`remove_blocks` change a plan only through those, so they judge the result
-with `validate_current`, which trusts the closure.  `validate()`
-rebuilds the closure first, so a plan whose commitments were edited by
-hand is judged as it stands.
+commitments (it rebuilds only when a stale one drops out).
+
+Program edits follow one contract.  Commitments move with renamed or
+removed blocks by one rule, `relinked`, in every context; `delete_block`
+and `wrap_blocks` use it.  Blocks with their dependents leave a plan
+through one primitive, `substitution.remove_blocks`, which also serves
+`substitute` with an empty candidate.  Each edit keeps the closure
+current, so `substitute`, `remove_blocks` and the deordering rules judge
+their result with `validate_current`, which trusts the closure.
+`validate()` rebuilds the closure first, so a plan whose commitments were
+edited by hand is judged as it stands.
 
 Blocks are frozen once created: a compound block carries its own internal
 causal links, demotion/promotion commitments, and closure over its children,
@@ -185,7 +190,6 @@ class Block:
     iclosure: dict = field(default_factory=dict)
     pre: frozenset[Fact] = frozenset()
     eff: frozenset[Fact] = frozenset()
-    cons: frozenset[Fact] = frozenset()
     prod: frozenset[Fact] = frozenset()
     dels: frozenset[Fact] = frozenset()
     cost: int = 0
@@ -291,10 +295,10 @@ class BdpoPlan:
         if bid is None:
             bid = self.fresh_block_id()
         op = self.steps[step_id]
-        cons, prod, dels = self.task.profile(op)
+        pre, prod, dels = self.task.profile(op)
         self.blocks[bid] = Block(
             id=bid, members=frozenset([step_id]), step=step_id,
-            pre=cons, eff=prod, cons=cons, prod=prod, dels=dels,
+            pre=pre, eff=prod, prod=prod, dels=dels,
             cost=op.cost, pos=step_id)
         return bid
 
@@ -311,22 +315,21 @@ class BdpoPlan:
         iclosure = closure_rows(direct)
         members = frozenset().union(*(self.blocks[c].members for c in children))
         pre, eff = self._compound_pre_eff(children, ilinks, iclosure)
-        cons = pre
         by_var: dict[int, set[int]] = {}
         for f in eff:
             by_var.setdefault(f.var, set()).add(f.val)
         prod = frozenset(f for f in eff
-                         if len(by_var[f.var]) == 1 and f not in cons)
-        cons_vars: dict[int, set[int]] = {}
-        for f in cons:
-            cons_vars.setdefault(f.var, set()).add(f.val)
+                         if len(by_var[f.var]) == 1 and f not in pre)
+        pre_vars: dict[int, set[int]] = {}
+        for f in pre:
+            pre_vars.setdefault(f.var, set()).add(f.val)
         dels = set()
         for var, vals in sorted(by_var.items()):
             sizes = self.task.domain_size(var)
             for d in range(sizes):
                 if d in vals and len(vals) == 1:
                     continue
-                if var in cons_vars and d not in cons_vars[var]:
+                if var in pre_vars and d not in pre_vars[var]:
                     continue
                 if any(d2 != d for d2 in vals):
                     dels.add(Fact(var, d))
@@ -335,7 +338,7 @@ class BdpoPlan:
             ilinks=dict(ilinks),
             iresolutions={k: frozenset(v) for k, v in iresolutions.items() if v},
             iclosure=iclosure,
-            pre=pre, eff=eff, cons=cons, prod=prod, dels=frozenset(dels),
+            pre=pre, eff=eff, prod=prod, dels=frozenset(dels),
             cost=sum(self.blocks[c].cost for c in children),
             pos=min(self.blocks[c].pos for c in children))
         return bid
@@ -357,6 +360,42 @@ class BdpoPlan:
                 if not killed:
                     eff.add(f)
         return frozenset(pre), frozenset(eff)
+
+    # -- edits ---------------------------------------------------------------
+
+    def relinked(self, links: dict, resolutions: dict,
+                 swap: dict[int, Optional[int]]) -> tuple[dict, dict]:
+        """One context's links and resolutions after each block `b` in
+        `swap` became `swap[b]` (None: gone).  Those that touch a gone block
+        or now join a block to itself drop out; when two links now carry
+        one fact into one consumer, the earliest producer keeps it."""
+        new_links: dict[tuple[int, Fact], int] = {}
+        for (c, f), p in links.items():
+            nc, np = swap.get(c, c), swap.get(p, p)
+            if nc is None or np is None or nc == np:
+                continue
+            prev = new_links.get((nc, f))
+            if prev is not None:
+                np = min(prev, np, key=self.pos_key)
+            new_links[(nc, f)] = np
+        new_res: dict[tuple[int, int], set[Reason]] = {}
+        for (x, y), rs in resolutions.items():
+            nx, ny = swap.get(x, x), swap.get(y, y)
+            if rs and nx is not None and ny is not None and nx != ny:
+                new_res.setdefault((nx, ny), set()).update(rs)
+        return new_links, new_res
+
+    def delete_block(self, bid: int) -> None:
+        """Remove a block, its descendants and steps, and the root
+        commitments that touch it; the closure is left for the caller to
+        update."""
+        for s in self.blocks[bid].members:
+            self.steps.pop(s, None)
+        for sub in self._descendant_blocks(bid):
+            self.blocks.pop(sub, None)
+        self.roots.discard(bid)
+        self.links, self.resolutions = self.relinked(
+            self.links, self.resolutions, {bid: None})
 
     # -- ordering ------------------------------------------------------------
 
@@ -894,30 +933,8 @@ def wrap_blocks(plan: BdpoPlan, span: set[int]) -> int:
         if a in span and b in span and rs:
             iresolutions[(a, b)] = set(rs)
     bid = plan.make_compound(sorted(span, key=plan.pos_key), ilinks, iresolutions)
-
-    new_links: dict[tuple[int, Fact], int] = {}
-    for (c, f), p in sorted(plan.links.items()):
-        if c in span and p in span:
-            continue
-        nc = bid if c in span else c
-        np = bid if p in span else p
-        if nc == np:
-            continue
-        key = (nc, f)
-        if key in new_links:
-            prev = new_links[key]
-            np = min(prev, np, key=plan.pos_key)
-        new_links[key] = np
-    new_res: dict[tuple[int, int], set[Reason]] = {}
-    for (a, b), rs in sorted(plan.resolutions.items()):
-        na = bid if a in span else a
-        nb = bid if b in span else b
-        if na == nb or not rs:
-            continue
-        new_res.setdefault((na, nb), set()).update(rs)
-
-    plan.links = new_links
-    plan.resolutions = new_res
+    plan.links, plan.resolutions = plan.relinked(
+        plan.links, plan.resolutions, dict.fromkeys(span, bid))
     plan.roots -= span
     plan.roots.add(bid)
     plan.rebuild_closure()
@@ -991,16 +1008,14 @@ def _cd_candidates(plan: BdpoPlan, edge: tuple[int, int], fact: Fact
                  if fact in plan.blocks[b_p].prod]
     earlier = [b_p for b_p in producers if plan.ordered(b_p, b_i)]
     for work, wrapped in _wrapped_spans(plan, b_i, earlier, b_j):
-        if fact in work.blocks[wrapped].cons:
+        if fact in work.blocks[wrapped].pre:
             continue
-        work.refresh()
         yield work
 
     later = [b_p for b_p in producers if plan.ordered(b_j, b_p)]
     for work, wrapped in _wrapped_spans(plan, b_j, later, b_i):
         if fact in work.blocks[wrapped].dels:
             continue
-        work.refresh()
         yield work
 
 
@@ -1023,7 +1038,6 @@ def _dp_candidates(plan: BdpoPlan, edge: tuple[int, int], fact: Fact
     wrapped = work.block_of_step(min(plan.blocks[b_j].members))
     if any(p == wrapped and f == fact for (c, f), p in work.links.items()):
         return
-    work.refresh()
     yield work
 
 
@@ -1061,7 +1075,7 @@ def _attempt_edge(plan: BdpoPlan, si: int, sj: int,
             continue
         if reason in work.reasons().get((a2, b2), set()):
             continue
-        if not work.validate():
+        if not work.validate_current():
             continue
         result = _attempt_edge(work, si, sj, depth + 1)
         if result is not None:

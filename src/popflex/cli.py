@@ -46,7 +46,7 @@ def _json(data) -> str:
 def _config(args) -> FibsConfig:
     return FibsConfig(
         criteria=AcceptanceCriteria(args.criteria),
-        reduce=getattr(args, "reduce", "none"),
+        reduce=args.reduce,
         subtask_time=args.subtask_time,
         max_plans=args.max_plans,
         max_expansions=args.max_expansions,
@@ -81,22 +81,9 @@ def run(argv: Sequence[str]) -> int:
                     "reduction, and reordering encodings")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_common(p, with_planner: bool = False):
+    def add_common(p):
         p.add_argument("--task", required=True, help="SAS+ task file")
         p.add_argument("--plan", required=True, help="IPC plan file")
-        p.add_argument("--seed", type=int, default=0)
-        p.add_argument("--criteria", choices=["rfo", "rco"], default="rfo")
-        p.add_argument("--max-plans", type=int, default=10, dest="max_plans")
-        p.add_argument("--subtask-time", type=float, default=5.0,
-                       dest="subtask_time")
-        p.add_argument("--max-expansions", type=int, default=20000,
-                       dest="max_expansions")
-        p.add_argument("--time-limit", type=float, default=1800.0,
-                       dest="time_limit", help="whole-run budget in seconds")
-        if with_planner:
-            p.add_argument("--planner-cmd", default=None,
-                           help=f"external planner command "
-                                f"(also {PLANNER_CMD_ENV})")
 
     p = sub.add_parser("validate", help="check a sequential plan")
     add_common(p)
@@ -112,7 +99,18 @@ def run(argv: Sequence[str]) -> int:
     p.add_argument("--dot", help="Graphviz output")
 
     p = sub.add_parser("fibs", help="run the full substitution pipeline")
-    add_common(p, with_planner=True)
+    add_common(p)
+    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--criteria", choices=["rfo", "rco"], default="rfo")
+    p.add_argument("--max-plans", type=int, default=10, dest="max_plans")
+    p.add_argument("--subtask-time", type=float, default=5.0,
+                   dest="subtask_time")
+    p.add_argument("--max-expansions", type=int, default=20000,
+                   dest="max_expansions")
+    p.add_argument("--time-limit", type=float, default=1800.0,
+                   dest="time_limit", help="whole-run budget in seconds")
+    p.add_argument("--planner-cmd", default=None,
+                   help=f"external planner command (also {PLANNER_CMD_ENV})")
     p.add_argument("--reduce", choices=["none", "bj", "gj"], default="none")
     p.add_argument("--report", help="phase report JSON output")
     p.add_argument("--report-csv", help="phase report CSV output",
@@ -123,6 +121,7 @@ def run(argv: Sequence[str]) -> int:
 
     p = sub.add_parser("reduce", help="drop redundant blocks")
     add_common(p)
+    p.add_argument("--seed", type=int, default=0)
     p.add_argument("--mode", choices=["bj", "gj"], default="gj")
     p.add_argument("--skip-bd", action="store_true", dest="skip_bd",
                    help="reduce the plain deordered plan without blocks")
@@ -141,6 +140,7 @@ def run(argv: Sequence[str]) -> int:
 
     p = sub.add_parser("lineate", help="emit one linearization of the POP")
     add_common(p)
+    p.add_argument("--seed", type=int, default=0)
     p.add_argument("-o", "--out", help="plan file output")
 
     try:

@@ -69,7 +69,7 @@ def eog(task: PlanningTask, plan: SequentialPlan) -> PartialOrderPlan:
     pop.install_synthetics()
     seq = [INIT_ID] + [pop.add_step(task.operators[i]) for i in plan.steps] \
         + [GOAL_ID]
-    profiles = [(b.cons, b.prod, b.dels) for b in map(pop.blocks.get, seq)]
+    profiles = [(b.pre, b.prod, b.dels) for b in map(pop.blocks.get, seq)]
     links, resolutions = generalize(profiles[0], profiles[1:-1], profiles[-1])
     pop.links = {(seq[c], f): seq[p] for (c, f), p in links.items()}
     pop.resolutions = {(seq[a], seq[b]): rs

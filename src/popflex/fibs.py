@@ -14,13 +14,13 @@ import random
 import time
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Iterable, Optional
+from typing import Optional
 
 from .bdpo import (GOAL_BLOCK, INIT_BLOCK, BdpoPlan, block_deorder,
                    init_bdpo)
 from .eog import eog
 from .subplanner import Subtask, solve_subtask
-from .substitution import (CandidateBlock, _delete_block, candidate_block,
+from .substitution import (CandidateBlock, candidate_block, remove_blocks,
                            substitute)
 from .task import (Fact, NotApplicable, PlanningTask, SequentialPlan,
                    apply_op)
@@ -30,6 +30,8 @@ logger = logging.getLogger(__name__)
 RFO = "rfo"
 RCO = "rco"
 REDUCE_MODES = ("none", "bj", "gj")
+LENGTH_FACTOR = 4               # a subplan's step bound per replaced step
+MAX_ACCEPTS_PER_PHASE = 1000
 
 
 @dataclass(frozen=True)
@@ -63,8 +65,6 @@ class FibsConfig:
     subtask_time: float = 5.0
     max_plans: int = 10
     max_expansions: int = 20000
-    length_factor: int = 4
-    max_accepts_per_phase: int = 1000
     time_limit: float = 1800.0          # whole-run budget in seconds
     seed: int = 0
 
@@ -151,7 +151,7 @@ def build_subtask(task: PlanningTask, plan: BdpoPlan, excluded: int,
                 raise SubtaskInfeasible(f"conflicting crossing fact {f}")
 
     bound = plan.blocks[target].cost
-    max_len = max(1, config.length_factor * plan.blocks[target].size())
+    max_len = max(1, LENGTH_FACTOR * plan.blocks[target].size())
     return Subtask(base=task, init=state, goal=goal, cost_bound=bound,
                    max_len=max_len, time_bound=config.subtask_time,
                    max_plans=config.max_plans,
@@ -217,8 +217,7 @@ def _post_accept_sweep(plan: BdpoPlan, new_block: Optional[int],
 
 
 def resolve(task: PlanningTask, plan: BdpoPlan, excluded: int, target: int,
-            criteria: AcceptanceCriteria, config: FibsConfig,
-            max_len_override: Optional[int] = None,
+            config: FibsConfig, max_len_override: Optional[int] = None,
             memo: Optional[PhaseMemo] = None) -> tuple[BdpoPlan, bool]:
     """Try to improve the plan by substituting `target`, assuming the basic
     ordering between `excluded` and `target` is the one under attack.
@@ -244,9 +243,9 @@ def resolve(task: PlanningTask, plan: BdpoPlan, excluded: int, target: int,
         if not outcome.success:
             continue
         after = (outcome.plan.flex().frac, outcome.plan.cost())
-        if criteria.accepts(*memo.score, *after):
+        if config.criteria.accepts(*memo.score, *after):
             new_plan, memo.score = _post_accept_sweep(
-                outcome.plan, outcome.new_block, criteria, after)
+                outcome.plan, outcome.new_block, config.criteria, after)
             memo.tried.clear()
             return new_plan, True
     return plan, False
@@ -269,8 +268,7 @@ def _scan_basic_edges(plan: BdpoPlan) -> list[tuple[int, int]]:
 
 
 def substitution_deorder(task: PlanningTask, plan: BdpoPlan,
-                         criteria: AcceptanceCriteria, config: FibsConfig,
-                         primitive_only: bool = False,
+                         config: FibsConfig, primitive_only: bool = False,
                          deadline: Optional[float] = None
                          ) -> tuple[BdpoPlan, int, int]:
     """Attack each basic ordering by substituting its target, then its
@@ -280,7 +278,7 @@ def substitution_deorder(task: PlanningTask, plan: BdpoPlan,
     accepted = 0
     override = 1 if primitive_only else None
     memo = PhaseMemo()
-    while accepted < config.max_accepts_per_phase:
+    while accepted < MAX_ACCEPTS_PER_PHASE:
         progress = False
         for a, b in _scan_basic_edges(plan):
             for excluded, target in ((a, b), (b, a)):
@@ -290,8 +288,7 @@ def substitution_deorder(task: PlanningTask, plan: BdpoPlan,
                     return plan, attempted, accepted
                 attempted += 1
                 plan2, progress = resolve(task, plan, excluded, target,
-                                          criteria, config,
-                                          max_len_override=override,
+                                          config, max_len_override=override,
                                           memo=memo)
                 if progress:
                     break
@@ -317,110 +314,6 @@ def backward_justify(plan: BdpoPlan) -> set[int]:
                 justified.add(p)
                 changed = True
     return {b for b in plan.real_roots() if b not in justified}
-
-
-def _dependents(links: dict[tuple[int, Fact], int],
-                seeds: set[int]) -> set[int]:
-    """The seeds and every block that consumes from them, transitively."""
-    doomed = set(seeds)
-    changed = True
-    while changed:
-        changed = False
-        for (c, f), p in links.items():
-            if p in doomed and c not in doomed:
-                doomed.add(c)
-                changed = True
-    return doomed
-
-
-def _block_path(plan: BdpoPlan, bid: int) -> Optional[list[int]]:
-    """Root-to-block chain of block ids, or None if the block is not live."""
-
-    def search(cur: int, path: list[int]) -> Optional[list[int]]:
-        path = path + [cur]
-        if cur == bid:
-            return path
-        for c in plan.blocks[cur].children:
-            found = search(c, path)
-            if found:
-                return found
-        return None
-
-    for r in sorted(plan.roots, key=plan.pos_key):
-        found = search(r, [])
-        if found:
-            return found
-    return None
-
-
-def _relinked(links: dict, resolutions: dict,
-              swap: dict[int, Optional[int]]) -> tuple[dict, dict]:
-    """A context's links and resolutions after each block `b` in `swap`
-    became `swap[b]` (None: gone); those that touch a gone block drop out."""
-    new_links = {}
-    for (c, f), p in links.items():
-        nc, np = swap.get(c, c), swap.get(p, p)
-        if nc is not None and np is not None and nc != np:
-            new_links[(nc, f)] = np
-    new_res: dict[tuple[int, int], set] = {}
-    for (x, y), rs in resolutions.items():
-        nx, ny = swap.get(x, x), swap.get(y, y)
-        if nx is not None and ny is not None and nx != ny:
-            new_res.setdefault((nx, ny), set()).update(rs)
-    return new_links, new_res
-
-
-def remove_blocks(plan: BdpoPlan, blocks: Iterable[int]) -> Optional[BdpoPlan]:
-    """Delete blocks of one context (the root or one compound block) with
-    the blocks of that context that depend on them through causal links,
-    and rebuild each enclosing block up to the root.  None when a synthetic
-    endpoint would go or the remainder is invalid.  The plan's closure must
-    be current; the result keeps it current.
-
-    A link re-pointed to a rebuilt block that no longer supplies its fact
-    drops out inside a block, where the consumer then needs the fact from
-    outside it, and stays at the root, where `validate` rejects it."""
-    blocks = set(blocks)
-    path = _block_path(plan, min(blocks))
-    if path is None or blocks & {INIT_BLOCK, GOAL_BLOCK}:
-        return None
-    enclosing = path[:-1]           # root first
-    links = plan.blocks[enclosing[-1]].ilinks if enclosing else plan.links
-    doomed = _dependents(links, blocks)
-    if doomed & {INIT_BLOCK, GOAL_BLOCK}:
-        return None
-    work = plan.clone()
-    for b in sorted(doomed):
-        _delete_block(work, b)
-    swap: dict[int, Optional[int]] = dict.fromkeys(doomed)
-    for anc in reversed(enclosing):
-        blk = work.blocks.pop(anc)
-        kids = [k for k in (swap.get(c, c) for c in blk.children)
-                if k is not None]
-        ilinks, ires = _relinked(blk.ilinks, blk.iresolutions, swap)
-        ilinks = {(c, f): p for (c, f), p in ilinks.items()
-                  if f in work.blocks[p].eff}
-        if len(kids) > 1:
-            swap = {anc: work.make_compound(kids, ilinks, ires)}
-        else:
-            swap = {anc: kids[0] if kids else None}
-    if not enclosing:
-        work.remove_from_closure(doomed)
-    else:
-        # the root that held the blocks keeps its commitments under a new
-        # id, or loses them when nothing of it is left
-        top, new = enclosing[0], swap[enclosing[0]]
-        work.links, work.resolutions = _relinked(work.links,
-                                                 work.resolutions, swap)
-        work.roots.discard(top)
-        if new is None:
-            work.remove_from_closure([top])
-        else:
-            work.roots.add(new)
-            work.rename_in_closure(top, new)
-    threats = work.threats()
-    work.refresh(threats)
-    return work if work.validate_current(threats) else None
 
 
 def _removal_candidates(plan: BdpoPlan) -> list[tuple[int, int, BdpoPlan]]:
@@ -503,8 +396,8 @@ def fibs(task: PlanningTask, seq_plan: SequentialPlan,
     report("EOG", plan, 0, 0, t0)
 
     t0 = time.monotonic()
-    plan, att, acc = substitution_deorder(task, plan, config.criteria,
-                                          config, primitive_only=True,
+    plan, att, acc = substitution_deorder(task, plan, config,
+                                          primitive_only=True,
                                           deadline=deadline)
     report("SD1", plan, att, acc, t0)
 
@@ -513,8 +406,8 @@ def fibs(task: PlanningTask, seq_plan: SequentialPlan,
     report("BD", plan, 0, 0, t0)
 
     t0 = time.monotonic()
-    plan, att, acc = substitution_deorder(task, plan, config.criteria,
-                                          config, deadline=deadline)
+    plan, att, acc = substitution_deorder(task, plan, config,
+                                          deadline=deadline)
     report("SD2", plan, att, acc, t0)
 
     if config.reduce != "none":

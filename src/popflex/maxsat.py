@@ -150,7 +150,7 @@ def encode_mr(task: PlanningTask, pop: PartialOrderPlan, mclcp: bool = False
     for c in steps:
         if c == INIT_ID:
             continue
-        for f in sorted(blocks[c].cons):
+        for f in sorted(blocks[c].pre):
             for p in steps:
                 if p == c or p == GOAL_ID:
                     continue
@@ -183,7 +183,7 @@ def encode_mr(task: PlanningTask, pop: PartialOrderPlan, mclcp: bool = False
     for c in steps:
         if c == INIT_ID:
             continue
-        for f in sorted(blocks[c].cons):
+        for f in sorted(blocks[c].pre):
             producers = [p for p in steps
                          if (p, f, c) in cat.gamma]
             support = [cat.gamma[(p, f, c)] for p in producers]
@@ -364,7 +364,7 @@ def _link_needs(included, cat: VarCatalog, blocks, pos):
     when some fact has no included producer."""
     needs = []
     for c in included[1:]:
-        for f in sorted(blocks[c].cons):
+        for f in sorted(blocks[c].pre):
             options = [(p, [(pos[t], pos[p], pos[c]) for t in included
                             if t not in (p, c, INIT_ID)
                             and f in blocks[t].dels])

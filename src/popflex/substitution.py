@@ -8,13 +8,17 @@ Threats raised by the exchange are resolved by demotion, promotion, or, when
 either would close a cycle and the conflicting pair involves the substitute,
 by substituting the conflicting block away as well.  Failure leaves the
 input plan untouched.
+
+An empty substitute removes the block; `remove_blocks`, the one removal
+primitive, does that and every other removal of blocks with their
+dependents.
 """
 
 from __future__ import annotations
 
 import logging
 from dataclasses import dataclass, field
-from typing import Optional
+from typing import Iterable, Optional
 
 from .bdpo import (CD, DP, GOAL_BLOCK, INIT_BLOCK, BdpoPlan, CycleDetected,
                    Reason, earliest_producer_for_insert)
@@ -101,21 +105,6 @@ def _materialize(plan: BdpoPlan, cand: CandidateBlock) -> int:
     return bid
 
 
-def _delete_block(plan: BdpoPlan, bid: int) -> None:
-    """Remove a block, its descendants and steps, and the root commitments
-    that touch it; the closure is left for the caller to update."""
-    doomed_steps = set(plan.blocks[bid].members)
-    for sub in sorted(plan._descendant_blocks(bid)):
-        plan.blocks.pop(sub, None)
-    plan.roots.discard(bid)
-    for s in doomed_steps:
-        plan.steps.pop(s, None)
-    plan.links = {(c, f): p for (c, f), p in plan.links.items()
-                  if c != bid and p != bid}
-    plan.resolutions = {pair: rs for pair, rs in plan.resolutions.items()
-                        if bid not in pair}
-
-
 def substitute(plan: BdpoPlan, old: int,
                new: CandidateBlock | int,
                _new_marker: Optional[int] = None,
@@ -133,26 +122,19 @@ def substitute(plan: BdpoPlan, old: int,
         raise ValueError(f"block {old} is not a replaceable root block")
 
     trace: list[str] = []
-    work = plan.clone()
-
     external = not isinstance(new, int)
     if external and len(new) == 0:
         # empty replacement: a pure deletion, allowed when the old block
         # supplies nothing
-        if any(p == old for p in work.links.values()):
+        if any(p == old for p in plan.links.values()):
             return SubstitutionOutcome(plan, False, MISSING_PRODUCT, trace)
-        _delete_block(work, old)
-        work.remove_from_closure([old])
-        threats = work.threats()
-        work.refresh(threats)
-        outcome = _resolve_all_threats(work, threats, None, trace, _depth)
-        if outcome is not None:
-            return SubstitutionOutcome(plan, False, outcome, trace)
-        if not work.validate_current(threats):
+        work = remove_blocks(plan, {old})
+        if work is None:
             return SubstitutionOutcome(plan, False, UNRESOLVABLE_THREAT, trace)
         trace.append(f"deleted block {old}")
         return SubstitutionOutcome(work, True, EMPTY_CANDIDATE, trace)
 
+    work = plan.clone()
     if external:
         b_new = _materialize(work, new)
         trace.append(f"inserted candidate as block {b_new}")
@@ -181,7 +163,7 @@ def substitute(plan: BdpoPlan, old: int,
             return SubstitutionOutcome(plan, False, MISSING_PRODUCT,
                                        trace + [f"{b_new} cannot produce {f}"])
         trace.append(f"relink {b_new} -{f}-> {c}")
-    _delete_block(work, old)
+    work.delete_block(old)
     work.remove_from_closure([old])
     try:
         for c, f in supported:
@@ -206,9 +188,8 @@ def substitute(plan: BdpoPlan, old: int,
     return SubstitutionOutcome(work, True, "", trace, new_block=marker)
 
 
-def _resolve_all_threats(work: BdpoPlan, threats: list,
-                         marker: Optional[int], trace: list[str],
-                         depth: int) -> Optional[str]:
+def _resolve_all_threats(work: BdpoPlan, threats: list, marker: int,
+                         trace: list[str], depth: int) -> Optional[str]:
     """Demotion first, promotion second, internal substitution last.
 
     `threats` is the plan's `threats()` list.  Resolutions only order
@@ -240,12 +221,10 @@ def _resolve_all_threats(work: BdpoPlan, threats: list,
         # both orderings would close a cycle: internal substitution, only
         # when the conflicting pair involves the substitute block and the
         # victim is an ordinary block
-        if marker is not None and t == marker \
-                and c not in (INIT_BLOCK, GOAL_BLOCK):
+        if t == marker and c not in (INIT_BLOCK, GOAL_BLOCK):
             inner = substitute(work, c, t, _new_marker=marker,
                                _depth=depth + 1)
-        elif marker is not None and c == marker \
-                and t not in (INIT_BLOCK, GOAL_BLOCK):
+        elif c == marker and t not in (INIT_BLOCK, GOAL_BLOCK):
             inner = substitute(work, t, c, _new_marker=marker,
                                _depth=depth + 1)
         else:
@@ -255,3 +234,90 @@ def _resolve_all_threats(work: BdpoPlan, threats: list,
         trace.extend(inner.trace)
         work.adopt(inner.plan)
         threats[:] = work.threats()
+
+
+def _dependents(links: dict[tuple[int, Fact], int],
+                seeds: set[int]) -> set[int]:
+    """The seeds and every block that consumes from them, transitively."""
+    doomed = set(seeds)
+    changed = True
+    while changed:
+        changed = False
+        for (c, f), p in links.items():
+            if p in doomed and c not in doomed:
+                doomed.add(c)
+                changed = True
+    return doomed
+
+
+def _block_path(plan: BdpoPlan, bid: int) -> Optional[list[int]]:
+    """Root-to-block chain of block ids, or None if the block is not live."""
+
+    def search(cur: int, path: list[int]) -> Optional[list[int]]:
+        path = path + [cur]
+        if cur == bid:
+            return path
+        for c in plan.blocks[cur].children:
+            found = search(c, path)
+            if found:
+                return found
+        return None
+
+    for r in sorted(plan.roots, key=plan.pos_key):
+        found = search(r, [])
+        if found:
+            return found
+    return None
+
+
+def remove_blocks(plan: BdpoPlan, blocks: Iterable[int]) -> Optional[BdpoPlan]:
+    """Delete blocks of one context (the root or one compound block) with
+    the blocks of that context that depend on them through causal links,
+    and rebuild each enclosing block up to the root.  None when a synthetic
+    endpoint would go or the remainder is invalid.  The plan's closure must
+    be current; the result keeps it current.
+
+    A link re-pointed to a rebuilt block that no longer supplies its fact
+    drops out inside a block, where the consumer then needs the fact from
+    outside it, and stays at the root, where `validate_current` rejects it."""
+    blocks = set(blocks)
+    path = _block_path(plan, min(blocks))
+    if path is None or blocks & {INIT_BLOCK, GOAL_BLOCK}:
+        return None
+    enclosing = path[:-1]           # root first
+    links = plan.blocks[enclosing[-1]].ilinks if enclosing else plan.links
+    doomed = _dependents(links, blocks)
+    if doomed & {INIT_BLOCK, GOAL_BLOCK}:
+        return None
+    work = plan.clone()
+    for b in sorted(doomed):
+        work.delete_block(b)
+    swap: dict[int, Optional[int]] = dict.fromkeys(doomed)
+    for anc in reversed(enclosing):
+        blk = work.blocks.pop(anc)
+        kids = [k for k in (swap.get(c, c) for c in blk.children)
+                if k is not None]
+        ilinks, ires = work.relinked(blk.ilinks, blk.iresolutions, swap)
+        ilinks = {(c, f): p for (c, f), p in ilinks.items()
+                  if f in work.blocks[p].eff}
+        if len(kids) > 1:
+            swap = {anc: work.make_compound(kids, ilinks, ires)}
+        else:
+            swap = {anc: kids[0] if kids else None}
+    if not enclosing:
+        work.remove_from_closure(doomed)
+    else:
+        # the root that held the blocks keeps its commitments under a new
+        # id, or loses them when nothing of it is left
+        top, new = enclosing[0], swap[enclosing[0]]
+        work.links, work.resolutions = work.relinked(work.links,
+                                                     work.resolutions, swap)
+        work.roots.discard(top)
+        if new is None:
+            work.remove_from_closure([top])
+        else:
+            work.roots.add(new)
+            work.rename_in_closure(top, new)
+    threats = work.threats()
+    work.refresh(threats)
+    return work if work.validate_current(threats) else None

@@ -125,10 +125,6 @@ class PlanningTask:
         except KeyError:
             raise UnknownOperator(name) from None
 
-    def facts(self) -> list[Fact]:
-        return [Fact(v, d) for v in range(len(self.variables))
-                for d in range(self.variables[v].size)]
-
     def to_json(self) -> dict:
         return {
             "variables": [{"name": v.name, "values": list(v.values)}

@@ -77,12 +77,12 @@ def _pipeline_stages(task, seq, cfg):
     pop = eog(task, seq)
     yield "EOG", pop
     plan = init_bdpo(pop)
-    plan, _, _ = substitution_deorder(task, plan, cfg.criteria, cfg,
+    plan, _, _ = substitution_deorder(task, plan, cfg,
                                       primitive_only=True)
     yield "SD1", plan
     plan = block_deorder(plan)
     yield "BD", plan
-    plan, _, _ = substitution_deorder(task, plan, cfg.criteria, cfg)
+    plan, _, _ = substitution_deorder(task, plan, cfg)
     yield "SD2", plan
     plan = reduce_plan(plan, "gj")
     yield "REDUCE", plan
@@ -163,7 +163,6 @@ def test_criterion_5_incompleteness_witness():
 
     # exhaustive producer-binding search still finds a valid substitution
     from popflex.bdpo import CD, DP, Reason
-    from popflex.substitution import _delete_block
     from popflex.task import Fact
 
     found_with = set()
@@ -177,7 +176,7 @@ def test_criterion_5_incompleteness_witness():
         for (c, fact), p in sorted(bdp.links.items()):
             if p == names["bx"]:
                 work.links[(c, fact)] = hat
-        _delete_block(work, names["bx"])
+        work.delete_block(names["bx"])
         work.rebuild_closure()
 
         def close(plan, depth=0):

@@ -46,7 +46,7 @@ def test_primitive_profile_equals_operator_sets():
         blk = plan.blocks[bid]
         cons, prod, dels = cons_prod_del(plan.steps[blk.step],
                                          task.domain_sizes())
-        assert blk.cons == cons and blk.prod == prod and blk.dels == dels
+        assert blk.pre == cons and blk.prod == prod and blk.dels == dels
 
 
 def test_compound_profile_of_walkthrough_block():

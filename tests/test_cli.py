@@ -38,6 +38,13 @@ def test_usage_error_exit_code(capsys):
     assert run(["frobnicate"]) == 2
 
 
+def test_flags_only_where_read(elevator_files, capsys):
+    sas, plan = elevator_files
+    assert run(["eog", "--task", sas, "--plan", plan,
+                "--max-plans", "3"]) == 2
+    assert run(["flex", "--task", sas, "--plan", plan, "--seed", "1"]) == 2
+
+
 def test_missing_file_exit_code(tmp_path, capsys):
     assert run(["validate", "--task", str(tmp_path / "nope.sas"),
                 "--plan", str(tmp_path / "nope.plan")]) == 2

@@ -60,7 +60,7 @@ def test_every_precondition_has_minimal_producer():
         for s in seq:
             if s == INIT_ID:
                 continue
-            cons = pop.blocks[s].cons
+            cons = pop.blocks[s].pre
             for fact in cons:
                 producer = pop.links.get((s, fact))
                 assert producer is not None

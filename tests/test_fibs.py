@@ -90,8 +90,7 @@ def test_resolve_replaces_p2_block_with_second_lift():
     p2_block = next(b for b in plan.real_roots()
                     if any(plan.steps[s].name == "board p2 n1 e1"
                            for s in plan.blocks[b].members))
-    out, ok = resolve(task, plan, first, p2_block,
-                      AcceptanceCriteria("rfo"), CFG)
+    out, ok = resolve(task, plan, first, p2_block, CFG)
     assert ok
     assert out.flex().frac > plan.flex().frac
     assert out.cost() <= plan.cost()
@@ -104,7 +103,7 @@ def test_resolve_fails_on_flat_flex():
     plan = init_bdpo(eog(task, seq))
     a, b = plan.real_roots()[:2]
     # no ordering between any pair: resolve must refuse (nothing to gain)
-    out, ok = resolve(task, plan, a, b, AcceptanceCriteria("rfo"), CFG)
+    out, ok = resolve(task, plan, a, b, CFG)
     assert not ok
 
 
@@ -112,16 +111,14 @@ def test_resolve_fails_on_unsolvable_subtask():
     task, seq = chain_task(4)
     plan = init_bdpo(eog(task, seq))
     roots = plan.real_roots()
-    out, ok = resolve(task, plan, roots[0], roots[1],
-                      AcceptanceCriteria("rfo"), CFG)
+    out, ok = resolve(task, plan, roots[0], roots[1], CFG)
     assert not ok and out is plan
 
 
 def test_substitution_deorder_identity_when_nothing_improvable():
     task, seq = chain_task(4)
     plan = init_bdpo(eog(task, seq))
-    out, attempted, accepted = substitution_deorder(
-        task, plan, AcceptanceCriteria("rfo"), CFG)
+    out, attempted, accepted = substitution_deorder(task, plan, CFG)
     assert accepted == 0
     assert out.flex().value == plan.flex().value
 
@@ -416,15 +413,15 @@ def memo_free_phase(task, plan, config, primitive_only):
     no phase state."""
     attempted = accepted = 0
     override = 1 if primitive_only else None
-    while accepted < config.max_accepts_per_phase:
+    while accepted < fibs_mod.MAX_ACCEPTS_PER_PHASE:
         for a, b in _scan_basic_edges(plan):
             attempted += 1
-            plan2, ok = resolve(task, plan, a, b, config.criteria, config,
+            plan2, ok = resolve(task, plan, a, b, config,
                                 max_len_override=override)
             if not ok:
                 attempted += 1
-                plan2, ok = resolve(task, plan, b, a, config.criteria,
-                                    config, max_len_override=override)
+                plan2, ok = resolve(task, plan, b, a, config,
+                                    max_len_override=override)
             if ok:
                 plan = plan2
                 accepted += 1
@@ -443,7 +440,7 @@ def test_phase_counts_equal_memo_free_resolve_calls():
             ref, ref_att, ref_acc = memo_free_phase(task, plan, SMALL,
                                                     primitive_only)
             out, att, acc = substitution_deorder(
-                task, plan, SMALL.criteria, SMALL,
+                task, plan, SMALL,
                 primitive_only=primitive_only)
             assert (att, acc) == (ref_att, ref_acc)
             assert out.to_json() == ref.to_json()

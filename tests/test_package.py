@@ -1,5 +1,7 @@
+import ast
 import importlib
 import pkgutil
+from pathlib import Path
 
 import popflex
 
@@ -12,3 +14,16 @@ def test_submodules_bind_as_modules():
     for name in names:
         module = importlib.import_module(f"popflex.{name}")
         assert getattr(popflex, name) is module, name
+
+
+def test_no_module_imports_a_private_name_of_a_sibling():
+    """A `_`-prefixed name stays inside its module: a sibling that needs it
+    needs a public name."""
+    imported = []
+    for path in sorted(Path(popflex.__path__[0]).glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.ImportFrom) and (
+                    node.level or (node.module or "").startswith("popflex")):
+                imported += [(path.name, alias.name) for alias in node.names
+                             if alias.name.startswith("_")]
+    assert imported == []

@@ -157,8 +157,7 @@ def test_mutual_threats_are_both_detected():
     hat = work.make_primitive(sid)
     work.roots.add(hat)
     work.links[(hat, Fact(0, 1))] = names["b_i"]
-    from popflex.substitution import _delete_block
-    _delete_block(work, names["b_x"])
+    work.delete_block(names["b_x"])
     work.rebuild_closure()
     threats = work.unresolved_threats()
     pairs = {(t, link[2]) for t, link in threats}
@@ -215,8 +214,7 @@ def test_witness_alternate_binding_found_by_exhaustive_search():
         for (c, fact), p in sorted(bdp.links.items()):
             if p == names["bx"]:
                 work.links[(c, fact)] = hat
-        from popflex.substitution import _delete_block
-        _delete_block(work, names["bx"])
+        work.delete_block(names["bx"])
         work.rebuild_closure()
 
         def close(plan, depth=0):
