@@ -374,10 +374,9 @@ class BdpoPlan:
             nc, np = swap.get(c, c), swap.get(p, p)
             if nc is None or np is None or nc == np:
                 continue
-            prev = new_links.get((nc, f))
-            if prev is not None:
-                np = min(prev, np, key=self.pos_key)
-            new_links[(nc, f)] = np
+            prev = new_links.setdefault((nc, f), np)
+            if prev != np:
+                new_links[(nc, f)] = min(prev, np, key=self.pos_key)
         new_res: dict[tuple[int, int], set[Reason]] = {}
         for (x, y), rs in resolutions.items():
             nx, ny = swap.get(x, x), swap.get(y, y)

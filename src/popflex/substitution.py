@@ -252,6 +252,8 @@ def _dependents(links: dict[tuple[int, Fact], int],
 
 def _block_path(plan: BdpoPlan, bid: int) -> Optional[list[int]]:
     """Root-to-block chain of block ids, or None if the block is not live."""
+    if bid in plan.roots:
+        return [bid]
 
     def search(cur: int, path: list[int]) -> Optional[list[int]]:
         path = path + [cur]
