@@ -13,14 +13,17 @@ behaviour leaves every digest as it is; a change of behaviour has to
 regenerate them and say why.
 """
 
+import dataclasses
 import hashlib
 import json
 import math
+from collections import Counter
 
 from popflex.cli import run
 
 from popflex.bdpo import GOAL_BLOCK, INIT_BLOCK, block_deorder, init_bdpo
-from popflex.corpus import micro_corpus, random_task
+from popflex.corpus import (elevator_plan, elevator_task, micro_corpus,
+                            random_task, scaling_task)
 from popflex.eog import eog
 from popflex.fibs import (AcceptanceCriteria, FibsConfig, SubtaskInfeasible,
                           _scan_basic_edges, build_subtask, fibs, reduce_plan,
@@ -38,6 +41,8 @@ REMOVAL_DIGEST = "81af02410b7379f7fa7b8cb1ed6e66785c45bda7"
 CANDIDATE_DIGEST = "50ef8a504d6f723579119c7fedf209a1dff1e5f7"
 EMPTY_CANDIDATE_DIGEST = "f3c4a74357bd4a1e3b2d075dfe4490ce40b357ab"
 CLI_DIGEST = "8b70e41e55c9ddac02e63a0e31471442bebcc8f5"
+SEARCH_DIGEST = "4d3cdb788a282954fa8433c350379bc8bde30c1d"
+VALIDATE_DIGEST = "689b8ff994e1c1f25d74d8f7ef52341da48a5a93"
 
 
 def _run_text(task, seq, config) -> bytes:
@@ -211,6 +216,87 @@ def test_golden_empty_candidates():
                 sort_keys=True).encode())
     assert succeeded and failed
     assert digest.hexdigest() == EMPTY_CANDIDATE_DIGEST
+
+
+def test_golden_search():
+    """The subplanner's plans for both directions of every basic ordering,
+    before and after block deordering, on two tasks of several independent
+    parts: ten chains and the two-lift elevator."""
+    config = FibsConfig(max_plans=3, max_expansions=2000,
+                        subtask_time=math.inf, time_limit=math.inf)
+    elevator = elevator_task()
+    digest = hashlib.sha1()
+    searches = found = 0
+    for task, seq in (scaling_task(10, 4), (elevator, elevator_plan(elevator))):
+        flat = init_bdpo(eog(task, seq))
+        for plan in (flat, block_deorder(flat)):
+            for a, b in _scan_basic_edges(plan):
+                for excluded, target in ((a, b), (b, a)):
+                    try:
+                        subtask = build_subtask(task, plan, excluded, target,
+                                                config)
+                    except SubtaskInfeasible:
+                        continue
+                    plans = solve_subtask(subtask)
+                    searches += 1
+                    found += bool(plans)
+                    digest.update(json.dumps(
+                        [excluded, target,
+                         [[p.steps, p.cost(task)] for p in plans]]).encode())
+    assert found and searches > found
+    assert digest.hexdigest() == SEARCH_DIGEST
+
+
+def _broken_copies(plan):
+    """Hand-broken copies of a valid plan: one link dropped; every link out
+    of one root dropped; one root's successor row cleared; one threat left
+    unordered (its resolution dropped, the closure rebuilt); one interior
+    link dropped."""
+    for key in sorted(plan.links):
+        broken = plan.clone()
+        del broken.links[key]
+        yield broken
+    for p in plan.real_roots():
+        broken = plan.clone()
+        broken.links = {k: v for k, v in plan.links.items() if v != p}
+        yield broken
+        broken = plan.clone()
+        broken.closure[p] = 0
+        yield broken
+    for pair in sorted(pair for pair, rs in plan.resolutions.items() if rs):
+        broken = plan.clone()
+        del broken.resolutions[pair]
+        broken.rebuild_closure()
+        yield broken
+    for bid in sorted(plan.blocks):
+        blk = plan.blocks[bid]
+        for key in sorted(blk.ilinks):
+            broken = plan.clone()
+            ilinks = {k: v for k, v in blk.ilinks.items() if k != key}
+            broken.blocks[bid] = dataclasses.replace(blk, ilinks=ilinks)
+            yield broken
+
+
+REASON_KINDS = ("no producer", "unordered", "threatens", "lacks")
+
+
+def test_golden_validate_reasons():
+    """The reason `validate_current` gives for each hand-broken copy of the
+    golden random corpus's plans, deordered: the first failure it names."""
+    digest = hashlib.sha1()
+    kinds = Counter()
+    for seed in range(300):
+        task, seq = random_task(seed, max_vars=8, max_steps=12)
+        plan = block_deorder(init_bdpo(eog(task, seq)))
+        assert plan.validate_current()
+        for broken in _broken_copies(plan):
+            report = broken.validate_current()
+            kinds[next((kind for kind in REASON_KINDS
+                        if kind in report.reason), report.valid)] += 1
+            digest.update(json.dumps([seed, report.valid,
+                                      report.reason]).encode())
+    assert all(kinds[kind] for kind in (*REASON_KINDS, True))
+    assert digest.hexdigest() == VALIDATE_DIGEST
 
 
 # each subcommand with the flags it reads; every budget is infinite

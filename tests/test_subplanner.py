@@ -154,6 +154,21 @@ def test_h_add_and_successors_match_naive_references(query):
     assert tables.successors.applicable(state) == applicable
 
 
+@settings(max_examples=300, deadline=None)
+@given(relaxed_queries())
+def test_an_effect_off_the_relaxation_leaves_h_add_unchanged(query):
+    """An operator that sets no variable of a relaxed fact cannot change
+    h_add, whatever the state it is applied to."""
+    ops, state, goal = query
+    tables = _TaskTables(ops)
+    rx = _Relaxation(tables, goal)
+    relaxed_vars = {v for v, _ in rx.facts}
+    h = _h_add(rx, state)
+    for eff in tables.effects:
+        if relaxed_vars.isdisjoint(eff):
+            assert _h_add(rx, {**state, **eff}) == h
+
+
 def test_h_add_counts_a_repeated_precondition_twice():
     make_x = make_operator("make x", [], [(0, 1)], cost=2)
     twice = OperatorDef("twice", (Fact(0, 1), Fact(0, 1)), (Fact(1, 1),), 0)
