@@ -160,14 +160,18 @@ def build_subtask(task: PlanningTask, plan: BdpoPlan, excluded: int,
 
 @dataclass
 class PhaseMemo:
-    """What one substitution phase has learnt, so that `resolve` does no
-    work twice.  `candidates` maps a subtask key to the subtask's candidate
-    blocks; they depend on the subtask and the task only, so the map holds
-    for the whole phase.  `tried` holds the (target, candidate) pairs
-    already substituted into the current plan, and `score` is that plan's
-    (flex, cost).  Both hold until an accept changes the plan: a pair tried
-    again on the same plan can only be rejected again."""
+    """What one `fibs` run has learnt, so that `resolve` does no work twice.
+
+    `candidates` maps a subtask key to the subtask's candidate blocks, and
+    `successors` maps a search state to its applicable operators.  Both
+    depend on the task only, so they hold for both substitution phases of
+    the run, and no longer: they are never kept on the task.  `tried` holds
+    the (target, candidate) pairs already substituted into the current
+    plan, and `score` is that plan's (flex, cost).  Both hold until an
+    accept or another phase changes the plan: a pair tried again on the
+    same plan can only be rejected again."""
     candidates: dict[tuple, list[CandidateBlock]] = field(default_factory=dict)
+    successors: dict[tuple, list[int]] = field(default_factory=dict)
     tried: set[tuple[int, CandidateBlock]] = field(default_factory=set)
     score: Optional[tuple[Fraction, int]] = None
 
@@ -181,7 +185,7 @@ def _candidates(task: PlanningTask, subtask: Subtask,
     cands = memo.candidates.get(key)
     if cands is None:
         cands = []
-        for seq in solve_subtask(subtask):
+        for seq in solve_subtask(subtask, memo.successors):
             if seq.cost(task) > subtask.cost_bound:
                 raise AssertionError("subplanner exceeded the cost bound")
             cands.append(candidate_block(task, subtask.init, subtask.goal,
@@ -269,15 +273,21 @@ def _scan_basic_edges(plan: BdpoPlan) -> list[tuple[int, int]]:
 
 def substitution_deorder(task: PlanningTask, plan: BdpoPlan,
                          config: FibsConfig, primitive_only: bool = False,
-                         deadline: Optional[float] = None
+                         deadline: Optional[float] = None,
+                         memo: Optional[PhaseMemo] = None
                          ) -> tuple[BdpoPlan, int, int]:
     """Attack each basic ordering by substituting its target, then its
     source; restart on success.  Stops before any attempt that would start
-    past the deadline.  Returns (plan, attempted, accepted)."""
+    past the deadline.  `memo`, when given, is the run's memo; what it
+    holds of an earlier plan is dropped.  Returns (plan, attempted,
+    accepted)."""
     attempted = 0
     accepted = 0
     override = 1 if primitive_only else None
-    memo = PhaseMemo()
+    if memo is None:
+        memo = PhaseMemo()
+    memo.tried.clear()
+    memo.score = None
     while accepted < MAX_ACCEPTS_PER_PHASE:
         progress = False
         for a, b in _scan_basic_edges(plan):
@@ -390,6 +400,7 @@ def fibs(task: PlanningTask, seq_plan: SequentialPlan,
             elapsed=time.monotonic() - t0))
 
     deadline = time.monotonic() + config.time_limit
+    memo = PhaseMemo()
     t0 = time.monotonic()
     pop = eog(task, seq_plan)
     plan = init_bdpo(pop)
@@ -398,7 +409,7 @@ def fibs(task: PlanningTask, seq_plan: SequentialPlan,
     t0 = time.monotonic()
     plan, att, acc = substitution_deorder(task, plan, config,
                                           primitive_only=True,
-                                          deadline=deadline)
+                                          deadline=deadline, memo=memo)
     report("SD1", plan, att, acc, t0)
 
     t0 = time.monotonic()
@@ -407,7 +418,7 @@ def fibs(task: PlanningTask, seq_plan: SequentialPlan,
 
     t0 = time.monotonic()
     plan, att, acc = substitution_deorder(task, plan, config,
-                                          deadline=deadline)
+                                          deadline=deadline, memo=memo)
     report("SD2", plan, att, acc, t0)
 
     if config.reduce != "none":

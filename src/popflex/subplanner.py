@@ -11,8 +11,13 @@ index of the operators by their first precondition fact, each operator's
 effect map) are built once per task and kept on it, so the subtasks of one
 run share them.  Each search then compiles its goal once: h_add is computed
 over the operators backward-relevant to the goal only, by a single
-priority-queue pass per state.  The search itself still branches over every
-operator, so both give exactly the plans of a sweep over all operators.
+priority-queue pass per state.  An operator that sets no variable of a fact
+of that relaxation cannot change h_add, so its successor takes the popped
+state's h without a pass.  The applicable operators of each state go into a
+table that the caller may share between searches; `fibs` keeps one for the
+whole run, so a state that an earlier subtask of the run expanded is not
+matched again.  The search still branches over every applicable operator,
+so it gives exactly the plans of a sweep over all operators.
 
 The search stops after max_plans plans, max_expansions expansions or the
 subtask's time bound, whichever comes first.  An external planner can be
@@ -61,17 +66,20 @@ class Subtask:
 
 class _TaskTables:
     """What the search needs of a task's operators, whatever the subtask:
-    the achievers of each fact, the successor generator, and each
-    operator's effect as a map."""
+    the achievers of each fact, the operators that set each variable, the
+    successor generator, and each operator's effect as a map."""
 
-    __slots__ = ("operators", "achievers", "successors", "effects")
+    __slots__ = ("operators", "achievers", "writers", "successors",
+                 "effects")
 
     def __init__(self, operators: list[OperatorDef]):
         self.operators = operators
         self.achievers: dict[tuple[int, int], list[int]] = {}
+        self.writers: dict[int, list[int]] = {}
         for i, op in enumerate(operators):
             for f in op.eff:
                 self.achievers.setdefault(f, []).append(i)
+                self.writers.setdefault(f.var, []).append(i)
         self.successors = _SuccessorGenerator(operators)
         self.effects = [op.eff_map() for op in operators]
 
@@ -223,17 +231,24 @@ def _start_state(st: Subtask) -> State:
     return start
 
 
-def solve_subtask(st: Subtask) -> list[SequentialPlan]:
-    """Plans for the subtask, valid and within the cost bound, cheapest first."""
+def solve_subtask(st: Subtask,
+                  successors: Optional[dict[tuple, list[int]]] = None
+                  ) -> list[SequentialPlan]:
+    """Plans for the subtask, valid and within the cost bound, cheapest first.
+
+    `successors`, when given, maps a state's values to the operators
+    applicable in it.  The search fills it, so the subtasks of one task
+    that share it find each state's successors once."""
     cmd = os.environ.get(PLANNER_CMD_ENV)
     if cmd:
         return _solve_external(st, cmd)
-    plans = _solve_gbfs(st)
+    plans = _solve_gbfs(st, {} if successors is None else successors)
     plans.sort(key=lambda p: (p.cost(st.base), tuple(p.steps)))
     return plans
 
 
-def _solve_gbfs(st: Subtask) -> list[SequentialPlan]:
+def _solve_gbfs(st: Subtask, successors: dict[tuple, list[int]]
+                ) -> list[SequentialPlan]:
     tables = _tables(st.base)
     operators = tables.operators
     deadline = time.monotonic() + st.time_bound
@@ -241,13 +256,20 @@ def _solve_gbfs(st: Subtask) -> list[SequentialPlan]:
     h0 = _h_add(rx, st.init)
     if h0 is None:
         return []
-    successors, effects = tables.successors, tables.effects
+    # h_add reads a state only through the relaxation's facts, so an
+    # operator that sets none of their variables leaves h as it is
+    changes_h = bytearray(len(operators))
+    for v in {v for v, _ in rx.facts}:
+        for i in tables.writers.get(v, ()):
+            changes_h[i] = 1
+    applicable, effects = tables.successors.applicable, tables.effects
     found: list[SequentialPlan] = []
     banned: set[tuple] = set()
     counter = 0
     start = _start_state(st)
-    heap: list[tuple] = [(h0, 0, counter, start, [])]
-    best_g: dict[tuple, int] = {tuple(start.values()): 0}
+    key = tuple(start.values())
+    heap: list[tuple] = [(h0, 0, counter, key, start, [])]
+    best_g: dict[tuple, int] = {key: 0}
     expansions = 0
     while heap:
         if len(found) >= st.max_plans:
@@ -257,16 +279,19 @@ def _solve_gbfs(st: Subtask) -> list[SequentialPlan]:
             break
         if expansions % 256 == 0 and time.monotonic() > deadline:
             break
-        h, g, _, state, path = heapq.heappop(heap)
+        h, g, _, key, state, path = heapq.heappop(heap)
         if _goal_satisfied(state, st.goal):
-            key = tuple(sorted(path))
-            if key not in banned:
-                banned.add(key)
+            multiset = tuple(sorted(path))
+            if multiset not in banned:
+                banned.add(multiset)
                 found.append(SequentialPlan(list(path)))
             # keep searching for alternatives from other queue entries
         if len(path) >= st.max_len:
             continue
-        for op_idx in successors.applicable(state):
+        ops = successors.get(key)
+        if ops is None:
+            ops = successors[key] = applicable(state)
+        for op_idx in ops:
             g2 = g + operators[op_idx].cost
             if g2 > st.cost_bound:
                 continue
@@ -277,11 +302,15 @@ def _solve_gbfs(st: Subtask) -> list[SequentialPlan]:
             if prev is not None and g2 >= prev:
                 continue
             best_g[key2] = g2
-            h2 = _h_add(rx, state2)
-            if h2 is None:
-                continue
+            if changes_h[op_idx]:
+                h2 = _h_add(rx, state2)
+                if h2 is None:
+                    continue
+            else:
+                h2 = h
             counter += 1
-            heapq.heappush(heap, (h2, g2, counter, state2, path + [op_idx]))
+            heapq.heappush(heap, (h2, g2, counter, key2, state2,
+                                  path + [op_idx]))
     if _goal_satisfied(st.init, st.goal):
         empty = SequentialPlan([])
         if tuple() not in banned:

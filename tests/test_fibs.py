@@ -15,6 +15,7 @@ from popflex.fibs import (AcceptanceCriteria, FibsConfig,
                           _scan_basic_edges, backward_justify,
                           build_subtask, fibs, greedy_justify, reduce_plan,
                           resolve, remove_blocks, substitution_deorder)
+from popflex.subplanner import _SuccessorGenerator
 from popflex.substitution import CandidateBlock
 from popflex.task import SequentialPlan, validate_sequential
 
@@ -377,11 +378,11 @@ def test_a_phase_solves_each_subtask_once(monkeypatch):
         phase[0] += 1
         return original_phase(*args, **kwargs)
 
-    def counting_solve(st):
+    def counting_solve(st, *args):
         key = (tuple(sorted(st.init.items())), tuple(sorted(st.goal.items())),
                st.cost_bound, st.max_len)
         solved[phase[0], key] += 1
-        return original_solve(st)
+        return original_solve(st, *args)
 
     monkeypatch.setattr(fibs_mod, "substitution_deorder", counting_phase)
     monkeypatch.setattr(fibs_mod, "solve_subtask", counting_solve)
@@ -389,6 +390,33 @@ def test_a_phase_solves_each_subtask_once(monkeypatch):
         fibs(*small_random(seed), SMALL)
     assert phase[0] == 60
     assert solved and max(solved.values()) == 1
+
+
+def test_a_run_finds_each_states_successors_once(monkeypatch):
+    """Within one run no state reaches the successor generator twice, and
+    nothing carries over from one run to the next on the same task."""
+    original = _SuccessorGenerator.applicable
+    seen = []
+
+    def recording(self, state):
+        seen.append(tuple(state.values()))
+        return original(self, state)
+
+    monkeypatch.setattr(_SuccessorGenerator, "applicable", recording)
+    elevator = elevator_task()
+    runs = [(elevator, elevator_plan(elevator), CFG)]
+    runs += [(*small_random(seed), SMALL) for seed in range(10)]
+    total = 0
+    for task, seq, config in runs:
+        counts = []
+        for _ in range(2):
+            seen.clear()
+            fibs(task, seq, config)
+            assert len(set(seen)) == len(seen)
+            counts.append(len(seen))
+        assert counts[0] == counts[1]
+        total += counts[0]
+    assert total
 
 
 def test_no_candidate_is_substituted_twice_into_one_plan(monkeypatch):
