@@ -203,6 +203,11 @@ class Block:
         return len(self.members)
 
 
+def _as_is(items, key=None):
+    """`sorted`'s signature, the items' own order."""
+    return items
+
+
 class BdpoPlan:
     """POP plus a laminar block family; orderings live between root blocks.
 
@@ -606,8 +611,17 @@ class BdpoPlan:
                          ) -> ValidationReport:
         """Check the plan against its closure as it stands, which the caller
         keeps current; `threats`, when given, is the plan's `threats()`
-        list."""
-        for (c, f), p in sorted(self.links.items()):
+        list.  A valid plan passes one scan in whatever order its maps
+        hold; only a failing plan is scanned again in sorted order, so that
+        the failure named is always the first one."""
+        report = self._check_current(threats, _as_is)
+        return report if report else self._check_current(threats, sorted)
+
+    def _check_current(self, threats: Optional[list], order
+                       ) -> ValidationReport:
+        """`validate_current`'s checks, taking links, blocks and facts in
+        `order` (`sorted` or `_as_is`)."""
+        for (c, f), p in order(self.links.items()):
             if c not in self.roots or p not in self.roots:
                 return ValidationReport(False, reason=f"dangling link {p}->{c}")
             blk = self.blocks[p]
@@ -615,25 +629,25 @@ class BdpoPlan:
                 return ValidationReport(False, reason=f"{p} does not supply {f}")
             if p != INIT_BLOCK and not self.ordered(p, c):
                 return ValidationReport(False, reason=f"link {p}->{c} unordered")
-        for b in sorted(self.roots, key=self.pos_key):
+        for b in order(self.roots, key=self.pos_key):
             if b == INIT_BLOCK:
                 continue
-            for f in sorted(self.blocks[b].pre):
+            for f in order(self.blocks[b].pre):
                 if (b, f) not in self.links:
                     return ValidationReport(
                         False, reason=f"block {b}: no producer for {f}")
         for t, (p, f, c) in self.unresolved_threats(threats):
             return ValidationReport(
                 False, reason=f"block {t} threatens {p}-{f}->{c}")
-        for bid in sorted(self._compound_blocks()):
-            report = self._validate_interior(self.blocks[bid])
+        for bid in order(self._compound_blocks()):
+            report = self._validate_interior(self.blocks[bid], order)
             if not report:
                 return report
         return ValidationReport(True)
 
-    def _validate_interior(self, blk: Block) -> ValidationReport:
+    def _validate_interior(self, blk: Block, order) -> ValidationReport:
         for c in blk.children:
-            for f in sorted(self.blocks[c].pre):
+            for f in order(self.blocks[c].pre):
                 p = blk.ilinks.get((c, f))
                 if p is None:
                     if f not in blk.pre:
@@ -645,7 +659,7 @@ class BdpoPlan:
                 if f not in pb.eff or f in pb.dels:
                     return ValidationReport(
                         False, reason=f"block {blk.id}: {p} can't supply {f}")
-        for (c, f), p in sorted(blk.ilinks.items()):
+        for (c, f), p in order(blk.ilinks.items()):
             for t in blk.children:
                 if t in (p, c):
                     continue
