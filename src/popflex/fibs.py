@@ -259,14 +259,19 @@ def _scan_basic_edges(plan: BdpoPlan) -> list[tuple[int, int]]:
     """Committed orderings between real root blocks that are not implied by
     a chain through a third block."""
     out = []
-    reasons = plan.reasons()
-    for (a, b), rs in reasons.items():
+    closure = plan.closure
+    ends = 1 << INIT_BLOCK | 1 << GOAL_BLOCK
+    for (a, b), rs in plan.reasons().items():
         if not rs or a in (INIT_BLOCK, GOAL_BLOCK) or b in (INIT_BLOCK, GOAL_BLOCK):
             continue
-        implied = any(z not in (a, b, INIT_BLOCK, GOAL_BLOCK)
-                      and plan.ordered(a, z) and plan.ordered(z, b)
-                      for z in plan.roots)
-        if not implied:
+        # a third block z with a < z < b: a successor of a that precedes b
+        between = closure[a] & ~(ends | 1 << b)
+        while between:
+            low = between & -between
+            if closure[low.bit_length() - 1] >> b & 1:
+                break
+            between ^= low
+        else:
             out.append((a, b))
     return sorted(out, key=lambda e: (plan.pos_key(e[0]), plan.pos_key(e[1])))
 

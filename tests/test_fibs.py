@@ -368,6 +368,21 @@ def small_random(seed):
     return random_task(seed, max_vars=8, max_steps=12)
 
 
+def test_basic_edges_match_their_definition():
+    """A basic edge is a committed ordering between real roots with no
+    third real root ordered between them."""
+    for seed in range(60):
+        task, seq = small_random(seed)
+        flat = init_bdpo(eog(task, seq))
+        for plan in (flat, block_deorder(flat)):
+            real = plan.real_roots()
+            expected = {(a, b) for (a, b), rs in plan.reasons().items()
+                        if rs and a in real and b in real
+                        and not any(plan.ordered(a, z) and plan.ordered(z, b)
+                                    for z in real if z not in (a, b))}
+            assert set(_scan_basic_edges(plan)) == expected
+
+
 def test_a_phase_solves_each_subtask_once(monkeypatch):
     phase = [0]
     solved = Counter()
