@@ -66,20 +66,17 @@ class Subtask:
 
 class _TaskTables:
     """What the search needs of a task's operators, whatever the subtask:
-    the achievers of each fact, the operators that set each variable, the
-    successor generator, and each operator's effect as a map."""
+    the achievers of each fact, the successor generator, and each
+    operator's effect as a map."""
 
-    __slots__ = ("operators", "achievers", "writers", "successors",
-                 "effects")
+    __slots__ = ("operators", "achievers", "successors", "effects")
 
     def __init__(self, operators: list[OperatorDef]):
         self.operators = operators
         self.achievers: dict[tuple[int, int], list[int]] = {}
-        self.writers: dict[int, list[int]] = {}
         for i, op in enumerate(operators):
             for f in op.eff:
                 self.achievers.setdefault(f, []).append(i)
-                self.writers.setdefault(f.var, []).append(i)
         self.successors = _SuccessorGenerator(operators)
         self.effects = [op.eff_map() for op in operators]
 
@@ -256,13 +253,11 @@ def _solve_gbfs(st: Subtask, successors: dict[tuple, list[int]]
     h0 = _h_add(rx, st.init)
     if h0 is None:
         return []
+    applicable, effects = tables.successors.applicable, tables.effects
     # h_add reads a state only through the relaxation's facts, so an
     # operator that sets none of their variables leaves h as it is
-    changes_h = bytearray(len(operators))
-    for v in {v for v, _ in rx.facts}:
-        for i in tables.writers.get(v, ()):
-            changes_h[i] = 1
-    applicable, effects = tables.successors.applicable, tables.effects
+    relaxed_vars = {v for v, _ in rx.facts}
+    changes_h = [not relaxed_vars.isdisjoint(eff) for eff in effects]
     found: list[SequentialPlan] = []
     banned: set[tuple] = set()
     counter = 0
