@@ -163,13 +163,13 @@ class PhaseMemo:
     """What one `fibs` run has learnt, so that `resolve` does no work twice.
 
     `candidates` maps a subtask key to the subtask's candidate blocks, and
-    `successors` maps a search state to its applicable operators.  Both
-    depend on the task only, so they hold for both substitution phases of
-    the run, and no longer: they are never kept on the task.  `tried` holds
-    the (target, candidate) pairs already substituted into the current
-    plan, and `score` is that plan's (flex, cost).  Both hold until an
-    accept or another phase changes the plan: a pair tried again on the
-    same plan can only be rejected again."""
+    `successors` maps a search state to its applicable operators.  Neither
+    depends on the plan, so both hold for both substitution phases of the
+    run; they are never kept on the task, so nothing outlives the run.
+    `tried` holds the (target, candidate) pairs already substituted into
+    the current plan, and `score` is that plan's (flex, cost).  Both hold
+    until an accept or another phase changes the plan: a pair tried again
+    on the same plan can only be rejected again."""
     candidates: dict[tuple, list[CandidateBlock]] = field(default_factory=dict)
     successors: dict[tuple, list[int]] = field(default_factory=dict)
     tried: set[tuple[int, CandidateBlock]] = field(default_factory=set)
