@@ -5,7 +5,7 @@ from hypothesis import strategies as st
 from popflex.corpus import (chain_task, independent_task,
                             produce_consume_task, random_task, scaling_task)
 from popflex.eog import eog
-from popflex.maxsat import (EncodingTooLarge, InvalidModel, TooLarge,
+from popflex.maxsat import (EncodingTooLarge, InvalidModel, TooLarge, Wcnf,
                             _add_edge, _posets, brute_force_mr, check_model,
                             decode_model, encode_mr, model_from_v_line,
                             optimal_model, ordering_count, parse_dimacs_wcnf)
@@ -209,3 +209,82 @@ def test_add_edge_matches_closure_from_edges(case):
         closure = closure_from_edges(range(n), edges[:k])
         assert [{x for x in range(n) if row >> x & 1} for row in rows] \
             == [closure[a] for a in range(n)]
+
+
+# ---------------------------------------------------------------------------
+# the clause layer against literal-by-literal references
+
+
+def _reference_check(wcnf, model):
+    """("ok", violated soft weight) or ("invalid", message), one literal at
+    a time."""
+    def satisfied(clause):
+        return any((l > 0) == (abs(l) in model) for l in clause)
+
+    for clause in wcnf.hard:
+        if not satisfied(clause):
+            return "invalid", f"hard clause {clause} violated"
+    return "ok", sum(w for w, clause in wcnf.soft if not satisfied(clause))
+
+
+def _reference_dimacs(wcnf):
+    """The DIMACS text formatted one clause at a time."""
+    top = sum(w for w, _ in wcnf.soft) + 1
+    lines = [f"p wcnf {wcnf.n_vars} {len(wcnf.hard) + len(wcnf.soft)} {top}"]
+    lines += [" ".join(map(str, (top, *clause, 0))) for clause in wcnf.hard]
+    lines += [" ".join(map(str, (w, *clause, 0))) for w, clause in wcnf.soft]
+    return "\n".join(lines) + "\n"
+
+
+@st.composite
+def _wcnfs(draw):
+    """A hand-built Wcnf: runs of hard clauses of widths 1-5 in any order,
+    soft clauses of widths 1-5, and n_vars either set or left at 0."""
+    n = draw(st.integers(1, 8))
+    lit = st.integers(1, n).flatmap(lambda v: st.sampled_from((v, -v)))
+    hard = []
+    for width, count in draw(st.lists(st.tuples(st.integers(1, 5),
+                                                st.integers(1, 4)),
+                                      max_size=8)):
+        hard += draw(st.lists(st.tuples(*[lit] * width), min_size=count,
+                              max_size=count))
+    soft = draw(st.lists(st.tuples(
+        st.integers(1, 50),
+        st.integers(1, 5).flatmap(lambda w: st.tuples(*[lit] * w))),
+        max_size=10))
+    return Wcnf(hard, soft, draw(st.sampled_from((0, n))))
+
+
+@given(_wcnfs(), st.data())
+@settings(max_examples=400, deadline=None)
+def test_check_model_matches_the_literal_reference(wcnf, data):
+    model = data.draw(st.sets(st.integers(1, 10)))
+    try:
+        outcome = "ok", check_model(wcnf, model)
+    except InvalidModel as err:
+        outcome = "invalid", str(err)
+    assert outcome == _reference_check(wcnf, model)
+
+
+@given(_wcnfs())
+@settings(max_examples=300, deadline=None)
+def test_to_dimacs_matches_the_per_clause_reference(wcnf):
+    assert wcnf.to_dimacs() == _reference_dimacs(wcnf)
+
+
+def test_to_dimacs_of_a_long_run_and_no_soft_clauses():
+    """One run longer than any chunk a writer would format at once, between
+    runs of other widths, with an empty soft list."""
+    hard = [(1,), (-2, 3)] + [(-(i % 7 + 1), i % 5 + 1, -(i % 3 + 1))
+                              for i in range(25_013)] + [(4, 5), (6,)]
+    wcnf = Wcnf(hard, [], 7)
+    assert wcnf.to_dimacs() == _reference_dimacs(wcnf)
+
+
+@given(_wcnfs())
+@settings(max_examples=300, deadline=None)
+def test_dimacs_parses_back_in_order(wcnf):
+    again = parse_dimacs_wcnf(wcnf.to_dimacs())
+    assert again.hard == wcnf.hard
+    assert again.soft == wcnf.soft
+    assert again.n_vars == wcnf.n_vars
