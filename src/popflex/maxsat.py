@@ -9,6 +9,15 @@ included operator (weight cost + n^2 + 1, which dominates every possible
 ordering total).  Without cost minimization every original operator is
 forced into the target plan, which keeps the encoding a pure reordering.
 
+The per-clause and per-literal work runs inside C builtins.  The cubic
+transitivity block is built one (a, b) pair at a time: a single `zip` of
+list slices of two ordering-variable rows emits all its clauses in
+permutations order.  `Wcnf.to_dimacs` writes each run of equal-width
+clauses with one % format per chunk of a few thousand clauses, and joins
+the pieces once.  `check_model` builds the set of true literals once and
+finds a violated clause as one that is disjoint from it.  At the 200-step
+cap the transitivity block alone is 8.1 million clauses.
+
 A structured exhaustive optimizer and a plain enumeration oracle cover tiny
 instances; larger instances are emit-only (solve the file externally).  The
 optimizer is a depth-first branch-and-bound over causal-link choices and
@@ -24,6 +33,8 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass, field
+from itertools import chain, repeat
+from operator import neg
 from typing import Iterable, Optional
 
 from .bdpo import GOAL_ID, INIT_ID
@@ -31,6 +42,7 @@ from .pop import PartialOrderPlan, synthetic_operators
 from .task import Fact, PlanningTask, SequentialPlan, cons_prod_del
 
 MAX_ENCODE_STEPS = 200
+_DIMACS_CHUNK = 4096     # clauses formatted by one % in `Wcnf.to_dimacs`
 
 
 class EncodingTooLarge(Exception):
@@ -82,14 +94,27 @@ class Wcnf:
         self.soft.append((weight, tuple(lits)))
 
     def to_dimacs(self) -> str:
+        """Classic-format DIMACS WCNF text, one line per clause."""
         top = self.top
-        lines = [f"p wcnf {self.n_vars} {len(self.hard) + len(self.soft)} {top}"]
-        # one %-format per run of hard clauses of the same width
-        for width, run in itertools.groupby(self.hard, len):
-            lines += map((f"{top}" + " %d" * width + " 0").__mod__, run)
-        for weight, clause in self.soft:
-            lines.append(" ".join(map(str, (weight,) + clause + (0,))))
-        return "\n".join(lines) + "\n"
+        pieces = [f"p wcnf {self.n_vars} {len(self.hard) + len(self.soft)} "
+                  f"{top}"]
+        pieces += _dimacs_lines(self.hard, str(top), 0)
+        pieces += _dimacs_lines(((w, *clause) for w, clause in self.soft),
+                                "%d", 1)
+        pieces.append("")   # the final newline, without copying the text
+        return "\n".join(pieces)
+
+
+def _dimacs_lines(rows, lead: str, lead_args: int):
+    """The lines of `rows`: `lead`, the rest of the row, then 0.  `lead`
+    takes the first `lead_args` numbers of each row.  Each run of rows of
+    one length is written in chunks of _DIMACS_CHUNK rows, one % format per
+    chunk over the chunk's numbers, so no per-row string is ever built."""
+    for size, run in itertools.groupby(rows, len):
+        line = lead + " %d" * (size - lead_args) + " 0"
+        while chunk := list(itertools.islice(run, _DIMACS_CHUNK)):
+            yield "\n".join([line] * len(chunk)) % tuple(
+                chain.from_iterable(chunk))
 
 
 def parse_dimacs_wcnf(text: str) -> Wcnf:
@@ -159,16 +184,19 @@ def encode_mr(task: PlanningTask, pop: PartialOrderPlan, mclcp: bool = False
 
     wcnf = Wcnf()
 
-    # transitivity over every ordered triple, in permutations order; a zero
-    # in either row is the diagonal, where c would repeat a or b
-    neg = [[-v for v in row] for row in t]
+    # transitivity over every ordered triple (a, b, c), in permutations
+    # order: for each (a, b), zip row b of `not_t` with row a of `t`, both
+    # without the positions of a and b
+    n = len(steps)
+    not_t = [[-v for v in row] for row in t]
     for i, row_a in enumerate(t):
-        for j, neg_b in enumerate(neg):
+        for j, not_b in enumerate(not_t):
             if i != j:
-                not_ab = neg[i][j]
-                wcnf.hard.extend([(not_ab, not_bc, ac)
-                                  for not_bc, ac in zip(neg_b, row_a)
-                                  if not_bc and ac])
+                lo, hi = min(i, j), max(i, j)
+                wcnf.hard.extend(zip(
+                    repeat(not_t[i][j], n - 2),
+                    not_b[:lo] + not_b[lo + 1:hi] + not_b[hi + 1:],
+                    row_a[:lo] + row_a[lo + 1:hi] + row_a[hi + 1:]))
     # synthetic endpoints are always in
     wcnf.add_hard(cat.x[INIT_ID])
     wcnf.add_hard(cat.x[GOAL_ID])
@@ -220,15 +248,20 @@ def encode_mr(task: PlanningTask, pop: PartialOrderPlan, mclcp: bool = False
 
 
 def check_model(wcnf: Wcnf, true_vars: set[int]) -> int:
-    """Violated-soft weight of a model; raises on a broken hard clause."""
+    """Violated-soft weight of a model; raises on the first broken hard
+    clause.
 
-    def satisfied(clause: tuple[int, ...]) -> bool:
-        return any((l > 0) == (abs(l) in true_vars) for l in clause)
-
-    for clause in wcnf.hard:
-        if not satisfied(clause):
-            raise InvalidModel(f"hard clause {clause} violated")
-    return sum(w for w, clause in wcnf.soft if not satisfied(clause))
+    The true literals are `v` for each variable of the model and `-v` for
+    every other variable the clauses use, so a clause is violated exactly
+    when it is disjoint from that set."""
+    used = set(map(abs, chain.from_iterable(
+        chain(wcnf.hard, (clause for _, clause in wcnf.soft)))))
+    true_lits = used.intersection(true_vars)
+    true_lits.update(map(neg, used.difference(true_vars)))
+    broken = next(filter(true_lits.isdisjoint, wcnf.hard), None)
+    if broken is not None:
+        raise InvalidModel(f"hard clause {broken} violated")
+    return sum(w for w, clause in wcnf.soft if true_lits.isdisjoint(clause))
 
 
 def decode_model(true_vars: set[int], cat: VarCatalog, task: PlanningTask,
