@@ -308,8 +308,13 @@ def ordering_count(pop: PartialOrderPlan) -> int:
 
 
 def optimal_model(task: PlanningTask, pop: PartialOrderPlan,
-                  mclcp: bool = False) -> tuple[set[int], int]:
+                  mclcp: bool = False,
+                  encoding: Optional[tuple[Wcnf, VarCatalog]] = None
+                  ) -> tuple[set[int], int]:
     """Exhaustive optimum over the encoding's meaningful assignments.
+
+    `encoding` is the (wcnf, catalog) pair that `encode_mr(task, pop,
+    mclcp)` returned; the plan is encoded here when none is given.
 
     Enumerates step subsets (singleton when not cost-minimizing), then walks
     the causal-link choices depth first in product order and, below each
@@ -324,7 +329,7 @@ def optimal_model(task: PlanningTask, pop: PartialOrderPlan,
     key), and among equal keys the first in product order.  The winning
     assignment is checked against the emitted clauses.
     """
-    wcnf, cat = encode_mr(task, pop, mclcp)
+    wcnf, cat = encode_mr(task, pop, mclcp) if encoding is None else encoding
     steps = cat.steps
     pos = {s: i for i, s in enumerate(steps)}
     real = [s for s in steps if s not in (INIT_ID, GOAL_ID)]
