@@ -57,6 +57,15 @@ class InvalidModel(Exception):
     """Model violates a hard clause or decodes to an unsupported plan."""
 
 
+class WcnfSyntaxError(Exception):
+    """Malformed DIMACS WCNF input; carries the offending 1-based line
+    number."""
+
+    def __init__(self, line_no: int, message: str):
+        super().__init__(f"line {line_no}: {message}")
+        self.line_no = line_no
+
+
 @dataclass
 class VarCatalog:
     x: dict[int, int] = field(default_factory=dict)
@@ -118,26 +127,48 @@ def _dimacs_lines(rows, lead: str, lead_args: int):
 
 
 def parse_dimacs_wcnf(text: str) -> Wcnf:
+    """Read classic-format DIMACS WCNF: one `p wcnf nvars nclauses top`
+    header before any clause, then `weight lits... 0` per line.  Raises
+    WcnfSyntaxError with the line number of the first malformed line."""
     wcnf = Wcnf()
     top = None
-    for line in text.splitlines():
+    lines = text.splitlines()
+    for line_no, line in enumerate(lines, 1):
         line = line.strip()
         if not line or line.startswith("c"):
             continue
-        if line.startswith("p"):
-            parts = line.split()
-            assert parts[1] == "wcnf"
-            wcnf.n_vars = int(parts[2])
-            top = int(parts[4])
+        parts = line.split()
+        if parts[0] == "p":
+            if top is not None:
+                raise WcnfSyntaxError(line_no, "second header")
+            if len(parts) != 5 or parts[1] != "wcnf":
+                raise WcnfSyntaxError(
+                    line_no, f"expected 'p wcnf nvars nclauses top', "
+                    f"got {line!r}")
+            wcnf.n_vars, _, top = _integers(parts[2:], line_no)
             continue
-        nums = [int(x) for x in line.split()]
-        assert nums[-1] == 0
+        if top is None:
+            raise WcnfSyntaxError(line_no, "clause before the header")
+        nums = _integers(parts, line_no)
+        if len(nums) < 2 or nums[-1] != 0:
+            raise WcnfSyntaxError(
+                line_no, f"expected 'weight lits... 0', got {line!r}")
         weight, lits = nums[0], tuple(nums[1:-1])
         if weight == top:
             wcnf.hard.append(lits)
         else:
             wcnf.soft.append((weight, lits))
+    if top is None:
+        raise WcnfSyntaxError(len(lines) + 1, "no 'p wcnf' header")
     return wcnf
+
+
+def _integers(tokens: list[str], line_no: int) -> list[int]:
+    try:
+        return [int(tok) for tok in tokens]
+    except ValueError:
+        raise WcnfSyntaxError(
+            line_no, f"expected integers, got {' '.join(tokens)!r}") from None
 
 
 def model_from_v_line(text: str) -> set[int]:

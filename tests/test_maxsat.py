@@ -6,9 +6,10 @@ from popflex.corpus import (chain_task, independent_task,
                             produce_consume_task, random_task, scaling_task)
 from popflex.eog import eog
 from popflex.maxsat import (EncodingTooLarge, InvalidModel, TooLarge, Wcnf,
-                            _add_edge, _posets, brute_force_mr, check_model,
-                            decode_model, encode_mr, model_from_v_line,
-                            optimal_model, ordering_count, parse_dimacs_wcnf)
+                            WcnfSyntaxError, _add_edge, _posets,
+                            brute_force_mr, check_model, decode_model,
+                            encode_mr, model_from_v_line, optimal_model,
+                            ordering_count, parse_dimacs_wcnf)
 from popflex.bdpo import GOAL_ID, CycleDetected, closure_from_edges
 from popflex.task import (PlanningTask, SequentialPlan, Variable,
                           make_operator, validate_sequential)
@@ -123,6 +124,27 @@ def test_dimacs_round_trip():
     header = text.splitlines()[0].split()
     assert header[:2] == ["p", "wcnf"]
     assert int(header[4]) > sum(w for w, _ in wcnf.soft)
+
+
+@pytest.mark.parametrize("text, line_no", [
+    ("", 1),                                    # no header at all
+    ("c only a comment\n\n", 3),
+    ("5 1 2 0\n", 1),                           # a clause before the header
+    ("c x\n3 -1 0\np wcnf 2 1 5\n", 2),
+    ("p wcnf 2 1 5\np wcnf 2 1 5\n5 1 0\n", 2),  # a second header
+    ("p wcnf 2 1\n5 1 2 0\n", 1),              # a short header
+    ("p wcnf 2 1 5 9\n", 1),
+    ("p cnf 2 1 5\n5 1 2 0\n", 1),             # not a wcnf header
+    ("p wcnf 2 1 5\n5 1 2\n", 2),              # no terminating 0
+    ("p wcnf 2 1 5\n\n0\n", 3),
+    ("p wcnf 2 1 5\n5 1 x 0\n", 2),            # a non-integer token
+    ("p wcnf two 1 5\n", 1),
+])
+def test_parse_dimacs_wcnf_rejects_malformed_text(text, line_no):
+    with pytest.raises(WcnfSyntaxError) as err:
+        parse_dimacs_wcnf(text)
+    assert err.value.line_no == line_no
+    assert str(err.value).startswith(f"line {line_no}: ")
 
 
 def test_optimal_model_reuses_a_given_encoding():
