@@ -1,8 +1,9 @@
 #!/usr/bin/env python3
 """Profile the pipeline on the random corpus, on scaling300 and on k
-elevator towers.
+elevator towers, and the MaxSAT layer on the benchmark's instances.
 
-Usage: python scripts/profile_corpus.py [random|scaling300|all|towers K]
+Usage: python scripts/profile_corpus.py
+           [random|scaling300|all|towers K|maxsat|maxsat-cap]
 
 `random` runs `fibs` on `random_task` seeds 0-299 (`max_vars=8`,
 `max_steps=12`) under the random-corpus configuration: gj reduction, 3
@@ -17,10 +18,22 @@ Each runs under cProfile and prints the 25 functions with the largest
 cumulative time, the call counts of `BdpoPlan.rebuild_closure`,
 `BdpoPlan.threats`, `BdpoPlan.validate`, `BdpoPlan.flex`, `solve_subtask`,
 `substitute`, the subplanner's `_h_add` and
-`_SuccessorGenerator.applicable` (recursive calls included), and a sha1
-over each run's plan JSON and phase reports.  The random digest is the one
-`tests/test_golden.py` pins as RANDOM_DIGEST, so a change that moves the
-cost can be seen to keep the outputs.
+`_SuccessorGenerator.applicable` (recursive calls included) with their
+cumulative times, and a sha1 over each run's plan JSON and phase reports.
+The random digest is the one `tests/test_golden.py` pins as RANDOM_DIGEST,
+so a change that moves the cost can be seen to keep the outputs.
+
+`maxsat` profiles one round of the `maxsat-reorder` benchmark's instances,
+regenerated with `random_task`: the DIMACS text of the first three plans of
+40-50 steps (`max_vars=8`, `max_steps=80`), and the optimal model, violated
+weight and decoded plan of seeds 1-100 (`max_vars=4`, `max_steps=5`, unit
+costs) in both modes, as the benchmark calls them.  It prints the calls and
+cumulative time of `encode_mr`, `Wcnf.to_dimacs`, `check_model`,
+`optimal_model` and `decode_model`, and a sha1 over those outputs.
+`maxsat-cap` encodes the 200-step `eog(scaling_task(50, 4))`, the CLI's
+cap, writes its DIMACS text, and prints the wall time of both and the
+process's peak resident set (`ru_maxrss`).  Run it in a process of its own,
+since the peak covers the whole process.
 """
 
 from __future__ import annotations
@@ -31,11 +44,14 @@ import json
 import math
 import os
 import pstats
+import resource
 import sys
 import time
 from pathlib import Path
 
+from popflex import maxsat
 from popflex.corpus import random_task, scaling_task
+from popflex.eog import eog
 from popflex.fibs import FibsConfig, fibs
 from popflex.task import parse_plan, parse_sas
 
@@ -50,6 +66,11 @@ COUNTED = (("bdpo.py", "rebuild_closure", "BdpoPlan.rebuild_closure"),
            ("substitution.py", "substitute", "substitute"),
            ("subplanner.py", "_h_add", "_h_add"),
            ("subplanner.py", "applicable", "_SuccessorGenerator.applicable"))
+MAXSAT_COUNTED = (("maxsat.py", "encode_mr", "encode_mr"),
+                  ("maxsat.py", "to_dimacs", "Wcnf.to_dimacs"),
+                  ("maxsat.py", "check_model", "check_model"),
+                  ("maxsat.py", "optimal_model", "optimal_model"),
+                  ("maxsat.py", "decode_model", "decode_model"))
 
 
 def random_corpus():
@@ -84,41 +105,101 @@ def towers(k: int):
 CORPORA = {"random": random_corpus, "scaling300": scaling300}
 
 
-def profile(name: str, runs) -> None:
+def maxsat_round() -> list[str]:
+    """The `maxsat-reorder` round's outputs, one JSON or DIMACS text each."""
+    out = []
+    emit, seed = 0, 0
+    while emit < 3:
+        task, plan = random_task(seed, max_vars=8, max_steps=80)
+        seed += 1
+        if 40 <= len(plan.steps) <= 50:
+            wcnf, _ = maxsat.encode_mr(task, eog(task, plan))
+            out.append(wcnf.to_dimacs())
+            emit += 1
+    for seed in range(1, 101):
+        task, plan = random_task(seed, max_vars=4, max_steps=5,
+                                 unit_costs=True)
+        pop = eog(task, plan)
+        for mclcp in (False, True):
+            wcnf, cat = maxsat.encode_mr(task, pop, mclcp)
+            model, violated = maxsat.optimal_model(task, pop, mclcp)
+            decoded = maxsat.decode_model(model, cat, task, pop, wcnf)
+            out.append(json.dumps([sorted(model), violated,
+                                   decoded.to_json()], sort_keys=True))
+    return out
+
+
+def profile(name: str, work, counted=COUNTED) -> None:
+    """Run `work` under cProfile; it returns a list of outputs, each either a
+    string or a `fibs` (plan, reports) pair."""
     digest = hashlib.sha1()
     profiler = cProfile.Profile()
     t0 = time.perf_counter()
     profiler.enable()
-    outputs = [fibs(task, seq, config) for task, seq, config in runs]
+    outputs = work()
     profiler.disable()
     elapsed = time.perf_counter() - t0
-    for plan, reports in outputs:
-        digest.update(json.dumps([plan.to_json(),
-                                  [r.to_dict() for r in reports]],
-                                 sort_keys=True).encode())
-    print(f"== {name}: {len(runs)} runs, {elapsed:.2f} s under the profiler")
+    for output in outputs:
+        if not isinstance(output, str):
+            plan, reports = output
+            output = json.dumps([plan.to_json(),
+                                 [r.to_dict() for r in reports]],
+                                sort_keys=True)
+        digest.update(output.encode())
+    print(f"== {name}: {len(outputs)} outputs, {elapsed:.2f} s under the "
+          f"profiler")
     stats = pstats.Stats(profiler, stream=sys.stdout)
     stats.sort_stats("cumulative").print_stats(25)
-    calls = {(module, func): 0 for module, func, _ in COUNTED}
-    for (path, _, func), (_, ncalls, *_) in stats.stats.items():
+    calls = {(module, func): [0, 0.0] for module, func, _ in counted}
+    for (path, _, func), (_, ncalls, _, cumtime, _) in stats.stats.items():
         module = os.path.basename(path)
         if (module, func) in calls:
-            calls[module, func] += ncalls
-    for module, func, printed in COUNTED:
-        print(f"{name} {printed} calls: {calls[module, func]}")
+            calls[module, func][0] += ncalls
+            calls[module, func][1] += cumtime
+    for module, func, printed in counted:
+        ncalls, cumtime = calls[module, func]
+        print(f"{name} {printed} calls: {ncalls}, {cumtime:.3f} s cumulative")
     print(f"{name} output digest: {digest.hexdigest()}")
+
+
+def fibs_runs(runs):
+    return lambda: [fibs(task, seq, config) for task, seq, config in runs]
+
+
+def maxsat_cap() -> None:
+    """Wall time and peak memory of the largest encoding the CLI accepts."""
+    task, plan = scaling_task(50, 4)
+    pop = eog(task, plan)
+    t0 = time.perf_counter()
+    wcnf, _ = maxsat.encode_mr(task, pop)
+    t1 = time.perf_counter()
+    text = wcnf.to_dimacs()
+    t2 = time.perf_counter()
+    peak_mb = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024
+    print(f"maxsat-cap: {len(plan.steps)} steps, "
+          f"{len(wcnf.hard) + len(wcnf.soft)} clauses, {len(text)} bytes")
+    print(f"maxsat-cap encode_mr {t1 - t0:.2f} s, to_dimacs {t2 - t1:.2f} s, "
+          f"total {t2 - t0:.2f} s, peak RSS {peak_mb:.0f} MB")
+    print(f"maxsat-cap output digest: "
+          f"{hashlib.sha1(text.encode()).hexdigest()}")
 
 
 def main(argv: list[str]) -> int:
     which = argv[0] if argv else "all"
     if which == "towers" and len(argv) == 2 and argv[1].isdigit():
-        profile(f"towers {argv[1]}", towers(int(argv[1])))
+        profile(f"towers {argv[1]}", fibs_runs(towers(int(argv[1]))))
+        return 0
+    if which == "maxsat" and len(argv) == 1:
+        profile("maxsat", maxsat_round, MAXSAT_COUNTED)
+        return 0
+    if which == "maxsat-cap" and len(argv) == 1:
+        maxsat_cap()
         return 0
     if which not in (*CORPORA, "all") or len(argv) > 1:
         print(__doc__.split("\n\n")[1], file=sys.stderr)
         return 2
     for name in CORPORA if which == "all" else (which,):
-        profile(name, CORPORA[name]())
+        profile(name, fibs_runs(CORPORA[name]()))
     return 0
 
 
