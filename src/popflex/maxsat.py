@@ -9,14 +9,14 @@ included operator (weight cost + n^2 + 1, which dominates every possible
 ordering total).  Without cost minimization every original operator is
 forced into the target plan, which keeps the encoding a pure reordering.
 
-The per-clause and per-literal work runs inside C builtins.  The cubic
-transitivity block is built one (a, b) pair at a time: a single `zip` of
-list slices of two ordering-variable rows emits all its clauses in
-permutations order.  `Wcnf.to_dimacs` writes each run of equal-width
-clauses with one % format per chunk of a few thousand clauses, and joins
-the pieces once.  `check_model` builds the set of true literals once and
-finds a violated clause as one that is disjoint from it.  At the 200-step
-cap the transitivity block alone is 8.1 million clauses.
+The cubic transitivity block is built one (a, b) pair at a time, from the
+ordering-variable rows of a and b.  At the 200-step cap it alone is 8.1
+million clauses, and allocating their tuples is most of the encoding's
+cost.  Writing and checking avoid per-literal Python loops.
+`Wcnf.to_dimacs` writes each run of equal-width clauses with one % format
+per chunk of a few thousand clauses and joins the pieces once.
+`check_model` builds the set of true literals once; a clause is violated
+when it is disjoint from that set.
 
 A structured exhaustive optimizer and a plain enumeration oracle cover tiny
 instances; larger instances are emit-only (solve the file externally).  The
@@ -33,8 +33,6 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass, field
-from itertools import chain, repeat
-from operator import neg
 from typing import Iterable, Optional
 
 from .bdpo import GOAL_ID, INIT_ID
@@ -123,7 +121,7 @@ def _dimacs_lines(rows, lead: str, lead_args: int):
         line = lead + " %d" * (size - lead_args) + " 0"
         while chunk := list(itertools.islice(run, _DIMACS_CHUNK)):
             yield "\n".join([line] * len(chunk)) % tuple(
-                chain.from_iterable(chunk))
+                itertools.chain.from_iterable(chunk))
 
 
 def parse_dimacs_wcnf(text: str) -> Wcnf:
@@ -215,19 +213,18 @@ def encode_mr(task: PlanningTask, pop: PartialOrderPlan, mclcp: bool = False
 
     wcnf = Wcnf()
 
-    # transitivity over every ordered triple (a, b, c), in permutations
-    # order: for each (a, b), zip row b of `not_t` with row a of `t`, both
-    # without the positions of a and b
-    n = len(steps)
-    not_t = [[-v for v in row] for row in t]
+    # transitivity over every ordered triple, in permutations order; a zero
+    # in either row is the diagonal, where c would repeat a or b.  Allocating
+    # the tuples is the cost: zipping list slices of the rows instead was no
+    # faster at 45 steps and slower at 5.
+    neg = [[-v for v in row] for row in t]
     for i, row_a in enumerate(t):
-        for j, not_b in enumerate(not_t):
+        for j, neg_b in enumerate(neg):
             if i != j:
-                lo, hi = min(i, j), max(i, j)
-                wcnf.hard.extend(zip(
-                    repeat(not_t[i][j], n - 2),
-                    not_b[:lo] + not_b[lo + 1:hi] + not_b[hi + 1:],
-                    row_a[:lo] + row_a[lo + 1:hi] + row_a[hi + 1:]))
+                not_ab = neg[i][j]
+                wcnf.hard.extend([(not_ab, not_bc, ac)
+                                  for not_bc, ac in zip(neg_b, row_a)
+                                  if not_bc and ac])
     # synthetic endpoints are always in
     wcnf.add_hard(cat.x[INIT_ID])
     wcnf.add_hard(cat.x[GOAL_ID])
@@ -285,10 +282,10 @@ def check_model(wcnf: Wcnf, true_vars: set[int]) -> int:
     The true literals are `v` for each variable of the model and `-v` for
     every other variable the clauses use, so a clause is violated exactly
     when it is disjoint from that set."""
-    used = set(map(abs, chain.from_iterable(
-        chain(wcnf.hard, (clause for _, clause in wcnf.soft)))))
+    used = set(map(abs, itertools.chain.from_iterable(
+        itertools.chain(wcnf.hard, (clause for _, clause in wcnf.soft)))))
     true_lits = used.intersection(true_vars)
-    true_lits.update(map(neg, used.difference(true_vars)))
+    true_lits.update(map(int.__neg__, used.difference(true_vars)))
     broken = next(filter(true_lits.isdisjoint, wcnf.hard), None)
     if broken is not None:
         raise InvalidModel(f"hard clause {broken} violated")
