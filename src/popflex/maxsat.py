@@ -37,7 +37,8 @@ from typing import Iterable, Optional
 
 from .bdpo import GOAL_ID, INIT_ID
 from .pop import PartialOrderPlan, synthetic_operators
-from .task import Fact, PlanningTask, SequentialPlan, cons_prod_del
+from .task import (Fact, LineSyntaxError, PlanningTask, SequentialPlan,
+                   cons_prod_del)
 
 MAX_ENCODE_STEPS = 200
 _DIMACS_CHUNK = 4096     # clauses formatted by one % in `Wcnf.to_dimacs`
@@ -55,13 +56,8 @@ class InvalidModel(Exception):
     """Model violates a hard clause or decodes to an unsupported plan."""
 
 
-class WcnfSyntaxError(Exception):
-    """Malformed DIMACS WCNF input; carries the offending 1-based line
-    number."""
-
-    def __init__(self, line_no: int, message: str):
-        super().__init__(f"line {line_no}: {message}")
-        self.line_no = line_no
+class WcnfSyntaxError(LineSyntaxError):
+    """Malformed DIMACS WCNF input."""
 
 
 @dataclass
@@ -336,13 +332,8 @@ def ordering_count(pop: PartialOrderPlan) -> int:
 
 
 def optimal_model(task: PlanningTask, pop: PartialOrderPlan,
-                  mclcp: bool = False,
-                  encoding: Optional[tuple[Wcnf, VarCatalog]] = None
-                  ) -> tuple[set[int], int]:
+                  mclcp: bool = False) -> tuple[set[int], int]:
     """Exhaustive optimum over the encoding's meaningful assignments.
-
-    `encoding` is the (wcnf, catalog) pair that `encode_mr(task, pop,
-    mclcp)` returned; the plan is encoded here when none is given.
 
     Enumerates step subsets (singleton when not cost-minimizing), then walks
     the causal-link choices depth first in product order and, below each
@@ -357,7 +348,7 @@ def optimal_model(task: PlanningTask, pop: PartialOrderPlan,
     key), and among equal keys the first in product order.  The winning
     assignment is checked against the emitted clauses.
     """
-    wcnf, cat = encode_mr(task, pop, mclcp) if encoding is None else encoding
+    wcnf, cat = encode_mr(task, pop, mclcp)
     steps = cat.steps
     pos = {s: i for i, s in enumerate(steps)}
     real = [s for s in steps if s not in (INIT_ID, GOAL_ID)]

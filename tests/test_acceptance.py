@@ -140,7 +140,7 @@ def test_criterion_4_mr_oracle_equivalence():
             if mclcp and len(plan.steps) == 6:
                 continue   # subset x poset enumeration at 6 is for MR only
             wcnf, cat = encode_mr(task, pop, mclcp)
-            model, _ = optimal_model(task, pop, mclcp, (wcnf, cat))
+            model, _ = optimal_model(task, pop, mclcp)
             decoded = decode_model(model, cat, task, pop, wcnf)
             oracle = brute_force_mr(task, plan, mclcp)
             assert ordering_count(decoded) == ordering_count(oracle), \

@@ -23,7 +23,7 @@ def test_independent_pair_optimum_has_no_cross_ordering():
     task, plan = independent_task(2)
     pop = eog(task, plan)
     wcnf, cat = encode_mr(task, pop)
-    model, _ = optimal_model(task, pop, encoding=(wcnf, cat))
+    model, _ = optimal_model(task, pop)
     decoded = decode_model(model, cat, task, pop, wcnf)
     assert ordering_count(decoded) == 0
 
@@ -32,7 +32,7 @@ def test_producer_consumer_forces_the_link():
     task, plan = produce_consume_task()
     pop = eog(task, plan)
     wcnf, cat = encode_mr(task, pop)
-    model, _ = optimal_model(task, pop, encoding=(wcnf, cat))
+    model, _ = optimal_model(task, pop)
     decoded = decode_model(model, cat, task, pop, wcnf)
     assert ordering_count(decoded) == 1
     a, b = decoded.real_steps()
@@ -51,8 +51,7 @@ def test_mclcp_drops_zero_contribution_step():
     plan = SequentialPlan([0, 1])
     pop = eog(task, plan)
     wcnf, cat = encode_mr(task, pop, mclcp=True)
-    model, _ = optimal_model(task, pop, mclcp=True,
-                             encoding=(wcnf, cat))
+    model, _ = optimal_model(task, pop, mclcp=True)
     decoded = decode_model(model, cat, task, pop, wcnf)
     names = {decoded.steps[s].name for s in decoded.real_steps()}
     assert names == {"useful"}
@@ -64,7 +63,7 @@ def test_decode_rejects_link_without_ordering():
     task, plan = produce_consume_task()
     pop = eog(task, plan)
     wcnf, cat = encode_mr(task, pop)
-    model, _ = optimal_model(task, pop, encoding=(wcnf, cat))
+    model, _ = optimal_model(task, pop)
     some_gamma = next(iter(cat.gamma.values()))
     broken = set(model)
     broken.add(some_gamma)
@@ -79,7 +78,7 @@ def test_decode_total_order_model():
     task, plan = chain_task(3)
     pop = eog(task, plan)
     wcnf, cat = encode_mr(task, pop)
-    model, _ = optimal_model(task, pop, encoding=(wcnf, cat))
+    model, _ = optimal_model(task, pop)
     decoded = decode_model(model, cat, task, pop, wcnf)
     assert decoded.validate()
     assert ordering_count(decoded) == 3
@@ -147,18 +146,6 @@ def test_parse_dimacs_wcnf_rejects_malformed_text(text, line_no):
     assert str(err.value).startswith(f"line {line_no}: ")
 
 
-def test_optimal_model_reuses_a_given_encoding():
-    """Passing the encoding already made gives what encoding again gives."""
-    for seed in range(1, 41):
-        task, plan = random_task(seed, max_vars=4, max_steps=5,
-                                 unit_costs=True)
-        pop = eog(task, plan)
-        for mclcp in (False, True):
-            encoding = encode_mr(task, pop, mclcp)
-            assert optimal_model(task, pop, mclcp, encoding) \
-                == optimal_model(task, pop, mclcp)
-
-
 def test_model_v_line_parsing():
     assert model_from_v_line("v 1 -2 3 0\n") == {1, 3}
 
@@ -181,7 +168,7 @@ def test_structured_optimum_matches_exhaustive_assignment_search():
             continue
         if best is None or violated < best:
             best = violated
-    model, violated = optimal_model(task, pop, encoding=(wcnf, cat))
+    model, violated = optimal_model(task, pop)
     assert violated == best
 
 
@@ -192,7 +179,7 @@ def test_optimum_equals_oracle_on_random_tasks():
         pop = eog(task, plan)
         for mclcp in (False, True):
             wcnf, cat = encode_mr(task, pop, mclcp)
-            model, _ = optimal_model(task, pop, mclcp, (wcnf, cat))
+            model, _ = optimal_model(task, pop, mclcp)
             decoded = decode_model(model, cat, task, pop, wcnf)
             oracle = brute_force_mr(task, plan, mclcp)
             assert ordering_count(decoded) == ordering_count(oracle)
@@ -205,7 +192,7 @@ def test_decoded_models_validate_and_linearize():
         task, plan = random_task(seed, max_vars=4, max_steps=5)
         pop = eog(task, plan)
         wcnf, cat = encode_mr(task, pop)
-        model, _ = optimal_model(task, pop, encoding=(wcnf, cat))
+        model, _ = optimal_model(task, pop)
         decoded = decode_model(model, cat, task, pop, wcnf)
         assert decoded.validate()
         for lin in decoded.all_linearizations():
