@@ -33,12 +33,16 @@ State = dict[int, int]
 Profile = tuple[frozenset[Fact], frozenset[Fact], frozenset[Fact]]
 
 
-class SasSyntaxError(Exception):
-    """Malformed SAS+ input; carries the offending 1-based line number."""
+class LineSyntaxError(Exception):
+    """Malformed text input; carries the offending 1-based line number."""
 
     def __init__(self, line_no: int, message: str):
         super().__init__(f"line {line_no}: {message}")
         self.line_no = line_no
+
+
+class SasSyntaxError(LineSyntaxError):
+    """Malformed SAS+ input."""
 
 
 class Unsupported(Exception):
