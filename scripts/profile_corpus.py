@@ -23,13 +23,12 @@ cumulative times, and a sha1 over each run's plan JSON and phase reports.
 The random digest is the one `tests/test_golden.py` pins as RANDOM_DIGEST,
 so a change that moves the cost can be seen to keep the outputs.
 
-`maxsat` profiles one round of the `maxsat-reorder` benchmark's instances,
-regenerated with `random_task`: the DIMACS text of the first three plans of
-40-50 steps (`max_vars=8`, `max_steps=80`), and the optimal model, violated
-weight and decoded plan of seeds 1-100 (`max_vars=4`, `max_steps=5`, unit
-costs) in both modes, as the benchmark calls them.  It prints the calls and
-cumulative time of `encode_mr`, `Wcnf.to_dimacs`, `check_model`,
-`optimal_model` and `decode_model`, and a sha1 over those outputs.
+`maxsat` profiles one round of the `maxsat-reorder` workload: the
+`MaxsatReorder` class of `perfbench/workloads.py`, imported the same way,
+builds its seed-1 instances and runs each of them once.  It prints the
+calls and cumulative time of `encode_mr`, `Wcnf.to_dimacs`, `check_model`,
+`optimal_model` and `decode_model`, and a sha1 over the workload's digest
+of each output.
 `maxsat-cap` encodes the 200-step `eog(scaling_task(50, 4))`, the CLI's
 cap, writes its DIMACS text, and prints the wall time of both and the
 process's peak resident set (`ru_maxrss`).  Run it in a process of its own,
@@ -85,18 +84,23 @@ def scaling300():
     return [(*scaling_task(), config)]
 
 
-def towers(k: int):
-    """The benchmark's tower generator, imported without writing bytecode
+def perfbench_workloads():
+    """The benchmark's `workloads` module, imported without writing bytecode
     under perfbench/."""
     sys.path.insert(0, str(PERFBENCH))
     dont_write, sys.dont_write_bytecode = sys.dont_write_bytecode, True
     try:
-        from workloads import towers_plan, towers_sas
+        import workloads
     finally:
         sys.dont_write_bytecode = dont_write
         sys.path.remove(str(PERFBENCH))
-    task = parse_sas(towers_sas(k))
-    seq = parse_plan(towers_plan(list(range(k))), task)
+    return workloads
+
+
+def towers(k: int):
+    workloads = perfbench_workloads()
+    task = parse_sas(workloads.towers_sas(k))
+    seq = parse_plan(workloads.towers_plan(list(range(k))), task)
     config = FibsConfig(reduce="gj", max_expansions=2000,
                         subtask_time=math.inf, time_limit=math.inf)
     return [(task, seq, config)]
@@ -105,33 +109,17 @@ def towers(k: int):
 CORPORA = {"random": random_corpus, "scaling300": scaling300}
 
 
-def maxsat_round() -> list[str]:
-    """The `maxsat-reorder` round's outputs, one JSON or DIMACS text each."""
-    out = []
-    emit, seed = 0, 0
-    while emit < 3:
-        task, plan = random_task(seed, max_vars=8, max_steps=80)
-        seed += 1
-        if 40 <= len(plan.steps) <= 50:
-            wcnf, _ = maxsat.encode_mr(task, eog(task, plan))
-            out.append(wcnf.to_dimacs())
-            emit += 1
-    for seed in range(1, 101):
-        task, plan = random_task(seed, max_vars=4, max_steps=5,
-                                 unit_costs=True)
-        pop = eog(task, plan)
-        for mclcp in (False, True):
-            wcnf, cat = maxsat.encode_mr(task, pop, mclcp)
-            model, violated = maxsat.optimal_model(task, pop, mclcp)
-            decoded = maxsat.decode_model(model, cat, task, pop, wcnf)
-            out.append(json.dumps([sorted(model), violated,
-                                   decoded.to_json()], sort_keys=True))
-    return out
+def maxsat_round():
+    """One round of the `maxsat-reorder` workload on its seed-1 instances,
+    each output reduced to the workload's own digest."""
+    workload = perfbench_workloads().MaxsatReorder()
+    instances = workload.setup(1)
+    return lambda: [workload.digest(workload.run(inst))
+                    for inst in instances]
 
 
 def profile(name: str, work, counted=COUNTED) -> None:
-    """Run `work` under cProfile; it returns a list of outputs, each either a
-    string or a `fibs` (plan, reports) pair."""
+    """Run `work` under cProfile; it returns a list of output strings."""
     digest = hashlib.sha1()
     profiler = cProfile.Profile()
     t0 = time.perf_counter()
@@ -140,11 +128,6 @@ def profile(name: str, work, counted=COUNTED) -> None:
     profiler.disable()
     elapsed = time.perf_counter() - t0
     for output in outputs:
-        if not isinstance(output, str):
-            plan, reports = output
-            output = json.dumps([plan.to_json(),
-                                 [r.to_dict() for r in reports]],
-                                sort_keys=True)
         digest.update(output.encode())
     print(f"== {name}: {len(outputs)} outputs, {elapsed:.2f} s under the "
           f"profiler")
@@ -163,7 +146,16 @@ def profile(name: str, work, counted=COUNTED) -> None:
 
 
 def fibs_runs(runs):
-    return lambda: [fibs(task, seq, config) for task, seq, config in runs]
+    """Each run's plan JSON and phase reports, as one JSON string."""
+    def work():
+        outputs = []
+        for task, seq, config in runs:
+            plan, reports = fibs(task, seq, config)
+            outputs.append(json.dumps([plan.to_json(),
+                                       [r.to_dict() for r in reports]],
+                                      sort_keys=True))
+        return outputs
+    return work
 
 
 def maxsat_cap() -> None:
@@ -190,7 +182,7 @@ def main(argv: list[str]) -> int:
         profile(f"towers {argv[1]}", fibs_runs(towers(int(argv[1]))))
         return 0
     if which == "maxsat" and len(argv) == 1:
-        profile("maxsat", maxsat_round, MAXSAT_COUNTED)
+        profile("maxsat", maxsat_round(), MAXSAT_COUNTED)
         return 0
     if which == "maxsat-cap" and len(argv) == 1:
         maxsat_cap()
