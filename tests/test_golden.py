@@ -8,7 +8,8 @@ machine speed.  The removal digest covers every single-block removal from
 deordered plans whose blocks nest up to seven deep, which the fibs corpora
 never reach.  The MaxSAT digest covers the DIMACS text and variable
 catalogue of large encodings, and the optimal model, its violated weight,
-its decoded plan and the clauses of tiny ones.  A change that keeps
+its decoded plan and the clauses of tiny ones.  The oracle digest covers
+the plans of the enumeration oracle `brute_force_mr`.  A change that keeps
 behaviour leaves every digest as it is; a change of behaviour has to
 regenerate them and say why.
 """
@@ -28,7 +29,8 @@ from popflex.eog import eog
 from popflex.fibs import (AcceptanceCriteria, FibsConfig, SubtaskInfeasible,
                           _scan_basic_edges, build_subtask, fibs, reduce_plan,
                           remove_blocks)
-from popflex.maxsat import decode_model, encode_mr, optimal_model
+from popflex.maxsat import (brute_force_mr, decode_model, encode_mr,
+                            optimal_model)
 from popflex.subplanner import solve_subtask
 from popflex.substitution import CandidateBlock, candidate_block, substitute
 from popflex.task import emit_plan, emit_sas
@@ -43,6 +45,7 @@ EMPTY_CANDIDATE_DIGEST = "f3c4a74357bd4a1e3b2d075dfe4490ce40b357ab"
 CLI_DIGEST = "8b70e41e55c9ddac02e63a0e31471442bebcc8f5"
 SEARCH_DIGEST = "4d3cdb788a282954fa8433c350379bc8bde30c1d"
 VALIDATE_DIGEST = "689b8ff994e1c1f25d74d8f7ef52341da48a5a93"
+ORACLE_DIGEST = "3d8979a5b07ae309ef453c8a073a4c56aacf87d5"
 
 
 def _run_text(task, seq, config) -> bytes:
@@ -127,6 +130,36 @@ def test_golden_maxsat_six_steps():
                 json.dumps([seed, mclcp, sorted(model), violated]).encode())
         checked += 1
     assert digest.hexdigest() == SIX_STEP_DIGEST
+
+
+def _oracle_text(task, plan, mclcp) -> bytes:
+    out = brute_force_mr(task, plan, mclcp)
+    return json.dumps([out.to_json(), sorted(out.extra_orderings),
+                       out.cost()], sort_keys=True).encode()
+
+
+def test_golden_oracle():
+    """The enumeration oracle's plans on the criterion-4 corpus (MR on all
+    100 tasks, MCLCP on those below 6 steps) and on the `maxsat-reorder`
+    benchmark's 100 tiny tasks in both modes."""
+    digest = hashlib.sha1()
+    checked = seed = 0
+    while checked < 100:
+        seed += 1
+        task, plan = random_task(seed, max_vars=4, max_steps=6,
+                                 unit_costs=True)
+        if len(plan.steps) > 6:
+            continue
+        for mclcp in (False, True):
+            if not (mclcp and len(plan.steps) == 6):
+                digest.update(_oracle_text(task, plan, mclcp))
+        checked += 1
+    for seed in range(1, 101):
+        task, plan = random_task(seed, max_vars=4, max_steps=5,
+                                 unit_costs=True)
+        for mclcp in (False, True):
+            digest.update(_oracle_text(task, plan, mclcp))
+    assert digest.hexdigest() == ORACLE_DIGEST
 
 
 def _block_depths(plan) -> dict[int, int]:
