@@ -861,13 +861,13 @@ def init_bdpo(pop: BdpoPlan) -> BdpoPlan:
 # candidate producers
 
 
-def candidate_producers(plan: BdpoPlan, fact: Fact, consumer: int,
-                        exclude: frozenset[int] = frozenset()) -> list[int]:
+def candidate_producers(plan: BdpoPlan, fact: Fact, consumer: int
+                        ) -> list[int]:
     """Blocks already ordered before `consumer` whose effect holds `fact`
     with no deleter that could fall between, earliest first."""
     out = []
     for p in sorted(plan.roots, key=plan.pos_key):
-        if p == consumer or p == GOAL_BLOCK or p in exclude:
+        if p == consumer or p == GOAL_BLOCK:
             continue
         if fact not in plan.blocks[p].eff:
             continue
@@ -875,7 +875,7 @@ def candidate_producers(plan: BdpoPlan, fact: Fact, consumer: int,
             continue
         blocked = False
         for t in sorted(plan.roots):
-            if t in (consumer, GOAL_BLOCK) or t in exclude:
+            if t in (consumer, GOAL_BLOCK):
                 continue
             if fact not in plan.blocks[t].dels:
                 continue

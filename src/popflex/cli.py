@@ -16,7 +16,8 @@ from typing import Optional, Sequence
 
 from .bdpo import BdpoPlan, block_deorder, init_bdpo
 from .eog import eog
-from .fibs import (AcceptanceCriteria, FibsConfig, fibs, reduce_plan)
+from .fibs import (RCO, REDUCE_MODES, RFO, AcceptanceCriteria, FibsConfig,
+                   fibs, reduce_plan)
 from .maxsat import EncodingTooLarge, encode_mr
 from .subplanner import PLANNER_CMD_ENV
 from .task import (PlanningTask, SequentialPlan, emit_plan, parse_plan,
@@ -100,18 +101,21 @@ def run(argv: Sequence[str]) -> int:
 
     p = sub.add_parser("fibs", help="run the full substitution pipeline")
     add_common(p)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--criteria", choices=["rfo", "rco"], default="rfo")
-    p.add_argument("--max-plans", type=int, default=10, dest="max_plans")
-    p.add_argument("--subtask-time", type=float, default=5.0,
-                   dest="subtask_time")
-    p.add_argument("--max-expansions", type=int, default=20000,
-                   dest="max_expansions")
-    p.add_argument("--time-limit", type=float, default=1800.0,
+    defaults = FibsConfig()
+    p.add_argument("--seed", type=int, default=defaults.seed)
+    p.add_argument("--criteria", choices=[RFO, RCO],
+                   default=defaults.criteria.mode)
+    p.add_argument("--max-plans", type=int, default=defaults.max_plans,
+                   dest="max_plans")
+    p.add_argument("--subtask-time", type=float,
+                   default=defaults.subtask_time, dest="subtask_time")
+    p.add_argument("--max-expansions", type=int,
+                   default=defaults.max_expansions, dest="max_expansions")
+    p.add_argument("--time-limit", type=float, default=defaults.time_limit,
                    dest="time_limit", help="whole-run budget in seconds")
     p.add_argument("--planner-cmd", default=None,
                    help=f"external planner command (also {PLANNER_CMD_ENV})")
-    p.add_argument("--reduce", choices=["none", "bj", "gj"], default="none")
+    p.add_argument("--reduce", choices=REDUCE_MODES, default=defaults.reduce)
     p.add_argument("--report", help="phase report JSON output")
     p.add_argument("--report-csv", help="phase report CSV output",
                    dest="report_csv")
@@ -122,7 +126,8 @@ def run(argv: Sequence[str]) -> int:
     p = sub.add_parser("reduce", help="drop redundant blocks")
     add_common(p)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--mode", choices=["bj", "gj"], default="gj")
+    p.add_argument("--mode", choices=[m for m in REDUCE_MODES if m != "none"],
+                   default="gj")
     p.add_argument("--skip-bd", action="store_true", dest="skip_bd",
                    help="reduce the plain deordered plan without blocks")
     p.add_argument("-o", "--out", help="plan JSON output")

@@ -26,6 +26,17 @@ bitmask per step; a node is dropped when its edges form a cycle or when its
 ordered-pair count already puts it strictly above the best objective found.
 Ties are never pruned, so the optimum and its tie-break are those of the
 full enumeration.
+
+The oracle `brute_force_mr` shares no search with the optimizer, so each
+checks the other.  For each step subset it scans the labelled posets of the
+subset fewest ordered pairs first and stops at the first valid one.  A poset
+is valid when every precondition of a step and of the goal has a producer:
+init or a step ordered before the consumer, with every deleter of the fact
+ordered before that producer or after the consumer.  Each precondition
+holds its producers in a list and its deleters in a bitmask, built once per
+subset.  At 6 steps the scan covers at most 130,023 posets; the 100-task
+corpus of acceptance criterion 4 (up to 6 steps, MCLCP below 6) takes about
+5 s on 2 vCPUs of Python 3.11, oracle and optimizer together.
 """
 
 from __future__ import annotations
@@ -166,16 +177,15 @@ def _integers(tokens: list[str], line_no: int) -> list[int]:
 
 
 def model_from_v_line(text: str) -> set[int]:
-    """True variables from a DIMACS 'v ...' solution line."""
+    """True variables from the 'v ...' lines of a MaxSAT solver's output;
+    comment, 'o' and 's' lines are skipped.  Raises WcnfSyntaxError with
+    the line number of a 'v' line that holds a non-integer token."""
     true_vars = set()
-    for line in text.splitlines():
-        line = line.strip()
-        if line.startswith("v"):
-            line = line[1:]
-        for tok in line.split():
-            lit = int(tok)
-            if lit > 0:
-                true_vars.add(lit)
+    for line_no, line in enumerate(text.splitlines(), 1):
+        parts = line.split()
+        if parts[:1] == ["v"]:
+            true_vars.update(lit for lit in _integers(parts[1:], line_no)
+                             if lit > 0)
     return true_vars
 
 
@@ -289,11 +299,9 @@ def check_model(wcnf: Wcnf, true_vars: set[int]) -> int:
 
 
 def decode_model(true_vars: set[int], cat: VarCatalog, task: PlanningTask,
-                 pop: PartialOrderPlan, wcnf: Optional[Wcnf] = None
-                 ) -> PartialOrderPlan:
+                 pop: PartialOrderPlan, wcnf: Wcnf) -> PartialOrderPlan:
     """Rebuild a POP from a model; hard clauses are re-checked first."""
-    if wcnf is not None:
-        check_model(wcnf, true_vars)
+    check_model(wcnf, true_vars)
     included = [s for s in cat.steps if cat.x[s] in true_vars]
     if INIT_ID not in included or GOAL_ID not in included:
         raise InvalidModel("synthetic endpoints excluded")
@@ -508,7 +516,8 @@ _POSET_CACHE: dict[int, list[tuple[int, ...]]] = {}
 
 def _posets(n: int) -> list[tuple[int, ...]]:
     """All strict partial orders on n labeled elements, each encoded as a
-    tuple of successor bitmasks.
+    tuple of successor bitmasks, fewest ordered pairs first and then in
+    tuple order.
 
     Element n-1 extends each smaller poset: its predecessor set must be
     down-closed, its successor set up-closed, and every chosen predecessor
@@ -523,46 +532,37 @@ def _posets(n: int) -> list[tuple[int, ...]]:
         result = []
         k = n - 1
         for smaller in _posets(n - 1):
+            up_closed = _closed_subsets(smaller, k, down=False)
             for preds in _closed_subsets(smaller, k, down=True):
-                for succs in _closed_subsets(smaller, k, down=False):
-                    if preds & succs:
-                        continue
-                    if any(preds & (1 << p) and (succs & ~smaller[p])
-                           for p in range(k)):
-                        continue
-                    rows = [smaller[e] | (1 << k) if preds & (1 << e)
-                            else smaller[e] for e in range(k)]
-                    rows.append(succs)
-                    result.append(tuple(rows))
-    _POSET_CACHE[n] = sorted(result)
+                chosen = [e for e in range(k) if preds >> e & 1]
+                common = (1 << k) - 1   # what every predecessor precedes
+                for e in chosen:
+                    common &= smaller[e]
+                rows = list(smaller)
+                for e in chosen:
+                    rows[e] |= 1 << k
+                result += [(*rows, succs) for succs in up_closed
+                           if not succs & ~common]
+    _POSET_CACHE[n] = sorted(
+        result, key=lambda rows: (sum(map(int.bit_count, rows)), rows))
     return _POSET_CACHE[n]
 
 
 def _closed_subsets(rows: tuple[int, ...], n: int, down: bool) -> list[int]:
     """Bitmasks closed downward (all predecessors) or upward (all successors)."""
-    out = []
-    for mask in range(1 << n):
-        ok = True
-        for e in range(n):
-            if not mask & (1 << e):
-                continue
-            if down:
-                preds = [p for p in range(n) if rows[p] & (1 << e)]
-                if any(not mask & (1 << p) for p in preds):
-                    ok = False
-                    break
-            else:
-                if rows[e] & ~mask:
-                    ok = False
-                    break
-        if ok:
-            out.append(mask)
-    return out
+    if down:    # the predecessor rows of the same order
+        rows = [sum(1 << p for p in range(n) if rows[p] >> e & 1)
+                for e in range(n)]
+    return [mask for mask in range(1 << n)
+            if not any(mask >> e & 1 and rows[e] & ~mask for e in range(n))]
 
 
 def brute_force_mr(task: PlanningTask, plan: SequentialPlan,
                    mclcp: bool = False) -> PartialOrderPlan:
-    """Optimal reordering by explicit enumeration; instances cap at 6 steps."""
+    """Optimal reordering by explicit enumeration; instances cap at 6 steps.
+
+    The posets of each subset come fewest ordered pairs first, so the first
+    valid one is the subset's least (objective, subset, rows) key."""
     n = len(plan.steps)
     if n > 6:
         raise TooLarge(f"{n} steps")
@@ -572,8 +572,7 @@ def brute_force_mr(task: PlanningTask, plan: SequentialPlan,
     init_prof, goal_prof = (cons_prod_del(op, sizes) for op in
                             synthetic_operators(task.init, task.goal))
 
-    best: Optional[tuple[tuple, list[int], tuple[int, ...]]] = None
-
+    best = None
     subsets: Iterable[tuple[int, ...]]
     if mclcp:
         subsets = itertools.chain.from_iterable(
@@ -582,95 +581,61 @@ def brute_force_mr(task: PlanningTask, plan: SequentialPlan,
         subsets = [tuple(range(n))]
 
     for subset in subsets:
-        m = len(subset)
-        cost = sum(ops[i].cost for i in subset)
-        for rows in _posets(m):
-            if not _poset_valid(subset, rows, profiles, init_prof, goal_prof):
-                continue
-            n_ordered = sum(bin(r).count("1") for r in rows)
-            if mclcp:
-                objective = (cost, n_ordered)
-            else:
-                objective = (n_ordered,)
-            key = (objective, subset, rows)
-            if best is None or key < best[0]:
-                best = (key, list(subset), rows)
+        needs = _oracle_needs(subset, profiles, init_prof, goal_prof)
+        rows = next((rows for rows in _posets(len(subset)) if all(
+            _producer(need, rows) is not None for need in needs)), None)
+        if rows is None:
+            continue
+        n_ordered = sum(map(int.bit_count, rows))
+        objective = ((sum(ops[i].cost for i in subset), n_ordered) if mclcp
+                     else (n_ordered,))
+        if best is None or (objective, subset, rows) < best[0]:
+            best = ((objective, subset, rows), needs)
 
     if best is None:
         raise InvalidModel("no valid reordering exists")
-    _, subset, rows = best
+    (_, subset, rows), needs = best
     out = PartialOrderPlan(task)
     out.install_synthetics()
-    ids = []
-    for i in subset:
-        ids.append(out.add_step(ops[i]))
-    for a_pos, a in enumerate(subset):
-        for b_pos, b in enumerate(subset):
-            if rows[a_pos] & (1 << b_pos):
-                out.extra_orderings.add((ids[a_pos], ids[b_pos]))
-    for c_pos, c in enumerate(subset):
-        for f in sorted(profiles[c][0]):
-            p = _pick_producer(c_pos, f, subset, rows, profiles, init_prof)
-            if p is not None:
-                out.links[(ids[c_pos], f)] = (
-                    INIT_ID if p == -1 else ids[p])
-    for f in sorted(goal_prof[0]):
-        p = _pick_producer(None, f, subset, rows, profiles, init_prof)
-        if p is not None:
-            out.links[(GOAL_ID, f)] = INIT_ID if p == -1 else ids[p]
+    ids = [out.add_step(ops[i]) for i in subset]
+    for a, row in enumerate(rows):
+        for b in range(len(rows)):
+            if row >> b & 1:
+                out.extra_orderings.add((ids[a], ids[b]))
+    for need in needs:
+        p = _producer(need, rows)
+        f, c = need[:2]
+        out.links[(GOAL_ID if c is None else ids[c], f)] = (
+            INIT_ID if p == -1 else ids[p])
     out.rebuild_closure()
     return out
 
 
-def _before(a: Optional[int], b: Optional[int], rows) -> bool:
-    """Order test with -1 as init and None as goal."""
-    if a == -1:
-        return b != -1
-    if b is None:
-        return a is not None and a != -1 or a == -1
-    if a is None:
-        return False
-    if b == -1:
-        return False
-    return bool(rows[a] & (1 << b))
-
-
-def _poset_valid(subset, rows, profiles, init_prof, goal_prof) -> bool:
-    m = len(subset)
-    consumers = [(pos, profiles[subset[pos]][0]) for pos in range(m)]
+def _oracle_needs(subset, profiles, init_prof, goal_prof) -> list[tuple]:
+    """One (fact, consumer, init supplies it, producers, deleters) entry per
+    precondition of each step of `subset`, then of the goal, facts sorted.
+    Steps are positions in `subset` and the goal is None; the producers
+    ascend, and the deleters are a bitmask that leaves out the consumer."""
+    consumers = [(c, profiles[s][0]) for c, s in enumerate(subset)]
     consumers.append((None, goal_prof[0]))
-    for c_pos, cons in consumers:
-        for f in cons:
-            if _pick_producer(c_pos, f, subset, rows, profiles,
-                              init_prof) is None:
-                return False
-    return True
+    return [(f, c, f in init_prof[1],
+             [p for p, s in enumerate(subset) if p != c and f in profiles[s][1]],
+             sum(1 << t for t, s in enumerate(subset)
+                 if t != c and f in profiles[s][2]))
+            for c, pre in consumers for f in sorted(pre)]
 
 
-def _pick_producer(c_pos, f, subset, rows, profiles, init_prof):
-    """Earliest valid producer position (or -1 for init, None if none)."""
-    m = len(subset)
-    candidates = []
-    if f in init_prof[1]:
-        candidates.append(-1)
-    for p_pos in range(m):
-        if p_pos == c_pos:
-            continue
-        if f in profiles[subset[p_pos]][1]:
-            if c_pos is None or _before(p_pos, c_pos, rows):
-                candidates.append(p_pos)
-    for p_pos in candidates:
-        ok = True
-        for t_pos in range(m):
-            if t_pos == c_pos or t_pos == p_pos:
-                continue
-            if f not in profiles[subset[t_pos]][2]:
-                continue
-            before_p = _before(t_pos, p_pos, rows)
-            after_c = c_pos is not None and _before(c_pos, t_pos, rows)
-            if not before_p and not after_c:
-                ok = False
-                break
-        if ok:
-            return p_pos
+def _producer(need: tuple, rows: tuple[int, ...]) -> Optional[int]:
+    """The first valid producer of an `_oracle_needs` entry under the poset
+    `rows`: -1 for init, else the first producer that precedes the consumer;
+    None when there is none.  Every deleter must come before the producer
+    or after the consumer, so init only serves when none comes earlier."""
+    _, c, init, producers, deleters = need
+    early = deleters if c is None else deleters & ~rows[c]
+    if init and not early:
+        return -1
+    for p in producers:
+        if (c is None or rows[p] >> c & 1) and all(
+                rows[t] >> p & 1 for t in range(len(rows)) if early >> t & 1):
+            return p
     return None

@@ -16,7 +16,13 @@ from popflex.task import (PlanningTask, SequentialPlan, Variable,
 
 
 def test_poset_counts_match_the_literature():
-    assert [len(_posets(n)) for n in range(6)] == [1, 1, 3, 19, 219, 4231]
+    assert [len(_posets(n)) for n in range(7)] == [1, 1, 3, 19, 219, 4231,
+                                                   130023]
+    # `brute_force_mr` stops at a subset's first valid poset, which is its
+    # least only when pair counts never fall along the list
+    for n in range(7):
+        counts = [sum(map(int.bit_count, rows)) for rows in _posets(n)]
+        assert counts == sorted(counts)
 
 
 def test_independent_pair_optimum_has_no_cross_ordering():
@@ -148,6 +154,12 @@ def test_parse_dimacs_wcnf_rejects_malformed_text(text, line_no):
 
 def test_model_v_line_parsing():
     assert model_from_v_line("v 1 -2 3 0\n") == {1, 3}
+    # a solver's whole output: only the v lines hold the model
+    assert model_from_v_line(
+        "c solver\no 3\ns OPTIMUM FOUND\nv 1 -2 3 0\n") == {1, 3}
+    with pytest.raises(WcnfSyntaxError) as err:
+        model_from_v_line("s OPTIMUM FOUND\nv 1 x 0\n")
+    assert err.value.line_no == 2
 
 
 def test_structured_optimum_matches_exhaustive_assignment_search():
