@@ -35,8 +35,8 @@ init or a step ordered before the consumer, with every deleter of the fact
 ordered before that producer or after the consumer.  Each precondition
 holds its producers in a list and its deleters in a bitmask, built once per
 subset.  At 6 steps the scan covers at most 130,023 posets; the 100-task
-corpus of acceptance criterion 4 (up to 6 steps, MCLCP below 6) takes about
-5 s on 2 vCPUs of Python 3.11, oracle and optimizer together.
+corpus of acceptance criterion 4 (up to 6 steps, MCLCP below 6) takes
+3.7-4.9 s on 2 vCPUs with Python 3.11.7, oracle and optimizer together.
 """
 
 from __future__ import annotations
@@ -615,11 +615,13 @@ def _oracle_needs(subset, profiles, init_prof, goal_prof) -> list[tuple]:
     """One (fact, consumer, init supplies it, producers, deleters) entry per
     precondition of each step of `subset`, then of the goal, facts sorted.
     Steps are positions in `subset` and the goal is None; the producers
-    ascend, and the deleters are a bitmask that leaves out the consumer."""
+    ascend, and the deleters are a bitmask that leaves out the consumer.  No
+    operator deletes a fact it produces, so no producer is its own deleter."""
     consumers = [(c, profiles[s][0]) for c, s in enumerate(subset)]
     consumers.append((None, goal_prof[0]))
     return [(f, c, f in init_prof[1],
-             [p for p, s in enumerate(subset) if p != c and f in profiles[s][1]],
+             [p for p, s in enumerate(subset)
+              if p != c and f in profiles[s][1]],
              sum(1 << t for t, s in enumerate(subset)
                  if t != c and f in profiles[s][2]))
             for c, pre in consumers for f in sorted(pre)]
