@@ -207,6 +207,20 @@ def test_block_deorder_identity_on_dependent_chain():
     assert all(out.blocks[b].primitive for b in out.real_roots())
 
 
+def test_block_deorder_leaves_its_input_as_it_was():
+    """The input's commitments, blocks and closure are those it came with,
+    whether or not an edge commits."""
+    plans = [elevator_bdpo()[1]]
+    plans += [init_bdpo(eog(*random_task(seed))) for seed in range(25)]
+    committed = 0
+    for plan in plans:
+        snap, closure = plan.snapshot(), dict(plan.closure)
+        out = block_deorder(plan)
+        assert plan.snapshot() == snap and plan.closure == closure
+        committed += out.snapshot() != snap
+    assert 0 < committed < len(plans)
+
+
 def test_block_deorder_never_decreases_flex_and_stays_valid():
     for seed in range(25):
         task, seq = random_task(seed)

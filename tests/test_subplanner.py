@@ -1,4 +1,5 @@
 import dataclasses
+import math
 import os
 import shlex
 import sys
@@ -9,7 +10,11 @@ import time
 from hypothesis import given, settings
 from hypothesis import strategies as hst
 
+from popflex.bdpo import block_deorder, init_bdpo
 from popflex.corpus import chain_task, elevator_task, random_task
+from popflex.eog import eog
+from popflex.fibs import (FibsConfig, SubtaskInfeasible, _scan_basic_edges,
+                          build_subtask)
 from popflex.subplanner import (PLANNER_CMD_ENV, Subtask, _h_add,
                                 _Relaxation, _tables, _TaskTables,
                                 solve_subtask)
@@ -266,3 +271,40 @@ def test_external_planner_timeout_kills_its_process_group(tmp_path,
     while not _pid_gone(child) and time.monotonic() < deadline:
         time.sleep(0.05)
     assert _pid_gone(child)
+
+
+def test_a_length_bound_past_the_cost_cap_finds_the_same_plans():
+    """Every operator costs at least the task's least cost, so a search at
+    depth cost_bound // least has no successor within the cost bound: any
+    larger length bound pops the same nodes and gives the same plans, also
+    when the expansion cap stops the search."""
+    config = FibsConfig(max_plans=3, subtask_time=math.inf)
+    compared = cut_short = 0
+    for seed in range(40):
+        task, seq = random_task(seed, max_vars=8, max_steps=12)
+        least = min(op.cost for op in task.operators)
+        assert least > 0
+        flat = init_bdpo(eog(task, seq))
+        for plan in (flat, block_deorder(flat)):
+            for a, b in _scan_basic_edges(plan):
+                for excluded, target in ((a, b), (b, a)):
+                    try:
+                        st = build_subtask(task, plan, excluded, target,
+                                           config)
+                    except SubtaskInfeasible:
+                        continue
+                    cap = st.cost_bound // least
+                    found = []
+                    for expansions in (2, 3, 1500):
+                        plans = [p.steps for p in solve_subtask(
+                            dataclasses.replace(st, max_len=cap,
+                                                max_expansions=expansions))]
+                        for extra in (1, 5):
+                            wider = solve_subtask(dataclasses.replace(
+                                st, max_len=cap + extra,
+                                max_expansions=expansions))
+                            assert [p.steps for p in wider] == plans
+                            compared += 1
+                        found.append(plans)
+                    cut_short += found[0] != found[-1]
+    assert compared > 1000 and cut_short > 0
