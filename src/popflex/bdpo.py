@@ -1115,10 +1115,10 @@ def block_deorder(plan: BdpoPlan) -> BdpoPlan:
     Pure-DP edges are tried first and commit whenever flex does not drop
     (bundling a producer with its consumers is enabling even when no pair is
     freed yet); every other edge commits only on a strict flex gain.  After
-    each commit the scan restarts from the top.
+    each commit the scan restarts from the top.  The input's closure must be
+    current; the input is left as it is, and returned itself when no edge
+    commits.
     """
-    plan = plan.clone()
-    plan.rebuild_closure()
     while True:
         committed = False
         for wave, strict in (("dp", False), ("all", True)):

@@ -9,6 +9,7 @@ worsened) or cost-first (strict cost drop, or equal cost with a flex gain).
 
 from __future__ import annotations
 
+import dataclasses
 import logging
 import random
 import time
@@ -19,7 +20,7 @@ from typing import Optional
 from .bdpo import (GOAL_BLOCK, INIT_BLOCK, BdpoPlan, block_deorder,
                    init_bdpo)
 from .eog import eog
-from .subplanner import Subtask, solve_subtask
+from .subplanner import Subtask, capped_length, solve_subtask
 from .substitution import (CandidateBlock, candidate_block, remove_blocks,
                            substitute)
 from .task import (Fact, NotApplicable, PlanningTask, SequentialPlan,
@@ -151,7 +152,8 @@ def build_subtask(task: PlanningTask, plan: BdpoPlan, excluded: int,
                 raise SubtaskInfeasible(f"conflicting crossing fact {f}")
 
     bound = plan.blocks[target].cost
-    max_len = max(1, LENGTH_FACTOR * plan.blocks[target].size())
+    max_len = capped_length(
+        task, bound, max(1, LENGTH_FACTOR * plan.blocks[target].size()))
     return Subtask(base=task, init=state, goal=goal, cost_bound=bound,
                    max_len=max_len, time_bound=config.subtask_time,
                    max_plans=config.max_plans,
@@ -162,18 +164,36 @@ def build_subtask(task: PlanningTask, plan: BdpoPlan, excluded: int,
 class PhaseMemo:
     """What one `fibs` run has learnt, so that `resolve` does no work twice.
 
-    `candidates` maps a subtask key to the subtask's candidate blocks, and
-    `successors` maps a search state to its applicable operators.  Neither
-    depends on the plan, so both hold for both substitution phases of the
-    run; they are never kept on the task, so nothing outlives the run.
-    `tried` holds the (target, candidate) pairs already substituted into
-    the current plan, and `score` is that plan's (flex, cost).  Both hold
-    until an accept or another phase changes the plan: a pair tried again
-    on the same plan can only be rejected again."""
+    Kept for the run: `candidates` maps a subtask key to the subtask's
+    candidate blocks, and `successors` maps a search state to its
+    applicable operators.  Neither depends on the plan, so both hold for
+    both substitution phases; they are never kept on the task, so nothing
+    outlives the run.
+
+    Kept for one plan, the object `plan`: `subtasks` maps (excluded,
+    target) to the subtask `build_subtask` gives, or to None where it is
+    infeasible; `tried` holds the (target, candidate) pairs already
+    substituted into the plan; `score` is the plan's (flex, cost).  A pair
+    tried again on the same plan can only be rejected again.  `bind` drops
+    all three when `resolve` is given another plan object, and only then,
+    so they survive from SD1 into SD2 when block deordering commits
+    nothing and hands SD1's plan on.  Plans are never edited in place, so
+    the same object is the same plan."""
     candidates: dict[tuple, list[CandidateBlock]] = field(default_factory=dict)
     successors: dict[tuple, list[int]] = field(default_factory=dict)
+    plan: Optional[BdpoPlan] = None
+    subtasks: dict[tuple[int, int], Optional[Subtask]] = field(
+        default_factory=dict)
     tried: set[tuple[int, CandidateBlock]] = field(default_factory=set)
     score: Optional[tuple[Fraction, int]] = None
+
+    def bind(self, plan: BdpoPlan,
+             score: Optional[tuple[Fraction, int]] = None) -> None:
+        """Describe `plan`, whose (flex, cost) is `score` when known: forget
+        what was kept for any other plan."""
+        if plan is not self.plan:
+            self.plan, self.subtasks, self.tried = plan, {}, set()
+            self.score = score
 
 
 def _candidates(task: PlanningTask, subtask: Subtask,
@@ -226,17 +246,24 @@ def resolve(task: PlanningTask, plan: BdpoPlan, excluded: int, target: int,
     """Try to improve the plan by substituting `target`, assuming the basic
     ordering between `excluded` and `target` is the one under attack.
 
-    `memo`, when given, is the phase's memo for this plan; on an accept it
-    moves on to the returned plan."""
-    try:
-        subtask = build_subtask(task, plan, excluded, target, config)
-    except SubtaskInfeasible as exc:
-        logger.debug("subtask infeasible for target %s: %s", target, exc)
-        return plan, False
-    if max_len_override is not None:
-        subtask.max_len = max_len_override
+    `memo`, when given, is the run's memo; on an accept it moves on to the
+    returned plan."""
     if memo is None:
         memo = PhaseMemo()
+    memo.bind(plan)
+    if (excluded, target) not in memo.subtasks:
+        try:
+            memo.subtasks[excluded, target] = build_subtask(
+                task, plan, excluded, target, config)
+        except SubtaskInfeasible as exc:
+            logger.debug("subtask infeasible for target %s: %s", target, exc)
+            memo.subtasks[excluded, target] = None
+    subtask = memo.subtasks[excluded, target]
+    if subtask is None:
+        return plan, False
+    if max_len_override is not None:
+        subtask = dataclasses.replace(subtask, max_len=capped_length(
+            task, subtask.cost_bound, max_len_override))
     if memo.score is None:
         memo.score = (plan.flex().frac, plan.cost())
     for cand in _candidates(task, subtask, memo):
@@ -248,9 +275,9 @@ def resolve(task: PlanningTask, plan: BdpoPlan, excluded: int, target: int,
             continue
         after = (outcome.plan.flex().frac, outcome.plan.cost())
         if config.criteria.accepts(*memo.score, *after):
-            new_plan, memo.score = _post_accept_sweep(
+            new_plan, score = _post_accept_sweep(
                 outcome.plan, outcome.new_block, config.criteria, after)
-            memo.tried.clear()
+            memo.bind(new_plan, score)
             return new_plan, True
     return plan, False
 
@@ -283,16 +310,13 @@ def substitution_deorder(task: PlanningTask, plan: BdpoPlan,
                          ) -> tuple[BdpoPlan, int, int]:
     """Attack each basic ordering by substituting its target, then its
     source; restart on success.  Stops before any attempt that would start
-    past the deadline.  `memo`, when given, is the run's memo; what it
-    holds of an earlier plan is dropped.  Returns (plan, attempted,
-    accepted)."""
+    past the deadline.  `memo`, when given, is the run's memo.  Returns
+    (plan, attempted, accepted)."""
     attempted = 0
     accepted = 0
     override = 1 if primitive_only else None
     if memo is None:
         memo = PhaseMemo()
-    memo.tried.clear()
-    memo.score = None
     while accepted < MAX_ACCEPTS_PER_PHASE:
         progress = False
         for a, b in _scan_basic_edges(plan):

@@ -8,16 +8,19 @@ then by operator index sequence, which makes the whole thing deterministic.
 
 The tables that depend only on the task (the achievers of each fact, an
 index of the operators by their first precondition fact, each operator's
-effect map) are built once per task and kept on it, so the subtasks of one
-run share them.  Each search then compiles its goal once: h_add is computed
-over the operators backward-relevant to the goal only, by a single
-priority-queue pass per state.  An operator that sets no variable of a fact
-of that relaxation cannot change h_add, so its successor takes the popped
-state's h without a pass.  The applicable operators of each state go into a
-table that the caller may share between searches; `fibs` keeps one for the
-whole run, so a state that an earlier subtask of the run expanded is not
-matched again.  The search still branches over every applicable operator,
-so it gives exactly the plans of a sweep over all operators.
+effect map, the least operator cost) are built once per task and kept on
+it, so the subtasks of one run share them.  Each search then compiles its
+goal once: h_add is computed over the operators backward-relevant to the
+goal only, by a single priority-queue pass per state.  An operator that
+sets no variable of a fact of that relaxation cannot change h_add, so its
+successor takes the popped state's h without a pass.  The applicable
+operators of each state go into a table that the caller may share between
+searches; `fibs` keeps one for the whole run, so a state that an earlier
+subtask of the run expanded is not matched again.  The search still
+branches over every applicable operator, so it gives exactly the plans of a
+sweep over all operators.  Where every operator costs something, a length
+bound past the most steps the cost bound affords changes no plan, and
+`capped_length` lowers it there.
 
 The search stops after max_plans plans, max_expansions expansions or the
 subtask's time bound, whichever comes first.  An external planner can be
@@ -66,13 +69,15 @@ class Subtask:
 
 class _TaskTables:
     """What the search needs of a task's operators, whatever the subtask:
-    the achievers of each fact, the successor generator, and each
-    operator's effect as a map."""
+    the achievers of each fact, the successor generator, each operator's
+    effect as a map, and the least operator cost."""
 
-    __slots__ = ("operators", "achievers", "successors", "effects")
+    __slots__ = ("operators", "achievers", "successors", "effects",
+                 "least_cost")
 
     def __init__(self, operators: list[OperatorDef]):
         self.operators = operators
+        self.least_cost = min((op.cost for op in operators), default=0)
         self.achievers: dict[tuple[int, int], list[int]] = {}
         for i, op in enumerate(operators):
             for f in op.eff:
@@ -87,6 +92,15 @@ def _tables(task: PlanningTask) -> _TaskTables:
     if tables is None:
         tables = task._search_tables = _TaskTables(task.operators)
     return tables
+
+
+def capped_length(task: PlanningTask, cost_bound: int, max_len: int) -> int:
+    """`max_len`, lowered to `cost_bound // least` when every operator of
+    the task costs at least `least > 0`.  At that depth every successor
+    already exceeds the cost bound, so a larger length bound pops the same
+    nodes in the same order and gives the same plans."""
+    least = _tables(task).least_cost
+    return min(max_len, cost_bound // least) if least > 0 else max_len
 
 
 class _Relaxation:

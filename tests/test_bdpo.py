@@ -221,6 +221,14 @@ def test_block_deorder_leaves_its_input_as_it_was():
     assert 0 < committed < len(plans)
 
 
+def test_block_deorder_hands_on_its_input_when_nothing_commits():
+    for task, seq in (independent_task(2), chain_task(5)):
+        plan = init_bdpo(eog(task, seq))
+        assert block_deorder(plan) is plan
+    _, plan = elevator_bdpo()
+    assert block_deorder(plan) is not plan
+
+
 def test_block_deorder_never_decreases_flex_and_stays_valid():
     for seed in range(25):
         task, seq = random_task(seed)

@@ -1,3 +1,4 @@
+import json
 import math
 import random
 from collections import Counter
@@ -9,7 +10,8 @@ import pytest
 import popflex.fibs as fibs_mod
 from popflex.bdpo import block_deorder, init_bdpo
 from popflex.corpus import (chain_task, elevator_plan, elevator_task,
-                            independent_task, inverse_pair_task, random_task)
+                            independent_task, inverse_pair_task, random_task,
+                            scaling_task)
 from popflex.eog import eog
 from popflex.fibs import (AcceptanceCriteria, FibsConfig,
                           _scan_basic_edges, backward_justify,
@@ -364,6 +366,11 @@ SMALL = FibsConfig(reduce="gj", max_plans=3, max_expansions=1500,
                    subtask_time=math.inf, time_limit=math.inf)
 
 
+# the chains-wide benchmark workload's configuration
+CHAINS = FibsConfig(reduce="gj", max_plans=3, max_expansions=2000,
+                    subtask_time=math.inf, time_limit=math.inf)
+
+
 def small_random(seed):
     return random_task(seed, max_vars=8, max_steps=12)
 
@@ -435,20 +442,46 @@ def test_a_run_finds_each_states_successors_once(monkeypatch):
 
 
 def test_no_candidate_is_substituted_twice_into_one_plan(monkeypatch):
+    """Not into one plan object, nor into two equal plans of one run: SD2
+    starts from SD1's plan when block deordering commits nothing."""
     tried = Counter()
-    plans = {}          # keeps each plan alive, so that no id is reused
     original = fibs_mod.substitute
 
     def recording(plan, old, new, *args, **kwargs):
         if isinstance(new, CandidateBlock):
-            plans[id(plan)] = plan
-            tried[id(plan), old, new] += 1
+            key = json.dumps(plan.to_json(), sort_keys=True)
+            tried[run[0], key, old, new] += 1
         return original(plan, old, new, *args, **kwargs)
 
     monkeypatch.setattr(fibs_mod, "substitute", recording)
-    for seed in range(30):
-        fibs(*small_random(seed), SMALL)
+    runs = [(*small_random(seed), SMALL) for seed in range(30)]
+    runs.append((*scaling_task(10, 4), CHAINS))
+    run = [0]
+    for run[0], (task, seq, config) in enumerate(runs):
+        fibs(task, seq, config)
     assert tried and max(tried.values()) == 1
+
+
+def test_sd2_repeats_no_search_of_sd1_on_the_plan_sd1_left(monkeypatch):
+    """Ten chains: block deordering commits nothing, and every subtask of
+    SD2 is one SD1 built and solved already."""
+    calls = Counter()
+
+    def counting(name):
+        original = getattr(fibs_mod, name)
+
+        def counted(*args, **kwargs):
+            calls[name] += 1
+            return original(*args, **kwargs)
+        return counted
+
+    for name in ("build_subtask", "solve_subtask", "resolve"):
+        monkeypatch.setattr(fibs_mod, name, counting(name))
+    task, seq = scaling_task(10, 4)
+    _, reports = fibs(task, seq, CHAINS)
+    assert [r.attempted for r in reports if r.phase.startswith("SD")] \
+        == [60, 60]
+    assert calls == {"resolve": 120, "build_subtask": 60, "solve_subtask": 60}
 
 
 def memo_free_phase(task, plan, config, primitive_only):
