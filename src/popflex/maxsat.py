@@ -178,12 +178,21 @@ def _integers(tokens: list[str], line_no: int) -> list[int]:
 
 def model_from_v_line(text: str) -> set[int]:
     """True variables from the 'v ...' lines of a MaxSAT solver's output;
-    comment, 'o' and 's' lines are skipped.  Raises WcnfSyntaxError with
-    the line number of a 'v' line that holds a non-integer token."""
+    comment, 'o' and 's' lines are skipped.  A 'v' line whose only token is
+    made of 0s and 1s is the MaxSAT Evaluation 2020+ format, one digit per
+    variable from variable 1 ('v 0110' sets 2 and 3); any other is a list of
+    literals ('v 1 -2 3 0').  On a single digit the two formats agree.
+    Raises WcnfSyntaxError with the line number of a 'v' line that holds a
+    non-integer token."""
     true_vars = set()
     for line_no, line in enumerate(text.splitlines(), 1):
         parts = line.split()
-        if parts[:1] == ["v"]:
+        if parts[:1] != ["v"]:
+            continue
+        if len(parts) == 2 and not parts[1].strip("01"):
+            true_vars.update(var for var, digit in enumerate(parts[1], 1)
+                             if digit == "1")
+        else:
             true_vars.update(lit for lit in _integers(parts[1:], line_no)
                              if lit > 0)
     return true_vars

@@ -160,6 +160,17 @@ def test_model_v_line_parsing():
     with pytest.raises(WcnfSyntaxError) as err:
         model_from_v_line("s OPTIMUM FOUND\nv 1 x 0\n")
     assert err.value.line_no == 2
+    # the MaxSAT Evaluation 2020+ format: one 0/1 digit per variable
+    assert model_from_v_line("v 0110\n") == {2, 3}
+    assert model_from_v_line(
+        "c solver\no 3\ns OPTIMUM FOUND\nv 1010011\n") == {1, 3, 6, 7}
+    assert model_from_v_line("v 0000\n") == set()
+    # on a single character both formats read the same model
+    assert model_from_v_line("v 1\n") == {1}
+    assert model_from_v_line("v 0\n") == set()
+    # more than one token, or any other digit, is a list of literals
+    assert model_from_v_line("v 10 0\n") == {10}
+    assert model_from_v_line("v 120\n") == {120}
 
 
 def test_structured_optimum_matches_exhaustive_assignment_search():
