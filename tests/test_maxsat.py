@@ -1,5 +1,5 @@
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from popflex.corpus import (chain_task, independent_task,
@@ -10,8 +10,9 @@ from popflex.maxsat import (EncodingTooLarge, InvalidModel, TooLarge, Wcnf,
                             brute_force_mr, check_model, decode_model,
                             encode_mr, model_from_v_line, optimal_model,
                             ordering_count, parse_dimacs_wcnf)
-from popflex.bdpo import GOAL_ID, CycleDetected, closure_from_edges
-from popflex.task import (PlanningTask, SequentialPlan, Variable,
+from popflex.bdpo import (GOAL_ID, INIT_ID, CycleDetected,
+                          closure_from_edges)
+from popflex.task import (PlanningTask, SequentialPlan, Variable, apply_op,
                           make_operator, validate_sequential)
 
 
@@ -333,3 +334,83 @@ def test_dimacs_parses_back_in_order(wcnf):
     assert again.hard == wcnf.hard
     assert again.soft == wcnf.soft
     assert again.n_vars == wcnf.n_vars
+
+
+# ---------------------------------------------------------------------------
+# the clause layer on real encodings
+
+
+def _prefix_encoding(seed, k, goal_mask, mclcp):
+    """`encode_mr` of the first k steps of `random_task(seed)`'s plan, with
+    the goal cut to the variables of `goal_mask` in the state those steps
+    reach; k is capped at the plan's length, and k = 0 is the empty plan."""
+    task, plan = random_task(seed, max_vars=4, max_steps=12)
+    steps = plan.steps[:k]
+    state = dict(task.init)
+    for i in steps:
+        state = apply_op(task.operators[i], state)
+    goal = {v: state[v] for v in state if goal_mask >> v & 1}
+    task = PlanningTask(task.variables, task.operators, task.init, goal)
+    pop = eog(task, SequentialPlan(steps))
+    return pop, *encode_mr(task, pop, mclcp)
+
+
+_ENCODINGS = st.tuples(st.integers(0, 500), st.integers(0, 12),
+                       st.integers(0, 15), st.booleans())
+
+
+@given(_ENCODINGS)
+@example((0, 0, 15, False))
+@example((0, 0, 0, True))
+@example((3, 1, 15, False))
+@example((3, 1, 15, True))
+@settings(max_examples=150, deadline=None)
+def test_real_encodings_write_and_parse_back_as_the_reference(case):
+    _, wcnf, _ = _prefix_encoding(*case)
+    text = wcnf.to_dimacs()
+    assert text == _reference_dimacs(wcnf)
+    again = parse_dimacs_wcnf(text)
+    assert again.hard == wcnf.hard
+    assert again.soft == wcnf.soft
+    assert again.n_vars == wcnf.n_vars
+
+
+def test_real_encodings_cover_the_empty_and_one_step_plans():
+    for k, clauses in ((0, 0), (1, 6)):
+        pop, wcnf, cat = _prefix_encoding(3, k, 15, False)
+        assert len(pop.real_steps()) == k
+        transitive = [c for c in wcnf.hard if len(c) == 3
+                      and all(abs(l) in cat.rev and cat.rev[abs(l)][0] == "tau"
+                              for l in c)]
+        assert len(transitive) == clauses
+
+
+def _check_outcome(wcnf, model):
+    try:
+        return "ok", check_model(wcnf, model)
+    except InvalidModel as err:
+        return "invalid", str(err)
+
+
+@given(_ENCODINGS, st.data())
+@example((0, 0, 15, False), None)
+@example((3, 1, 15, True), None)
+@settings(max_examples=150, deadline=None)
+def test_check_model_on_real_encodings_matches_the_reference(case, data):
+    """Arbitrary models, and the plan's own total order with its links and
+    one ordering variable flipped (or none), so that transitivity breaks."""
+    pop, wcnf, cat = _prefix_encoding(*case)
+    seq = [INIT_ID, *pop.real_steps(), GOAL_ID]
+    pos = {s: i for i, s in enumerate(seq)}
+    total = {cat.x[s] for s in seq}
+    total |= {v for (a, b), v in cat.tau.items() if pos[a] < pos[b]}
+    total |= {cat.gamma[(p, f, c)] for (c, f), p in pop.links.items()}
+    models = [total]
+    for v in sorted(cat.tau.values()):
+        models.append(total ^ {v})
+    if data is not None:
+        models.append(data.draw(st.sets(st.integers(1, wcnf.n_vars + 2))))
+        models.append(total ^ data.draw(st.sets(
+            st.sampled_from(sorted(cat.tau.values())), max_size=3)))
+    for model in models:
+        assert _check_outcome(wcnf, model) == _reference_check(wcnf, model)
