@@ -169,7 +169,7 @@ def maxsat_cap() -> None:
     t2 = time.perf_counter()
     peak_mb = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024
     print(f"maxsat-cap: {len(plan.steps)} steps, "
-          f"{len(wcnf.hard) + len(wcnf.soft)} clauses, {len(text)} bytes")
+          f"{wcnf.n_hard + len(wcnf.soft)} clauses, {len(text)} bytes")
     print(f"maxsat-cap encode_mr {t1 - t0:.2f} s, to_dimacs {t2 - t1:.2f} s, "
           f"total {t2 - t0:.2f} s, peak RSS {peak_mb:.0f} MB")
     print(f"maxsat-cap output digest: "

@@ -237,7 +237,7 @@ def run(argv: Sequence[str]) -> int:
             }
             _write(args.catalog, _json(catalog))
         print(f"wcnf: {wcnf.n_vars} vars, "
-              f"{len(wcnf.hard)} hard, {len(wcnf.soft)} soft")
+              f"{wcnf.n_hard} hard, {len(wcnf.soft)} soft")
         return 0
 
     if args.command == "lineate":

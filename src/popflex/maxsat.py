@@ -9,14 +9,17 @@ included operator (weight cost + n^2 + 1, which dominates every possible
 ordering total).  Without cost minimization every original operator is
 forced into the target plan, which keeps the encoding a pure reordering.
 
-The cubic transitivity block is built one (a, b) pair at a time, from the
-ordering-variable rows of a and b.  At the 200-step cap it alone is 8.1
-million clauses, and allocating their tuples is most of the encoding's
-cost.  Writing and checking avoid per-literal Python loops.
-`Wcnf.to_dimacs` writes each run of equal-width clauses with one % format
-per chunk of a few thousand clauses and joins the pieces once.
-`check_model` builds the set of true literals once; a clause is violated
-when it is disjoint from that set.
+The cubic transitivity block, (not a<b, not b<c, a<c) over every ordered
+triple, is 8.1 million clauses at the 200-step cap, so it is never listed:
+`Wcnf.rows` keeps the ordering variables, one row per step, and the block
+is written and checked from them.  `Wcnf.to_dimacs` writes the clauses of
+each ordered pair (a, b) with one join over the rows' pre-formatted
+literals, and `check_model` finds the first broken one from the model's
+successor bitmasks.  The other clauses are tuples: the writer formats each
+run of equal-width clauses with one % per chunk of a few thousand, and the
+checker builds the set of true literals once, a clause being violated when
+it is disjoint from that set.  `Wcnf.hard` lists every hard clause afresh
+on each read, for tests and checks only.
 
 A structured exhaustive optimizer and a plain enumeration oracle cover tiny
 instances; larger instances are emit-only (solve the file externally).  The
@@ -91,17 +94,45 @@ class VarCatalog:
 
 @dataclass
 class Wcnf:
-    hard: list[tuple[int, ...]] = field(default_factory=list)
+    """Weighted CNF.  `other_hard` lists the hard clauses one tuple each;
+    `rows` holds an encoding's ordering variables, rows[i][j] for step i
+    before step j and 0 on the diagonal, and stands for the transitivity
+    block over them, which is never listed.  A parsed or hand-built Wcnf
+    has no rows."""
+    other_hard: list[tuple[int, ...]] = field(default_factory=list)
     soft: list[tuple[int, tuple[int, ...]]] = field(default_factory=list)
     n_vars: int = 0
+    rows: list[list[int]] = field(default_factory=list)
 
     @property
     def top(self) -> int:
         return sum(w for w, _ in self.soft) + 1
 
+    @property
+    def n_hard(self) -> int:
+        n = len(self.rows)
+        return n * (n - 1) * (n - 2) + len(self.other_hard)
+
+    @property
+    def hard(self) -> list[tuple[int, ...]]:
+        """Every hard clause, built afresh on each read: the transitivity
+        clauses (not a<b, not b<c, a<c) over every ordered triple in
+        permutations order, then `other_hard`.  For tests and checks only;
+        at the 200-step cap the list is 8.1 million tuples."""
+        hard = []
+        neg = [[-v for v in row] for row in self.rows]
+        for i, row_a in enumerate(self.rows):
+            for j, neg_b in enumerate(neg):
+                if i != j:   # a zero in either row is where c is a or b
+                    not_ab = neg[i][j]
+                    hard += [(not_ab, not_bc, ac)
+                             for not_bc, ac in zip(neg_b, row_a)
+                             if not_bc and ac]
+        return hard + self.other_hard
+
     def add_hard(self, *lits: int) -> None:
         assert lits
-        self.hard.append(tuple(lits))
+        self.other_hard.append(tuple(lits))
 
     def add_soft(self, weight: int, *lits: int) -> None:
         assert lits and weight > 0
@@ -110,13 +141,42 @@ class Wcnf:
     def to_dimacs(self) -> str:
         """Classic-format DIMACS WCNF text, one line per clause."""
         top = self.top
-        pieces = [f"p wcnf {self.n_vars} {len(self.hard) + len(self.soft)} "
+        pieces = [f"p wcnf {self.n_vars} {self.n_hard + len(self.soft)} "
                   f"{top}"]
-        pieces += _dimacs_lines(self.hard, str(top), 0)
+        pieces += _transitivity_lines(self.rows, top)
+        pieces += _dimacs_lines(self.other_hard, str(top), 0)
         pieces += _dimacs_lines(((w, *clause) for w, clause in self.soft),
                                 "%d", 1)
         pieces.append("")   # the final newline, without copying the text
         return "\n".join(pieces)
+
+
+def _transitivity_lines(rows: list[list[int]], top: int):
+    """The transitivity block's lines, one piece per ordered pair (a, b):
+    `top -ab -bc ac 0` for each c other than a and b.  Each row is
+    formatted once, as its negated literals and as its closing literals,
+    without the diagonal; a pair's piece is one join that interleaves its
+    prefix with row b's negations and row a's closings, a and b sliced
+    out."""
+    n = len(rows)
+    if n < 3:
+        return
+    neg = [[f"-{v} " for v in row if v] for row in rows]
+    close = [[f"{v} 0" for v in row if v] for row in rows]
+    slots = [""] * (3 * (n - 2))
+    for a, row_a in enumerate(rows):
+        close_a = close[a]
+        for b, neg_b in enumerate(neg):
+            if a == b:
+                continue
+            i = a - (a > b)     # a in row b without its diagonal
+            j = b - (b > a)     # b in row a without its diagonal
+            lead = f"{top} -{row_a[b]} "
+            slots[0::3] = ["\n" + lead] * (n - 2)
+            slots[0] = lead
+            slots[1::3] = neg_b[:i] + neg_b[i + 1:]
+            slots[2::3] = close_a[:j] + close_a[j + 1:]
+            yield "".join(slots)
 
 
 def _dimacs_lines(rows, lead: str, lead_args: int):
@@ -159,8 +219,13 @@ def parse_dimacs_wcnf(text: str) -> Wcnf:
             raise WcnfSyntaxError(
                 line_no, f"expected 'weight lits... 0', got {line!r}")
         weight, lits = nums[0], tuple(nums[1:-1])
+        if not 1 <= weight <= top:
+            raise WcnfSyntaxError(
+                line_no, f"weight {weight} outside 1..{top}")
+        if 0 in lits:
+            raise WcnfSyntaxError(line_no, "a 0 literal before the end")
         if weight == top:
-            wcnf.hard.append(lits)
+            wcnf.other_hard.append(lits)
         else:
             wcnf.soft.append((weight, lits))
     if top is None:
@@ -226,20 +291,7 @@ def encode_mr(task: PlanningTask, pop: PartialOrderPlan, mclcp: bool = False
                 if f in blocks[p].prod:
                     cat.gamma[(p, f, c)] = cat.new_var(("gamma", p, f, c))
 
-    wcnf = Wcnf()
-
-    # transitivity over every ordered triple, in permutations order; a zero
-    # in either row is the diagonal, where c would repeat a or b.  Allocating
-    # the tuples is the cost: zipping list slices of the rows instead was no
-    # faster at 45 steps and slower at 5.
-    neg = [[-v for v in row] for row in t]
-    for i, row_a in enumerate(t):
-        for j, neg_b in enumerate(neg):
-            if i != j:
-                not_ab = neg[i][j]
-                wcnf.hard.extend([(not_ab, not_bc, ac)
-                                  for not_bc, ac in zip(neg_b, row_a)
-                                  if not_bc and ac])
+    wcnf = Wcnf(rows=t)
     # synthetic endpoints are always in
     wcnf.add_hard(cat.x[INIT_ID])
     wcnf.add_hard(cat.x[GOAL_ID])
@@ -292,19 +344,45 @@ def encode_mr(task: PlanningTask, pop: PartialOrderPlan, mclcp: bool = False
 
 def check_model(wcnf: Wcnf, true_vars: set[int]) -> int:
     """Violated-soft weight of a model; raises on the first broken hard
-    clause.
+    clause, in `hard` order.
 
-    The true literals are `v` for each variable of the model and `-v` for
-    every other variable the clauses use, so a clause is violated exactly
-    when it is disjoint from that set."""
+    The transitivity block is checked on the model's successor bitmasks
+    (`_broken_transitivity`).  For the other clauses the true literals are
+    `v` for each variable of the model and `-v` for every other variable
+    they use, so a clause is violated exactly when it is disjoint from that
+    set."""
     used = set(map(abs, itertools.chain.from_iterable(
-        itertools.chain(wcnf.hard, (clause for _, clause in wcnf.soft)))))
+        itertools.chain(wcnf.other_hard,
+                        (clause for _, clause in wcnf.soft)))))
     true_lits = used.intersection(true_vars)
     true_lits.update(map(int.__neg__, used.difference(true_vars)))
-    broken = next(filter(true_lits.isdisjoint, wcnf.hard), None)
+    broken = (_broken_transitivity(wcnf.rows, true_vars)
+              or next(filter(true_lits.isdisjoint, wcnf.other_hard), None))
     if broken is not None:
         raise InvalidModel(f"hard clause {broken} violated")
     return sum(w for w, clause in wcnf.soft if true_lits.isdisjoint(clause))
+
+
+def _broken_transitivity(rows: list[list[int]], true_vars: set[int]
+                         ) -> Optional[tuple[int, int, int]]:
+    """The first transitivity clause of `rows` that the model breaks, or
+    None.  Clause (a, b, c) breaks when b is a successor of a, c one of b,
+    and c neither a nor a successor of a; the first in permutations order
+    takes the least a, then the least such b, then the least c."""
+    bits = [1 << j for j in range(len(rows))]
+    succ = [sum(bit for v, bit in zip(row, bits) if v in true_vars)
+            for row in rows]
+    for a, succ_a in enumerate(succ):
+        outside = ~(succ_a | bits[a])
+        later = succ_a
+        while later:
+            b = (later & -later).bit_length() - 1
+            later &= later - 1
+            bad = succ[b] & outside & ~bits[b]
+            if bad:
+                c = (bad & -bad).bit_length() - 1
+                return -rows[a][b], -rows[b][c], rows[a][c]
+    return None
 
 
 def decode_model(true_vars: set[int], cat: VarCatalog, task: PlanningTask,

@@ -145,6 +145,11 @@ def test_dimacs_round_trip():
     ("p wcnf 2 1 5\n\n0\n", 3),
     ("p wcnf 2 1 5\n5 1 x 0\n", 2),            # a non-integer token
     ("p wcnf two 1 5\n", 1),
+    ("p wcnf 2 1 5\n5 1 0\n0 -2 0\n", 3),     # a weight below 1
+    ("p wcnf 2 1 5\n-1 2 0\n", 2),
+    ("p wcnf 2 1 5\n9 -2 0\n", 2),             # a weight above top
+    ("p wcnf 2 1 5\n5 1 0 2 0\n", 2),          # a 0 literal before the end
+    ("p wcnf 2 1 5\n3 0 0\n", 2),
 ])
 def test_parse_dimacs_wcnf_rejects_malformed_text(text, line_no):
     with pytest.raises(WcnfSyntaxError) as err:
@@ -385,6 +390,17 @@ def test_real_encodings_cover_the_empty_and_one_step_plans():
         assert len(transitive) == clauses
 
 
+def _total_order_model(pop, cat):
+    """Every step in, the plan's step order as the ordering variables, and
+    its causal links."""
+    seq = [INIT_ID, *pop.real_steps(), GOAL_ID]
+    pos = {s: i for i, s in enumerate(seq)}
+    model = {cat.x[s] for s in seq}
+    model |= {v for (a, b), v in cat.tau.items() if pos[a] < pos[b]}
+    model |= {cat.gamma[(p, f, c)] for (c, f), p in pop.links.items()}
+    return model
+
+
 def _check_outcome(wcnf, model):
     try:
         return "ok", check_model(wcnf, model)
@@ -400,11 +416,7 @@ def test_check_model_on_real_encodings_matches_the_reference(case, data):
     """Arbitrary models, and the plan's own total order with its links and
     one ordering variable flipped (or none), so that transitivity breaks."""
     pop, wcnf, cat = _prefix_encoding(*case)
-    seq = [INIT_ID, *pop.real_steps(), GOAL_ID]
-    pos = {s: i for i, s in enumerate(seq)}
-    total = {cat.x[s] for s in seq}
-    total |= {v for (a, b), v in cat.tau.items() if pos[a] < pos[b]}
-    total |= {cat.gamma[(p, f, c)] for (c, f), p in pop.links.items()}
+    total = _total_order_model(pop, cat)
     models = [total]
     for v in sorted(cat.tau.values()):
         models.append(total ^ {v})
@@ -414,3 +426,31 @@ def test_check_model_on_real_encodings_matches_the_reference(case, data):
             st.sampled_from(sorted(cat.tau.values())), max_size=3)))
     for model in models:
         assert _check_outcome(wcnf, model) == _reference_check(wcnf, model)
+
+
+def test_encoding_writing_checking_and_decoding_never_list_the_hard_clauses(
+        monkeypatch):
+    """The 60-step path from plan to decoded model reads no `Wcnf.hard`."""
+    task, plan = scaling_task(15, 4)
+    pop = eog(task, plan)
+
+    def listed(wcnf):
+        raise AssertionError("Wcnf.hard was built")
+
+    monkeypatch.setattr(Wcnf, "hard", property(listed))
+    wcnf, cat = encode_mr(task, pop)
+    n = len(cat.steps)
+    assert n == 62
+    header = wcnf.to_dimacs().partition("\n")[0].split()
+    assert int(header[3]) == (n * (n - 1) * (n - 2) + len(wcnf.other_hard)
+                              + len(wcnf.soft))
+    model = _total_order_model(pop, cat)
+    decoded = decode_model(model, cat, task, pop, wcnf)
+    assert decoded.validate()
+    assert check_model(wcnf, model) == len(model & set(cat.tau.values()))
+    a, b, c = pop.real_steps()[:3]
+    with pytest.raises(InvalidModel) as err:
+        check_model(wcnf, model - {cat.tau[(a, c)]})
+    assert str(err.value) == (f"hard clause ({-cat.tau[(a, b)]}, "
+                              f"{-cat.tau[(b, c)]}, {cat.tau[(a, c)]}) "
+                              f"violated")
