@@ -278,6 +278,13 @@ def _reference_check(wcnf, model):
     return "ok", sum(w for w, clause in wcnf.soft if not satisfied(clause))
 
 
+def _check_outcome(wcnf, model):
+    try:
+        return "ok", check_model(wcnf, model)
+    except InvalidModel as err:
+        return "invalid", str(err)
+
+
 def _reference_dimacs(wcnf):
     """The DIMACS text formatted one clause at a time."""
     top = sum(w for w, _ in wcnf.soft) + 1
@@ -310,11 +317,7 @@ def _wcnfs(draw):
 @settings(max_examples=400, deadline=None)
 def test_check_model_matches_the_literal_reference(wcnf, data):
     model = data.draw(st.sets(st.integers(1, 10)))
-    try:
-        outcome = "ok", check_model(wcnf, model)
-    except InvalidModel as err:
-        outcome = "invalid", str(err)
-    assert outcome == _reference_check(wcnf, model)
+    assert _check_outcome(wcnf, model) == _reference_check(wcnf, model)
 
 
 @given(_wcnfs())
@@ -399,13 +402,6 @@ def _total_order_model(pop, cat):
     model |= {v for (a, b), v in cat.tau.items() if pos[a] < pos[b]}
     model |= {cat.gamma[(p, f, c)] for (c, f), p in pop.links.items()}
     return model
-
-
-def _check_outcome(wcnf, model):
-    try:
-        return "ok", check_model(wcnf, model)
-    except InvalidModel as err:
-        return "invalid", str(err)
 
 
 @given(_ENCODINGS, st.data())
