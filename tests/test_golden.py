@@ -9,16 +9,21 @@ deordered plans whose blocks nest up to seven deep, which the fibs corpora
 never reach.  The MaxSAT digest covers the DIMACS text and variable
 catalogue of large encodings, and the optimal model, its violated weight,
 its decoded plan and the clauses of tiny ones.  The oracle digest covers
-the plans of the enumeration oracle `brute_force_mr`.  A change that keeps
+the plans of the enumeration oracle `brute_force_mr`.  The towers digest
+covers one run on the benchmark's elevator towers, whose SD2 phase accepts
+substitutions and whose subplanner finds no plan for many subtasks.  A change that keeps
 behaviour leaves every digest as it is; a change of behaviour has to
 regenerate them and say why.
 """
 
 import dataclasses
 import hashlib
+import importlib
 import json
 import math
+import sys
 from collections import Counter
+from pathlib import Path
 
 from popflex.cli import run
 
@@ -33,7 +38,7 @@ from popflex.maxsat import (brute_force_mr, decode_model, encode_mr,
                             optimal_model)
 from popflex.subplanner import solve_subtask
 from popflex.substitution import CandidateBlock, candidate_block, substitute
-from popflex.task import emit_plan, emit_sas
+from popflex.task import emit_plan, emit_sas, parse_plan, parse_sas
 
 RANDOM_DIGEST = "c8eb2200297e136b41180f12c516c421e1b5c02b"
 MICRO_DIGEST = "3c35e3a595f6493b556f1f5aededb0e882fcca95"
@@ -46,6 +51,9 @@ CLI_DIGEST = "8b70e41e55c9ddac02e63a0e31471442bebcc8f5"
 SEARCH_DIGEST = "4d3cdb788a282954fa8433c350379bc8bde30c1d"
 VALIDATE_DIGEST = "689b8ff994e1c1f25d74d8f7ef52341da48a5a93"
 ORACLE_DIGEST = "3d8979a5b07ae309ef453c8a073a4c56aacf87d5"
+TOWERS_DIGEST = "3f09c0ff8c0576004980312d37f7bb8b3d33a26e"
+
+PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 
 
 def _run_text(task, seq, config) -> bytes:
@@ -74,6 +82,43 @@ def test_golden_micro_corpus():
                                     time_limit=math.inf)
                 digest.update(_run_text(task, seq, config))
     assert digest.hexdigest() == MICRO_DIGEST
+
+
+def _perfbench_workloads():
+    """The benchmark's `workloads` module, imported without writing bytecode
+    under perfbench/."""
+    sys.path.insert(0, str(PERFBENCH))
+    dont_write, sys.dont_write_bytecode = sys.dont_write_bytecode, True
+    try:
+        return importlib.import_module("workloads")
+    finally:
+        sys.dont_write_bytecode = dont_write
+        sys.path.remove(str(PERFBENCH))
+
+
+def test_golden_towers(monkeypatch):
+    """One run on 4 renamed-apart copies of the two-lift elevator, built by
+    the benchmark's `towers_sas` and `towers_plan` (towers in index order):
+    gj reduction, 2,000 expansions per subtask, no wall-clock budget."""
+    workloads = _perfbench_workloads()
+    task = parse_sas(workloads.towers_sas(4))
+    seq = parse_plan(workloads.towers_plan(list(range(4))), task)
+    config = FibsConfig(reduce="gj", max_expansions=2000,
+                        subtask_time=math.inf, time_limit=math.inf)
+    fibs_mod = importlib.import_module("popflex.fibs")
+    searches = []
+
+    def counted(*args):
+        plans = solve_subtask(*args)
+        searches.append(bool(plans))
+        return plans
+
+    monkeypatch.setattr(fibs_mod, "solve_subtask", counted)
+    text = _run_text(task, seq, config)
+    sd2 = next(r for r in json.loads(text)[1] if r["phase"] == "SD2")
+    assert sd2["accepted"] > 0
+    assert searches.count(False) > 0 and searches.count(True) > 0
+    assert hashlib.sha1(text).hexdigest() == TOWERS_DIGEST
 
 
 def _emit_tasks(count: int):
