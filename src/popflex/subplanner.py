@@ -22,6 +22,22 @@ sweep over all operators.  Where every operator costs something, a length
 bound past the most steps the cost bound affords changes no plan, and
 `capped_length` lowers it there.
 
+Two cuts skip work that cannot change the plans:
+
+- Proof of emptiness.  Where every operator costs at least `least > 0` and
+  the length bound is at least `cost_bound // least`, so that it cuts no
+  path within the cost bound, a depth-first search over the goal's
+  backward-relevant operators runs first.  When it exhausts every state
+  within the cost bound without meeting the goal, no plan exists and the
+  search returns none; this is exact (see `_proved_empty`).  It gives up,
+  and the search runs as before, at its first goal state, after
+  max_expansions pops, or at the deadline.
+- Leaves at the length bound.  A child at the length bound is never
+  expanded, so it is goal-tested when it is made instead of being scored
+  and queued.  This is exact unless the expansion cap could bind: once the
+  expansions and the leaves left unqueued together pass the cap, the
+  search runs again from the start with every leaf queued and scored.
+
 The search stops after max_plans plans, max_expansions expansions or the
 subtask's time bound, whichever comes first.  An external planner can be
 plugged in through a subprocess hook speaking SAS+ in, plan files out.
@@ -111,13 +127,14 @@ class _Relaxation:
     are (var, val) pairs; operators are numbered locally.
     """
 
-    __slots__ = ("goal", "facts", "pre_of", "n_pre", "cost", "eff", "no_pre")
+    __slots__ = ("goal", "facts", "relevant", "pre_of", "n_pre", "cost",
+                 "eff", "no_pre")
 
     def __init__(self, tables: _TaskTables, goal: dict[int, int]):
         operators, achievers = tables.operators, tables.achievers
         self.goal = tuple(sorted(goal.items()))
         self.facts = set(self.goal)
-        relevant: set[int] = set()
+        self.relevant = relevant = set()
         stack = list(self.facts)
         while stack:
             for i in achievers.get(stack.pop(), ()):
@@ -261,12 +278,91 @@ def solve_subtask(st: Subtask,
 def _solve_gbfs(st: Subtask, successors: dict[tuple, list[int]]
                 ) -> list[SequentialPlan]:
     tables = _tables(st.base)
-    operators = tables.operators
     deadline = time.monotonic() + st.time_bound
     rx = _Relaxation(tables, st.goal)
     h0 = _h_add(rx, st.init)
     if h0 is None:
         return []
+    least = tables.least_cost
+    if (least > 0 and st.max_len >= st.cost_bound // least
+            and _proved_empty(st, tables, rx, successors, deadline)):
+        return []
+    found = _search(st, tables, rx, h0, successors, deadline, False)
+    if found is None:
+        found = _search(st, tables, rx, h0, successors, deadline, True)
+    return found
+
+
+def _proved_empty(st: Subtask, tables: _TaskTables, rx: _Relaxation,
+                  successors: dict[tuple, list[int]], deadline: float
+                  ) -> bool:
+    """True when no plan of the subtask fits its cost bound.
+
+    Deleting every operator outside the goal's backward-relevant set from a
+    valid plan leaves a valid plan, no costlier (Nebel, Dimopoulos &
+    Koehler 1997): the last achiever of each goal fact, and of each
+    precondition of a relevant operator, is itself relevant.  So a
+    depth-first search over the relevant operators alone that exhausts
+    every state within the cost bound, and meets no goal state, shows that
+    no plan fits it.  The search gives up, and says False, at its first goal
+    state, after max_expansions pops or once the deadline has passed."""
+    operators, effects = tables.operators, tables.effects
+    applicable, relevant = tables.successors.applicable, rx.relevant
+    goal, bound = st.goal, st.cost_bound
+    start = _start_state(st)
+    if _goal_satisfied(start, goal):
+        return False
+    key = tuple(start.values())
+    best_g = {key: 0}
+    stack = [(0, key, start)]
+    pops = 0
+    while stack:
+        pops += 1
+        if pops > st.max_expansions:
+            return False
+        if pops % 256 == 0 and time.monotonic() > deadline:
+            return False
+        g, key, state = stack.pop()
+        if best_g[key] < g:
+            continue  # reached more cheaply since it was pushed
+        ops = successors.get(key)
+        if ops is None:
+            ops = successors[key] = applicable(state)
+        for op_idx in ops:
+            if op_idx not in relevant:
+                continue
+            g2 = g + operators[op_idx].cost
+            if g2 > bound:
+                continue
+            state2 = dict(state)
+            state2.update(effects[op_idx])
+            key2 = tuple(state2.values())
+            prev = best_g.get(key2)
+            if prev is not None and g2 >= prev:
+                continue
+            if _goal_satisfied(state2, goal):
+                return False
+            best_g[key2] = g2
+            stack.append((g2, key2, state2))
+    return True
+
+
+def _search(st: Subtask, tables: _TaskTables, rx: _Relaxation, h0: int,
+            successors: dict[tuple, list[int]], deadline: float,
+            queue_leaves: bool) -> Optional[list[SequentialPlan]]:
+    """The greedy best-first search, from the subtask's initial state.
+
+    A child at the length bound is never expanded, so its h only decides
+    when it is popped, and popping it does nothing but goal-test it and
+    count an expansion.  Unless `queue_leaves` is set, such a leaf is
+    goal-tested when it is made instead: a goal leaf is queued with h = 0,
+    its exact h_add, and any other leaf is only counted.  The other entries
+    pop in the same order, so the plans are the same unless the expansion
+    cap binds earlier with the leaves popped.  So once the expansions and
+    the counted leaves together pass the cap, with at least one leaf
+    counted, the search gives None, and the caller runs it again with every
+    leaf queued."""
+    operators, goal = tables.operators, st.goal
     applicable, effects = tables.successors.applicable, tables.effects
     # h_add reads a state only through the relaxation's facts, so an
     # operator that sets none of their variables leaves h as it is
@@ -279,17 +375,19 @@ def _solve_gbfs(st: Subtask, successors: dict[tuple, list[int]]
     key = tuple(start.values())
     heap: list[tuple] = [(h0, 0, counter, key, start, [])]
     best_g: dict[tuple, int] = {key: 0}
-    expansions = 0
+    expansions = leaves = 0
     while heap:
         if len(found) >= st.max_plans:
             break
         expansions += 1
-        if expansions > st.max_expansions:
+        if expansions + leaves > st.max_expansions:
+            if leaves:
+                return None
             break
         if expansions % 256 == 0 and time.monotonic() > deadline:
             break
         h, g, _, key, state, path = heapq.heappop(heap)
-        if _goal_satisfied(state, st.goal):
+        if _goal_satisfied(state, goal):
             multiset = tuple(sorted(path))
             if multiset not in banned:
                 banned.add(multiset)
@@ -297,6 +395,7 @@ def _solve_gbfs(st: Subtask, successors: dict[tuple, list[int]]
             # keep searching for alternatives from other queue entries
         if len(path) >= st.max_len:
             continue
+        at_leaf = not queue_leaves and len(path) + 1 == st.max_len
         ops = successors.get(key)
         if ops is None:
             ops = successors[key] = applicable(state)
@@ -311,7 +410,12 @@ def _solve_gbfs(st: Subtask, successors: dict[tuple, list[int]]
             if prev is not None and g2 >= prev:
                 continue
             best_g[key2] = g2
-            if changes_h[op_idx]:
+            if at_leaf:
+                if not _goal_satisfied(state2, goal):
+                    leaves += 1
+                    continue
+                h2 = 0
+            elif changes_h[op_idx]:
                 h2 = _h_add(rx, state2)
                 if h2 is None:
                     continue
@@ -320,7 +424,7 @@ def _solve_gbfs(st: Subtask, successors: dict[tuple, list[int]]
             counter += 1
             heapq.heappush(heap, (h2, g2, counter, key2, state2,
                                   path + [op_idx]))
-    if _goal_satisfied(st.init, st.goal):
+    if _goal_satisfied(st.init, goal):
         empty = SequentialPlan([])
         if tuple() not in banned:
             found.append(empty)

@@ -11,9 +11,9 @@ catalogue of large encodings, and the optimal model, its violated weight,
 its decoded plan and the clauses of tiny ones.  The oracle digest covers
 the plans of the enumeration oracle `brute_force_mr`.  The towers digest
 covers one run on the benchmark's elevator towers, whose SD2 phase accepts
-substitutions and whose subplanner finds no plan for many subtasks.  A change that keeps
-behaviour leaves every digest as it is; a change of behaviour has to
-regenerate them and say why.
+substitutions and whose subplanner finds no plan for many subtasks.  A
+change that keeps behaviour leaves every digest as it is; a change of
+behaviour has to regenerate them and say why.
 """
 
 import dataclasses

@@ -6,10 +6,13 @@ import sys
 import tempfile
 import textwrap
 import time
+import types
+from unittest import mock
 
 from hypothesis import given, settings
 from hypothesis import strategies as hst
 
+import popflex.subplanner as subplanner
 from popflex.bdpo import block_deorder, init_bdpo
 from popflex.corpus import chain_task, elevator_task, random_task
 from popflex.eog import eog
@@ -308,3 +311,184 @@ def test_a_length_bound_past_the_cost_cap_finds_the_same_plans():
                         found.append(plans)
                     cut_short += found[0] != found[-1]
     assert compared > 1000 and cut_short > 0
+
+
+@hst.composite
+def search_subtasks(draw):
+    """A subtask of a random task: a random full initial state, a goal of
+    1 to 3 facts (often out of reach within the bounds), small cost and
+    length bounds and an expansion cap that may bind.  In a quarter of the
+    tasks some operators are free, which keeps the proof of emptiness off."""
+    task, _ = random_task(draw(hst.integers(0, 10_000)), max_vars=6,
+                          max_steps=10)
+    ops = task.operators
+    if draw(hst.integers(0, 3)) == 0:
+        ops = [dataclasses.replace(op, cost=0) if draw(hst.booleans()) else op
+               for op in ops]
+    sizes = [len(v.values) for v in task.variables]
+    init = {v: draw(hst.integers(0, n - 1)) for v, n in enumerate(sizes)}
+    goal_vars = draw(hst.lists(hst.integers(0, len(sizes) - 1), min_size=1,
+                               max_size=3, unique=True))
+    goal = {v: draw(hst.integers(0, sizes[v] - 1)) for v in goal_vars}
+    base = PlanningTask(task.variables, ops, dict(init), dict(goal))
+    return Subtask(base=base, init=init, goal=goal,
+                   cost_bound=draw(hst.integers(0, 10)),
+                   max_len=draw(hst.integers(0, 10)), time_bound=math.inf,
+                   max_plans=draw(hst.integers(1, 10)),
+                   max_expansions=draw(hst.sampled_from(
+                       (1, 2, 3, 5, 8, 13, 30, 100, 2000))))
+
+
+def _steps(plans):
+    return [p.steps for p in plans]
+
+
+def test_a_subtask_proved_empty_has_no_plan():
+    """Wherever the proof says that no plan fits the cost bound, the search
+    without the proof finds none, within the subtask's caps or far past
+    them."""
+    proved = []
+
+    @settings(max_examples=400, deadline=None)
+    @given(search_subtasks())
+    def check(st):
+        tables = _tables(st.base)
+        rx = _Relaxation(tables, st.goal)
+        if not subplanner._proved_empty(st, tables, rx, {}, math.inf):
+            return
+        proved.append(st)
+        wide = dataclasses.replace(st, max_expansions=100_000,
+                                   max_len=max(st.max_len, st.cost_bound + 1))
+        with mock.patch.object(subplanner, "_proved_empty",
+                               lambda *args: False):
+            assert solve_subtask(st) == []
+            assert solve_subtask(wide) == []
+
+    check()
+    assert len(proved) >= 20
+
+
+def test_the_leaf_goal_test_finds_the_plans_of_queueing_every_leaf():
+    """Goal-testing the children at the length bound instead of queueing
+    them gives the plans of the search that queues every leaf, also where
+    the expansion cap binds and the search runs again."""
+    search = subplanner._search
+    restarts, found = [], []
+
+    def recorded(*args):
+        out = search(*args)
+        if out is None:
+            restarts.append(args[0])
+        return out
+
+    @settings(max_examples=400, deadline=None)
+    @given(search_subtasks())
+    def check(st):
+        with mock.patch.object(subplanner, "_search", recorded):
+            plans = _steps(solve_subtask(st))
+        with mock.patch.object(subplanner, "_search",
+                               lambda *args: search(*args[:-1], True)), \
+                mock.patch.object(subplanner, "_proved_empty",
+                                  lambda *args: False):
+            assert plans == _steps(solve_subtask(st))
+        found.append(bool(plans))
+
+    check()
+    assert restarts and any(found) and not all(found)
+
+
+def _mutex_task(bits: int) -> PlanningTask:
+    """`done` needs every bit set and both of `a` and `b`, but `a` and `b`
+    can each be set only while the other is clear, so `done` is out of
+    reach although the delete relaxation reaches it.  Every operator is
+    relevant to `done`, and the 3 * 2**bits states within reach all fit a
+    cost bound of 3 * bits."""
+    flags = [f"bit{i}" for i in range(bits)] + ["a", "b", "done"]
+    a, b, done = bits, bits + 1, bits + 2
+    ops = []
+    for i in range(bits):
+        ops.append(make_operator(f"set {i}", [(i, 0)], [(i, 1)]))
+        ops.append(make_operator(f"clear {i}", [(i, 1)], [(i, 0)]))
+    ops.append(make_operator("set a", [(a, 0), (b, 0)], [(a, 1)]))
+    ops.append(make_operator("set b", [(b, 0), (a, 0)], [(b, 1)]))
+    ops.append(make_operator("clear a", [(a, 1)], [(a, 0)]))
+    ops.append(make_operator("clear b", [(b, 1)], [(b, 0)]))
+    ops.append(make_operator("finish", [(i, 1) for i in range(bits + 2)],
+                             [(done, 1)]))
+    variables = [Variable(name, ("0", "1")) for name in flags]
+    return PlanningTask(variables, ops, dict.fromkeys(range(bits + 3), 0),
+                        {done: 1})
+
+
+def _mutex_subtask(**kwargs) -> Subtask:
+    task = _mutex_task(8)
+    return Subtask(base=task, init=dict(task.init), goal=dict(task.goal),
+                   cost_bound=24, max_len=24, time_bound=math.inf, **kwargs)
+
+
+def _solve_recorded(st: Subtask):
+    """The subtask's plans, the proof's verdicts and the searches run."""
+    proof, search = subplanner._proved_empty, subplanner._search
+    verdicts, searches = [], []
+
+    def proved(*args):
+        verdicts.append(proof(*args))
+        return verdicts[-1]
+
+    def searched(*args):
+        searches.append(args[-1])
+        return search(*args)
+
+    with mock.patch.object(subplanner, "_proved_empty", proved), \
+            mock.patch.object(subplanner, "_search", searched):
+        return solve_subtask(st), verdicts, searches
+
+
+def test_the_proof_gives_up_at_the_expansion_cap_and_the_search_runs():
+    plans, verdicts, searches = _solve_recorded(
+        _mutex_subtask(max_expansions=100_000))
+    assert (plans, verdicts, searches) == ([], [True], [])
+    plans, verdicts, searches = _solve_recorded(
+        _mutex_subtask(max_expansions=200))
+    assert (plans, verdicts, searches) == ([], [False], [False])
+
+
+def test_the_proof_gives_up_at_the_deadline_and_the_search_runs():
+    """A clock that passes the subtask's deadline after its first reading:
+    the proof, which needs far more than 256 pops, gives up at its first
+    clock check instead of saying that no plan exists."""
+    readings = iter([0.0])
+    clock = types.SimpleNamespace(monotonic=lambda: next(readings, 10.0))
+    st = _mutex_subtask(max_expansions=100_000)
+    st.time_bound = 1.0
+    with mock.patch.object(subplanner, "time", clock):
+        plans, verdicts, searches = _solve_recorded(st)
+    assert (plans, verdicts, searches) == ([], [False], [False])
+
+
+def test_the_expansion_cap_counts_the_leaves_left_unqueued():
+    """The cheap route passes k dead ends: from each of x=b_i one step
+    leads to the leaf x=c_i, one step short of the goal.  Queued, each leaf
+    pops before x=a, so x=a's goal child is the (2k + 3)-th pop.  The leaf
+    goal-test pops it as the (k + 3)-th, and has to search again, with the
+    leaves queued, exactly when the cap is below 2k + 3."""
+    k = 4
+    xs = ["s", "a", *(f"b{i}" for i in range(k)), *(f"c{i}" for i in range(k))]
+    x = {name: i for i, name in enumerate(xs)}
+    ops = [make_operator("to a", [(0, x["s"])], [(0, x["a"])]),
+           make_operator("from a", [(0, x["a"])], [(1, 1)], cost=3)]
+    for i in range(k):
+        ops += [make_operator(f"to b{i}", [(0, x["s"])], [(0, x[f"b{i}"])]),
+                make_operator(f"to c{i}", [(0, x[f"b{i}"])],
+                              [(0, x[f"c{i}"])]),
+                make_operator(f"quick {i}", [(0, x[f"c{i}"])], [(1, 1)])]
+    task = PlanningTask([Variable("x", tuple(xs)), Variable("y", ("0", "1"))],
+                        ops, {0: x["s"], 1: 0}, {1: 1})
+    for cap, plans, searches in ((2 * k + 2, [], [False, True]),
+                                 (2 * k + 3, [[0, 1]], [False])):
+        st = Subtask(base=task, init=dict(task.init), goal=dict(task.goal),
+                     cost_bound=4, max_len=2, max_plans=1, max_expansions=cap,
+                     time_bound=math.inf)
+        found, verdicts, searched = _solve_recorded(st)
+        # max_len < cost_bound // least: the proof does not run
+        assert (_steps(found), verdicts, searched) == (plans, [], searches)
