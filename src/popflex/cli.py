@@ -227,7 +227,8 @@ def run(argv: Sequence[str]) -> int:
         except EncodingTooLarge as exc:
             print(f"error: {exc}", file=sys.stderr)
             return 1
-        _write(args.out, wcnf.to_dimacs())
+        with open(args.out, "w", encoding="utf-8", newline="\n") as fh:
+            wcnf.write(fh)
         if args.catalog:
             catalog = {
                 "x": {str(s): v for s, v in cat.x.items()},

@@ -47,7 +47,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass, field
-from typing import Iterable, Optional
+from typing import Iterable, Optional, TextIO
 
 from .bdpo import GOAL_ID, INIT_ID
 from .pop import PartialOrderPlan, synthetic_operators
@@ -140,15 +140,26 @@ class Wcnf:
 
     def to_dimacs(self) -> str:
         """Classic-format DIMACS WCNF text, one line per clause."""
-        top = self.top
-        pieces = [f"p wcnf {self.n_vars} {self.n_hard + len(self.soft)} "
-                  f"{top}"]
-        pieces += _transitivity_lines(self.rows, top)
-        pieces += _dimacs_lines(self.other_hard, str(top), 0)
-        pieces += _dimacs_lines(((w, *clause) for w, clause in self.soft),
-                                "%d", 1)
+        pieces = list(self._dimacs_pieces())
         pieces.append("")   # the final newline, without copying the text
         return "\n".join(pieces)
+
+    def write(self, fp: TextIO) -> None:
+        """Write `to_dimacs()` to the text file `fp` piece by piece, as the
+        pieces are made, so the whole text is never held at once."""
+        for piece in self._dimacs_pieces():
+            fp.write(piece)
+            fp.write("\n")
+
+    def _dimacs_pieces(self):
+        """The DIMACS header line, then the clause lines in pieces of one
+        or more lines, each without its final newline."""
+        top = self.top
+        yield f"p wcnf {self.n_vars} {self.n_hard + len(self.soft)} {top}"
+        yield from _transitivity_lines(self.rows, top)
+        yield from _dimacs_lines(self.other_hard, str(top), 0)
+        yield from _dimacs_lines(((w, *clause) for w, clause in self.soft),
+                                 "%d", 1)
 
 
 def _transitivity_lines(rows: list[list[int]], top: int):

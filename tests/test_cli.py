@@ -5,10 +5,12 @@ import sys
 import pytest
 
 from popflex.cli import run
-from popflex.corpus import ELEVATOR_PLAN_TEXT, elevator_task
-from popflex.maxsat import parse_dimacs_wcnf
+from popflex.corpus import (ELEVATOR_PLAN_TEXT, chain_task, elevator_task,
+                            scaling_task)
+from popflex.eog import eog
+from popflex.maxsat import encode_mr, parse_dimacs_wcnf
 from popflex.subplanner import PLANNER_CMD_ENV
-from popflex.task import emit_plan, emit_sas
+from popflex.task import emit_plan, emit_sas, parse_plan, parse_sas
 
 
 @pytest.fixture
@@ -123,8 +125,30 @@ def test_encode_mr_emits_wcnf(elevator_files, tmp_path, capsys):
     assert set(catalog) == {"x", "tau", "gamma"}
 
 
+@pytest.mark.parametrize("mclcp", [False, True])
+@pytest.mark.parametrize("steps", [40, 1, 0])
+def test_encode_mr_file_is_the_dimacs_text(steps, mclcp, tmp_path, capsys):
+    """The CLI streams the encoding to its file; the file holds exactly
+    `to_dimacs()`.  With init and goal, a plan of 0 steps has 2 rows of
+    ordering variables and so no transitivity clause; 1 step has 3 rows."""
+    task, plan = scaling_task(10, 4) if steps == 40 else chain_task(steps)
+    sas, planf = tmp_path / "t.sas", tmp_path / "t.plan"
+    sas.write_text(emit_sas(task), encoding="utf-8")
+    planf.write_text(emit_plan(task, plan), encoding="utf-8")
+    out = tmp_path / "t.wcnf"
+    argv = ["encode-mr", "--task", str(sas), "--plan", str(planf),
+            "-o", str(out)]
+    assert run(argv + ["--mclcp"] * mclcp) == 0
+    task = parse_sas(sas.read_text(encoding="utf-8"))
+    plan = parse_plan(planf.read_text(encoding="utf-8"), task)
+    assert len(plan.steps) == steps
+    wcnf, _ = encode_mr(task, eog(task, plan), mclcp=mclcp)
+    assert len(wcnf.rows) == steps + 2
+    assert (wcnf.n_hard > len(wcnf.other_hard)) == (steps > 0)
+    assert out.read_bytes() == wcnf.to_dimacs().encode()
+
+
 def test_encode_mr_rejects_oversized(tmp_path):
-    from popflex.corpus import scaling_task
     task, plan = scaling_task(51, 4)
     sas = tmp_path / "big.sas"
     planf = tmp_path / "big.plan"

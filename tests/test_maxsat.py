@@ -1,3 +1,5 @@
+import io
+
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
@@ -377,6 +379,9 @@ def test_real_encodings_write_and_parse_back_as_the_reference(case):
     _, wcnf, _ = _prefix_encoding(*case)
     text = wcnf.to_dimacs()
     assert text == _reference_dimacs(wcnf)
+    streamed = io.StringIO()
+    wcnf.write(streamed)
+    assert streamed.getvalue() == text
     again = parse_dimacs_wcnf(text)
     assert again.hard == wcnf.hard
     assert again.soft == wcnf.soft
