@@ -3,7 +3,7 @@
 elevator towers, and the MaxSAT layer on the benchmark's instances.
 
 Usage: python scripts/profile_corpus.py
-           [random|scaling300|all|towers K|maxsat|maxsat-cap]
+           [random|scaling300|all|towers K|time towers K|maxsat|maxsat-cap]
 
 `random` runs `fibs` on `random_task` seeds 0-299 (`max_vars=8`,
 `max_steps=12`) under the random-corpus configuration: gj reduction, 3
@@ -22,6 +22,8 @@ cumulative time, the call counts of `BdpoPlan.rebuild_closure`,
 cumulative times, and a sha1 over each run's plan JSON and phase reports.
 The random digest is the one `tests/test_golden.py` pins as RANDOM_DIGEST,
 so a change that moves the cost can be seen to keep the outputs.
+`time towers K` makes the `towers K` run without the profiler and prints
+its wall time, each phase's elapsed time and the same output digest.
 
 `maxsat` profiles one round of the `maxsat-reorder` workload: the
 `MaxsatReorder` class of `perfbench/workloads.py`, imported the same way,
@@ -30,9 +32,10 @@ calls and cumulative time of `encode_mr`, `Wcnf.to_dimacs`, `check_model`,
 `optimal_model` and `decode_model`, and a sha1 over the workload's digest
 of each output.
 `maxsat-cap` encodes the 200-step `eog(scaling_task(50, 4))`, the CLI's
-cap, writes its DIMACS text, and prints the wall time of both and the
-process's peak resident set (`ru_maxrss`).  Run it in a process of its own,
-since the peak covers the whole process.
+cap, writes its DIMACS text to a temporary file with `Wcnf.write`, as the
+CLI's `encode-mr` does, and prints the wall time of both, the process's
+peak resident set (`ru_maxrss`) and a sha1 of the file.  Run it in a
+process of its own, since the peak covers the whole process.
 """
 
 from __future__ import annotations
@@ -45,6 +48,7 @@ import os
 import pstats
 import resource
 import sys
+import tempfile
 import time
 from pathlib import Path
 
@@ -158,28 +162,57 @@ def fibs_runs(runs):
     return work
 
 
+def time_towers(k: int) -> None:
+    """Wall time, per-phase time and output digest of the `towers K` run."""
+    (task, seq, config), = towers(k)
+    t0 = time.perf_counter()
+    plan, reports = fibs(task, seq, config)
+    elapsed = time.perf_counter() - t0
+    text = json.dumps([plan.to_json(), [r.to_dict() for r in reports]],
+                      sort_keys=True)
+    print(f"towers {k}: {len(seq.steps)} -> {len(plan.real_steps())} steps, "
+          f"{elapsed:.2f} s")
+    for r in reports:
+        print(f"towers {k} {r.phase}: {r.elapsed:.2f} s, "
+              f"{r.attempted} attempted, {r.accepted} accepted")
+    print(f"towers {k} output digest: "
+          f"{hashlib.sha1(text.encode()).hexdigest()}")
+
+
 def maxsat_cap() -> None:
-    """Wall time and peak memory of the largest encoding the CLI accepts."""
+    """Wall time and peak memory of the largest encoding the CLI accepts,
+    written as the CLI writes it."""
     task, plan = scaling_task(50, 4)
     pop = eog(task, plan)
-    t0 = time.perf_counter()
-    wcnf, _ = maxsat.encode_mr(task, pop)
-    t1 = time.perf_counter()
-    text = wcnf.to_dimacs()
-    t2 = time.perf_counter()
-    peak_mb = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024
+    with tempfile.TemporaryDirectory(prefix="popflex-maxsat-cap-") as tmp:
+        path = Path(tmp) / "cap.wcnf"
+        t0 = time.perf_counter()
+        wcnf, _ = maxsat.encode_mr(task, pop)
+        t1 = time.perf_counter()
+        with open(path, "w", encoding="utf-8", newline="\n") as fh:
+            wcnf.write(fh)
+        t2 = time.perf_counter()
+        peak_mb = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024
+        digest = hashlib.sha1()
+        with open(path, "rb") as fh:
+            while block := fh.read(1 << 20):
+                digest.update(block)
+        size = path.stat().st_size
     print(f"maxsat-cap: {len(plan.steps)} steps, "
-          f"{wcnf.n_hard + len(wcnf.soft)} clauses, {len(text)} bytes")
-    print(f"maxsat-cap encode_mr {t1 - t0:.2f} s, to_dimacs {t2 - t1:.2f} s, "
+          f"{wcnf.n_hard + len(wcnf.soft)} clauses, {size} bytes")
+    print(f"maxsat-cap encode_mr {t1 - t0:.2f} s, write {t2 - t1:.2f} s, "
           f"total {t2 - t0:.2f} s, peak RSS {peak_mb:.0f} MB")
-    print(f"maxsat-cap output digest: "
-          f"{hashlib.sha1(text.encode()).hexdigest()}")
+    print(f"maxsat-cap output digest: {digest.hexdigest()}")
 
 
 def main(argv: list[str]) -> int:
     which = argv[0] if argv else "all"
     if which == "towers" and len(argv) == 2 and argv[1].isdigit():
         profile(f"towers {argv[1]}", fibs_runs(towers(int(argv[1]))))
+        return 0
+    if argv[:2] == ["time", "towers"] and len(argv) == 3 \
+            and argv[2].isdigit():
+        time_towers(int(argv[2]))
         return 0
     if which == "maxsat" and len(argv) == 1:
         profile("maxsat", maxsat_round(), MAXSAT_COUNTED)
