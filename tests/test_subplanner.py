@@ -318,7 +318,7 @@ def search_subtasks(draw):
     """A subtask of a random task: a random full initial state, a goal of
     1 to 3 facts (often out of reach within the bounds), small cost and
     length bounds and an expansion cap that may bind.  In a quarter of the
-    tasks some operators are free, which keeps the proof of emptiness off."""
+    tasks some operators are free, so `solve_subtask` runs no proof."""
     task, _ = random_task(draw(hst.integers(0, 10_000)), max_vars=6,
                           max_steps=10)
     ops = task.operators
