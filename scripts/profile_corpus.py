@@ -17,9 +17,11 @@ wall-clock budget.  `all` runs `random` and `scaling300`.
 Each runs under cProfile and prints the 25 functions with the largest
 cumulative time, the call counts of `BdpoPlan.rebuild_closure`,
 `BdpoPlan.threats`, `BdpoPlan.validate`, `BdpoPlan.flex`, `solve_subtask`,
-`substitute`, the subplanner's `_h_add` and
-`_SuccessorGenerator.applicable` (recursive calls included) with their
-cumulative times, and a sha1 over each run's plan JSON and phase reports.
+`substitute`, the subplanner's `_search` (one call per search, two where
+the expansion cap makes it search again), `_proved_empty` (one per proof
+of emptiness), `_h_add` and `_SuccessorGenerator.applicable` (recursive
+calls included) with their cumulative times, and a sha1 over each run's
+plan JSON and phase reports.
 The random digest is the one `tests/test_golden.py` pins as RANDOM_DIGEST,
 so a change that moves the cost can be seen to keep the outputs.
 `time towers K` makes the `towers K` run without the profiler and prints
@@ -67,6 +69,8 @@ COUNTED = (("bdpo.py", "rebuild_closure", "BdpoPlan.rebuild_closure"),
            ("bdpo.py", "flex", "BdpoPlan.flex"),
            ("subplanner.py", "solve_subtask", "solve_subtask"),
            ("substitution.py", "substitute", "substitute"),
+           ("subplanner.py", "_search", "_search"),
+           ("subplanner.py", "_proved_empty", "_proved_empty"),
            ("subplanner.py", "_h_add", "_h_add"),
            ("subplanner.py", "applicable", "_SuccessorGenerator.applicable"))
 MAXSAT_COUNTED = (("maxsat.py", "encode_mr", "encode_mr"),

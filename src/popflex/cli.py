@@ -153,6 +153,13 @@ def run(argv: Sequence[str]) -> int:
     except SystemExit as exc:
         return 2 if exc.code not in (0, None) else 0
 
+    if args.command == "fibs":
+        try:
+            config = _config(args)
+        except ValueError as exc:
+            print(f"error: {exc}", file=sys.stderr)
+            return 2
+
     try:
         task, plan = _load(args)
     except Exception as exc:
@@ -189,7 +196,7 @@ def run(argv: Sequence[str]) -> int:
         if args.planner_cmd:
             os.environ[PLANNER_CMD_ENV] = args.planner_cmd
         try:
-            out, reports = fibs(task, plan, _config(args))
+            out, reports = fibs(task, plan, config)
         finally:
             if prior is None:
                 os.environ.pop(PLANNER_CMD_ENV, None)

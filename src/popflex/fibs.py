@@ -72,6 +72,17 @@ class FibsConfig:
     def __post_init__(self) -> None:
         if self.reduce not in REDUCE_MODES:
             raise ValueError(f"unknown reduction mode {self.reduce!r}")
+        # a cap below 1 would let no subtask find a plan, so the run would
+        # substitute nothing and say nothing
+        for name in ("max_plans", "max_expansions"):
+            if getattr(self, name) < 1:
+                raise ValueError(f"{name} must be at least 1, "
+                                 f"not {getattr(self, name)!r}")
+        for name in ("subtask_time", "time_limit"):
+            value = getattr(self, name)
+            if not value >= 0:      # also rejects NaN
+                raise ValueError(f"{name} must be a nonnegative number of "
+                                 f"seconds, not {value!r}")
 
 
 @dataclass
@@ -119,12 +130,22 @@ def build_subtask(task: PlanningTask, plan: BdpoPlan, excluded: int,
                   target: int, config: FibsConfig) -> Subtask:
     """Initial state from progressing every block before the target except
     the excluded one; goal from the facts the target supplies plus the facts
-    its other predecessors feed across it."""
-    before_blocks = [b for b in plan.real_roots()
-                     if b not in (excluded, target) and plan.ordered(b, target)]
+    its other predecessors feed across it.
+
+    It reads the closure rows once, for the blocks before the target, and
+    the links once, sorted, for the target's facts and the crossing facts;
+    the goal lists the target's facts first, each part in link order."""
+    closure = plan.closure
+    before, after = 0, closure[target]
+    context = []                # the blocks progressed, in any order
+    for b, row in closure.items():
+        if row >> target & 1:
+            before |= 1 << b
+            if b not in (INIT_BLOCK, excluded):
+                context.append(b)
     state = dict(task.init)
     rng = random.Random(config.seed)
-    order = plan._linearize_context(before_blocks, plan.closure, rng)
+    order = plan._linearize_context(context, closure, rng)
     for sid in order:
         op = plan.steps[sid]
         try:
@@ -132,24 +153,18 @@ def build_subtask(task: PlanningTask, plan: BdpoPlan, excluded: int,
         except NotApplicable as exc:
             raise SubtaskInfeasible(str(exc)) from exc
 
-    goal: dict[int, int] = {}
-
-    def add_goal(fact: Fact) -> bool:
-        if goal.get(fact.var, fact.val) != fact.val:
-            return False
-        goal[fact.var] = fact.val
-        return True
-
+    supplied: list[Fact] = []
+    crossing: list[Fact] = []
     for (c, f), p in sorted(plan.links.items()):
         if p == target:
-            if not add_goal(f):
-                raise SubtaskInfeasible(f"conflicting goal fact {f}")
-    for (c, f), p in sorted(plan.links.items()):
-        if p in (excluded, target):
-            continue
-        if plan.ordered(p, target) and plan.ordered(target, c):
-            if not add_goal(f):
-                raise SubtaskInfeasible(f"conflicting crossing fact {f}")
+            supplied.append(f)
+        elif p != excluded and before >> p & 1 and after >> c & 1:
+            crossing.append(f)
+    goal: dict[int, int] = {}
+    for facts, kind in ((supplied, "goal"), (crossing, "crossing")):
+        for f in facts:
+            if goal.setdefault(f.var, f.val) != f.val:
+                raise SubtaskInfeasible(f"conflicting {kind} fact {f}")
 
     bound = plan.blocks[target].cost
     max_len = capped_length(

@@ -6,23 +6,25 @@ going after the first solution, banning already-emitted operator multisets,
 so several alternative subplans come out; results are sorted by cost and
 then by operator index sequence, which makes the whole thing deterministic.
 
-The tables that depend only on the task (the achievers of each fact, an
-index of the operators by their first precondition fact, each operator's
-effect map, the least operator cost) are built once per task and kept on
-it, so the subtasks of one run share them.  Each search then compiles its
-goal once: h_add is computed over the operators backward-relevant to the
-goal only, by a single priority-queue pass per state.  An operator that
-sets no variable of a fact of that relaxation cannot change h_add, so its
-successor takes the popped state's h without a pass.  The applicable
-operators of each state go into a table that the caller may share between
-searches; `fibs` keeps one for the whole run, so a state that an earlier
-subtask of the run expanded is not matched again.  The search still
-branches over every applicable operator, so it gives exactly the plans of a
-sweep over all operators.  Where every operator costs something, a length
-bound past the most steps the cost bound affords changes no plan, and
-`capped_length` lowers it there.
+The tables that depend only on the task (the achievers of each fact, the
+writers of each variable, an index of the operators by their first
+precondition fact, each operator's effect map, the least operator cost)
+are built once per task and kept on it, so the subtasks of one run share
+them.  Each search that reads h compiles its goal once: h_add is computed
+over the operators backward-relevant to the goal only, by a single
+priority-queue pass per state.  An operator that sets no variable of a
+fact of that relaxation cannot change h_add, so its successor takes the
+popped state's h without a pass; the writers of the relaxation's variables
+are the operators that can.  The applicable operators of each state go
+into a table that the caller may share between searches; `fibs` keeps one
+for the whole run, so a state that an earlier subtask of the run expanded
+is not matched again.  The search still branches over every applicable
+operator, so it gives exactly the plans of a sweep over all operators.
+Where every operator costs something, a length bound past the most steps
+the cost bound affords changes no plan, and `capped_length` lowers it
+there.
 
-Two cuts skip work that cannot change the plans:
+Three cuts skip work that cannot change the plans:
 
 - Proof of emptiness.  Where every operator costs at least `least > 0` and
   the length bound is at least `cost_bound // least`, so that it cuts no
@@ -37,6 +39,11 @@ Two cuts skip work that cannot change the plans:
   and queued.  This is exact unless the expansion cap could bind: once the
   expansions and the leaves left unqueued together pass the cap, the
   search runs again from the start with every leaf queued and scored.
+- One-step searches.  A search whose length bound is at most 1 expands
+  the initial state alone and goal-tests its children, so it reads no h.
+  It builds no relaxation and runs no proof, which could only show what
+  that one expansion shows.  Only the rerun with every leaf queued, when
+  the expansion cap forces it, builds the relaxation.
 
 The search stops after max_plans plans, max_expansions expansions or the
 subtask's time bound, whichever comes first.  An external planner can be
@@ -85,11 +92,12 @@ class Subtask:
 
 class _TaskTables:
     """What the search needs of a task's operators, whatever the subtask:
-    the achievers of each fact, the successor generator, each operator's
-    effect as a map, and the least operator cost."""
+    the achievers of each fact, the writers of each variable, the successor
+    generator, each operator's effect as a map, and the least operator
+    cost."""
 
-    __slots__ = ("operators", "achievers", "successors", "effects",
-                 "least_cost")
+    __slots__ = ("operators", "achievers", "writers", "successors",
+                 "effects", "least_cost")
 
     def __init__(self, operators: list[OperatorDef]):
         self.operators = operators
@@ -100,6 +108,10 @@ class _TaskTables:
                 self.achievers.setdefault(f, []).append(i)
         self.successors = _SuccessorGenerator(operators)
         self.effects = [op.eff_map() for op in operators]
+        self.writers: dict[int, list[int]] = {}
+        for i, eff in enumerate(self.effects):
+            for v in eff:
+                self.writers.setdefault(v, []).append(i)
 
 
 def _tables(task: PlanningTask) -> _TaskTables:
@@ -279,14 +291,16 @@ def _solve_gbfs(st: Subtask, successors: dict[tuple, list[int]]
                 ) -> list[SequentialPlan]:
     tables = _tables(st.base)
     deadline = time.monotonic() + st.time_bound
-    rx = _Relaxation(tables, st.goal)
-    h0 = _h_add(rx, st.init)
-    if h0 is None:
-        return []
-    least = tables.least_cost
-    if (least > 0 and st.max_len >= st.cost_bound // least
-            and _proved_empty(st, tables, rx, successors, deadline)):
-        return []
+    rx, h0 = None, 0
+    if st.max_len > 1:
+        rx = _Relaxation(tables, st.goal)
+        h0 = _h_add(rx, st.init)
+        if h0 is None:
+            return []
+        least = tables.least_cost
+        if (least > 0 and st.max_len >= st.cost_bound // least
+                and _proved_empty(st, tables, rx, successors, deadline)):
+            return []
     found = _search(st, tables, rx, h0, successors, deadline, False)
     if found is None:
         found = _search(st, tables, rx, h0, successors, deadline, True)
@@ -347,8 +361,8 @@ def _proved_empty(st: Subtask, tables: _TaskTables, rx: _Relaxation,
     return True
 
 
-def _search(st: Subtask, tables: _TaskTables, rx: _Relaxation, h0: int,
-            successors: dict[tuple, list[int]], deadline: float,
+def _search(st: Subtask, tables: _TaskTables, rx: Optional[_Relaxation],
+            h0: int, successors: dict[tuple, list[int]], deadline: float,
             queue_leaves: bool) -> Optional[list[SequentialPlan]]:
     """The greedy best-first search, from the subtask's initial state.
 
@@ -361,13 +375,26 @@ def _search(st: Subtask, tables: _TaskTables, rx: _Relaxation, h0: int,
     cap binds earlier with the leaves popped.  So once the expansions and
     the counted leaves together pass the cap, with at least one leaf
     counted, the search gives None, and the caller runs it again with every
-    leaf queued."""
+    leaf queued.
+
+    With a length bound of at most 1 and the leaves goal-tested, the search
+    expands the initial state alone and reads no h, so `rx` and `h0`, the
+    goal's relaxation and the initial state's h, may be None and 0.  With
+    the leaves queued it builds them when they are missing."""
     operators, goal = tables.operators, st.goal
     applicable, effects = tables.successors.applicable, tables.effects
-    # h_add reads a state only through the relaxation's facts, so an
-    # operator that sets none of their variables leaves h as it is
-    relaxed_vars = {v for v, _ in rx.facts}
-    changes_h = [not relaxed_vars.isdisjoint(eff) for eff in effects]
+    if rx is None and queue_leaves:
+        rx = _Relaxation(tables, goal)
+        h0 = _h_add(rx, st.init)
+        if h0 is None:
+            return []
+    if rx is not None:
+        # h_add reads a state only through the relaxation's facts, so an
+        # operator that sets none of their variables leaves h as it is
+        changes_h = [False] * len(operators)
+        for v in {v for v, _ in rx.facts}:
+            for i in tables.writers.get(v, ()):
+                changes_h[i] = True
     found: list[SequentialPlan] = []
     banned: set[tuple] = set()
     counter = 0

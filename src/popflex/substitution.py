@@ -53,13 +53,20 @@ def candidate_block(task: PlanningTask, init: State, goal: PartialState,
 
     Links from the init step and to the goal step are left out; the facts
     they carry surface in the block's precondition and effect.
+
+    Of `init` it reads only the facts that a step or the goal consumes: no
+    other init fact can be linked, and the commitments read only linked
+    facts.  So the cost follows the plan and the goal, not the state.
     """
     ops = tuple(task.operators[i] for i in plan.steps)
+    profiles = [task.profile(op) for op in ops]
     empty: frozenset[Fact] = frozenset()
-    init_prof = (empty, frozenset(Fact(v, d) for v, d in init.items()), empty)
-    goal_prof = (frozenset(Fact(v, d) for v, d in goal.items()), empty, empty)
-    links, resolutions = generalize(
-        init_prof, [task.profile(op) for op in ops], goal_prof)
+    goal_facts = frozenset(Fact(v, d) for v, d in goal.items())
+    consumed = goal_facts.union(*(cons for cons, _, _ in profiles))
+    init_prof = (empty, frozenset(f for f in consumed
+                                  if init.get(f.var) == f.val), empty)
+    links, resolutions = generalize(init_prof, profiles,
+                                    (goal_facts, empty, empty))
     return CandidateBlock(
         ops=ops,
         links=tuple(sorted((p - 1, f, c - 1) for (c, f), p in links.items()

@@ -96,6 +96,22 @@ def test_fibs_report(elevator_files, tmp_path, capsys):
     assert csv.read_text().splitlines()[0].startswith("accepted,")
 
 
+@pytest.mark.parametrize("flag, value", [
+    ("--max-plans", "0"), ("--max-plans", "-3"), ("--max-expansions", "0"),
+    ("--subtask-time", "-1"), ("--subtask-time", "nan"),
+    ("--time-limit", "-0.5"), ("--time-limit", "nan")])
+def test_fibs_rejects_a_setting_that_turns_substitution_off(
+        elevator_files, tmp_path, capsys, flag, value):
+    """Each would let the run finish and substitute nothing, so `fibs`
+    refuses it before it reads a file or writes one."""
+    sas, plan = elevator_files
+    out = tmp_path / "plan.json"
+    assert run(["fibs", "--task", sas, "--plan", plan, flag, value,
+                "-o", str(out)]) == 2
+    assert flag[2:].replace("-", "_") in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_fibs_report_with_timings(elevator_files, tmp_path):
     sas, plan = elevator_files
     report = tmp_path / "report.json"

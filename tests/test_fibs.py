@@ -1,3 +1,4 @@
+import itertools
 import json
 import math
 import random
@@ -14,12 +15,14 @@ from popflex.corpus import (chain_task, elevator_plan, elevator_task,
                             scaling_task)
 from popflex.eog import eog
 from popflex.fibs import (AcceptanceCriteria, FibsConfig,
-                          _scan_basic_edges, backward_justify,
-                          build_subtask, fibs, greedy_justify, reduce_plan,
-                          resolve, remove_blocks, substitution_deorder)
-from popflex.subplanner import _SuccessorGenerator
+                          SubtaskInfeasible, _scan_basic_edges,
+                          backward_justify, build_subtask, fibs,
+                          greedy_justify, reduce_plan, resolve,
+                          remove_blocks, substitution_deorder)
+from popflex.subplanner import _SuccessorGenerator, capped_length
 from popflex.substitution import CandidateBlock
-from popflex.task import SequentialPlan, validate_sequential
+from popflex.task import (NotApplicable, SequentialPlan, apply_op,
+                          validate_sequential)
 
 CFG = FibsConfig(max_plans=5, max_expansions=4000)
 
@@ -83,6 +86,70 @@ def test_build_subtask_goal_of_goal_feeder():
     st = build_subtask(task, plan, board, p1_block, CFG)
     p1 = var_of(task, "pos-p1")
     assert st.goal[p1] == val_of(task, p1, "at-n3")
+
+
+def _two_pass_subtask(task, plan, excluded, target, config):
+    """What `build_subtask` gives, as it was computed before it read the
+    closure rows as bitmasks: the real roots sorted, then the links read
+    twice, once for the target's facts and once for the crossing facts.
+    The init items, the goal items, the cost bound and the length bound,
+    or the reason the subtask is infeasible."""
+    before_blocks = [b for b in plan.real_roots()
+                     if b not in (excluded, target) and plan.ordered(b, target)]
+    state = dict(task.init)
+    rng = random.Random(config.seed)
+    for sid in plan._linearize_context(before_blocks, plan.closure, rng):
+        try:
+            state = apply_op(plan.steps[sid], state)
+        except NotApplicable as exc:
+            return str(exc)
+    goal = {}
+
+    def add_goal(fact):
+        if goal.get(fact.var, fact.val) != fact.val:
+            return False
+        goal[fact.var] = fact.val
+        return True
+
+    for (c, f), p in sorted(plan.links.items()):
+        if p == target and not add_goal(f):
+            return f"conflicting goal fact {f}"
+    for (c, f), p in sorted(plan.links.items()):
+        if p in (excluded, target):
+            continue
+        if plan.ordered(p, target) and plan.ordered(target, c):
+            if not add_goal(f):
+                return f"conflicting crossing fact {f}"
+    bound = plan.blocks[target].cost
+    max_len = capped_length(
+        task, bound, max(1, fibs_mod.LENGTH_FACTOR * plan.blocks[target].size()))
+    return list(state.items()), list(goal.items()), bound, max_len
+
+
+def test_build_subtask_matches_the_two_pass_formula():
+    """On every pair of real roots of random plans, after EOG and after BD,
+    which takes in every basic edge in both directions: the same initial
+    state, the same goal in the same order, the same bounds, and
+    infeasible for the same reason."""
+    infeasible = feasible = 0
+    for seed in range(60):
+        task, seq = small_random(seed)
+        flat = init_bdpo(eog(task, seq))
+        for plan in (flat, block_deorder(flat)):
+            for excluded, target in itertools.permutations(
+                    plan.real_roots(), 2):
+                expected = _two_pass_subtask(task, plan, excluded, target,
+                                             SMALL)
+                try:
+                    st = build_subtask(task, plan, excluded, target, SMALL)
+                except SubtaskInfeasible as exc:
+                    infeasible += 1
+                    assert str(exc) == expected
+                    continue
+                feasible += 1
+                assert (list(st.init.items()), list(st.goal.items()),
+                        st.cost_bound, st.max_len) == expected
+    assert feasible > 1000 and infeasible > 0
 
 
 def test_resolve_replaces_p2_block_with_second_lift():
@@ -169,6 +236,22 @@ def test_acceptance_criteria_reject_an_unknown_mode():
 def test_fibs_config_rejects_an_unknown_reduction_mode():
     with pytest.raises(ValueError, match="gjj"):
         FibsConfig(reduce="gjj")
+
+
+@pytest.mark.parametrize("setting", [
+    {"max_plans": 0}, {"max_plans": -3}, {"max_expansions": 0},
+    {"subtask_time": -1.0}, {"subtask_time": math.nan},
+    {"time_limit": -0.5}, {"time_limit": math.nan}])
+def test_fibs_config_rejects_a_setting_that_turns_substitution_off(setting):
+    name, = setting
+    with pytest.raises(ValueError, match=name):
+        FibsConfig(**setting)
+
+
+def test_fibs_config_takes_the_bounds_of_what_it_accepts():
+    FibsConfig(max_plans=1, max_expansions=1, subtask_time=0.0,
+               time_limit=0.0)
+    FibsConfig(subtask_time=math.inf, time_limit=math.inf)
 
 
 def test_rfo_criteria():

@@ -9,7 +9,7 @@ import time
 import types
 from unittest import mock
 
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as hst
 
 import popflex.subplanner as subplanner
@@ -166,7 +166,8 @@ def test_h_add_and_successors_match_naive_references(query):
 @given(relaxed_queries())
 def test_an_effect_off_the_relaxation_leaves_h_add_unchanged(query):
     """An operator that sets no variable of a relaxed fact cannot change
-    h_add, whatever the state it is applied to."""
+    h_add, whatever the state it is applied to; the writers of the relaxed
+    variables are the other operators."""
     ops, state, goal = query
     tables = _TaskTables(ops)
     rx = _Relaxation(tables, goal)
@@ -175,6 +176,9 @@ def test_an_effect_off_the_relaxation_leaves_h_add_unchanged(query):
     for eff in tables.effects:
         if relaxed_vars.isdisjoint(eff):
             assert _h_add(rx, {**state, **eff}) == h
+    assert {i for v in relaxed_vars for i in tables.writers.get(v, ())} == \
+        {i for i, eff in enumerate(tables.effects)
+         if not relaxed_vars.isdisjoint(eff)}
 
 
 def test_h_add_counts_a_repeated_precondition_twice():
@@ -381,8 +385,15 @@ def test_the_leaf_goal_test_finds_the_plans_of_queueing_every_leaf():
             restarts.append(args[0])
         return out
 
+    chain, _ = chain_task(3)
+
     @settings(max_examples=400, deadline=None)
     @given(search_subtasks())
+    # the cap forces a restart; the cap lets the plan out; no plan exists
+    @example(_dead_ends_subtask(4, 10))
+    @example(_dead_ends_subtask(4, 11))
+    @example(Subtask(base=chain, init={0: 2}, goal={0: 0}, cost_bound=5,
+                     max_len=6, time_bound=math.inf))
     def check(st):
         with mock.patch.object(subplanner, "_search", recorded):
             plans = _steps(solve_subtask(st))
@@ -395,6 +406,65 @@ def test_the_leaf_goal_test_finds_the_plans_of_queueing_every_leaf():
 
     check()
     assert restarts and any(found) and not all(found)
+
+
+def _relaxation_first(st: Subtask) -> list[list[int]]:
+    """The plans of the subtask as the search found them when every search
+    built the goal's relaxation, scored the initial state and ran the
+    proof where it applies before searching."""
+    tables = _tables(st.base)
+    rx = _Relaxation(tables, st.goal)
+    h0 = _h_add(rx, st.init)
+    if h0 is None:
+        return []
+    least = tables.least_cost
+    if (least > 0 and st.max_len >= st.cost_bound // least
+            and subplanner._proved_empty(st, tables, rx, {}, math.inf)):
+        return []
+    found = subplanner._search(st, tables, rx, h0, {}, math.inf, False)
+    if found is None:
+        found = subplanner._search(st, tables, rx, h0, {}, math.inf, True)
+    found.sort(key=lambda p: (p.cost(st.base), tuple(p.steps)))
+    return _steps(found)
+
+
+def test_a_one_step_search_finds_the_plans_of_the_relaxation_first():
+    """A search with a length bound of at most 1 reads no h: it finds the
+    plans that building the relaxation and running the proof first found,
+    and scores nothing unless the expansion cap makes it search again with
+    every leaf queued."""
+    search, h_add = subplanner._search, subplanner._h_add
+    restarts, scored = [], []
+
+    def recorded(*args):
+        out = search(*args)
+        if out is None:
+            restarts.append(args[0])
+        return out
+
+    def counted(*args):
+        scored.append(args[1])
+        return h_add(*args)
+
+    @settings(max_examples=400, deadline=None)
+    @given(search_subtasks(), hst.integers(0, 1),
+           hst.sampled_from((1, 2, 3, 5, 2000)))
+    # "cheap a->c" reaches the goal and "a->b" is a leaf past the cap
+    @example(Subtask(base=_branching_task(), init={0: 0}, goal={0: 2},
+                     cost_bound=3, max_len=1, time_bound=math.inf), 1, 1)
+    def check(st, max_len, cap):
+        st = dataclasses.replace(st, max_len=max_len, max_expansions=cap)
+        before = len(restarts)
+        with mock.patch.object(subplanner, "_search", recorded), \
+                mock.patch.object(subplanner, "_h_add", counted):
+            plans = _steps(solve_subtask(st))
+        if len(restarts) == before:
+            assert not scored
+        scored.clear()
+        assert plans == _relaxation_first(st)
+
+    check()
+    assert restarts
 
 
 def _mutex_task(bits: int) -> PlanningTask:
@@ -466,13 +536,11 @@ def test_the_proof_gives_up_at_the_deadline_and_the_search_runs():
     assert (plans, verdicts, searches) == ([], [False], [False])
 
 
-def test_the_expansion_cap_counts_the_leaves_left_unqueued():
-    """The cheap route passes k dead ends: from each of x=b_i one step
-    leads to the leaf x=c_i, one step short of the goal.  Queued, each leaf
-    pops before x=a, so x=a's goal child is the (2k + 3)-th pop.  The leaf
-    goal-test pops it as the (k + 3)-th, and has to search again, with the
-    leaves queued, exactly when the cap is below 2k + 3."""
-    k = 4
+def _dead_ends_subtask(k: int, cap: int) -> Subtask:
+    """The cheap route to y=1 passes k dead ends: from each of x=b_i one
+    step leads to the leaf x=c_i, one step short of the goal.  The dear
+    route goes through x=a.  Two steps at most, one plan at most and `cap`
+    expansions."""
     xs = ["s", "a", *(f"b{i}" for i in range(k)), *(f"c{i}" for i in range(k))]
     x = {name: i for i, name in enumerate(xs)}
     ops = [make_operator("to a", [(0, x["s"])], [(0, x["a"])]),
@@ -484,11 +552,20 @@ def test_the_expansion_cap_counts_the_leaves_left_unqueued():
                 make_operator(f"quick {i}", [(0, x[f"c{i}"])], [(1, 1)])]
     task = PlanningTask([Variable("x", tuple(xs)), Variable("y", ("0", "1"))],
                         ops, {0: x["s"], 1: 0}, {1: 1})
+    return Subtask(base=task, init=dict(task.init), goal=dict(task.goal),
+                   cost_bound=4, max_len=2, max_plans=1, max_expansions=cap,
+                   time_bound=math.inf)
+
+
+def test_the_expansion_cap_counts_the_leaves_left_unqueued():
+    """In `_dead_ends_subtask`, queued, each leaf pops before x=a, so
+    x=a's goal child is the (2k + 3)-th pop.  The leaf goal-test pops it as
+    the (k + 3)-th, and has to search again, with the leaves queued,
+    exactly when the cap is below 2k + 3."""
+    k = 4
     for cap, plans, searches in ((2 * k + 2, [], [False, True]),
                                  (2 * k + 3, [[0, 1]], [False])):
-        st = Subtask(base=task, init=dict(task.init), goal=dict(task.goal),
-                     cost_bound=4, max_len=2, max_plans=1, max_expansions=cap,
-                     time_bound=math.inf)
+        st = _dead_ends_subtask(k, cap)
         found, verdicts, searched = _solve_recorded(st)
         # max_len < cost_bound // least: the proof does not run
         assert (_steps(found), verdicts, searched) == (plans, [], searches)

@@ -2,15 +2,17 @@
 the success/failure contracts."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as hst
 
 from popflex.bdpo import CD, DP, BdpoPlan, Reason, block_deorder, init_bdpo
 from popflex.corpus import elevator_plan, elevator_task, random_task
-from popflex.eog import eog
+from popflex.eog import eog, generalize
 from popflex.substitution import (MISSING_PRODUCT, UNBOUND_PRECONDITION,
-                                  UNRESOLVABLE_THREAT, candidate_block,
-                                  substitute)
-from popflex.task import (Fact, SequentialPlan, make_operator,
-                          validate_sequential)
+                                  UNRESOLVABLE_THREAT, CandidateBlock,
+                                  candidate_block, substitute)
+from popflex.task import (Fact, PlanningTask, SequentialPlan, apply_op,
+                          make_operator, validate_sequential)
 
 from scenarios import (between_scenario as _between_scenario,
                        blocks_by_name, mutual_threat_scenario
@@ -306,3 +308,50 @@ def test_substitution_work_scales_quadratically():
         counts[n] = calls
     assert counts[32] <= 8 * max(counts[16], 1)
     assert counts[64] <= 8 * max(counts[32], 1)
+
+
+def _whole_init_block(task, init, goal, plan):
+    """`candidate_block` as it was computed from the profile of the whole
+    initial state."""
+    ops = tuple(task.operators[i] for i in plan.steps)
+    empty = frozenset()
+    init_prof = (empty, frozenset(Fact(v, d) for v, d in init.items()), empty)
+    goal_prof = (frozenset(Fact(v, d) for v, d in goal.items()), empty, empty)
+    links, resolutions = generalize(
+        init_prof, [task.profile(op) for op in ops], goal_prof)
+    return CandidateBlock(
+        ops=ops,
+        links=tuple(sorted((p - 1, f, c - 1) for (c, f), p in links.items()
+                           if p != 0 and c != len(ops) + 1)),
+        resolutions=tuple(sorted((a - 1, b - 1, r)
+                                 for (a, b), rs in resolutions.items()
+                                 for r in rs)),
+        cost=sum(op.cost for op in ops))
+
+
+@hst.composite
+def plan_windows(draw):
+    """A stretch of a random task's plan, from the state that the steps
+    before it reach, to a goal of some of the facts that it ends in."""
+    task, seq = random_task(draw(hst.integers(0, 10_000)), max_vars=8,
+                            max_steps=12)
+    n = len(seq.steps)
+    start = draw(hst.integers(0, n))
+    end = draw(hst.integers(start, n))
+    states = [dict(task.init)]
+    for i in seq.steps[:end]:
+        states.append(apply_op(task.operators[i], states[-1]))
+    final = states[end]
+    goal_vars = draw(hst.lists(hst.sampled_from(sorted(final)), unique=True))
+    return (task, states[start], {v: final[v] for v in goal_vars},
+            SequentialPlan(seq.steps[start:end]))
+
+
+@settings(max_examples=300, deadline=None)
+@given(plan_windows())
+def test_candidate_block_matches_the_whole_init_formula(window):
+    task, init, goal, plan = window
+    assert validate_sequential(PlanningTask(task.variables, task.operators,
+                                            dict(init), dict(goal)), plan)
+    assert candidate_block(task, init, goal, plan) == \
+        _whole_init_block(task, init, goal, plan)
