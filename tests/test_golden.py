@@ -9,9 +9,11 @@ deordered plans whose blocks nest up to seven deep, which the fibs corpora
 never reach.  The MaxSAT digest covers the DIMACS text and variable
 catalogue of large encodings, and the optimal model, its violated weight,
 its decoded plan and the clauses of tiny ones.  The oracle digest covers
-the plans of the enumeration oracle `brute_force_mr`.  The towers digest
-covers one run on the benchmark's elevator towers, whose SD2 phase accepts
-substitutions and whose subplanner finds no plan for many subtasks.  A
+the plans of the enumeration oracle `brute_force_mr`.  The towers digests
+cover one run each on 4 and 8 of the benchmark's elevator towers, whose SD2
+phase accepts substitutions and whose subplanner finds no plan for many
+subtasks; at 8 towers the expansion cap makes some searches run again with
+every leaf queued.  A
 change that keeps behaviour leaves every digest as it is; a change of
 behaviour has to regenerate them and say why.
 """
@@ -52,6 +54,7 @@ SEARCH_DIGEST = "4d3cdb788a282954fa8433c350379bc8bde30c1d"
 VALIDATE_DIGEST = "689b8ff994e1c1f25d74d8f7ef52341da48a5a93"
 ORACLE_DIGEST = "3d8979a5b07ae309ef453c8a073a4c56aacf87d5"
 TOWERS_DIGEST = "3f09c0ff8c0576004980312d37f7bb8b3d33a26e"
+TOWERS8_DIGEST = "611a4704ac15ff19a724825fb219a11cce42df0f"
 
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 
@@ -96,15 +99,22 @@ def _perfbench_workloads():
         sys.path.remove(str(PERFBENCH))
 
 
-def test_golden_towers(monkeypatch):
-    """One run on 4 renamed-apart copies of the two-lift elevator, built by
-    the benchmark's `towers_sas` and `towers_plan` (towers in index order):
-    gj reduction, 2,000 expansions per subtask, no wall-clock budget."""
+def _towers(k: int):
+    """K renamed-apart copies of the two-lift elevator, built by the
+    benchmark's `towers_sas` and `towers_plan` (towers in index order), and
+    the towers configuration: gj reduction, 2,000 expansions per subtask, no
+    wall-clock budget."""
     workloads = _perfbench_workloads()
-    task = parse_sas(workloads.towers_sas(4))
-    seq = parse_plan(workloads.towers_plan(list(range(4))), task)
+    task = parse_sas(workloads.towers_sas(k))
+    seq = parse_plan(workloads.towers_plan(list(range(k))), task)
     config = FibsConfig(reduce="gj", max_expansions=2000,
                         subtask_time=math.inf, time_limit=math.inf)
+    return task, seq, config
+
+
+def test_golden_towers(monkeypatch):
+    """One run on 4 towers."""
+    task, seq, config = _towers(4)
     fibs_mod = importlib.import_module("popflex.fibs")
     searches = []
 
@@ -119,6 +129,24 @@ def test_golden_towers(monkeypatch):
     assert sd2["accepted"] > 0
     assert searches.count(False) > 0 and searches.count(True) > 0
     assert hashlib.sha1(text).hexdigest() == TOWERS_DIGEST
+
+
+def test_golden_towers8(monkeypatch):
+    """One run on 8 towers, where the expansion cap binds on searches that
+    goal-test their leaves, so they run again with every leaf queued."""
+    task, seq, config = _towers(8)
+    subplanner_mod = importlib.import_module("popflex.subplanner")
+    search = subplanner_mod._search
+    reruns = []
+
+    def counted(*args):
+        reruns.append(args[-1])     # queue_leaves
+        return search(*args)
+
+    monkeypatch.setattr(subplanner_mod, "_search", counted)
+    text = _run_text(task, seq, config)
+    assert reruns.count(True) > 0
+    assert hashlib.sha1(text).hexdigest() == TOWERS8_DIGEST
 
 
 def _emit_tasks(count: int):
