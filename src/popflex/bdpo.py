@@ -100,22 +100,6 @@ class FlexScore:
         return Fraction(self.unordered_pairs, self.total_pairs)
 
 
-def closure_from_edges(nodes: Iterable[int], edges: Iterable[tuple[int, int]]
-                       ) -> dict[int, set[int]]:
-    """Strict descendants per node, as sets: the plain reference for the
-    bitmask rows of `closure_rows`; raises CycleDetected on a cycle."""
-    direct: dict[int, set[int]] = {n: set() for n in nodes}
-    for a, b in edges:
-        direct[a].add(b)
-    succ: dict[int, set[int]] = {n: set() for n in direct}
-    for n in reversed(topological_order(direct)):
-        acc = succ[n]
-        for m in direct[n]:
-            acc.add(m)
-            acc |= succ[m]
-    return succ
-
-
 def closure_rows(direct: dict[int, set[int]]) -> dict[int, int]:
     """Successor bitmask per node of a successor map that has every node
     as a key: bit `b` of row `a` is set when `b` is a strict descendant of
@@ -264,17 +248,6 @@ class BdpoPlan:
         bid = self.next_block_id
         self.next_block_id += 1
         return bid
-
-    def snapshot(self) -> tuple:
-        """Hashable deep image, used to assert failure paths change nothing."""
-        return (
-            tuple(sorted((s, op.name) for s, op in self.steps.items())),
-            tuple(sorted((b, blk.members) for b, blk in self.blocks.items())),
-            tuple(sorted(self.roots)),
-            tuple(sorted(self.links.items())),
-            tuple(sorted((pair, tuple(sorted(rs)))
-                         for pair, rs in self.resolutions.items() if rs)),
-        )
 
     def real_roots(self) -> list[int]:
         return sorted((b for b in self.roots if b not in (INIT_BLOCK, GOAL_BLOCK)),
@@ -671,52 +644,6 @@ class BdpoPlan:
                         reason=f"block {blk.id}: {t} threatens {p}-{f}->{c}")
         return ValidationReport(True)
 
-    def check_laminar(self) -> bool:
-        live = sorted(self.live_blocks())
-        for i, a in enumerate(live):
-            ma = self.blocks[a].members
-            for b in live[i + 1:]:
-                mb = self.blocks[b].members
-                inter = ma & mb
-                if inter and not (ma <= mb or mb <= ma):
-                    return False
-        return True
-
-    def check_contiguity(self) -> bool:
-        flat = self.flat_closure()
-        for bid in sorted(self.live_blocks()):
-            members = self.blocks[bid].members
-            outside = [s for s in self.steps if s not in members
-                       and s not in (INIT_ID, GOAL_ID)]
-            for s in outside:
-                before = any(m in flat.get(s, ()) for m in members)
-                after = any(s in flat.get(m, ()) for m in members)
-                if before and after:
-                    return False
-        return True
-
-    def flat_closure(self) -> dict[int, set[int]]:
-        """Step-level strict descendants implied by the block structure."""
-        out: dict[int, set[int]] = {s: set() for s in self.steps}
-
-        def expand(blocks: Collection[int], rows: dict[int, int]) -> None:
-            for x in blocks:
-                blk = self.blocks[x]
-                for y in blocks:
-                    if rows[x] >> y & 1:
-                        for sx in blk.members:
-                            out[sx] |= self.blocks[y].members
-                if not blk.primitive:
-                    expand(blk.children, blk.iclosure)
-
-        expand(self.roots, self.closure)
-        for s in self.steps:
-            if s != INIT_ID:
-                out[INIT_ID].add(s)
-            if s != GOAL_ID:
-                out[s].add(GOAL_ID)
-        return out
-
     # -- linearization -------------------------------------------------------
 
     def _ready(self, blocks: Collection[int], rows: dict[int, int]
@@ -751,34 +678,6 @@ class BdpoPlan:
                 out.extend(self._linearize_context(blk.children,
                                                    blk.iclosure, rng))
         return out
-
-    def all_linearizations(self, cap: int = 50000) -> Iterator[SequentialPlan]:
-        count = 0
-
-        def contexts(blocks: list[int], rows: dict[int, int]
-                     ) -> Iterator[list[int]]:
-            if not blocks:
-                yield []
-                return
-            for b in self._ready(blocks, rows):
-                rest = [o for o in blocks if o != b]
-                for head in expand(b):
-                    for tail in contexts(rest, rows):
-                        yield head + tail
-
-        def expand(bid: int) -> Iterator[list[int]]:
-            blk = self.blocks[bid]
-            if blk.primitive:
-                yield [blk.step]
-                return
-            yield from contexts(list(blk.children), blk.iclosure)
-
-        for steps in contexts(self.real_roots(), self.closure):
-            count += 1
-            if count > cap:
-                raise RuntimeError("too many linearizations")
-            yield SequentialPlan([self.task.operator_index(self.steps[s].name)
-                                  for s in steps])
 
     # -- exports (a flat plan has its own) ----------------------------------
 

@@ -382,12 +382,6 @@ def _removal_candidates(plan: BdpoPlan) -> list[tuple[int, int, BdpoPlan]]:
     return out
 
 
-def greedy_justify(plan: BdpoPlan) -> set[int]:
-    """Blocks (any nesting level) whose removal with dependents keeps the
-    plan valid."""
-    return {bid for _, bid, _ in _removal_candidates(plan)}
-
-
 def reduce_plan(plan: BdpoPlan, mode: str) -> BdpoPlan:
     """Strip redundant blocks; `mode` picks the justification notion."""
     if mode == "none":

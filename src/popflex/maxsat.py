@@ -51,8 +51,7 @@ from typing import Iterable, Optional, TextIO
 
 from .bdpo import GOAL_ID, INIT_ID
 from .pop import PartialOrderPlan, synthetic_operators
-from .task import (Fact, LineSyntaxError, PlanningTask, SequentialPlan,
-                   cons_prod_del)
+from .task import Fact, PlanningTask, SequentialPlan, cons_prod_del
 
 MAX_ENCODE_STEPS = 200
 _DIMACS_CHUNK = 4096     # clauses formatted by one % in `Wcnf.to_dimacs`
@@ -68,10 +67,6 @@ class TooLarge(Exception):
 
 class InvalidModel(Exception):
     """Model violates a hard clause or decodes to an unsupported plan."""
-
-
-class WcnfSyntaxError(LineSyntaxError):
-    """Malformed DIMACS WCNF input."""
 
 
 @dataclass
@@ -97,8 +92,8 @@ class Wcnf:
     """Weighted CNF.  `other_hard` lists the hard clauses one tuple each;
     `rows` holds an encoding's ordering variables, rows[i][j] for step i
     before step j and 0 on the diagonal, and stands for the transitivity
-    block over them, which is never listed.  A parsed or hand-built Wcnf
-    has no rows."""
+    block over them, which is never listed.  A hand-built Wcnf has no
+    rows."""
     other_hard: list[tuple[int, ...]] = field(default_factory=list)
     soft: list[tuple[int, tuple[int, ...]]] = field(default_factory=list)
     n_vars: int = 0
@@ -200,78 +195,6 @@ def _dimacs_lines(rows, lead: str, lead_args: int):
         while chunk := list(itertools.islice(run, _DIMACS_CHUNK)):
             yield "\n".join([line] * len(chunk)) % tuple(
                 itertools.chain.from_iterable(chunk))
-
-
-def parse_dimacs_wcnf(text: str) -> Wcnf:
-    """Read classic-format DIMACS WCNF: one `p wcnf nvars nclauses top`
-    header before any clause, then `weight lits... 0` per line.  Raises
-    WcnfSyntaxError with the line number of the first malformed line."""
-    wcnf = Wcnf()
-    top = None
-    lines = text.splitlines()
-    for line_no, line in enumerate(lines, 1):
-        line = line.strip()
-        if not line or line.startswith("c"):
-            continue
-        parts = line.split()
-        if parts[0] == "p":
-            if top is not None:
-                raise WcnfSyntaxError(line_no, "second header")
-            if len(parts) != 5 or parts[1] != "wcnf":
-                raise WcnfSyntaxError(
-                    line_no, f"expected 'p wcnf nvars nclauses top', "
-                    f"got {line!r}")
-            wcnf.n_vars, _, top = _integers(parts[2:], line_no)
-            continue
-        if top is None:
-            raise WcnfSyntaxError(line_no, "clause before the header")
-        nums = _integers(parts, line_no)
-        if len(nums) < 2 or nums[-1] != 0:
-            raise WcnfSyntaxError(
-                line_no, f"expected 'weight lits... 0', got {line!r}")
-        weight, lits = nums[0], tuple(nums[1:-1])
-        if not 1 <= weight <= top:
-            raise WcnfSyntaxError(
-                line_no, f"weight {weight} outside 1..{top}")
-        if 0 in lits:
-            raise WcnfSyntaxError(line_no, "a 0 literal before the end")
-        if weight == top:
-            wcnf.other_hard.append(lits)
-        else:
-            wcnf.soft.append((weight, lits))
-    if top is None:
-        raise WcnfSyntaxError(len(lines) + 1, "no 'p wcnf' header")
-    return wcnf
-
-
-def _integers(tokens: list[str], line_no: int) -> list[int]:
-    try:
-        return [int(tok) for tok in tokens]
-    except ValueError:
-        raise WcnfSyntaxError(
-            line_no, f"expected integers, got {' '.join(tokens)!r}") from None
-
-
-def model_from_v_line(text: str) -> set[int]:
-    """True variables from the 'v ...' lines of a MaxSAT solver's output;
-    comment, 'o' and 's' lines are skipped.  A 'v' line whose only token is
-    made of 0s and 1s is the MaxSAT Evaluation 2020+ format, one digit per
-    variable from variable 1 ('v 0110' sets 2 and 3); any other is a list of
-    literals ('v 1 -2 3 0').  On a single digit the two formats agree.
-    Raises WcnfSyntaxError with the line number of a 'v' line that holds a
-    non-integer token."""
-    true_vars = set()
-    for line_no, line in enumerate(text.splitlines(), 1):
-        parts = line.split()
-        if parts[:1] != ["v"]:
-            continue
-        if len(parts) == 2 and not parts[1].strip("01"):
-            true_vars.update(var for var, digit in enumerate(parts[1], 1)
-                             if digit == "1")
-        else:
-            true_vars.update(lit for lit in _integers(parts[1:], line_no)
-                             if lit > 0)
-    return true_vars
 
 
 def encode_mr(task: PlanningTask, pop: PartialOrderPlan, mclcp: bool = False

@@ -53,6 +53,11 @@ class UnknownOperator(Exception):
     """A plan line names an operator the task does not define."""
 
 
+class PlanSyntaxError(LineSyntaxError, UnknownOperator):
+    """A plan line that is not '(name)' or names no operator of the task;
+    callers that skip an UnknownOperator skip it too."""
+
+
 class NotApplicable(Exception):
     """Operator precondition not satisfied in the given state."""
 
@@ -128,19 +133,6 @@ class PlanningTask:
             return self._by_name[name]
         except KeyError:
             raise UnknownOperator(name) from None
-
-    def to_json(self) -> dict:
-        return {
-            "variables": [{"name": v.name, "values": list(v.values)}
-                          for v in self.variables],
-            "operators": [{"name": o.name,
-                           "pre": [list(f) for f in o.pre],
-                           "eff": [list(f) for f in o.eff],
-                           "cost": o.cost} for o in self.operators],
-            "init": {str(v): d for v, d in sorted(self.init.items())},
-            "goal": {str(v): d for v, d in sorted(self.goal.items())},
-            "metric": self.metric,
-        }
 
 
 @dataclass
@@ -221,6 +213,10 @@ class _Lines:
         self.lines = text.splitlines()
         self.pos = 0
 
+    def error(self, message: str) -> SasSyntaxError:
+        """An error at the line read last."""
+        return SasSyntaxError(self.pos, message)
+
     def next(self) -> str:
         if self.pos >= len(self.lines):
             raise SasSyntaxError(self.pos + 1, "unexpected end of file")
@@ -231,22 +227,35 @@ class _Lines:
     def expect(self, token: str) -> None:
         line = self.next()
         if line != token:
-            raise SasSyntaxError(self.pos, f"expected {token!r}, got {line!r}")
+            raise self.error(f"expected {token!r}, got {line!r}")
 
-    def next_int(self) -> int:
+    def next_int(self, least: Optional[int] = None) -> int:
         line = self.next()
         try:
-            return int(line)
+            n = int(line)
         except ValueError:
-            raise SasSyntaxError(self.pos, f"expected integer, got {line!r}") from None
+            raise self.error(f"expected integer, got {line!r}") from None
+        if least is not None and n < least:
+            raise self.error(f"expected at least {least}, got {n}")
+        return n
 
     def next_ints(self, what: str) -> list[int]:
         line = self.next()
         try:
             return list(map(int, line.split()))
         except ValueError:
-            raise SasSyntaxError(self.pos, f"{what}: expected integers, "
-                                           f"got {line!r}") from None
+            raise self.error(f"{what}: expected integers, got {line!r}"
+                             ) from None
+
+    def next_fact(self, what: str, sizes: list[int]) -> tuple[int, int]:
+        """A 'var val' line naming a value of a variable."""
+        parts = self.next_ints(what)
+        if len(parts) != 2:
+            raise self.error(f"{what} needs 'var val'")
+        var, val = parts
+        if not (0 <= var < len(sizes) and 0 <= val < sizes[var]):
+            raise self.error(f"{what} {Fact(var, val)} out of range")
+        return var, val
 
 
 def parse_sas(text: str | bytes) -> PlanningTask:
@@ -254,7 +263,10 @@ def parse_sas(text: str | bytes) -> PlanningTask:
 
     Prevail conditions fold into the precondition; pre/post pairs contribute
     the pre value (when not -1) to the precondition and the post value to the
-    effect.  Axioms and conditional effects are rejected.
+    effect.  Axioms and conditional effects are rejected.  Any other
+    malformed item raises SasSyntaxError at its line as it is read: a value
+    outside its domain, a variable set twice in one operator or named twice
+    in the goal, an empty effect, a negative cost, a repeated operator name.
     """
     if isinstance(text, bytes):
         text = text.decode("utf-8")
@@ -265,100 +277,85 @@ def parse_sas(text: str | bytes) -> PlanningTask:
         raise Unsupported(f"SAS+ version {version}")
     src.expect("end_version")
     src.expect("begin_metric")
-    metric = src.next_int() == 1
+    metric = src.next_int()
+    if metric not in (0, 1):
+        raise src.error(f"metric must be 0 or 1, got {metric}")
     src.expect("end_metric")
 
     variables: list[Variable] = []
-    for _ in range(src.next_int()):
+    for _ in range(src.next_int(0)):
         src.expect("begin_variable")
         name = src.next()
-        axiom_layer = src.next_int()
-        if axiom_layer != -1:
+        if src.next_int() != -1:
             raise Unsupported("axioms")
-        size = src.next_int()
-        values = tuple(src.next() for _ in range(size))
+        values = tuple(src.next() for _ in range(src.next_int(0)))
         src.expect("end_variable")
         variables.append(Variable(name, values))
+    sizes = [v.size for v in variables]
 
-    for _ in range(src.next_int()):  # mutex groups: parsed and ignored
+    for _ in range(src.next_int(0)):  # mutex groups: checked and ignored
         src.expect("begin_mutex_group")
-        for _ in range(src.next_int()):
-            src.next()
+        for _ in range(src.next_int(0)):
+            src.next_fact("mutex fact", sizes)
         src.expect("end_mutex_group")
 
     src.expect("begin_state")
-    init = {v: src.next_int() for v in range(len(variables))}
+    init: State = {}
+    for var, size in enumerate(sizes):
+        val = init[var] = src.next_int()
+        if not 0 <= val < size:
+            raise src.error(f"initial value {Fact(var, val)} out of range")
     src.expect("end_state")
 
     src.expect("begin_goal")
     goal: PartialState = {}
-    for _ in range(src.next_int()):
-        parts = src.next_ints("goal fact")
-        if len(parts) != 2:
-            raise SasSyntaxError(src.pos, "goal fact needs 'var val'")
-        goal[parts[0]] = parts[1]
+    for _ in range(src.next_int(0)):
+        var, val = src.next_fact("goal fact", sizes)
+        if var in goal:
+            raise src.error(f"goal names variable {var} twice")
+        goal[var] = val
     src.expect("end_goal")
 
     operators: list[OperatorDef] = []
-    for _ in range(src.next_int()):
+    names: set[str] = set()
+    for _ in range(src.next_int(0)):
         src.expect("begin_operator")
         name = src.next()
+        if name in names:
+            raise src.error(f"duplicate operator name {name!r}")
+        names.add(name)
+        twice = f"operator {name!r} sets variable {{}} twice"
         pre: dict[int, int] = {}
         eff: dict[int, int] = {}
-        for _ in range(src.next_int()):  # prevail conditions
-            parts = src.next_ints("prevail condition")
-            if len(parts) != 2:
-                raise SasSyntaxError(src.pos,
-                                     "prevail condition needs 'var val'")
-            var, val = parts
+        for _ in range(src.next_int(0)):  # prevail conditions
+            var, val = src.next_fact("prevail condition", sizes)
+            if var in pre:
+                raise src.error(twice.format(var))
             pre[var] = val
-        for _ in range(src.next_int()):  # pre/post effects
+        for _ in range(src.next_int(1)):  # pre/post effects, at least one
             parts = src.next_ints("effect")
             if parts and parts[0] != 0:
                 raise Unsupported("conditional effects")
             if len(parts) != 4:
-                raise SasSyntaxError(src.pos, "effect needs '0 var pre post'")
+                raise src.error("effect needs '0 var pre post'")
             _, var, pre_val, post_val = parts
+            if not (0 <= var < len(sizes) and 0 <= post_val < sizes[var]
+                    and -1 <= pre_val < sizes[var]):
+                raise src.error(f"effect {pre_val} -> {post_val} on variable "
+                                f"{var} out of range")
+            if var in pre or var in eff:
+                raise src.error(twice.format(var))
             if pre_val != -1:
                 pre[var] = pre_val
             eff[var] = post_val
-        cost = src.next_int()
+        cost = src.next_int(0)
         src.expect("end_operator")
         operators.append(make_operator(name, pre.items(), eff.items(),
                                        cost if metric else 1))
 
-    n_axioms = src.next_int()
-    if n_axioms != 0:
+    if src.next_int(0) != 0:
         raise Unsupported("axioms")
-
-    task = PlanningTask(variables, operators, init, goal, metric=metric)
-    _check_well_formed(task)
-    return task
-
-
-def _check_well_formed(task: PlanningTask) -> None:
-    n = len(task.variables)
-    sizes = task.domain_sizes()
-
-    def check_fact(f: Fact, where: str) -> None:
-        if not (0 <= f.var < n and 0 <= f.val < sizes[f.var]):
-            raise ValueError(f"fact {f} out of range in {where}")
-
-    if sorted(task.init) != list(range(n)):
-        raise ValueError("initial state must assign every variable once")
-    for v, d in task.init.items():
-        check_fact(Fact(v, d), "init")
-    for v, d in task.goal.items():
-        check_fact(Fact(v, d), "goal")
-    for op in task.operators:
-        if not op.eff:
-            raise ValueError(f"operator {op.name!r} has empty effect")
-        if op.cost < 0:
-            raise ValueError(f"operator {op.name!r} has negative cost")
-        for f in op.pre:
-            check_fact(f, op.name)
-        for f in op.eff:
-            check_fact(f, op.name)
+    return PlanningTask(variables, operators, init, goal, metric=metric == 1)
 
 
 def emit_sas(task: PlanningTask) -> str:
@@ -401,12 +398,14 @@ _COST_COMMENT = re.compile(r";\s*cost\s*=\s*(\d+)")
 
 
 def parse_plan(text: str | bytes, task: PlanningTask) -> SequentialPlan:
-    """Parse a plan file against a task; costs are recomputed from the task."""
+    """Parse a plan file against a task; costs are recomputed from the task.
+    A line that is not '(name)', or names no operator of the task, raises
+    PlanSyntaxError with its line number."""
     if isinstance(text, bytes):
         text = text.decode("utf-8")
     steps: list[int] = []
     declared_cost: Optional[int] = None
-    for line in text.splitlines():
+    for line_no, line in enumerate(text.splitlines(), 1):
         stripped = line.strip()
         if not stripped:
             continue
@@ -417,9 +416,12 @@ def parse_plan(text: str | bytes, task: PlanningTask) -> SequentialPlan:
             continue
         m = _PLAN_LINE.match(stripped)
         if not m:
-            raise UnknownOperator(stripped)
+            raise PlanSyntaxError(line_no, f"expected '(operator)', "
+                                           f"got {stripped!r}")
         name = " ".join(m.group("body").split())
-        steps.append(task.operator_index(name))
+        if name not in task._by_name:
+            raise PlanSyntaxError(line_no, f"unknown operator {name!r}")
+        steps.append(task._by_name[name])
     plan = SequentialPlan(steps)
     if declared_cost is not None and declared_cost != plan.cost(task):
         logger.warning("plan file declares cost %d but task computes %d; "

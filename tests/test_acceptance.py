@@ -23,6 +23,7 @@ from popflex.maxsat import (EncodingTooLarge, brute_force_mr, decode_model,
 from popflex.substitution import (UNRESOLVABLE_THREAT, substitute)
 from popflex.task import emit_plan, emit_sas, validate_sequential
 
+from references import all_linearizations, snapshot
 from scenarios import (between_scenario, blocks_by_name,
                        mutual_threat_scenario, single_op_candidate,
                        witness_scenario)
@@ -35,7 +36,7 @@ def _passed(n: int, label: str) -> None:
 def _check_linearizations(task, plan_like, samples: int = 20) -> None:
     n = len(plan_like.real_steps())
     if n <= 7:
-        lins = list(plan_like.all_linearizations())
+        lins = list(all_linearizations(plan_like))
     else:
         lins = [plan_like.linearize(seed) for seed in range(samples)]
     for lin in lins:
@@ -156,10 +157,10 @@ def test_criterion_5_incompleteness_witness():
     task, seq = witness_scenario()
     bdp = init_bdpo(eog(task, seq))
     names = blocks_by_name(bdp)
-    snap = bdp.snapshot()
+    snap = snapshot(bdp)
     outcome = substitute(bdp, names["bx"], single_op_candidate(task.operators[4]))
     assert not outcome.success
-    assert bdp.snapshot() == snap
+    assert snapshot(bdp) == snap
 
     # exhaustive producer-binding search still finds a valid substitution
     from popflex.bdpo import CD, DP, Reason

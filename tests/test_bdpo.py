@@ -9,6 +9,9 @@ from popflex.eog import eog
 from popflex.task import (Fact, PlanningTask, SequentialPlan, Variable,
                           make_operator, validate_sequential)
 
+from references import (all_linearizations, check_contiguity, check_laminar,
+                        snapshot)
+
 
 def elevator_bdpo():
     task = elevator_task()
@@ -167,14 +170,14 @@ def test_init_pc_reason_is_not_removed_and_plan_is_intact():
     edge = next((a, b) for (a, b) in sorted(plan.reasons())
                 if a == INIT_BLOCK)
     reason = next(iter(plan.reasons()[edge]))
-    snap = plan.snapshot()
+    snap = snapshot(plan)
     assert reason.kind == PC
     si, sj = (min(plan.blocks[b].members) for b in edge)
     for work in _reason_candidates(plan, edge, reason):
         remapped = (work.block_of_step(si), work.block_of_step(sj))
         assert (reason in work.reasons().get(remapped, set())
                 or not work.validate())
-    assert plan.snapshot() == snap
+    assert snapshot(plan) == snap
 
 
 def test_block_deorder_elevator_reaches_walkthrough_flex():
@@ -183,7 +186,7 @@ def test_block_deorder_elevator_reaches_walkthrough_flex():
     score = out.flex()
     assert (score.unordered_pairs, score.total_pairs) == (16, 36)
     assert out.validate()
-    assert out.check_laminar() and out.check_contiguity()
+    assert check_laminar(out) and check_contiguity(out)
     members = sorted(tuple(sorted(out.steps[s].name
                                   for s in out.blocks[b].members))
                      for b in out.real_roots())
@@ -214,10 +217,10 @@ def test_block_deorder_leaves_its_input_as_it_was():
     plans += [init_bdpo(eog(*random_task(seed))) for seed in range(25)]
     committed = 0
     for plan in plans:
-        snap, closure = plan.snapshot(), dict(plan.closure)
+        snap, closure = snapshot(plan), dict(plan.closure)
         out = block_deorder(plan)
-        assert plan.snapshot() == snap and plan.closure == closure
-        committed += out.snapshot() != snap
+        assert snapshot(plan) == snap and plan.closure == closure
+        committed += snapshot(out) != snap
     assert 0 < committed < len(plans)
 
 
@@ -238,9 +241,9 @@ def test_block_deorder_never_decreases_flex_and_stays_valid():
         after = out.flex()
         assert after.unordered_pairs >= before.unordered_pairs
         assert out.validate()
-        assert out.check_laminar() and out.check_contiguity()
+        assert check_laminar(out) and check_contiguity(out)
         n = len(out.real_steps())
-        lins = (list(out.all_linearizations()) if n <= 6
+        lins = (list(all_linearizations(out)) if n <= 6
                 else [out.linearize(s) for s in range(20)])
         for lin in lins:
             assert validate_sequential(task, lin)

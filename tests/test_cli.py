@@ -8,7 +8,7 @@ from popflex.cli import run
 from popflex.corpus import (ELEVATOR_PLAN_TEXT, chain_task, elevator_task,
                             scaling_task)
 from popflex.eog import eog
-from popflex.maxsat import encode_mr, parse_dimacs_wcnf
+from popflex.maxsat import encode_mr
 from popflex.subplanner import PLANNER_CMD_ENV
 from popflex.task import emit_plan, emit_sas, parse_plan, parse_sas
 
@@ -34,6 +34,16 @@ def test_validate_failure_exit_code(elevator_files, tmp_path, capsys):
     bad = tmp_path / "bad.plan"
     bad.write_text("(board p1 n2 e1)\n", encoding="utf-8")
     assert run(["validate", "--task", sas, "--plan", str(bad)]) == 1
+
+
+def test_validate_names_the_line_of_an_unknown_step(elevator_files, tmp_path,
+                                                    capsys):
+    sas, _ = elevator_files
+    bad = tmp_path / "bad.plan"
+    bad.write_text("(move_down e1 n3 n2)\n(nope)\n", encoding="utf-8")
+    assert run(["validate", "--task", sas, "--plan", str(bad)]) == 2
+    assert capsys.readouterr().err == \
+        "error: line 2: unknown operator 'nope'\n"
 
 
 def test_usage_error_exit_code(capsys):
@@ -135,8 +145,11 @@ def test_encode_mr_emits_wcnf(elevator_files, tmp_path, capsys):
     cat = tmp_path / "catalog.json"
     assert run(["encode-mr", "--task", sas, "--plan", plan, "--mclcp",
                 "-o", str(out), "--catalog", str(cat)]) == 0
-    wcnf = parse_dimacs_wcnf(out.read_text())
-    assert wcnf.hard and wcnf.soft
+    task = elevator_task()
+    seq = parse_plan(ELEVATOR_PLAN_TEXT, task)
+    wcnf, _ = encode_mr(task, eog(task, seq), mclcp=True)
+    assert wcnf.n_hard and wcnf.soft
+    assert out.read_bytes() == wcnf.to_dimacs().encode()
     catalog = json.loads(cat.read_text())
     assert set(catalog) == {"x", "tau", "gamma"}
 

@@ -16,13 +16,14 @@ from popflex.corpus import (chain_task, elevator_plan, elevator_task,
 from popflex.eog import eog
 from popflex.fibs import (AcceptanceCriteria, FibsConfig,
                           SubtaskInfeasible, _scan_basic_edges,
-                          backward_justify, build_subtask, fibs,
-                          greedy_justify, reduce_plan, resolve,
-                          remove_blocks, substitution_deorder)
+                          backward_justify, build_subtask, fibs, reduce_plan,
+                          resolve, remove_blocks, substitution_deorder)
 from popflex.subplanner import _SuccessorGenerator, capped_length
 from popflex.substitution import CandidateBlock
 from popflex.task import (NotApplicable, SequentialPlan, apply_op,
                           validate_sequential)
+
+from references import all_linearizations, greedy_justify
 
 CFG = FibsConfig(max_plans=5, max_expansions=4000)
 
@@ -353,7 +354,7 @@ def test_reduce_gj_on_substituted_elevator():
     score = out.flex()
     assert (score.total_pairs - score.unordered_pairs,
             score.total_pairs) == (9, 21)
-    for lin in out.all_linearizations():
+    for lin in all_linearizations(out):
         assert validate_sequential(task, lin)
 
 

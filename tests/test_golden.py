@@ -13,9 +13,8 @@ the plans of the enumeration oracle `brute_force_mr`.  The towers digests
 cover one run each on 4 and 8 of the benchmark's elevator towers, whose SD2
 phase accepts substitutions and whose subplanner finds no plan for many
 subtasks; at 8 towers the expansion cap makes some searches run again with
-every leaf queued.  A
-change that keeps behaviour leaves every digest as it is; a change of
-behaviour has to regenerate them and say why.
+every leaf queued.  A change that keeps behaviour leaves every digest as
+it is; a change of behaviour has to regenerate them and say why.
 """
 
 import dataclasses

@@ -8,14 +8,14 @@ from popflex.corpus import (chain_task, independent_task,
                             produce_consume_task, random_task, scaling_task)
 from popflex.eog import eog
 from popflex.maxsat import (EncodingTooLarge, InvalidModel, TooLarge, Wcnf,
-                            WcnfSyntaxError, _add_edge, _posets,
-                            brute_force_mr, check_model, decode_model,
-                            encode_mr, model_from_v_line, optimal_model,
-                            ordering_count, parse_dimacs_wcnf)
-from popflex.bdpo import (GOAL_ID, INIT_ID, CycleDetected,
-                          closure_from_edges)
+                            _add_edge, _posets, brute_force_mr, check_model,
+                            decode_model, encode_mr, optimal_model,
+                            ordering_count)
+from popflex.bdpo import GOAL_ID, INIT_ID, CycleDetected
 from popflex.task import (PlanningTask, SequentialPlan, Variable, apply_op,
                           make_operator, validate_sequential)
+
+from references import all_linearizations, closure_from_edges
 
 
 def test_poset_counts_match_the_literature():
@@ -120,67 +120,6 @@ def test_encode_respects_step_cap():
         encode_mr(task, pop)
 
 
-def test_dimacs_round_trip():
-    task, plan = produce_consume_task()
-    pop = eog(task, plan)
-    wcnf, _ = encode_mr(task, pop)
-    text = wcnf.to_dimacs()
-    again = parse_dimacs_wcnf(text)
-    assert again.n_vars == wcnf.n_vars
-    assert sorted(again.hard) == sorted(wcnf.hard)
-    assert sorted(again.soft) == sorted(wcnf.soft)
-    header = text.splitlines()[0].split()
-    assert header[:2] == ["p", "wcnf"]
-    assert int(header[4]) > sum(w for w, _ in wcnf.soft)
-
-
-@pytest.mark.parametrize("text, line_no", [
-    ("", 1),                                    # no header at all
-    ("c only a comment\n\n", 3),
-    ("5 1 2 0\n", 1),                           # a clause before the header
-    ("c x\n3 -1 0\np wcnf 2 1 5\n", 2),
-    ("p wcnf 2 1 5\np wcnf 2 1 5\n5 1 0\n", 2),  # a second header
-    ("p wcnf 2 1\n5 1 2 0\n", 1),              # a short header
-    ("p wcnf 2 1 5 9\n", 1),
-    ("p cnf 2 1 5\n5 1 2 0\n", 1),             # not a wcnf header
-    ("p wcnf 2 1 5\n5 1 2\n", 2),              # no terminating 0
-    ("p wcnf 2 1 5\n\n0\n", 3),
-    ("p wcnf 2 1 5\n5 1 x 0\n", 2),            # a non-integer token
-    ("p wcnf two 1 5\n", 1),
-    ("p wcnf 2 1 5\n5 1 0\n0 -2 0\n", 3),     # a weight below 1
-    ("p wcnf 2 1 5\n-1 2 0\n", 2),
-    ("p wcnf 2 1 5\n9 -2 0\n", 2),             # a weight above top
-    ("p wcnf 2 1 5\n5 1 0 2 0\n", 2),          # a 0 literal before the end
-    ("p wcnf 2 1 5\n3 0 0\n", 2),
-])
-def test_parse_dimacs_wcnf_rejects_malformed_text(text, line_no):
-    with pytest.raises(WcnfSyntaxError) as err:
-        parse_dimacs_wcnf(text)
-    assert err.value.line_no == line_no
-    assert str(err.value).startswith(f"line {line_no}: ")
-
-
-def test_model_v_line_parsing():
-    assert model_from_v_line("v 1 -2 3 0\n") == {1, 3}
-    # a solver's whole output: only the v lines hold the model
-    assert model_from_v_line(
-        "c solver\no 3\ns OPTIMUM FOUND\nv 1 -2 3 0\n") == {1, 3}
-    with pytest.raises(WcnfSyntaxError) as err:
-        model_from_v_line("s OPTIMUM FOUND\nv 1 x 0\n")
-    assert err.value.line_no == 2
-    # the MaxSAT Evaluation 2020+ format: one 0/1 digit per variable
-    assert model_from_v_line("v 0110\n") == {2, 3}
-    assert model_from_v_line(
-        "c solver\no 3\ns OPTIMUM FOUND\nv 1010011\n") == {1, 3, 6, 7}
-    assert model_from_v_line("v 0000\n") == set()
-    # on a single character both formats read the same model
-    assert model_from_v_line("v 1\n") == {1}
-    assert model_from_v_line("v 0\n") == set()
-    # more than one token, or any other digit, is a list of literals
-    assert model_from_v_line("v 10 0\n") == {10}
-    assert model_from_v_line("v 120\n") == {120}
-
-
 def test_structured_optimum_matches_exhaustive_assignment_search():
     """Ground the structured optimizer against raw truth-table search on a
     tiny instance."""
@@ -226,7 +165,7 @@ def test_decoded_models_validate_and_linearize():
         model, _ = optimal_model(task, pop)
         decoded = decode_model(model, cat, task, pop, wcnf)
         assert decoded.validate()
-        for lin in decoded.all_linearizations():
+        for lin in all_linearizations(decoded):
             assert validate_sequential(task, lin)
 
 
@@ -337,15 +276,6 @@ def test_to_dimacs_of_a_long_run_and_no_soft_clauses():
     assert wcnf.to_dimacs() == _reference_dimacs(wcnf)
 
 
-@given(_wcnfs())
-@settings(max_examples=300, deadline=None)
-def test_dimacs_parses_back_in_order(wcnf):
-    again = parse_dimacs_wcnf(wcnf.to_dimacs())
-    assert again.hard == wcnf.hard
-    assert again.soft == wcnf.soft
-    assert again.n_vars == wcnf.n_vars
-
-
 # ---------------------------------------------------------------------------
 # the clause layer on real encodings
 
@@ -375,17 +305,13 @@ _ENCODINGS = st.tuples(st.integers(0, 500), st.integers(0, 12),
 @example((3, 1, 15, False))
 @example((3, 1, 15, True))
 @settings(max_examples=150, deadline=None)
-def test_real_encodings_write_and_parse_back_as_the_reference(case):
+def test_real_encodings_write_as_the_reference(case):
     _, wcnf, _ = _prefix_encoding(*case)
     text = wcnf.to_dimacs()
     assert text == _reference_dimacs(wcnf)
     streamed = io.StringIO()
     wcnf.write(streamed)
     assert streamed.getvalue() == text
-    again = parse_dimacs_wcnf(text)
-    assert again.hard == wcnf.hard
-    assert again.soft == wcnf.soft
-    assert again.n_vars == wcnf.n_vars
 
 
 def test_real_encodings_cover_the_empty_and_one_step_plans():

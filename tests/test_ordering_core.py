@@ -21,12 +21,13 @@ import popflex.fibs as fibs_module
 import popflex.substitution as substitution_module
 from popflex.bdpo import (CD, GOAL_BLOCK, GOAL_ID, INIT_BLOCK, INIT_ID,
                           BdpoPlan, CycleDetected, Reason, between_closure,
-                          closure_from_edges, init_bdpo, wrap_blocks)
+                          init_bdpo, wrap_blocks)
 from popflex.corpus import chain_task, random_task
 from popflex.eog import eog
 from popflex.fibs import FibsConfig, fibs, remove_blocks
 from popflex.substitution import substitute
 from popflex.task import Fact
+from references import closure_from_edges, flat_closure, snapshot
 from scenarios import single_op_candidate
 
 
@@ -102,7 +103,7 @@ def reference_between_closure(plan, seed: set[int]) -> set[int]:
 def check_core(plan) -> None:
     assert decoded_closure(plan) == reference_closure(plan)
     assert plan.threats() == reference_threats(plan)
-    assert plan.flat_closure() == reference_step_order(plan)
+    assert flat_closure(plan) == reference_step_order(plan)
     assert plan.ordered_step_pairs() == reference_ordered_step_pairs(plan)
 
 
@@ -189,13 +190,13 @@ def test_core_after_direct_operations(seed, data):
                 roots = plan.real_roots()
 
     old = data.draw(st.sampled_from(roots))
-    before = plan.snapshot()
+    before = snapshot(plan)
     replacements = [single_op_candidate(data.draw(st.sampled_from(task.operators)))]
     replacements += [b for b in roots if b != old][:1]
     for new in replacements:
         with core_checked_after_each_update():
             outcome = substitute(plan, old, new)
-        assert plan.snapshot() == before
+        assert snapshot(plan) == before
         check_core(plan)
         check_core(outcome.plan)
         if not outcome.success:

@@ -27,3 +27,52 @@ def test_no_module_imports_a_private_name_of_a_sibling():
                 imported += [(path.name, alias.name) for alias in node.names
                              if alias.name.startswith("_")]
     assert imported == []
+
+
+def _loaded_names(tree: ast.AST, skip: ast.AST | None = None) -> set[str]:
+    """Every name that `tree` reads, outside the subtree `skip`: bare names,
+    attributes and dotted strings (a name looked up by its text)."""
+    names: set[str] = set()
+    stack = [tree]
+    while stack:
+        node = stack.pop()
+        if node is skip:
+            continue
+        if isinstance(node, ast.Name):
+            names.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            names.add(node.attr)
+        elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+            parts = node.value.split(".")
+            if all(part.isidentifier() for part in parts):
+                names.update(parts)
+        stack.extend(ast.iter_child_nodes(node))
+    return names
+
+
+def test_every_module_level_definition_has_a_caller():
+    """Each function and class defined at the top of a module is read
+    somewhere other than its own definition, by the package, the benchmark
+    or the scripts; the package's re-exports do not count."""
+    repo = Path(popflex.__path__[0]).parents[1]
+    package = sorted(Path(popflex.__path__[0]).glob("*.py"))
+    trees = {path: ast.parse(path.read_text(encoding="utf-8"))
+             for path in package
+             + sorted((repo / "perfbench").glob("*.py"))
+             + sorted((repo / "scripts").glob("*.py"))
+             if path.name != "__init__.py"}
+    readers = {path: _loaded_names(tree) for path, tree in trees.items()}
+    uncalled = []
+    for path in package:
+        if path.name == "__init__.py":
+            continue
+        for node in trees[path].body:
+            if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
+                                     ast.ClassDef)):
+                continue
+            if not (node.name in _loaded_names(trees[path], node)
+                    or any(node.name in names
+                           for other, names in readers.items()
+                           if other != path)):
+                uncalled.append(f"{path.name}:{node.name}")
+    assert uncalled == []

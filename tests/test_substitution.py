@@ -14,6 +14,7 @@ from popflex.substitution import (MISSING_PRODUCT, UNBOUND_PRECONDITION,
 from popflex.task import (Fact, PlanningTask, SequentialPlan, apply_op,
                           make_operator, validate_sequential)
 
+from references import all_linearizations, snapshot
 from scenarios import (between_scenario as _between_scenario,
                        blocks_by_name, mutual_threat_scenario
                        as _mutual_threat_scenario,
@@ -45,7 +46,7 @@ def test_relink_scenario_keeps_substitute_unordered_with_consumer():
     assert not out.ordered(names["b_i"], new)
     assert not out.ordered(new, names["b_i"])
     assert out.validate()
-    for lin in out.all_linearizations():
+    for lin in all_linearizations(out):
         assert validate_sequential(task, lin)
 
 
@@ -53,13 +54,13 @@ def test_failed_substitution_returns_untouched_plan():
     task, seq = _relink_scenario()
     bdp = init_bdpo(eog(task, seq))
     names = blocks_by_name(bdp)
-    snap = bdp.snapshot()
+    snap = snapshot(bdp)
     # replacement that cannot supply what b_x supplied
     bad = single_op_candidate(make_operator("noop", [(0, 1)], [(4, 1)]))
     outcome = substitute(bdp, names["b_x"], bad)
     assert not outcome.success
     assert outcome.reason == MISSING_PRODUCT
-    assert outcome.plan is bdp and bdp.snapshot() == snap
+    assert outcome.plan is bdp and snapshot(bdp) == snap
 
 
 def test_unbound_precondition_fails():
@@ -112,7 +113,7 @@ def test_deleter_between_link_endpoints(substitutable):
     task, seq = _between_scenario(substitutable)
     bdp = init_bdpo(eog(task, seq))
     names = blocks_by_name(bdp)
-    snap = bdp.snapshot()
+    snap = snapshot(bdp)
     cand = single_op_candidate(task.operators[3])
     outcome = substitute(bdp, names["b_x"], cand)
     if substitutable:
@@ -121,12 +122,12 @@ def test_deleter_between_link_endpoints(substitutable):
         remaining = {outcome.plan.steps[s].name
                      for s in outcome.plan.real_steps()}
         assert remaining == {"b_i", "b_x_hat"}
-        for lin in outcome.plan.all_linearizations():
+        for lin in all_linearizations(outcome.plan):
             assert validate_sequential(task, lin)
     else:
         assert not outcome.success
         assert outcome.reason == UNRESOLVABLE_THREAT
-        assert bdp.snapshot() == snap
+        assert snapshot(bdp) == snap
 
 
 
@@ -189,12 +190,12 @@ def test_witness_substitution_fails_on_earliest_producer():
     assert bdp.ordered(names["b1"], names["bt"])
     assert not bdp.ordered(names["b2"], names["bt"])
     assert not bdp.ordered(names["bt"], names["b2"])
-    snap = bdp.snapshot()
+    snap = snapshot(bdp)
     cand = single_op_candidate(task.operators[4])
     outcome = substitute(bdp, names["bx"], cand)
     assert not outcome.success
     assert outcome.reason in (UNRESOLVABLE_THREAT, MISSING_PRODUCT)
-    assert bdp.snapshot() == snap
+    assert snapshot(bdp) == snap
 
 
 def test_witness_alternate_binding_found_by_exhaustive_search():
@@ -247,7 +248,7 @@ def test_witness_alternate_binding_found_by_exhaustive_search():
     producers = {p for p, _ in solutions}
     assert producers == {names["b2"]}
     for _, plan in solutions:
-        for lin in plan.all_linearizations():
+        for lin in all_linearizations(plan):
             assert validate_sequential(task, lin)
 
 
@@ -266,20 +267,20 @@ def test_substitution_contract_on_random_plans():
         target = roots[seed % len(roots)]
         # candidates: other operators of the task as single-step blocks
         for op in task.operators[:4]:
-            snap = bdp.snapshot()
+            snap = snapshot(bdp)
             outcome = substitute(bdp, target, single_op_candidate(op))
             if outcome.success:
                 accepted += 1
                 assert outcome.plan.validate()
                 n = len(outcome.plan.real_steps())
-                lins = (list(outcome.plan.all_linearizations())
+                lins = (list(all_linearizations(outcome.plan))
                         if n <= 6 else
                         [outcome.plan.linearize(s) for s in range(20)])
                 for lin in lins:
                     assert validate_sequential(task, lin)
             else:
                 assert outcome.plan is bdp
-                assert bdp.snapshot() == snap
+                assert snapshot(bdp) == snap
     assert accepted > 0, "the random corpus never exercised a success"
 
 

@@ -1,12 +1,16 @@
+import re
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from popflex.corpus import elevator_plan, elevator_task
-from popflex.task import (Fact, NotApplicable, SasSyntaxError, SequentialPlan,
-                          UnknownOperator, Unsupported, apply_op,
-                          cons_prod_del, emit_sas, make_operator, parse_plan,
-                          parse_sas, validate_sequential)
+from popflex.corpus import elevator_plan, elevator_task, micro_corpus
+from popflex.task import (Fact, NotApplicable, PlanSyntaxError,
+                          SasSyntaxError, SequentialPlan, UnknownOperator,
+                          Unsupported, apply_op, cons_prod_del, emit_plan,
+                          emit_sas, make_operator, parse_plan, parse_sas,
+                          validate_sequential)
 
 MINIMAL_SAS = """\
 begin_version
@@ -97,6 +101,147 @@ def test_parse_sas_non_integer_field_is_syntax_error():
     with pytest.raises(SasSyntaxError) as err:
         parse_sas(MINIMAL_SAS.replace("0 0 0 1", "0 0 x 1"))
     assert err.value.line_no == MINIMAL_SAS.splitlines().index("0 0 0 1") + 1
+
+
+# one variable of three values, so that "0 2" is a fact of the task
+THREE_VALUES = MINIMAL_SAS.replace("2\noff\non\n", "3\noff\non\nhigh\n")
+FLIP = "flip\n0\n1\n0 0 0 1\n1\n"
+
+
+@pytest.mark.parametrize("old, new, line, message", [
+    # a variable set twice in one operator
+    (FLIP, "flip\n1\n0 1\n1\n0 0 0 1\n1\n", "0 0 0 1",
+     "operator 'flip' sets variable 0 twice"),
+    (FLIP, "flip\n0\n2\n0 0 0 1\n0 0 1 2\n1\n", "0 0 1 2",
+     "operator 'flip' sets variable 0 twice"),
+    (FLIP, "flip\n2\n0 1\n0 2\n1\n0 0 0 1\n1\n", "0 2",
+     "operator 'flip' sets variable 0 twice"),
+    # a variable named twice in the goal
+    ("begin_goal\n1\n0 1\n", "begin_goal\n2\n0 2\n0 1\n", "0 1",
+     "goal names variable 0 twice"),
+    # facts out of range
+    ("begin_goal\n1\n0 1\n", "begin_goal\n1\n0 7\n", "0 7",
+     "goal fact (0=7) out of range"),
+    ("begin_goal\n1\n0 1\n", "begin_goal\n1\n1 0\n", "1 0",
+     "goal fact (1=0) out of range"),
+    ("begin_state\n0\n", "begin_state\n3\n", "3",
+     "initial value (0=3) out of range"),
+    (FLIP, "flip\n1\n0 -1\n1\n0 0 0 1\n1\n", "0 -1",
+     "prevail condition (0=-1) out of range"),
+    ("0 0 0 1", "0 0 0 3", "0 0 0 3",
+     "effect 0 -> 3 on variable 0 out of range"),
+    ("0 0 0 1", "0 0 -2 1", "0 0 -2 1",
+     "effect -2 -> 1 on variable 0 out of range"),
+    ("0 0 0 1", "0 1 0 1", "0 1 0 1",
+     "effect 0 -> 1 on variable 1 out of range"),
+    ("end_variable\n0\n", "end_variable\n1\nbegin_mutex_group\n1\n0 5\n"
+     "end_mutex_group\n", "0 5", "mutex fact (0=5) out of range"),
+    # an empty effect, a negative cost, a repeated operator name
+    (FLIP, "flip\n0\n0\n1\n", "0", "expected at least 1, got 0"),
+    (FLIP, "flip\n0\n1\n0 0 0 1\n-1\n", "-1", "expected at least 0, got -1"),
+    ("1\nbegin_operator\n" + FLIP + "end_operator\n",
+     "2\nbegin_operator\n" + FLIP + "end_operator\nbegin_operator\n"
+     + FLIP + "end_operator\n", "flip", "duplicate operator name 'flip'"),
+    # a negative count, a metric that is no flag, an empty domain
+    ("begin_goal\n1\n", "begin_goal\n-1\n", "-1",
+     "expected at least 0, got -1"),
+    ("begin_metric\n0\n", "begin_metric\n2\n", "2",
+     "metric must be 0 or 1, got 2"),
+    ("3\noff\non\nhigh\nend_variable", "0\nend_variable", "0",
+     "initial value (0=0) out of range"),
+], ids=["prevail-then-effect", "effect-twice", "prevail-twice", "goal-twice",
+        "goal-value", "goal-variable", "init-value", "prevail-value",
+        "effect-post", "effect-pre", "effect-variable", "mutex-fact",
+        "empty-effect", "negative-cost", "operator-name", "negative-count",
+        "metric", "empty-domain"])
+def test_parse_sas_names_the_line_of_a_malformed_task(old, new, line,
+                                                      message):
+    bad = THREE_VALUES.replace(old, new, 1)
+    assert bad != THREE_VALUES
+    with pytest.raises(SasSyntaxError) as err:
+        parse_sas(bad)
+    assert bad.splitlines()[err.value.line_no - 1] == line
+    assert str(err.value) == f"line {err.value.line_no}: {message}"
+
+
+def test_parse_plan_names_the_line_of_a_bad_step():
+    task = elevator_task()
+    with pytest.raises(PlanSyntaxError) as err:
+        parse_plan("(move_down e1 n3 n2)\n(nope)\n", task)
+    assert err.value.line_no == 2
+    assert str(err.value) == "line 2: unknown operator 'nope'"
+    with pytest.raises(PlanSyntaxError) as err:
+        parse_plan("; a comment\nmove_down e1 n3 n2\n", task)
+    assert err.value.line_no == 2
+    # callers that skip a plan naming an unknown operator skip these too
+    assert isinstance(err.value, UnknownOperator)
+
+
+_NUMBER = re.compile(r"-?\d+")
+_TOKENS = st.one_of(st.integers(-3, 12).map(str),
+                    st.sampled_from(("99999", "x", "1.5", "", "0x1", "--1")))
+
+
+@st.composite
+def _mutated(draw, text: str) -> str:
+    """`text` with one to three lines dropped, duplicated, swapped, cut short
+    or cut off with the rest of the text, or one number replaced by an
+    out-of-range, negative or non-integer token."""
+    lines = text.splitlines()
+    for _ in range(draw(st.integers(1, 3))):
+        if not lines:
+            break
+        i = draw(st.integers(0, len(lines) - 1))
+        kind = draw(st.sampled_from(("drop", "duplicate", "swap", "truncate",
+                                     "end", "number")))
+        if kind == "drop":
+            del lines[i]
+        elif kind == "duplicate":
+            lines.insert(i, lines[i])
+        elif kind == "swap":
+            j = draw(st.integers(0, len(lines) - 1))
+            lines[i], lines[j] = lines[j], lines[i]
+        elif kind == "truncate":
+            lines[i] = lines[i][:draw(st.integers(0, len(lines[i])))]
+        elif kind == "end":
+            del lines[i:]
+        else:
+            numbers = [(k, m) for k, line in enumerate(lines)
+                       for m in _NUMBER.finditer(line)]
+            if numbers:
+                k, m = draw(st.sampled_from(numbers))
+                lines[k] = (lines[k][:m.start()] + draw(_TOKENS)
+                            + lines[k][m.end():])
+    return "\n".join(lines) + "\n"
+
+
+_CORPUS = [(emit_sas(task), emit_plan(task, seq), task)
+           for _, (task, seq) in sorted(micro_corpus().items())]
+
+
+def _assert_names_a_line(err, text: str) -> None:
+    """The error names a line of the text, or the line after the last one,
+    where an early end of the text is reported."""
+    assert 1 <= err.line_no <= len(text.splitlines()) + 1
+    assert str(err).startswith(f"line {err.line_no}: ")
+
+
+@settings(max_examples=1500, deadline=None)
+@given(st.sampled_from(_CORPUS).flatmap(
+    lambda case: st.tuples(_mutated(case[0]), _mutated(case[1]),
+                           st.just(case[2]))))
+def test_mutated_task_and_plan_files_parse_or_name_a_line(case):
+    sas, plan, task = case
+    try:
+        parse_sas(sas)
+    except SasSyntaxError as err:
+        _assert_names_a_line(err, sas)
+    except Unsupported:
+        pass
+    try:
+        parse_plan(plan, task)
+    except PlanSyntaxError as err:
+        _assert_names_a_line(err, plan)
 
 
 def test_elevator_encoding_matches_walkthrough():
