@@ -45,19 +45,12 @@ def all_linearizations(plan: BdpoPlan, cap: int = 50000
     RuntimeError past `cap` of them."""
     count = 0
 
-    def ready(blocks: Collection[int], rows: dict[int, int]) -> list[int]:
-        later = 0
-        for b in blocks:
-            later |= rows[b]
-        return sorted((b for b in blocks if not later >> b & 1),
-                      key=plan.pos_key)
-
     def contexts(blocks: list[int], rows: dict[int, int]
                  ) -> Iterator[list[int]]:
         if not blocks:
             yield []
             return
-        for b in ready(blocks, rows):
+        for b in plan._ready(blocks, rows):
             rest = [o for o in blocks if o != b]
             for head in expand(b):
                 for tail in contexts(rest, rows):
