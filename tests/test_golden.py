@@ -136,15 +136,15 @@ def test_golden_towers8(monkeypatch):
     task, seq, config = _towers(8)
     subplanner_mod = importlib.import_module("popflex.subplanner")
     search = subplanner_mod._search
-    reruns = []
+    queue_leaves = []
 
     def counted(*args):
-        reruns.append(args[-1])     # queue_leaves
+        queue_leaves.append(args[-1])
         return search(*args)
 
     monkeypatch.setattr(subplanner_mod, "_search", counted)
     text = _run_text(task, seq, config)
-    assert reruns.count(True) > 0
+    assert queue_leaves.count(True) > 0
     assert hashlib.sha1(text).hexdigest() == TOWERS8_DIGEST
 
 

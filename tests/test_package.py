@@ -29,15 +29,11 @@ def test_no_module_imports_a_private_name_of_a_sibling():
     assert imported == []
 
 
-def _loaded_names(tree: ast.AST, skip: ast.AST | None = None) -> set[str]:
-    """Every name that `tree` reads, outside the subtree `skip`: bare names,
-    attributes and dotted strings (a name looked up by its text)."""
+def _loaded_names(tree: ast.AST) -> set[str]:
+    """Every name that `tree` reads: bare names, attributes and dotted
+    strings (a name looked up by its text)."""
     names: set[str] = set()
-    stack = [tree]
-    while stack:
-        node = stack.pop()
-        if node is skip:
-            continue
+    for node in ast.walk(tree):
         if isinstance(node, ast.Name):
             names.add(node.id)
         elif isinstance(node, ast.Attribute):
@@ -46,7 +42,6 @@ def _loaded_names(tree: ast.AST, skip: ast.AST | None = None) -> set[str]:
             parts = node.value.split(".")
             if all(part.isidentifier() for part in parts):
                 names.update(parts)
-        stack.extend(ast.iter_child_nodes(node))
     return names
 
 
@@ -55,24 +50,23 @@ def test_every_module_level_definition_has_a_caller():
     somewhere other than its own definition, by the package, the benchmark
     or the scripts; the package's re-exports do not count."""
     repo = Path(popflex.__path__[0]).parents[1]
-    package = sorted(Path(popflex.__path__[0]).glob("*.py"))
+    package = [path for path in sorted(Path(popflex.__path__[0]).glob("*.py"))
+               if path.name != "__init__.py"]
     trees = {path: ast.parse(path.read_text(encoding="utf-8"))
-             for path in package
-             + sorted((repo / "perfbench").glob("*.py"))
-             + sorted((repo / "scripts").glob("*.py"))
-             if path.name != "__init__.py"}
+             for path in package + sorted((repo / "perfbench").glob("*.py"))
+             + sorted((repo / "scripts").glob("*.py"))}
     readers = {path: _loaded_names(tree) for path, tree in trees.items()}
     uncalled = []
     for path in package:
-        if path.name == "__init__.py":
-            continue
-        for node in trees[path].body:
-            if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
-                                     ast.ClassDef)):
-                continue
-            if not (node.name in _loaded_names(trees[path], node)
-                    or any(node.name in names
-                           for other, names in readers.items()
-                           if other != path)):
+        statements = [(node, _loaded_names(node)) for node in trees[path].body]
+        elsewhere = set().union(*(names for other, names in readers.items()
+                                  if other != path))
+        for node, _ in statements:
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
+                                 ast.ClassDef)) \
+                    and node.name not in elsewhere \
+                    and not any(node.name in names
+                                for other, names in statements
+                                if other is not node):
                 uncalled.append(f"{path.name}:{node.name}")
     assert uncalled == []
