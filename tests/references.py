@@ -1,7 +1,7 @@
 """Plain references that the tests compare the program against: a set-based
 transitive closure, a deep image of a plan, every linearization of a plan,
-the laminar and contiguity checks of a block family, and the blocks whose
-removal keeps a plan valid."""
+the laminar and contiguity checks of a block family, the blocks whose
+removal keeps a plan valid, and gj reduction by building every removal."""
 
 from typing import Collection, Iterable, Iterator
 
@@ -125,3 +125,25 @@ def greedy_justify(plan: BdpoPlan) -> set[int]:
     plan valid."""
     return {bid for bid in plan.live_blocks() - {INIT_BLOCK, GOAL_BLOCK}
             if remove_blocks(plan, {bid}) is not None}
+
+
+def reduce_gj(plan: BdpoPlan) -> tuple[BdpoPlan, list[tuple[int, bool]]]:
+    """gj reduction that builds every removal of a pass: the live blocks in
+    (size, position) order, each removal that keeps the plan valid ranked
+    by the cost it saves, most first, then by position; the first is kept.
+    Returns the reduced plan and each pass's (block, was a root) pick."""
+    picks = []
+    while True:
+        live = sorted(plan.live_blocks() - {INIT_BLOCK, GOAL_BLOCK},
+                      key=lambda b: (plan.blocks[b].size(), plan.pos_key(b)))
+        found = []
+        for bid in live:
+            result = remove_blocks(plan, {bid})
+            if result is not None:
+                found.append((plan.cost() - result.cost(), bid, result))
+        if not found:
+            return plan, picks
+        found.sort(key=lambda t: (-t[0], plan.pos_key(t[1])))
+        _, bid, result = found[0]
+        picks.append((bid, bid in plan.roots))
+        plan = result

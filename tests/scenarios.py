@@ -1,8 +1,17 @@
-"""Hand-built micro instances shared between the unit and acceptance suites."""
+"""Hand-built micro instances shared between the unit and acceptance suites,
+and the benchmark's elevator towers."""
 
+import importlib
+import math
+import sys
+from pathlib import Path
+
+from popflex.fibs import FibsConfig
 from popflex.substitution import CandidateBlock
 from popflex.task import (PlanningTask, SequentialPlan, Variable,
-                          make_operator)
+                          make_operator, parse_plan, parse_sas)
+
+PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 
 
 def single_op_candidate(op) -> CandidateBlock:
@@ -82,3 +91,28 @@ def witness_scenario():
     task = PlanningTask(variables, ops, {i: 0 for i in range(5)},
                         {3: 1, 4: 1})
     return task, SequentialPlan([0, 1, 2, 3])
+
+
+def perfbench_workloads():
+    """The benchmark's `workloads` module, imported without writing bytecode
+    under perfbench/."""
+    sys.path.insert(0, str(PERFBENCH))
+    dont_write, sys.dont_write_bytecode = sys.dont_write_bytecode, True
+    try:
+        return importlib.import_module("workloads")
+    finally:
+        sys.dont_write_bytecode = dont_write
+        sys.path.remove(str(PERFBENCH))
+
+
+def towers(k: int):
+    """K renamed-apart copies of the two-lift elevator, built by the
+    benchmark's `towers_sas` and `towers_plan` (towers in index order), and
+    the towers configuration: gj reduction, 2,000 expansions per subtask, no
+    wall-clock budget."""
+    workloads = perfbench_workloads()
+    task = parse_sas(workloads.towers_sas(k))
+    seq = parse_plan(workloads.towers_plan(list(range(k))), task)
+    config = FibsConfig(reduce="gj", max_expansions=2000,
+                        subtask_time=math.inf, time_limit=math.inf)
+    return task, seq, config

@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 import json
 import math
@@ -23,7 +24,8 @@ from popflex.substitution import CandidateBlock
 from popflex.task import (NotApplicable, SequentialPlan, apply_op,
                           validate_sequential)
 
-from references import all_linearizations, greedy_justify
+from references import all_linearizations, greedy_justify, reduce_gj
+from scenarios import towers
 
 CFG = FibsConfig(max_plans=5, max_expansions=4000)
 
@@ -356,6 +358,28 @@ def test_reduce_gj_on_substituted_elevator():
             score.total_pairs) == (9, 21)
     for lin in all_linearizations(out):
         assert validate_sequential(task, lin)
+
+
+def test_reduce_gj_matches_building_every_removal():
+    """gj on the golden random corpus and on 4 towers, each after EOG and
+    BD, and on the plan that SD2 hands gj in the 4-tower run, picks what
+    building every removal of each pass picks; the corpus has compound
+    roots and passes that remove a nested block."""
+    plans = []
+    for seed in range(300):
+        task, seq = random_task(seed, max_vars=8, max_steps=12)
+        plans.append(block_deorder(init_bdpo(eog(task, seq))))
+    task, seq, config = towers(4)
+    plans.append(block_deorder(init_bdpo(eog(task, seq))))
+    plans.append(fibs(task, seq, dataclasses.replace(config,
+                                                     reduce="none"))[0])
+    compound = nested = 0
+    for plan in plans:
+        expected, picks = reduce_gj(plan)
+        assert reduce_plan(plan, "gj").to_json() == expected.to_json()
+        compound += any(not plan.blocks[b].primitive for b in plan.roots)
+        nested += any(not root for _, root in picks)
+    assert compound > 50 and nested > 50
 
 
 def test_greedy_justify_empty_on_perfectly_justified_plan():

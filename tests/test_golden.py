@@ -22,9 +22,7 @@ import hashlib
 import importlib
 import json
 import math
-import sys
 from collections import Counter
-from pathlib import Path
 
 from popflex.cli import run
 
@@ -39,7 +37,9 @@ from popflex.maxsat import (brute_force_mr, decode_model, encode_mr,
                             optimal_model)
 from popflex.subplanner import solve_subtask
 from popflex.substitution import CandidateBlock, candidate_block, substitute
-from popflex.task import emit_plan, emit_sas, parse_plan, parse_sas
+from popflex.task import emit_plan, emit_sas
+
+from scenarios import towers
 
 RANDOM_DIGEST = "c8eb2200297e136b41180f12c516c421e1b5c02b"
 MICRO_DIGEST = "3c35e3a595f6493b556f1f5aededb0e882fcca95"
@@ -54,9 +54,6 @@ VALIDATE_DIGEST = "689b8ff994e1c1f25d74d8f7ef52341da48a5a93"
 ORACLE_DIGEST = "3d8979a5b07ae309ef453c8a073a4c56aacf87d5"
 TOWERS_DIGEST = "3f09c0ff8c0576004980312d37f7bb8b3d33a26e"
 TOWERS8_DIGEST = "611a4704ac15ff19a724825fb219a11cce42df0f"
-
-PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
-
 
 def _run_text(task, seq, config) -> bytes:
     plan, reports = fibs(task, seq, config)
@@ -86,34 +83,9 @@ def test_golden_micro_corpus():
     assert digest.hexdigest() == MICRO_DIGEST
 
 
-def _perfbench_workloads():
-    """The benchmark's `workloads` module, imported without writing bytecode
-    under perfbench/."""
-    sys.path.insert(0, str(PERFBENCH))
-    dont_write, sys.dont_write_bytecode = sys.dont_write_bytecode, True
-    try:
-        return importlib.import_module("workloads")
-    finally:
-        sys.dont_write_bytecode = dont_write
-        sys.path.remove(str(PERFBENCH))
-
-
-def _towers(k: int):
-    """K renamed-apart copies of the two-lift elevator, built by the
-    benchmark's `towers_sas` and `towers_plan` (towers in index order), and
-    the towers configuration: gj reduction, 2,000 expansions per subtask, no
-    wall-clock budget."""
-    workloads = _perfbench_workloads()
-    task = parse_sas(workloads.towers_sas(k))
-    seq = parse_plan(workloads.towers_plan(list(range(k))), task)
-    config = FibsConfig(reduce="gj", max_expansions=2000,
-                        subtask_time=math.inf, time_limit=math.inf)
-    return task, seq, config
-
-
 def test_golden_towers(monkeypatch):
     """One run on 4 towers."""
-    task, seq, config = _towers(4)
+    task, seq, config = towers(4)
     fibs_mod = importlib.import_module("popflex.fibs")
     searches = []
 
@@ -133,7 +105,7 @@ def test_golden_towers(monkeypatch):
 def test_golden_towers8(monkeypatch):
     """One run on 8 towers, where the expansion cap binds on searches that
     goal-test their leaves, so they run again with every leaf queued."""
-    task, seq, config = _towers(8)
+    task, seq, config = towers(8)
     subplanner_mod = importlib.import_module("popflex.subplanner")
     search = subplanner_mod._search
     queue_leaves = []
