@@ -16,12 +16,15 @@ in index order), with gj reduction, 2,000 expansions per subtask and no
 wall-clock budget.  `all` runs `random` and `scaling300`.
 Each runs under cProfile and prints the 25 functions with the largest
 cumulative time, the call counts of `BdpoPlan.rebuild_closure`,
-`BdpoPlan.threats`, `BdpoPlan.validate`, `BdpoPlan.flex`, `solve_subtask`,
-`substitute`, the subplanner's `_search` (one call per search, two where
-the expansion cap makes it search again), `_proved_empty` (one per proof
-of emptiness), `_h_add` and `_SuccessorGenerator.applicable` (recursive
-calls included) with their cumulative times, and a sha1 over each run's
-plan JSON and phase reports.
+`BdpoPlan.threats`, `BdpoPlan.refresh`, `BdpoPlan.validate_current` (one
+per substitution that meets its acceptance test, and one per removal
+built), `BdpoPlan.flex`, `solve_subtask`, `substitute`, `remove_blocks`
+(one per removal built: gj's trial removals, bj's and empty candidates'),
+the subplanner's `_search` (one call per search, two where the expansion
+cap makes it search again), `_proved_empty` (one per proof of emptiness),
+`_h_add` and `_SuccessorGenerator.applicable` (recursive calls included)
+with their cumulative times, and a sha1 over each run's plan JSON and
+phase reports.
 The random digest is the one `tests/test_golden.py` pins as RANDOM_DIGEST,
 so a change that moves the cost can be seen to keep the outputs.
 `time towers K` makes the `towers K` run without the profiler and prints
@@ -65,10 +68,12 @@ PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 # (module file, function, printed name)
 COUNTED = (("bdpo.py", "rebuild_closure", "BdpoPlan.rebuild_closure"),
            ("bdpo.py", "threats", "BdpoPlan.threats"),
-           ("bdpo.py", "validate", "BdpoPlan.validate"),
+           ("bdpo.py", "refresh", "BdpoPlan.refresh"),
+           ("bdpo.py", "validate_current", "BdpoPlan.validate_current"),
            ("bdpo.py", "flex", "BdpoPlan.flex"),
            ("subplanner.py", "solve_subtask", "solve_subtask"),
            ("substitution.py", "substitute", "substitute"),
+           ("substitution.py", "remove_blocks", "remove_blocks"),
            ("subplanner.py", "_search", "_search"),
            ("subplanner.py", "_proved_empty", "_proved_empty"),
            ("subplanner.py", "_h_add", "_h_add"),

@@ -16,8 +16,9 @@ or renamed with their commitments, and `refresh` across re-derived
 commitments (it rebuilds only when a stale one drops out).
 
 Program edits follow one contract.  Commitments move with renamed or
-removed blocks by one rule, `relinked`, in every context; `delete_block`
-and `wrap_blocks` use it.  Blocks with their dependents leave a plan
+removed blocks by one rule, `relinked`, in every context; `wrap_blocks`
+and `substitution.remove_blocks` use it, and `delete_block`, which renames
+nothing, applies it as a filter.  Blocks with their dependents leave a plan
 through one primitive, `substitution.remove_blocks`, which also serves
 `substitute` with an empty candidate.  Each edit keeps the closure
 current, so `substitute`, `remove_blocks` and the deordering rules judge
@@ -365,14 +366,21 @@ class BdpoPlan:
     def delete_block(self, bid: int) -> None:
         """Remove a block, its descendants and steps, and the root
         commitments that touch it; the closure is left for the caller to
-        update."""
+        update.
+
+        This is `relinked` with `{bid: None}`, as a filter: with no block
+        renamed, no two links come to carry one fact into one consumer, so
+        no earliest producer has to be chosen, and no commitment comes to
+        join a block to itself (none ever does)."""
         for s in self.blocks[bid].members:
             self.steps.pop(s, None)
         for sub in self._descendant_blocks(bid):
             self.blocks.pop(sub, None)
         self.roots.discard(bid)
-        self.links, self.resolutions = self.relinked(
-            self.links, self.resolutions, {bid: None})
+        self.links = {(c, f): p for (c, f), p in self.links.items()
+                      if bid != c and bid != p}
+        self.resolutions = {pair: rs for pair, rs in self.resolutions.items()
+                            if rs and bid not in pair}
 
     # -- ordering ------------------------------------------------------------
 

@@ -15,6 +15,7 @@ import random
 import time
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import partial
 from typing import Optional
 
 from .bdpo import (GOAL_BLOCK, INIT_BLOCK, BdpoPlan, block_deorder,
@@ -22,7 +23,7 @@ from .bdpo import (GOAL_BLOCK, INIT_BLOCK, BdpoPlan, block_deorder,
 from .eog import eog
 from .subplanner import Subtask, capped_length, solve_subtask
 from .substitution import (CandidateBlock, candidate_block, remove_blocks,
-                           substitute)
+                           removal_saving, substitute)
 from .task import (Fact, NotApplicable, PlanningTask, SequentialPlan,
                    apply_op)
 
@@ -244,12 +245,10 @@ def _post_accept_sweep(plan: BdpoPlan, new_block: Optional[int],
         for b in plan.real_roots():
             if b == new_block:
                 continue
-            outcome = substitute(plan, b, new_block)
-            if not outcome.success:
-                continue
-            after = (outcome.plan.flex().frac, outcome.plan.cost())
-            if criteria.sweep_accepts(*current, *after):
-                plan, current = outcome.plan, after
+            outcome = substitute(plan, b, new_block,
+                                 partial(criteria.sweep_accepts, *current))
+            if outcome.success:
+                plan, current = outcome.plan, outcome.score
                 changed = True
                 break
     return plan, current
@@ -281,17 +280,16 @@ def resolve(task: PlanningTask, plan: BdpoPlan, excluded: int, target: int,
             task, subtask.cost_bound, max_len_override))
     if memo.score is None:
         memo.score = (plan.flex().frac, plan.cost())
+    accept = partial(config.criteria.accepts, *memo.score)
     for cand in _candidates(task, subtask, memo):
         if (target, cand) in memo.tried:
             continue
         memo.tried.add((target, cand))
-        outcome = substitute(plan, target, cand)
-        if not outcome.success:
-            continue
-        after = (outcome.plan.flex().frac, outcome.plan.cost())
-        if config.criteria.accepts(*memo.score, *after):
+        outcome = substitute(plan, target, cand, accept)
+        if outcome.success:
             new_plan, score = _post_accept_sweep(
-                outcome.plan, outcome.new_block, config.criteria, after)
+                outcome.plan, outcome.new_block, config.criteria,
+                outcome.score)
             memo.bind(new_plan, score)
             return new_plan, True
     return plan, False
@@ -370,18 +368,6 @@ def backward_justify(plan: BdpoPlan) -> set[int]:
     return {b for b in plan.real_roots() if b not in justified}
 
 
-def _removal_candidates(plan: BdpoPlan) -> list[tuple[int, int, BdpoPlan]]:
-    """(cost saved, block, resulting plan) for every greedily removable block."""
-    out = []
-    live = sorted(plan.live_blocks() - {INIT_BLOCK, GOAL_BLOCK},
-                  key=lambda b: (plan.blocks[b].size(), plan.pos_key(b)))
-    for bid in live:
-        result = remove_blocks(plan, {bid})
-        if result is not None:
-            out.append((plan.cost() - result.cost(), bid, result))
-    return out
-
-
 def reduce_plan(plan: BdpoPlan, mode: str) -> BdpoPlan:
     """Strip redundant blocks; `mode` picks the justification notion."""
     if mode == "none":
@@ -398,12 +384,21 @@ def reduce_plan(plan: BdpoPlan, mode: str) -> BdpoPlan:
         return reduced
     if mode != "gj":
         raise ValueError(f"unknown reduction mode {mode!r}")
+    # each pass keeps the valid removal that saves the most, the earliest
+    # on a tie; ranked by saving first, only the removals up to it are built
     while True:
-        candidates = _removal_candidates(plan)
-        if not candidates:
+        live = sorted(plan.live_blocks() - {INIT_BLOCK, GOAL_BLOCK},
+                      key=lambda b: (plan.blocks[b].size(), plan.pos_key(b)))
+        ranked = [(saving, b) for b in live
+                  if (saving := removal_saving(plan, {b})) is not None]
+        ranked.sort(key=lambda t: (-t[0], plan.pos_key(t[1])))
+        for _, bid in ranked:
+            reduced = remove_blocks(plan, {bid})
+            if reduced is not None:
+                plan = reduced
+                break
+        else:
             return plan
-        candidates.sort(key=lambda t: (-t[0], plan.pos_key(t[1])))
-        plan = candidates[0][2]
 
 
 def fibs(task: PlanningTask, seq_plan: SequentialPlan,

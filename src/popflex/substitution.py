@@ -18,7 +18,8 @@ from __future__ import annotations
 
 import logging
 from dataclasses import dataclass, field
-from typing import Iterable, Optional
+from fractions import Fraction
+from typing import Callable, Iterable, Optional
 
 from .bdpo import (CD, DP, GOAL_BLOCK, INIT_BLOCK, BdpoPlan, CycleDetected,
                    Reason, earliest_producer_for_insert)
@@ -32,6 +33,7 @@ UNBOUND_PRECONDITION = "UnboundPrecondition"
 MISSING_PRODUCT = "MissingProduct"
 UNRESOLVABLE_THREAT = "UnresolvableThreat"
 EMPTY_CANDIDATE = "EmptyCandidate"
+CRITERIA_REJECT = "CriteriaReject"
 
 
 @dataclass(frozen=True)
@@ -84,6 +86,7 @@ class SubstitutionOutcome:
     reason: str = ""
     trace: list[str] = field(default_factory=list)
     new_block: Optional[int] = None
+    score: Optional[tuple[Fraction, int]] = None    # (flex, cost) accepted
 
 
 def _materialize(plan: BdpoPlan, cand: CandidateBlock) -> int:
@@ -114,12 +117,16 @@ def _materialize(plan: BdpoPlan, cand: CandidateBlock) -> int:
 
 def substitute(plan: BdpoPlan, old: int,
                new: CandidateBlock | int,
+               accept: Optional[Callable[[Fraction, int], bool]] = None,
                _new_marker: Optional[int] = None,
                _depth: int = 0) -> SubstitutionOutcome:
     """Replace block `old` with `new`, preserving plan validity.
 
     `new` is either a CandidateBlock (external) or the id of a block already
-    in the plan (internal).  The plan's closure must be current; the result
+    in the plan (internal).  `accept`, when given, judges the edited plan's
+    flex and cost before it is validated; a plan it rejects fails with
+    CRITERIA_REJECT, and one it accepts carries its (flex, cost) as the
+    outcome's `score`.  The plan's closure must be current; the result
     keeps it current.  On failure the returned plan is the input, untouched.
     """
     if _depth > 8:
@@ -138,8 +145,12 @@ def substitute(plan: BdpoPlan, old: int,
         work = remove_blocks(plan, {old})
         if work is None:
             return SubstitutionOutcome(plan, False, UNRESOLVABLE_THREAT, trace)
+        score = None if accept is None else (work.flex().frac, work.cost())
+        if score is not None and not accept(*score):
+            return SubstitutionOutcome(plan, False, CRITERIA_REJECT, trace)
         trace.append(f"deleted block {old}")
-        return SubstitutionOutcome(work, True, EMPTY_CANDIDATE, trace)
+        return SubstitutionOutcome(work, True, EMPTY_CANDIDATE, trace,
+                                   score=score)
 
     work = plan.clone()
     if external:
@@ -186,23 +197,30 @@ def substitute(plan: BdpoPlan, old: int,
     if failure is not None:
         return SubstitutionOutcome(plan, False, failure, trace)
 
-    work.refresh(threats)
+    score = None if accept is None else (work.flex().frac, work.cost())
+    if score is not None and not accept(*score):
+        return SubstitutionOutcome(plan, False, CRITERIA_REJECT, trace)
     report = work.validate_current(threats)
     if not report:
         logger.debug("substitution left an invalid plan: %s", report.reason)
         return SubstitutionOutcome(plan, False, UNRESOLVABLE_THREAT,
                                    trace + [report.reason])
-    return SubstitutionOutcome(work, True, "", trace, new_block=marker)
+    return SubstitutionOutcome(work, True, "", trace, new_block=marker,
+                               score=score)
 
 
 def _resolve_all_threats(work: BdpoPlan, threats: list, marker: int,
                          trace: list[str], depth: int) -> Optional[str]:
     """Demotion first, promotion second, internal substitution last.
 
-    `threats` is the plan's `threats()` list.  Resolutions only order
-    blocks, which leaves it as it is; an internal substitution changes the
-    blocks and links, and the list is recomputed in place.  Mutates `work`;
-    returns a failure code or None when every threat is resolved.
+    `threats` is the plan's `threats()` list, and `work` has been
+    refreshed with it.  Resolutions only order blocks, which leaves it as
+    it is; an internal substitution changes the blocks and links, and the
+    list is recomputed in place.  Once every threat is resolved, `work` is
+    refreshed again if anything was recorded; with nothing recorded, that
+    refresh would re-derive the same commitments from the same threats and
+    closure.  Mutates `work`; returns a failure code or None when every
+    threat is resolved.
     """
     guard = 0
     while True:
@@ -211,6 +229,8 @@ def _resolve_all_threats(work: BdpoPlan, threats: list, marker: int,
             return UNRESOLVABLE_THREAT
         unresolved = work.unresolved_threats(threats)
         if not unresolved:
+            if guard > 1:       # each earlier pass recorded something
+                work.refresh(threats)
             return None
         unresolved.sort(key=lambda item: (work.pos_key(item[1][0]),
                                           work.pos_key(item[1][2]),
@@ -279,6 +299,33 @@ def _block_path(plan: BdpoPlan, bid: int) -> Optional[list[int]]:
     return None
 
 
+def _removal_scope(plan: BdpoPlan, blocks: Iterable[int]
+                   ) -> Optional[tuple[list[int], set[int]]]:
+    """The blocks enclosing `blocks`, root first, and the blocks that go
+    with them; None when `remove_blocks` refuses without editing: a block
+    is not live or a synthetic endpoint would go."""
+    blocks = set(blocks)
+    path = _block_path(plan, min(blocks))
+    if path is None or blocks & {INIT_BLOCK, GOAL_BLOCK}:
+        return None
+    enclosing = path[:-1]
+    links = plan.blocks[enclosing[-1]].ilinks if enclosing else plan.links
+    doomed = _dependents(links, blocks)
+    if doomed & {INIT_BLOCK, GOAL_BLOCK}:
+        return None
+    return enclosing, doomed
+
+
+def removal_saving(plan: BdpoPlan, blocks: Iterable[int]) -> Optional[int]:
+    """The cost `remove_blocks(plan, blocks)` takes off the plan when it
+    succeeds, found without building it; None when it refuses without
+    editing.  The blocks that go are siblings, so their costs add up."""
+    scope = _removal_scope(plan, blocks)
+    if scope is None:
+        return None
+    return sum(plan.blocks[b].cost for b in scope[1])
+
+
 def remove_blocks(plan: BdpoPlan, blocks: Iterable[int]) -> Optional[BdpoPlan]:
     """Delete blocks of one context (the root or one compound block) with
     the blocks of that context that depend on them through causal links,
@@ -289,15 +336,10 @@ def remove_blocks(plan: BdpoPlan, blocks: Iterable[int]) -> Optional[BdpoPlan]:
     A link re-pointed to a rebuilt block that no longer supplies its fact
     drops out inside a block, where the consumer then needs the fact from
     outside it, and stays at the root, where `validate_current` rejects it."""
-    blocks = set(blocks)
-    path = _block_path(plan, min(blocks))
-    if path is None or blocks & {INIT_BLOCK, GOAL_BLOCK}:
+    scope = _removal_scope(plan, blocks)
+    if scope is None:
         return None
-    enclosing = path[:-1]           # root first
-    links = plan.blocks[enclosing[-1]].ilinks if enclosing else plan.links
-    doomed = _dependents(links, blocks)
-    if doomed & {INIT_BLOCK, GOAL_BLOCK}:
-        return None
+    enclosing, doomed = scope
     work = plan.clone()
     for b in sorted(doomed):
         work.delete_block(b)

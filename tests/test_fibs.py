@@ -10,7 +10,7 @@ from types import SimpleNamespace
 import pytest
 
 import popflex.fibs as fibs_mod
-from popflex.bdpo import block_deorder, init_bdpo
+from popflex.bdpo import BdpoPlan, block_deorder, init_bdpo
 from popflex.corpus import (chain_task, elevator_plan, elevator_task,
                             independent_task, inverse_pair_task, random_task,
                             scaling_task)
@@ -20,7 +20,7 @@ from popflex.fibs import (AcceptanceCriteria, FibsConfig,
                           backward_justify, build_subtask, fibs, reduce_plan,
                           resolve, remove_blocks, substitution_deorder)
 from popflex.subplanner import _SuccessorGenerator, capped_length
-from popflex.substitution import CandidateBlock
+from popflex.substitution import CRITERIA_REJECT, CandidateBlock, substitute
 from popflex.task import (NotApplicable, SequentialPlan, apply_op,
                           validate_sequential)
 
@@ -178,6 +178,29 @@ def test_resolve_fails_on_flat_flex():
     # no ordering between any pair: resolve must refuse (nothing to gain)
     out, ok = resolve(task, plan, a, b, CFG)
     assert not ok
+
+
+def test_resolve_never_validates_a_rejected_candidate(monkeypatch):
+    """With no ordering to attack, every candidate fails the flex test, and
+    is rejected before it is validated."""
+    task, seq = independent_task(3)
+    plan = init_bdpo(eog(task, seq))
+    a, b = plan.real_roots()[:2]
+    outcomes = []
+
+    def traced(*args):
+        outcomes.append(substitute(*args))
+        return outcomes[-1]
+
+    def never(self, threats=None):
+        raise AssertionError("a rejected candidate was validated")
+
+    monkeypatch.setattr(fibs_mod, "substitute", traced)
+    monkeypatch.setattr(BdpoPlan, "validate_current", never)
+    out, ok = resolve(task, plan, a, b, CFG)
+    assert not ok and out is plan
+    assert outcomes
+    assert all(o.reason == CRITERIA_REJECT for o in outcomes)
 
 
 def test_resolve_fails_on_unsolvable_subtask():

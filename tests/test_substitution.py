@@ -1,6 +1,8 @@
 """Block replacement: the worked scenarios, the incompleteness witness, and
 the success/failure contracts."""
 
+from unittest import mock
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as hst
@@ -10,7 +12,8 @@ from popflex.corpus import elevator_plan, elevator_task, random_task
 from popflex.eog import eog, generalize
 from popflex.substitution import (MISSING_PRODUCT, UNBOUND_PRECONDITION,
                                   UNRESOLVABLE_THREAT, CandidateBlock,
-                                  candidate_block, substitute)
+                                  candidate_block, removal_saving,
+                                  remove_blocks, substitute)
 from popflex.task import (Fact, PlanningTask, SequentialPlan, apply_op,
                           make_operator, validate_sequential)
 
@@ -356,3 +359,32 @@ def test_candidate_block_matches_the_whole_init_formula(window):
                                             dict(init), dict(goal)), plan)
     assert candidate_block(task, init, goal, plan) == \
         _whole_init_block(task, init, goal, plan)
+
+
+@hst.composite
+def removals(draw):
+    """A deordered random plan, whose blocks nest, and the blocks to remove
+    from it: one block id of any kind, live, gone, unknown or synthetic,
+    or some root blocks, synthetic ones included."""
+    task, seq = random_task(draw(hst.integers(0, 10_000)), max_vars=8,
+                            max_steps=30)
+    plan = block_deorder(init_bdpo(eog(task, seq)))
+    if draw(hst.booleans()):
+        return plan, {draw(hst.integers(0, plan.next_block_id))}
+    return plan, set(draw(hst.lists(hst.sampled_from(sorted(plan.roots)),
+                                    min_size=1, unique=True)))
+
+
+@settings(max_examples=300, deadline=None)
+@given(removals())
+def test_removal_saving_is_the_cost_a_removal_takes_off(removal):
+    """The saving is what `remove_blocks` takes off wherever it succeeds,
+    and None exactly where it refuses before copying the plan to edit."""
+    plan, blocks = removal
+    with mock.patch.object(BdpoPlan, "clone", autospec=True,
+                           side_effect=BdpoPlan.clone) as clone:
+        result = remove_blocks(plan, blocks)
+    saving = removal_saving(plan, blocks)
+    assert (saving is None) == (not clone.called)
+    if result is not None:
+        assert saving == plan.cost() - result.cost()
