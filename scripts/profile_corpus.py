@@ -18,8 +18,8 @@ Each runs under cProfile and prints the 25 functions with the largest
 cumulative time, the call counts of `BdpoPlan.rebuild_closure`,
 `BdpoPlan.threats`, `BdpoPlan.refresh`, `BdpoPlan.validate_current` (one
 per substitution that meets its acceptance test, and one per removal
-built), `BdpoPlan.flex`, `solve_subtask`, `substitute`, `remove_blocks`
-(one per removal built: gj's trial removals, bj's and empty candidates'),
+that gj or bj builds), `BdpoPlan.flex`, `solve_subtask`, `substitute`,
+`remove_blocks` (one per removal that gj or bj builds),
 the subplanner's `_search` (one call per search, two where the expansion
 cap makes it search again), `_proved_empty` (one per proof of emptiness),
 `_h_add` and `_SuccessorGenerator.applicable` (recursive calls included)

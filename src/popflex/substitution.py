@@ -9,9 +9,15 @@ either would close a cycle and the conflicting pair involves the substitute,
 by substituting the conflicting block away as well.  Failure leaves the
 input plan untouched.
 
-An empty substitute removes the block; `remove_blocks`, the one removal
-primitive, does that and every other removal of blocks with their
-dependents.
+The caller's acceptance test, when given, judges the edited plan's flex
+and cost before the plan is validated, so a plan it rejects is never
+validated; it fails with the reason CRITERIA_REJECT.
+
+An empty substitute removes the block by the steps of `remove_blocks`, the
+one removal primitive, which does every other removal of blocks with their
+dependents; the acceptance test comes between its edit and its
+validation.  `removal_saving` gives the cost a removal would take off
+without building it, from the same checks.
 """
 
 from __future__ import annotations
@@ -142,12 +148,15 @@ def substitute(plan: BdpoPlan, old: int,
         # supplies nothing
         if any(p == old for p in plan.links.values()):
             return SubstitutionOutcome(plan, False, MISSING_PRODUCT, trace)
-        work = remove_blocks(plan, {old})
-        if work is None:
+        scope = _removal_scope(plan, {old})
+        if scope is None:
             return SubstitutionOutcome(plan, False, UNRESOLVABLE_THREAT, trace)
+        work, threats = _removed(plan, *scope)
         score = None if accept is None else (work.flex().frac, work.cost())
         if score is not None and not accept(*score):
             return SubstitutionOutcome(plan, False, CRITERIA_REJECT, trace)
+        if not work.validate_current(threats):
+            return SubstitutionOutcome(plan, False, UNRESOLVABLE_THREAT, trace)
         trace.append(f"deleted block {old}")
         return SubstitutionOutcome(work, True, EMPTY_CANDIDATE, trace,
                                    score=score)
@@ -339,7 +348,14 @@ def remove_blocks(plan: BdpoPlan, blocks: Iterable[int]) -> Optional[BdpoPlan]:
     scope = _removal_scope(plan, blocks)
     if scope is None:
         return None
-    enclosing, doomed = scope
+    work, threats = _removed(plan, *scope)
+    return work if work.validate_current(threats) else None
+
+
+def _removed(plan: BdpoPlan, enclosing: list[int], doomed: set[int]
+             ) -> tuple[BdpoPlan, list]:
+    """`remove_blocks`' remainder of `_removal_scope`'s blocks, refreshed
+    with its current closure but not validated, and its threats."""
     work = plan.clone()
     for b in sorted(doomed):
         work.delete_block(b)
@@ -371,4 +387,4 @@ def remove_blocks(plan: BdpoPlan, blocks: Iterable[int]) -> Optional[BdpoPlan]:
             work.rename_in_closure(top, new)
     threats = work.threats()
     work.refresh(threats)
-    return work if work.validate_current(threats) else None
+    return work, threats

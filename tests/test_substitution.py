@@ -10,8 +10,9 @@ from hypothesis import strategies as hst
 from popflex.bdpo import CD, DP, BdpoPlan, Reason, block_deorder, init_bdpo
 from popflex.corpus import elevator_plan, elevator_task, random_task
 from popflex.eog import eog, generalize
-from popflex.substitution import (MISSING_PRODUCT, UNBOUND_PRECONDITION,
-                                  UNRESOLVABLE_THREAT, CandidateBlock,
+from popflex.substitution import (CRITERIA_REJECT, MISSING_PRODUCT,
+                                  UNBOUND_PRECONDITION, UNRESOLVABLE_THREAT,
+                                  CandidateBlock,
                                   candidate_block, removal_saving,
                                   remove_blocks, substitute)
 from popflex.task import (Fact, PlanningTask, SequentialPlan, apply_op,
@@ -285,6 +286,33 @@ def test_substitution_contract_on_random_plans():
                 assert outcome.plan is bdp
                 assert snapshot(bdp) == snap
     assert accepted > 0, "the random corpus never exercised a success"
+
+
+def test_an_acceptance_test_judges_the_edit_before_it_is_validated():
+    """Taking every plan, the acceptance test changes no outcome and
+    reports the plan's flex and cost; refusing every plan, it leaves an
+    empty candidate's removal unvalidated."""
+    empty = CandidateBlock((), (), (), 0)
+    rejected = 0
+    for seed in range(60):
+        task, seq = random_task(seed, max_vars=8, max_steps=12)
+        bdp = block_deorder(init_bdpo(eog(task, seq)))
+        for b in bdp.real_roots():
+            for new in (empty, single_op_candidate(task.operators[0])):
+                free = substitute(bdp, b, new)
+                taken = substitute(bdp, b, new, lambda flex, cost: True)
+                assert (taken.success, taken.reason, taken.trace) == \
+                    (free.success, free.reason, free.trace)
+                if free.success:
+                    assert taken.plan.to_json() == free.plan.to_json()
+                    assert taken.score == (free.plan.flex().frac,
+                                           free.plan.cost())
+            with mock.patch.object(BdpoPlan, "validate_current",
+                                   side_effect=AssertionError):
+                refused = substitute(bdp, b, empty, lambda flex, cost: False)
+            assert not refused.success and refused.plan is bdp
+            rejected += refused.reason == CRITERIA_REJECT
+    assert rejected > 0
 
 
 def test_substitution_work_scales_quadratically():
