@@ -2,13 +2,12 @@
 MaxSAT reordering encoder for grounded finite-domain planning tasks."""
 
 from .bdpo import (BdpoPlan, Block, FlexScore, Reason, block_deorder,
-                   candidate_producers, init_bdpo)
+                   candidate_producers)
 from .fibs import (AcceptanceCriteria, FibsConfig, PhaseReport,
                    backward_justify, build_subtask, reduce_plan, resolve,
                    substitution_deorder)
 from .maxsat import (Wcnf, VarCatalog, brute_force_mr, decode_model,
                      encode_mr, optimal_model)
-from .pop import PartialOrderPlan
 from .subplanner import Subtask, solve_subtask
 from .substitution import (CandidateBlock, SubstitutionOutcome,
                            candidate_block, remove_blocks, substitute)

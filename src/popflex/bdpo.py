@@ -6,7 +6,10 @@ and demotion/promotion commitments between its outermost blocks (the root
 context).  The ordering relation is the transitive closure of those
 commitments plus init-first/goal-last; ordering reasons (PC, CD, DP) are
 derived from the commitments rather than stored separately.  A flat
-partial-order plan is the case whose roots are all primitive blocks.
+partial-order plan is the case whose roots are all primitive blocks, each
+numbered by the id of its step.  Order generalization and the MaxSAT
+decoders build one step by step with `add_step`, and the pipeline deorders,
+substitutes and reduces that plan as it is; there is no separate flat class.
 
 The closure is current when it is the transitive closure of the plan's
 commitments.  `rebuild_closure` makes it so from scratch; given a current
@@ -48,8 +51,8 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Collection, Iterable, Iterator, NamedTuple, Optional
 
-from .task import (Fact, OperatorDef, PlanningTask, SequentialPlan,
-                   ValidationReport)
+from .task import (Fact, OperatorDef, PartialState, PlanningTask,
+                   SequentialPlan, State, ValidationReport, make_operator)
 
 logger = logging.getLogger(__name__)
 
@@ -188,6 +191,14 @@ class Block:
         return len(self.members)
 
 
+def synthetic_operators(init: State, goal: PartialState
+                        ) -> tuple[OperatorDef, OperatorDef]:
+    """The init step, which produces the initial state, and the goal step,
+    which consumes the goal."""
+    return (make_operator("<init>", [], sorted(init.items()), 0),
+            make_operator("<goal>", sorted(goal.items()), [], 0))
+
+
 def _as_is(items, key=None):
     """`sorted`'s signature, the items' own order."""
     return items
@@ -216,7 +227,7 @@ class BdpoPlan:
     # -- bookkeeping ---------------------------------------------------------
 
     def clone(self) -> "BdpoPlan":
-        """A copy as a BdpoPlan; a flat plan's copy is its block view."""
+        """A copy that shares only the frozen blocks and operators."""
         other = BdpoPlan(self.task)
         other.steps = dict(self.steps)
         other.blocks = dict(self.blocks)
@@ -228,17 +239,6 @@ class BdpoPlan:
         other.next_step_id = self.next_step_id
         other.next_block_id = self.next_block_id
         return other
-
-    def adopt(self, other: "BdpoPlan") -> None:
-        self.steps = other.steps
-        self.blocks = other.blocks
-        self.roots = other.roots
-        self.links = other.links
-        self.resolutions = other.resolutions
-        self.extra_orderings = other.extra_orderings
-        self.closure = other.closure
-        self.next_step_id = other.next_step_id
-        self.next_block_id = other.next_block_id
 
     def fresh_step_id(self) -> int:
         sid = self.next_step_id
@@ -269,6 +269,22 @@ class BdpoPlan:
         raise KeyError(step_id)
 
     # -- block construction --------------------------------------------------
+
+    def add_step(self, op: OperatorDef, step_id: Optional[int] = None) -> int:
+        """Add a step and its root block, both numbered `step_id` (by
+        default the next free id)."""
+        if step_id is None:
+            step_id = self.next_step_id
+        self.next_step_id = self.next_block_id = max(self.next_step_id,
+                                                     step_id + 1)
+        self.steps[step_id] = op
+        self.roots.add(self.make_primitive(step_id, step_id))
+        return step_id
+
+    def install_synthetics(self) -> None:
+        init_op, goal_op = synthetic_operators(self.task.init, self.task.goal)
+        self.add_step(init_op, INIT_ID)
+        self.add_step(goal_op, GOAL_ID)
 
     def make_primitive(self, step_id: int, bid: Optional[int] = None) -> int:
         if bid is None:
@@ -687,7 +703,7 @@ class BdpoPlan:
                                                    blk.iclosure, rng))
         return out
 
-    # -- exports (a flat plan has its own) ----------------------------------
+    # -- exports -------------------------------------------------------------
 
     def to_json(self) -> dict:
         def block_json(bid: int) -> dict:
@@ -753,15 +769,6 @@ class BdpoPlan:
         if blk.primitive:
             return blk.step
         return min(blk.members)
-
-
-def init_bdpo(pop: BdpoPlan) -> BdpoPlan:
-    """A flat plan as a BdpoPlan to deorder: the same primitive blocks and
-    commitments, without the bare orderings."""
-    plan = pop.clone()
-    plan.extra_orderings = set()
-    plan.rebuild_closure()
-    return plan
 
 
 # ---------------------------------------------------------------------------

@@ -14,12 +14,13 @@ import os
 import sys
 from typing import Optional, Sequence
 
-from .bdpo import BdpoPlan, block_deorder, init_bdpo
+from .bdpo import (GOAL_ID, INIT_ID, BdpoPlan, block_deorder,
+                   reason_sort_key)
 from .eog import eog
 from .fibs import (RCO, REDUCE_MODES, RFO, AcceptanceCriteria, FibsConfig,
                    fibs, reduce_plan)
 from .maxsat import EncodingTooLarge, encode_mr
-from .subplanner import PLANNER_CMD_ENV
+from .subplanner import PLANNER_CMD_ENV, check_planner_cmd
 from .task import (PlanningTask, SequentialPlan, emit_plan, parse_plan,
                    parse_sas, validate_sequential)
 
@@ -65,6 +66,28 @@ def _report_csv(reports, with_timings: bool) -> str:
     lines = [",".join(cols)]
     for row in rows:
         lines.append(",".join(str(row.get(c, "")) for c in cols))
+    return "\n".join(lines) + "\n"
+
+
+def _pop_json(plan: BdpoPlan) -> dict:
+    """The flat POP export of `eog -o`: the plan JSON without its blocks,
+    which for a flat plan repeat its steps."""
+    data = plan.to_json()
+    del data["blocks"]
+    return data
+
+
+def _pop_dot(plan: BdpoPlan) -> str:
+    """The flat POP Graphviz export of `eog --dot`: one node per step."""
+    lines = ["digraph pop {", "  rankdir=TB;"]
+    for s in sorted(plan.steps):
+        shape = "box" if s not in (INIT_ID, GOAL_ID) else "ellipse"
+        lines.append(f'  n{s} [label="{plan.steps[s].name}", shape={shape}];')
+    for (a, b), rs in sorted(plan.reasons().items()):
+        label = ", ".join(f"{r.kind}({r.fact.var}={r.fact.val})"
+                          for r in sorted(rs, key=reason_sort_key))
+        lines.append(f'  n{a} -> n{b} [label="{label}"];')
+    lines.append("}")
     return "\n".join(lines) + "\n"
 
 
@@ -114,7 +137,9 @@ def run(argv: Sequence[str]) -> int:
     p.add_argument("--time-limit", type=float, default=defaults.time_limit,
                    dest="time_limit", help="whole-run budget in seconds")
     p.add_argument("--planner-cmd", default=None,
-                   help=f"external planner command (also {PLANNER_CMD_ENV})")
+                   help="external planner command, given {sas} and {plans}; "
+                        "{{ and }} are literal braces "
+                        f"(also {PLANNER_CMD_ENV})")
     p.add_argument("--reduce", choices=REDUCE_MODES, default=defaults.reduce)
     p.add_argument("--report", help="phase report JSON output")
     p.add_argument("--report-csv", help="phase report CSV output",
@@ -156,6 +181,9 @@ def run(argv: Sequence[str]) -> int:
     if args.command == "fibs":
         try:
             config = _config(args)
+            planner_cmd = args.planner_cmd or os.environ.get(PLANNER_CMD_ENV)
+            if planner_cmd:
+                check_planner_cmd(planner_cmd)
         except ValueError as exc:
             print(f"error: {exc}", file=sys.stderr)
             return 2
@@ -179,14 +207,14 @@ def run(argv: Sequence[str]) -> int:
 
     if args.command == "eog":
         pop = eog(task, plan)
-        _write(args.out, _json(pop.to_json()))
+        _write(args.out, _json(_pop_json(pop)))
         if args.dot:
-            _write(args.dot, pop.to_dot())
+            _write(args.dot, _pop_dot(pop))
         print(f"flex {pop.flex().value:.6f}")
         return 0
 
     if args.command == "block-deorder":
-        bdp = block_deorder(init_bdpo(eog(task, plan)))
+        bdp = block_deorder(eog(task, plan))
         _emit_plan_outputs(args, bdp)
         print(f"flex {bdp.flex().value:.6f}")
         return 0
@@ -212,7 +240,7 @@ def run(argv: Sequence[str]) -> int:
         return 0
 
     if args.command == "reduce":
-        bdp = init_bdpo(eog(task, plan))
+        bdp = eog(task, plan)
         if not args.skip_bd:
             bdp = block_deorder(bdp)
         reduced = reduce_plan(bdp, args.mode)

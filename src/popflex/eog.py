@@ -3,13 +3,14 @@
 For every consumed fact the earliest producer with no intervening deleter is
 committed as the causal link; afterwards every pair of steps in sequence
 order receives demotion/promotion commitments wherever one step's deletions
-conflict with the other's links.
+conflict with the other's links.  The result is a flat `BdpoPlan`, one
+primitive root block per step with a current closure, which block
+deordering and substitution take as it is.
 """
 
 from __future__ import annotations
 
-from .bdpo import CD, DP, GOAL_ID, INIT_ID, Reason
-from .pop import PartialOrderPlan
+from .bdpo import CD, DP, GOAL_ID, INIT_ID, BdpoPlan, Reason
 from .task import (Fact, PlanningTask, Profile, SequentialPlan,
                    validate_sequential)
 
@@ -58,14 +59,14 @@ def generalize(init: Profile, steps: list[Profile], goal: Profile
     return links, resolutions
 
 
-def eog(task: PlanningTask, plan: SequentialPlan) -> PartialOrderPlan:
+def eog(task: PlanningTask, plan: SequentialPlan) -> BdpoPlan:
     """Deorder a valid sequential plan; output orderings are a subset of
     the input's total order."""
     report = validate_sequential(task, plan)
     if not report:
         raise InvalidInput(report.reason)
 
-    pop = PartialOrderPlan(task)
+    pop = BdpoPlan(task)
     pop.install_synthetics()
     seq = [INIT_ID] + [pop.add_step(task.operators[i]) for i in plan.steps] \
         + [GOAL_ID]

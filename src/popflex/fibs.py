@@ -18,8 +18,7 @@ from fractions import Fraction
 from functools import partial
 from typing import Optional
 
-from .bdpo import (GOAL_BLOCK, INIT_BLOCK, BdpoPlan, block_deorder,
-                   init_bdpo)
+from .bdpo import GOAL_BLOCK, INIT_BLOCK, BdpoPlan, block_deorder
 from .eog import eog
 from .subplanner import Subtask, capped_length, solve_subtask
 from .substitution import (CandidateBlock, candidate_block, remove_blocks,
@@ -435,8 +434,7 @@ def fibs(task: PlanningTask, seq_plan: SequentialPlan,
     deadline = time.monotonic() + config.time_limit
     memo = PhaseMemo()
     t0 = time.monotonic()
-    pop = eog(task, seq_plan)
-    plan = init_bdpo(pop)
+    plan = eog(task, seq_plan)
     report("EOG", plan, 0, 0, t0)
 
     t0 = time.monotonic()

@@ -49,8 +49,7 @@ import math
 from dataclasses import dataclass, field
 from typing import Iterable, Optional, TextIO
 
-from .bdpo import GOAL_ID, INIT_ID
-from .pop import PartialOrderPlan, synthetic_operators
+from .bdpo import GOAL_ID, INIT_ID, BdpoPlan, synthetic_operators
 from .task import Fact, PlanningTask, SequentialPlan, cons_prod_del
 
 MAX_ENCODE_STEPS = 200
@@ -197,7 +196,7 @@ def _dimacs_lines(rows, lead: str, lead_args: int):
                 itertools.chain.from_iterable(chunk))
 
 
-def encode_mr(task: PlanningTask, pop: PartialOrderPlan, mclcp: bool = False
+def encode_mr(task: PlanningTask, pop: BdpoPlan, mclcp: bool = False
               ) -> tuple[Wcnf, VarCatalog]:
     """Emit the reordering encoding for the given plan's steps."""
     steps = sorted(pop.steps)
@@ -320,18 +319,15 @@ def _broken_transitivity(rows: list[list[int]], true_vars: set[int]
 
 
 def decode_model(true_vars: set[int], cat: VarCatalog, task: PlanningTask,
-                 pop: PartialOrderPlan, wcnf: Wcnf) -> PartialOrderPlan:
+                 pop: BdpoPlan, wcnf: Wcnf) -> BdpoPlan:
     """Rebuild a POP from a model; hard clauses are re-checked first."""
     check_model(wcnf, true_vars)
     included = [s for s in cat.steps if cat.x[s] in true_vars]
     if INIT_ID not in included or GOAL_ID not in included:
         raise InvalidModel("synthetic endpoints excluded")
-    out = PartialOrderPlan(task)
-    for s in included:      # a flat plan numbers each root block by its step
-        out.steps[s] = pop.steps[s]
-        out.blocks[s] = pop.blocks[s]
-    out.roots = set(included)
-    out.next_step_id = out.next_block_id = max(included) + 1
+    out = BdpoPlan(task)
+    for s in included:
+        out.add_step(pop.steps[s], s)
     for (p, f, c), g in sorted(cat.gamma.items()):
         if g not in true_vars:
             continue
@@ -350,7 +346,7 @@ def decode_model(true_vars: set[int], cat: VarCatalog, task: PlanningTask,
     return out
 
 
-def ordering_count(pop: PartialOrderPlan) -> int:
+def ordering_count(pop: BdpoPlan) -> int:
     """Ordered pairs over the real steps of a validated POP."""
     flexscore = pop.flex()
     return flexscore.total_pairs - flexscore.unordered_pairs
@@ -360,7 +356,7 @@ def ordering_count(pop: PartialOrderPlan) -> int:
 # structured exhaustive optimum of the encoding
 
 
-def optimal_model(task: PlanningTask, pop: PartialOrderPlan,
+def optimal_model(task: PlanningTask, pop: BdpoPlan,
                   mclcp: bool = False) -> tuple[set[int], int]:
     """Exhaustive optimum over the encoding's meaningful assignments.
 
@@ -579,7 +575,7 @@ def _closed_subsets(rows: tuple[int, ...], n: int, down: bool) -> list[int]:
 
 
 def brute_force_mr(task: PlanningTask, plan: SequentialPlan,
-                   mclcp: bool = False) -> PartialOrderPlan:
+                   mclcp: bool = False) -> BdpoPlan:
     """Optimal reordering by explicit enumeration; instances cap at 6 steps.
 
     The posets of each subset come fewest ordered pairs first, so the first
@@ -616,7 +612,7 @@ def brute_force_mr(task: PlanningTask, plan: SequentialPlan,
     if best is None:
         raise InvalidModel("no valid reordering exists")
     (_, subset, rows), needs = best
-    out = PartialOrderPlan(task)
+    out = BdpoPlan(task)
     out.install_synthetics()
     ids = [out.add_step(ops[i]) for i in subset]
     for a, row in enumerate(rows):

@@ -58,6 +58,7 @@ import logging
 import os
 import shlex
 import signal
+import string
 import subprocess
 import tempfile
 import time
@@ -71,6 +72,25 @@ from .task import (OperatorDef, PlanningTask, SequentialPlan, State,
 logger = logging.getLogger(__name__)
 
 PLANNER_CMD_ENV = "POPFLEX_PLANNER_CMD"
+
+
+def check_planner_cmd(cmd: str) -> None:
+    """Raise ValueError, naming the field, unless every format field of an
+    external planner command is {sas} or {plans}; {{ and }} are literal
+    braces."""
+    try:
+        fields = [(name, conv, spec) for _, name, spec, conv
+                  in string.Formatter().parse(cmd) if name is not None]
+    except ValueError as exc:
+        raise ValueError(f"planner command {cmd!r}: {exc}; "
+                         "write {{ and }} for literal braces") from None
+    for name, conv, spec in fields:
+        if name not in ("sas", "plans") or conv or spec:
+            field = name + (f"!{conv}" if conv else "") \
+                + (f":{spec}" if spec else "")
+            raise ValueError(
+                f"planner command field {{{field}}} is not {{sas}} or "
+                "{plans}; write {{ and }} for literal braces")
 
 
 @dataclass
@@ -463,9 +483,11 @@ def _solve_external(st: Subtask, cmd: str) -> list[SequentialPlan]:
 
     The command may reference {sas} (task file path) and {plans} (output
     prefix), which are substituted shell-quoted, so the command must not
-    quote them itself; plan files are collected as <prefix>* in IPC plan
-    format.  The planner runs in a process group of its own, and the whole
-    group is killed when it overruns the subtask's time bound.
+    quote them itself; `check_planner_cmd` accepts no other field, and
+    {{ and }} stand for literal braces.  Plan files are collected as
+    <prefix>* in IPC plan format.  The planner runs in a process group of
+    its own, and the whole group is killed when it overruns the subtask's
+    time bound.
     """
     task = st.as_task()
     plans: list[SequentialPlan] = []

@@ -202,7 +202,8 @@ def substitute(plan: BdpoPlan, old: int,
     threats = work.threats()
     work.refresh(threats)
 
-    failure = _resolve_all_threats(work, threats, marker, trace, _depth)
+    work, threats, failure = _resolve_all_threats(work, threats, marker,
+                                                  trace, _depth)
     if failure is not None:
         return SubstitutionOutcome(plan, False, failure, trace)
 
@@ -219,28 +220,30 @@ def substitute(plan: BdpoPlan, old: int,
 
 
 def _resolve_all_threats(work: BdpoPlan, threats: list, marker: int,
-                         trace: list[str], depth: int) -> Optional[str]:
+                         trace: list[str], depth: int
+                         ) -> tuple[BdpoPlan, list, Optional[str]]:
     """Demotion first, promotion second, internal substitution last.
 
     `threats` is the plan's `threats()` list, and `work` has been
-    refreshed with it.  Resolutions only order blocks, which leaves it as
-    it is; an internal substitution changes the blocks and links, and the
-    list is recomputed in place.  Once every threat is resolved, `work` is
-    refreshed again if anything was recorded; with nothing recorded, that
-    refresh would re-derive the same commitments from the same threats and
-    closure.  Mutates `work`; returns a failure code or None when every
-    threat is resolved.
+    refreshed with it.  Resolutions only order blocks, which leaves the
+    list as it is; an internal substitution changes the blocks and links,
+    and its plan, with its own threat list, is carried on instead.  Once
+    every threat is resolved, the plan is refreshed again if anything was
+    recorded; with nothing recorded, that refresh would re-derive the same
+    commitments from the same threats and closure.  Edits `work`; returns
+    the plan and threat list it ends with, and a failure code, or None when
+    every threat is resolved.
     """
     guard = 0
     while True:
         guard += 1
         if guard > 10000:
-            return UNRESOLVABLE_THREAT
+            return work, threats, UNRESOLVABLE_THREAT
         unresolved = work.unresolved_threats(threats)
         if not unresolved:
             if guard > 1:       # each earlier pass recorded something
                 work.refresh(threats)
-            return None
+            return work, threats, None
         unresolved.sort(key=lambda item: (work.pos_key(item[1][0]),
                                           work.pos_key(item[1][2]),
                                           work.pos_key(item[0])))
@@ -264,12 +267,12 @@ def _resolve_all_threats(work: BdpoPlan, threats: list, marker: int,
             inner = substitute(work, t, c, _new_marker=marker,
                                _depth=depth + 1)
         else:
-            return UNRESOLVABLE_THREAT
+            return work, threats, UNRESOLVABLE_THREAT
         if not inner.success:
-            return UNRESOLVABLE_THREAT
+            return work, threats, UNRESOLVABLE_THREAT
         trace.extend(inner.trace)
-        work.adopt(inner.plan)
-        threats[:] = work.threats()
+        work = inner.plan
+        threats = work.threats()
 
 
 def _dependents(links: dict[tuple[int, Fact], int],

@@ -12,7 +12,7 @@ import time
 
 import pytest
 
-from popflex.bdpo import block_deorder, init_bdpo
+from popflex.bdpo import block_deorder
 from popflex.cli import run as cli_run
 from popflex.corpus import (elevator_plan, elevator_task, micro_corpus,
                             random_task, scaling_task)
@@ -75,9 +75,8 @@ N_RANDOM = 500
 
 def _pipeline_stages(task, seq, cfg):
     from popflex.fibs import substitution_deorder
-    pop = eog(task, seq)
-    yield "EOG", pop
-    plan = init_bdpo(pop)
+    plan = eog(task, seq)
+    yield "EOG", plan
     plan, _, _ = substitution_deorder(task, plan, cfg,
                                       primitive_only=True)
     yield "SD1", plan
@@ -155,7 +154,7 @@ def test_criterion_4_mr_oracle_equivalence():
 
 def test_criterion_5_incompleteness_witness():
     task, seq = witness_scenario()
-    bdp = init_bdpo(eog(task, seq))
+    bdp = eog(task, seq)
     names = blocks_by_name(bdp)
     snap = snapshot(bdp)
     outcome = substitute(bdp, names["bx"], single_op_candidate(task.operators[4]))
@@ -211,7 +210,7 @@ def test_criterion_6_threat_shape_regressions():
     for scenario in (between_scenario, mutual_threat_scenario):
         for substitutable in (False, True):
             task, seq = scenario(substitutable)
-            bdp = init_bdpo(eog(task, seq))
+            bdp = eog(task, seq)
             names = blocks_by_name(bdp)
             cand = single_op_candidate(task.operators[3])
             outcome = substitute(bdp, names["b_x"], cand)

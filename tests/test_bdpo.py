@@ -2,7 +2,7 @@ import pytest
 
 from popflex.bdpo import (DP, GOAL_BLOCK, INIT_BLOCK, PC, Reason,
                           _reason_candidates, block_deorder,
-                          candidate_producers, init_bdpo, wrap_blocks)
+                          candidate_producers, wrap_blocks)
 from popflex.corpus import (chain_task, elevator_plan, elevator_task,
                             independent_task, random_task)
 from popflex.eog import eog
@@ -15,31 +15,23 @@ from references import (all_linearizations, check_contiguity, check_laminar,
 
 def elevator_bdpo():
     task = elevator_task()
-    return task, init_bdpo(eog(task, elevator_plan(task)))
+    return task, eog(task, elevator_plan(task))
 
 
-def test_init_bdpo_primitive_blocks():
+def test_eog_plan_has_primitive_blocks():
     _, plan = elevator_bdpo()
     assert len(plan.real_roots()) == 9
     assert all(plan.blocks[b].primitive for b in plan.real_roots())
     assert INIT_BLOCK in plan.roots and GOAL_BLOCK in plan.roots
 
 
-def test_init_bdpo_empty_plan():
+def test_eog_plan_of_empty_plan_validates():
     task = PlanningTask([Variable("v", ("a", "b"))],
                         [make_operator("set", [(0, 0)], [(0, 1)])],
                         {0: 0}, {0: 0})
-    plan = init_bdpo(eog(task, SequentialPlan([])))
+    plan = eog(task, SequentialPlan([]))
     assert plan.real_roots() == []
     assert plan.validate()
-
-
-def test_init_bdpo_preserves_flex():
-    task = elevator_task()
-    pop = eog(task, elevator_plan(task))
-    plan = init_bdpo(pop)
-    assert plan.flex().unordered_pairs == pop.flex().unordered_pairs
-    assert plan.flex().total_pairs == pop.flex().total_pairs
 
 
 def test_primitive_profile_equals_operator_sets():
@@ -81,7 +73,7 @@ def test_multi_writer_block_has_two_effects_and_no_product():
         [make_operator("write-b", [], [(0, 1)]),
          make_operator("write-c", [], [(0, 2)])],
         {0: 0, 1: 0}, {})
-    plan = init_bdpo(eog(task, SequentialPlan([0, 1])))
+    plan = eog(task, SequentialPlan([0, 1]))
     blocks = [b for b in plan.real_roots()]
     assert len(blocks) == 2
     a, b = blocks
@@ -106,7 +98,7 @@ def _producer_chain_task(with_deleter: bool):
 
 def test_earliest_candidate_producer_blocked_by_deleter():
     task, plan = _producer_chain_task(with_deleter=True)
-    bdp = init_bdpo(eog(task, plan))
+    bdp = eog(task, plan)
     consumer = max(bdp.real_roots(), key=bdp.pos_key)
     fact = Fact(0, 1)
     producer = candidate_producers(bdp, fact, consumer)[0]
@@ -115,7 +107,7 @@ def test_earliest_candidate_producer_blocked_by_deleter():
 
 def test_earliest_candidate_producer_prefers_earliest():
     task, plan = _producer_chain_task(with_deleter=False)
-    bdp = init_bdpo(eog(task, plan))
+    bdp = eog(task, plan)
     consumer = max(bdp.real_roots(), key=bdp.pos_key)
     producer = candidate_producers(bdp, Fact(0, 1), consumer)[0]
     assert bdp.steps[bdp.blocks[producer].step].name == "p1"
@@ -151,7 +143,7 @@ def _dp_micro():
 
 def test_dp_rule_wraps_producer_and_consumer():
     task, seq = _dp_micro()
-    plan = init_bdpo(eog(task, seq))
+    plan = eog(task, seq)
     by_name = {plan.steps[plan.blocks[b].step].name: b
                for b in plan.real_roots()}
     edge = (by_name["clobber"], by_name["make"])
@@ -196,7 +188,7 @@ def test_block_deorder_elevator_reaches_walkthrough_flex():
 
 def test_block_deorder_identity_on_unordered_plan():
     task, seq = independent_task(2)
-    plan = init_bdpo(eog(task, seq))
+    plan = eog(task, seq)
     out = block_deorder(plan)
     assert out.flex().value == 1.0
     assert len(out.real_roots()) == 2
@@ -204,7 +196,7 @@ def test_block_deorder_identity_on_unordered_plan():
 
 def test_block_deorder_identity_on_dependent_chain():
     task, seq = chain_task(5)
-    plan = init_bdpo(eog(task, seq))
+    plan = eog(task, seq)
     out = block_deorder(plan)
     assert out.flex().value == 0.0
     assert all(out.blocks[b].primitive for b in out.real_roots())
@@ -214,7 +206,7 @@ def test_block_deorder_leaves_its_input_as_it_was():
     """The input's commitments, blocks and closure are those it came with,
     whether or not an edge commits."""
     plans = [elevator_bdpo()[1]]
-    plans += [init_bdpo(eog(*random_task(seed))) for seed in range(25)]
+    plans += [eog(*random_task(seed)) for seed in range(25)]
     committed = 0
     for plan in plans:
         snap, closure = snapshot(plan), dict(plan.closure)
@@ -226,7 +218,7 @@ def test_block_deorder_leaves_its_input_as_it_was():
 
 def test_block_deorder_hands_on_its_input_when_nothing_commits():
     for task, seq in (independent_task(2), chain_task(5)):
-        plan = init_bdpo(eog(task, seq))
+        plan = eog(task, seq)
         assert block_deorder(plan) is plan
     _, plan = elevator_bdpo()
     assert block_deorder(plan) is not plan
@@ -235,7 +227,7 @@ def test_block_deorder_hands_on_its_input_when_nothing_commits():
 def test_block_deorder_never_decreases_flex_and_stays_valid():
     for seed in range(25):
         task, seq = random_task(seed)
-        plan = init_bdpo(eog(task, seq))
+        plan = eog(task, seq)
         before = plan.flex()
         out = block_deorder(plan)
         after = out.flex()

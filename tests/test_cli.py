@@ -69,6 +69,7 @@ def test_flex_prints_zero(elevator_files, capsys):
 
 
 def test_eog_and_block_deorder_outputs(elevator_files, tmp_path, capsys):
+    """`eog` writes the flat POP exports, `block-deorder` the block ones."""
     sas, plan = elevator_files
     out = tmp_path / "pop.json"
     dot = tmp_path / "pop.dot"
@@ -76,13 +77,17 @@ def test_eog_and_block_deorder_outputs(elevator_files, tmp_path, capsys):
                 "-o", str(out), "--dot", str(dot)]) == 0
     data = json.loads(out.read_text())
     assert set(data) == {"steps", "links", "orderings"}
-    assert dot.read_text().startswith("digraph")
+    assert dot.read_text().startswith("digraph pop {")
+    assert "PC(" in dot.read_text()
 
     out2 = tmp_path / "bdpo.json"
     dot2 = tmp_path / "bdpo.dot"
     assert run(["block-deorder", "--task", sas, "--plan", plan,
                 "-o", str(out2), "--dot", str(dot2)]) == 0
     assert "flex 0.444444" in capsys.readouterr().out
+    assert set(json.loads(out2.read_text())) == {"steps", "blocks", "links",
+                                                 "orderings"}
+    assert dot2.read_text().startswith("digraph bdpo {")
     assert "cluster_" in dot2.read_text()
 
 
@@ -195,6 +200,29 @@ def test_lineate_round_trips(elevator_files, tmp_path):
     assert run(["validate", "--task", sas, "--plan", str(out)]) == 0
 
 
+@pytest.mark.parametrize("cmd, field", [
+    ("awk '{print}' {sas}", "{print}"), ("x {0}", "{0}"), ("x {}", "{}"),
+    ("x {sas!r}", "{sas!r}"), ("x }", "Single '}'")])
+@pytest.mark.parametrize("source", ["flag", "env"])
+def test_fibs_rejects_a_planner_cmd_field_before_the_run(
+        elevator_files, tmp_path, capsys, monkeypatch, cmd, field, source):
+    """A format field other than {sas} and {plans} is a usage error that
+    names it, found before a file is read or written."""
+    sas, plan = elevator_files
+    out = tmp_path / "plan.json"
+    argv = ["fibs", "--task", sas, "--plan", plan, "-o", str(out)]
+    if source == "flag":
+        monkeypatch.delenv(PLANNER_CMD_ENV, raising=False)
+        argv += ["--planner-cmd", cmd]
+    else:
+        monkeypatch.setenv(PLANNER_CMD_ENV, cmd)
+    assert run(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and field in err
+    assert "{{ and }}" in err
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("prior", [None, "prior-planner {sas} {plans}"])
 def test_fibs_planner_cmd_does_not_outlive_the_command(elevator_files,
                                                        monkeypatch, prior):
@@ -203,6 +231,7 @@ def test_fibs_planner_cmd_does_not_outlive_the_command(elevator_files,
     else:
         monkeypatch.setenv(PLANNER_CMD_ENV, prior)
     sas, plan = elevator_files
+    # doubled braces are literal ones, not format fields
     assert run(["fibs", "--task", sas, "--plan", plan,
-                "--planner-cmd", "true"]) == 0
+                "--planner-cmd", "true '{{x}}' {sas} {plans}"]) == 0
     assert os.environ.get(PLANNER_CMD_ENV) == prior

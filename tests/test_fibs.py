@@ -10,7 +10,7 @@ from types import SimpleNamespace
 import pytest
 
 import popflex.fibs as fibs_mod
-from popflex.bdpo import BdpoPlan, block_deorder, init_bdpo
+from popflex.bdpo import BdpoPlan, block_deorder
 from popflex.corpus import (chain_task, elevator_plan, elevator_task,
                             independent_task, inverse_pair_task, random_task,
                             scaling_task)
@@ -32,7 +32,7 @@ CFG = FibsConfig(max_plans=5, max_expansions=4000)
 
 def elevator_bd():
     task = elevator_task()
-    return task, block_deorder(init_bdpo(eog(task, elevator_plan(task))))
+    return task, block_deorder(eog(task, elevator_plan(task)))
 
 
 def var_of(task, name):
@@ -137,7 +137,7 @@ def test_build_subtask_matches_the_two_pass_formula():
     infeasible = feasible = 0
     for seed in range(60):
         task, seq = small_random(seed)
-        flat = init_bdpo(eog(task, seq))
+        flat = eog(task, seq)
         for plan in (flat, block_deorder(flat)):
             for excluded, target in itertools.permutations(
                     plan.real_roots(), 2):
@@ -173,7 +173,7 @@ def test_resolve_replaces_p2_block_with_second_lift():
 
 def test_resolve_fails_on_flat_flex():
     task, seq = independent_task(3)
-    plan = init_bdpo(eog(task, seq))
+    plan = eog(task, seq)
     a, b = plan.real_roots()[:2]
     # no ordering between any pair: resolve must refuse (nothing to gain)
     out, ok = resolve(task, plan, a, b, CFG)
@@ -184,7 +184,7 @@ def test_resolve_never_validates_a_rejected_candidate(monkeypatch):
     """With no ordering to attack, every candidate fails the flex test, and
     is rejected before it is validated."""
     task, seq = independent_task(3)
-    plan = init_bdpo(eog(task, seq))
+    plan = eog(task, seq)
     a, b = plan.real_roots()[:2]
     outcomes = []
 
@@ -205,7 +205,7 @@ def test_resolve_never_validates_a_rejected_candidate(monkeypatch):
 
 def test_resolve_fails_on_unsolvable_subtask():
     task, seq = chain_task(4)
-    plan = init_bdpo(eog(task, seq))
+    plan = eog(task, seq)
     roots = plan.real_roots()
     out, ok = resolve(task, plan, roots[0], roots[1], CFG)
     assert not ok and out is plan
@@ -213,7 +213,7 @@ def test_resolve_fails_on_unsolvable_subtask():
 
 def test_substitution_deorder_identity_when_nothing_improvable():
     task, seq = chain_task(4)
-    plan = init_bdpo(eog(task, seq))
+    plan = eog(task, seq)
     out, attempted, accepted = substitution_deorder(task, plan, CFG)
     assert accepted == 0
     assert out.flex().value == plan.flex().value
@@ -311,8 +311,7 @@ def test_backward_justify_misses_internal_blocks():
 
 def test_backward_justify_catches_dangling_root():
     task, seq = inverse_pair_task()
-    pop = eog(task, seq)
-    plan = init_bdpo(pop)
+    plan = eog(task, seq)
     redundant = backward_justify(plan)
     names = {task.operators[plan.blocks[b].step and 0].name
              for b in redundant} if False else \
@@ -322,7 +321,7 @@ def test_backward_justify_catches_dangling_root():
 
 def test_reduce_bj_removes_danglers():
     task, seq = inverse_pair_task()
-    plan = init_bdpo(eog(task, seq))
+    plan = eog(task, seq)
     out = reduce_plan(plan, "bj")
     names = {out.steps[s].name for s in out.real_steps()}
     assert names == {"work-a", "work-b"}
@@ -391,9 +390,9 @@ def test_reduce_gj_matches_building_every_removal():
     plans = []
     for seed in range(300):
         task, seq = random_task(seed, max_vars=8, max_steps=12)
-        plans.append(block_deorder(init_bdpo(eog(task, seq))))
+        plans.append(block_deorder(eog(task, seq)))
     task, seq, config = towers(4)
-    plans.append(block_deorder(init_bdpo(eog(task, seq))))
+    plans.append(block_deorder(eog(task, seq)))
     plans.append(fibs(task, seq, dataclasses.replace(config,
                                                      reduce="none"))[0])
     compound = nested = 0
@@ -407,13 +406,13 @@ def test_reduce_gj_matches_building_every_removal():
 
 def test_greedy_justify_empty_on_perfectly_justified_plan():
     task, seq = chain_task(4)
-    plan = init_bdpo(eog(task, seq))
+    plan = eog(task, seq)
     assert greedy_justify(plan) == set()
 
 
 def test_greedy_justify_removes_inverse_block():
     task, seq = inverse_pair_task()
-    plan = block_deorder(init_bdpo(eog(task, seq)))
+    plan = block_deorder(eog(task, seq))
     out = reduce_plan(plan, "gj")
     names = {out.steps[s].name for s in out.real_steps()}
     assert names == {"work-a", "work-b"}
@@ -422,7 +421,7 @@ def test_greedy_justify_removes_inverse_block():
 
 def test_try_remove_block_keeps_needed_blocks():
     task, seq = chain_task(3)
-    plan = init_bdpo(eog(task, seq))
+    plan = eog(task, seq)
     for b in plan.real_roots():
         assert remove_blocks(plan, {b}) is None
 
@@ -432,7 +431,7 @@ def test_remove_blocks_rejects_a_root_link_left_unsupplied():
     its fact.  A later removal that rebuilds the producer without that fact
     is rejected all the same, as any unsupplied root link is."""
     task, seq = random_task(47, max_vars=6, max_steps=40)
-    plan = block_deorder(init_bdpo(eog(task, seq)))
+    plan = block_deorder(eog(task, seq))
     for bid in (46, 11, 2, 13, 15, 16, 18):      # the first gj removals
         plan = remove_blocks(plan, {bid})
     producer = next(p for (c, f), p in plan.links.items()
@@ -511,7 +510,7 @@ def test_basic_edges_match_their_definition():
     third real root ordered between them."""
     for seed in range(60):
         task, seq = small_random(seed)
-        flat = init_bdpo(eog(task, seq))
+        flat = eog(task, seq)
         for plan in (flat, block_deorder(flat)):
             real = plan.real_roots()
             expected = {(a, b) for (a, b), rs in plan.reasons().items()
@@ -642,7 +641,7 @@ def test_phase_counts_equal_memo_free_resolve_calls():
     total_accepted = 0
     for seed in range(30):
         task, seq = small_random(seed)
-        plan = init_bdpo(eog(task, seq))
+        plan = eog(task, seq)
         for primitive_only in (True, False):
             ref, ref_att, ref_acc = memo_free_phase(task, plan, SMALL,
                                                     primitive_only)

@@ -9,7 +9,8 @@ deordered plans whose blocks nest up to seven deep, which the fibs corpora
 never reach.  The MaxSAT digest covers the DIMACS text and variable
 catalogue of large encodings, and the optimal model, its violated weight,
 its decoded plan and the clauses of tiny ones.  The oracle digest covers
-the plans of the enumeration oracle `brute_force_mr`.  The towers digests
+the plans of the enumeration oracle `brute_force_mr`.  Both hash those
+flat plans' JSON without its `blocks`, which only repeat the steps.  The towers digests
 cover one run each on 4 and 8 of the benchmark's elevator towers, whose SD2
 phase accepts substitutions and whose subplanner finds no plan for many
 subtasks; at 8 towers the expansion cap makes some searches run again with
@@ -26,7 +27,7 @@ from collections import Counter
 
 from popflex.cli import run
 
-from popflex.bdpo import GOAL_BLOCK, INIT_BLOCK, block_deorder, init_bdpo
+from popflex.bdpo import GOAL_BLOCK, INIT_BLOCK, block_deorder
 from popflex.corpus import (elevator_plan, elevator_task, micro_corpus,
                             random_task, scaling_task)
 from popflex.eog import eog
@@ -131,6 +132,15 @@ def _emit_tasks(count: int):
         seed += 1
 
 
+def _flat_json(plan) -> dict:
+    """A flat plan's JSON without its blocks, which only repeat its steps
+    when every root is the primitive block of its step."""
+    assert all(plan.blocks[b].step == b for b in plan.roots)
+    data = plan.to_json()
+    del data["blocks"]
+    return data
+
+
 def test_golden_maxsat():
     digest = hashlib.sha1()
     for task, plan in _emit_tasks(6):
@@ -149,7 +159,7 @@ def test_golden_maxsat():
             model, violated = optimal_model(task, pop, mclcp)
             decoded = decode_model(model, cat, task, pop, wcnf)
             digest.update(json.dumps(
-                [sorted(model), violated, decoded.to_json(), wcnf.hard,
+                [sorted(model), violated, _flat_json(decoded), wcnf.hard,
                  wcnf.soft], sort_keys=True).encode())
     assert digest.hexdigest() == MAXSAT_DIGEST
 
@@ -178,7 +188,7 @@ def test_golden_maxsat_six_steps():
 
 def _oracle_text(task, plan, mclcp) -> bytes:
     out = brute_force_mr(task, plan, mclcp)
-    return json.dumps([out.to_json(), sorted(out.extra_orderings),
+    return json.dumps([_flat_json(out), sorted(out.extra_orderings),
                        out.cost()], sort_keys=True).encode()
 
 
@@ -228,7 +238,7 @@ def test_golden_removal():
         if len(seq.steps) < 15:
             continue
         plans += 1
-        plan = block_deorder(init_bdpo(eog(task, seq)))
+        plan = block_deorder(eog(task, seq))
         depths = _block_depths(plan)
         for bid in sorted(depths):
             if bid in (INIT_BLOCK, GOAL_BLOCK):
@@ -254,7 +264,7 @@ def test_golden_candidates():
     with_links = with_resolutions = 0
     for seed in range(300):
         task, seq = random_task(seed, max_vars=8, max_steps=12)
-        plan = block_deorder(init_bdpo(eog(task, seq)))
+        plan = block_deorder(eog(task, seq))
         for a, b in _scan_basic_edges(plan):
             for excluded, target in ((a, b), (b, a)):
                 try:
@@ -282,7 +292,7 @@ def test_golden_empty_candidates():
     succeeded = failed = 0
     for seed in range(300):
         task, seq = random_task(seed, max_vars=8, max_steps=12)
-        plan = block_deorder(init_bdpo(eog(task, seq)))
+        plan = block_deorder(eog(task, seq))
         for b in plan.real_roots():
             out = substitute(plan, b, empty)
             succeeded += out.success
@@ -305,7 +315,7 @@ def test_golden_search():
     digest = hashlib.sha1()
     searches = found = 0
     for task, seq in (scaling_task(10, 4), (elevator, elevator_plan(elevator))):
-        flat = init_bdpo(eog(task, seq))
+        flat = eog(task, seq)
         for plan in (flat, block_deorder(flat)):
             for a, b in _scan_basic_edges(plan):
                 for excluded, target in ((a, b), (b, a)):
@@ -364,7 +374,7 @@ def test_golden_validate_reasons():
     kinds = Counter()
     for seed in range(300):
         task, seq = random_task(seed, max_vars=8, max_steps=12)
-        plan = block_deorder(init_bdpo(eog(task, seq)))
+        plan = block_deorder(eog(task, seq))
         assert plan.validate_current()
         for broken in _broken_copies(plan):
             report = broken.validate_current()

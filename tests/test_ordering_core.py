@@ -1,7 +1,7 @@
 """BdpoPlan's ordering core against naive references.
 
 The closure, the threat list, the step-level order and the ordered-pair
-count are checked on the plans that `init_bdpo`, `wrap_blocks`,
+count are checked on the plans that `eog`, `wrap_blocks`,
 `substitute` (success and failure) and `remove_blocks` produce, both on
 direct calls and on every call that a whole `fibs` run makes, and so are
 the closure after each incremental update and the threat list each of
@@ -21,7 +21,7 @@ import popflex.fibs as fibs_module
 import popflex.substitution as substitution_module
 from popflex.bdpo import (CD, GOAL_BLOCK, GOAL_ID, INIT_BLOCK, INIT_ID,
                           BdpoPlan, CycleDetected, Reason, between_closure,
-                          init_bdpo, wrap_blocks)
+                          wrap_blocks)
 from popflex.corpus import chain_task, random_task
 from popflex.eog import eog
 from popflex.fibs import FibsConfig, fibs, remove_blocks
@@ -167,7 +167,7 @@ def core_checked_after_each_update():
 @settings(max_examples=60, deadline=None)
 def test_core_after_direct_operations(seed, data):
     task, seq = random_task(seed, max_vars=8, max_steps=12)
-    plan = init_bdpo(eog(task, seq))
+    plan = eog(task, seq)
     check_core(plan)
     roots = plan.real_roots()
     if not roots:
@@ -243,7 +243,7 @@ def test_core_on_every_step_of_a_fibs_run(seed):
 
 def test_add_ordering_matches_a_rebuild():
     task, seq = chain_task(4)
-    plan = init_bdpo(eog(task, seq))
+    plan = eog(task, seq)
     first, *_, last = plan.real_roots()
     plan.links.clear()
     plan.rebuild_closure()
@@ -256,7 +256,7 @@ def test_add_ordering_matches_a_rebuild():
 
 def test_add_ordering_rejects_cycles():
     task, seq = chain_task(3)
-    plan = init_bdpo(eog(task, seq))
+    plan = eog(task, seq)
     first, _, last = plan.real_roots()
     image = dict(plan.closure)
     with pytest.raises(CycleDetected):

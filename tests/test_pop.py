@@ -4,9 +4,8 @@ import pytest
 
 from popflex.corpus import (chain_task, elevator_plan, elevator_task,
                             independent_task)
-from popflex.bdpo import CD, GOAL_ID, INIT_ID, PC, CycleDetected
+from popflex.bdpo import CD, GOAL_ID, INIT_ID, PC, BdpoPlan, CycleDetected
 from popflex.eog import eog
-from popflex.pop import PartialOrderPlan
 from popflex.task import Fact, SequentialPlan, validate_sequential
 
 from references import all_linearizations, closure_from_edges
@@ -63,7 +62,7 @@ def test_validate_pop_missing_producer():
 def test_validate_pop_unordered_deleter_is_threat():
     # producer -> consumer link with a deleter left unordered on purpose
     task, _ = chain_task(2)
-    pop = PartialOrderPlan(task)
+    pop = BdpoPlan(task)
     pop.install_synthetics()
     a = pop.add_step(task.operators[0])   # 0 -> 1
     b = pop.add_step(task.operators[1])   # 1 -> 2
@@ -136,12 +135,3 @@ def test_reasons_map_shape():
     assert kinds == {PC, CD, "DP"}
     for (a, b), rs in reasons.items():
         assert rs, f"empty reason set on {(a, b)}"
-
-
-def test_json_and_dot_exports():
-    task = elevator_task()
-    pop = eog(task, elevator_plan(task))
-    data = pop.to_json()
-    assert set(data) == {"steps", "links", "orderings"}
-    dot = pop.to_dot()
-    assert dot.startswith("digraph") and "PC(" in dot

@@ -3,7 +3,7 @@
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from popflex.bdpo import block_deorder, init_bdpo
+from popflex.bdpo import block_deorder
 from popflex.corpus import random_task
 from popflex.eog import eog
 from popflex.task import (Fact, apply_op, cons_prod_del, emit_sas,
@@ -80,7 +80,7 @@ def test_eog_output_is_deordering_of_input(seed):
 @settings(max_examples=30, deadline=None)
 def test_linearizations_always_execute(seed, lin_seed):
     task, plan = random_task(seed)
-    bdp = block_deorder(init_bdpo(eog(task, plan)))
+    bdp = block_deorder(eog(task, plan))
     assert validate_sequential(task, bdp.linearize(lin_seed))
 
 
@@ -88,8 +88,7 @@ def test_linearizations_always_execute(seed, lin_seed):
 @settings(max_examples=25, deadline=None)
 def test_flex_never_drops_across_deordering(seed):
     task, plan = random_task(seed)
-    pop = eog(task, plan)
-    bdp = init_bdpo(pop)
+    bdp = eog(task, plan)
     out = block_deorder(bdp)
     assert out.flex().unordered_pairs >= bdp.flex().unordered_pairs
     assert out.flex().total_pairs == bdp.flex().total_pairs

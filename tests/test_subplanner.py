@@ -13,7 +13,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as hst
 
 import popflex.subplanner as subplanner
-from popflex.bdpo import block_deorder, init_bdpo
+from popflex.bdpo import block_deorder
 from popflex.corpus import chain_task, elevator_task, random_task
 from popflex.eog import eog
 from popflex.fibs import (FibsConfig, SubtaskInfeasible, _scan_basic_edges,
@@ -291,7 +291,7 @@ def test_a_length_bound_past_the_cost_cap_finds_the_same_plans():
         task, seq = random_task(seed, max_vars=8, max_steps=12)
         least = min(op.cost for op in task.operators)
         assert least > 0
-        flat = init_bdpo(eog(task, seq))
+        flat = eog(task, seq)
         for plan in (flat, block_deorder(flat)):
             for a, b in _scan_basic_edges(plan):
                 for excluded, target in ((a, b), (b, a)):

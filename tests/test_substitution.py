@@ -1,13 +1,15 @@
 """Block replacement: the worked scenarios, the incompleteness witness, and
 the success/failure contracts."""
 
+import math
 from unittest import mock
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as hst
 
-from popflex.bdpo import CD, DP, BdpoPlan, Reason, block_deorder, init_bdpo
+import popflex.fibs as fibs_module
+from popflex.bdpo import CD, DP, BdpoPlan, Reason, block_deorder
 from popflex.corpus import elevator_plan, elevator_task, random_task
 from popflex.eog import eog, generalize
 from popflex.substitution import (CRITERIA_REJECT, MISSING_PRODUCT,
@@ -36,7 +38,7 @@ from scenarios import (between_scenario as _between_scenario,
 
 def test_relink_scenario_keeps_substitute_unordered_with_consumer():
     task, seq = _relink_scenario()
-    bdp = init_bdpo(eog(task, seq))
+    bdp = eog(task, seq)
     names = blocks_by_name(bdp)
     cand = single_op_candidate(task.operators[5])
     outcome = substitute(bdp, names["b_x"], cand)
@@ -56,7 +58,7 @@ def test_relink_scenario_keeps_substitute_unordered_with_consumer():
 
 def test_failed_substitution_returns_untouched_plan():
     task, seq = _relink_scenario()
-    bdp = init_bdpo(eog(task, seq))
+    bdp = eog(task, seq)
     names = blocks_by_name(bdp)
     snap = snapshot(bdp)
     # replacement that cannot supply what b_x supplied
@@ -69,7 +71,7 @@ def test_failed_substitution_returns_untouched_plan():
 
 def test_unbound_precondition_fails():
     task, seq = _relink_scenario()
-    bdp = init_bdpo(eog(task, seq))
+    bdp = eog(task, seq)
     names = blocks_by_name(bdp)
     # no step (synthetic or real) ever writes v6=2
     impossible = single_op_candidate(
@@ -85,7 +87,7 @@ def test_unbound_precondition_fails():
 
 def test_elevator_block_substitution_raises_flex():
     task = elevator_task()
-    bdp = block_deorder(init_bdpo(eog(task, elevator_plan(task))))
+    bdp = block_deorder(eog(task, elevator_plan(task)))
     assert bdp.flex().unordered_pairs == 16
     target = next(b for b in bdp.real_roots()
                   if bdp.blocks[b].size() == 4
@@ -115,7 +117,7 @@ def test_elevator_block_substitution_raises_flex():
 @pytest.mark.parametrize("substitutable", [False, True])
 def test_deleter_between_link_endpoints(substitutable):
     task, seq = _between_scenario(substitutable)
-    bdp = init_bdpo(eog(task, seq))
+    bdp = eog(task, seq)
     names = blocks_by_name(bdp)
     snap = snapshot(bdp)
     cand = single_op_candidate(task.operators[3])
@@ -138,7 +140,7 @@ def test_deleter_between_link_endpoints(substitutable):
 @pytest.mark.parametrize("substitutable", [False, True])
 def test_mutual_deleters_of_shared_producer(substitutable):
     task, seq = _mutual_threat_scenario(substitutable)
-    bdp = init_bdpo(eog(task, seq))
+    bdp = eog(task, seq)
     names = blocks_by_name(bdp)
     cand = single_op_candidate(task.operators[3])
     outcome = substitute(bdp, names["b_x"], cand)
@@ -155,7 +157,7 @@ def test_mutual_deleters_of_shared_producer(substitutable):
 
 def test_mutual_threats_are_both_detected():
     task, seq = _mutual_threat_scenario(False)
-    bdp = init_bdpo(eog(task, seq))
+    bdp = eog(task, seq)
     names = blocks_by_name(bdp)
     # wire the half-substituted shape by hand: both consumers linked to b_i
     work = bdp.clone()
@@ -174,7 +176,7 @@ def test_mutual_threats_are_both_detected():
 
 def test_detect_threats_empty_on_valid_plan():
     task = elevator_task()
-    bdp = block_deorder(init_bdpo(eog(task, elevator_plan(task))))
+    bdp = block_deorder(eog(task, elevator_plan(task)))
     assert bdp.unresolved_threats() == []
 
 
@@ -186,7 +188,7 @@ def test_detect_threats_empty_on_valid_plan():
 
 def test_witness_substitution_fails_on_earliest_producer():
     task, seq = _witness()
-    bdp = init_bdpo(eog(task, seq))
+    bdp = eog(task, seq)
     names = blocks_by_name(bdp)
     # shape check: both producers ordered, deleter hangs off the first
     assert bdp.ordered(names["b1"], names["b2"])
@@ -206,7 +208,7 @@ def test_witness_alternate_binding_found_by_exhaustive_search():
     """Enumerating producer bindings and resolution directions finds the
     valid substitution the committed algorithm forgoes."""
     task, seq = _witness()
-    bdp = init_bdpo(eog(task, seq))
+    bdp = eog(task, seq)
     names = blocks_by_name(bdp)
     f = Fact(0, 1)
 
@@ -264,7 +266,7 @@ def test_substitution_contract_on_random_plans():
     accepted = 0
     for seed in range(60):
         task, seq = random_task(seed, max_vars=5, max_steps=8)
-        bdp = block_deorder(init_bdpo(eog(task, seq)))
+        bdp = block_deorder(eog(task, seq))
         roots = bdp.real_roots()
         if not roots:
             continue
@@ -288,6 +290,38 @@ def test_substitution_contract_on_random_plans():
     assert accepted > 0, "the random corpus never exercised a success"
 
 
+# fibs runs on random plans (the golden random corpus's) in each of which a
+# successful substitution resolves a threat whose commitment goes stale
+# before the last one is resolved
+STALE_COMMITMENT_SEEDS = (34, 43, 49, 160, 211)
+
+
+def test_substitution_ends_at_its_refresh_fixpoint(monkeypatch):
+    """Each successful substitution of a `fibs` run leaves the commitments
+    that a refresh of its result would derive: none stale, none missing."""
+    outcomes = []
+
+    def recorded(plan, *args, **kwargs):
+        outcome = substitute(plan, *args, **kwargs)
+        if outcome.success:
+            outcomes.append(outcome.plan)
+        return outcome
+
+    monkeypatch.setattr(fibs_module, "substitute", recorded)
+    config = fibs_module.FibsConfig(reduce="gj", max_plans=3,
+                                    max_expansions=1500,
+                                    subtask_time=math.inf,
+                                    time_limit=math.inf)
+    for seed in STALE_COMMITMENT_SEEDS:
+        task, seq = random_task(seed, max_vars=8, max_steps=12)
+        fibs_module.fibs(task, seq, config)
+    assert outcomes
+    for plan in outcomes:
+        fresh = plan.clone()
+        fresh.refresh()
+        assert plan.resolutions == fresh.resolutions
+
+
 def test_an_acceptance_test_judges_the_edit_before_it_is_validated():
     """Taking every plan, the acceptance test changes no outcome and
     reports the plan's flex and cost; refusing every plan, it leaves an
@@ -296,7 +330,7 @@ def test_an_acceptance_test_judges_the_edit_before_it_is_validated():
     rejected = 0
     for seed in range(60):
         task, seq = random_task(seed, max_vars=8, max_steps=12)
-        bdp = block_deorder(init_bdpo(eog(task, seq)))
+        bdp = block_deorder(eog(task, seq))
         for b in bdp.real_roots():
             for new in (empty, single_op_candidate(task.operators[0])):
                 free = substitute(bdp, b, new)
@@ -322,7 +356,7 @@ def test_substitution_work_scales_quadratically():
     counts = {}
     for n in (16, 32, 64):
         task, seq = chain_task(n)
-        bdp = init_bdpo(eog(task, seq))
+        bdp = eog(task, seq)
         target = bdp.real_roots()[n // 2]
         calls = 0
         original = BdpoPlan.threats
@@ -396,7 +430,7 @@ def removals(draw):
     or some root blocks, synthetic ones included."""
     task, seq = random_task(draw(hst.integers(0, 10_000)), max_vars=8,
                             max_steps=30)
-    plan = block_deorder(init_bdpo(eog(task, seq)))
+    plan = block_deorder(eog(task, seq))
     if draw(hst.booleans()):
         return plan, {draw(hst.integers(0, plan.next_block_id))}
     return plan, set(draw(hst.lists(hst.sampled_from(sorted(plan.roots)),
