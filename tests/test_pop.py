@@ -5,6 +5,7 @@ import pytest
 from popflex.corpus import (chain_task, elevator_plan, elevator_task,
                             independent_task)
 from popflex.bdpo import CD, GOAL_ID, INIT_ID, PC, BdpoPlan, CycleDetected
+from popflex.cli import _pop_dot, _pop_json
 from popflex.eog import eog
 from popflex.task import Fact, SequentialPlan, validate_sequential
 
@@ -135,3 +136,12 @@ def test_reasons_map_shape():
     assert kinds == {PC, CD, "DP"}
     for (a, b), rs in reasons.items():
         assert rs, f"empty reason set on {(a, b)}"
+
+
+def test_json_and_dot_exports():
+    task = elevator_task()
+    pop = eog(task, elevator_plan(task))
+    data = _pop_json(pop)
+    assert set(data) == {"steps", "links", "orderings"}
+    dot = _pop_dot(pop)
+    assert dot.startswith("digraph") and "PC(" in dot
