@@ -1,14 +1,18 @@
 """Plain references that the tests compare the program against: a set-based
 transitive closure, a deep image of a plan, every linearization of a plan,
 the laminar and contiguity checks of a block family, the blocks whose
-removal keeps a plan valid, and gj reduction by building every removal."""
+removal keeps a plan valid, gj reduction by building every removal, and
+the MaxSAT reordering encoder that numbers one variable and adds one
+clause at a time."""
 
 from typing import Collection, Iterable, Iterator
 
 from popflex.bdpo import (GOAL_BLOCK, GOAL_ID, INIT_BLOCK, INIT_ID, BdpoPlan,
                           topological_order)
+from popflex.maxsat import (MAX_ENCODE_STEPS, EncodingTooLarge, VarCatalog,
+                            Wcnf)
 from popflex.substitution import remove_blocks
-from popflex.task import SequentialPlan
+from popflex.task import PlanningTask, SequentialPlan
 
 
 def closure_from_edges(nodes: Iterable[int], edges: Iterable[tuple[int, int]]
@@ -147,3 +151,79 @@ def reduce_gj(plan: BdpoPlan) -> tuple[BdpoPlan, list[tuple[int, bool]]]:
         _, bid, result = found[0]
         picks.append((bid, bid in plan.roots))
         plan = result
+
+
+def reference_encode_mr(task: PlanningTask, pop: BdpoPlan, mclcp: bool = False
+                        ) -> tuple[Wcnf, VarCatalog]:
+    """`popflex.maxsat.encode_mr` one variable and one clause at a time:
+    each consumed fact scans every step for its producers, the threat
+    clauses follow the sorted links, and the soft clauses the sorted
+    ordering variables."""
+    steps = sorted(pop.steps)
+    if len(steps) - 2 > MAX_ENCODE_STEPS:
+        raise EncodingTooLarge(
+            f"{len(steps) - 2} steps exceed the {MAX_ENCODE_STEPS}-step cap")
+    cat = VarCatalog(steps=steps)
+    blocks = pop.blocks
+
+    def new_var(tag: tuple) -> int:
+        cat.rev[len(cat.rev) + 1] = tag
+        return len(cat.rev)
+
+    for s in steps:
+        cat.x[s] = new_var(("x", s))
+    t = [[0] * len(steps) for _ in steps]
+    for i, a in enumerate(steps):
+        for j, b in enumerate(steps):
+            if i != j:
+                t[i][j] = cat.tau[(a, b)] = new_var(("tau", a, b))
+    for c in steps:
+        if c == INIT_ID:
+            continue
+        for f in sorted(blocks[c].pre):
+            for p in steps:
+                if p == c or p == GOAL_ID:
+                    continue
+                if f in blocks[p].prod:
+                    cat.gamma[(p, f, c)] = new_var(("gamma", p, f, c))
+
+    wcnf = Wcnf(rows=t)
+    hard = wcnf.other_hard
+    hard.append((cat.x[INIT_ID],))
+    hard.append((cat.x[GOAL_ID],))
+    for s in steps:
+        if s in (INIT_ID, GOAL_ID):
+            continue
+        hard.append((-cat.x[s], cat.tau[(INIT_ID, s)]))
+        hard.append((-cat.x[s], cat.tau[(s, GOAL_ID)]))
+    hard.append((cat.tau[(INIT_ID, GOAL_ID)],))
+    for c in steps:
+        if c == INIT_ID:
+            continue
+        for f in sorted(blocks[c].pre):
+            producers = [p for p in steps if (p, f, c) in cat.gamma]
+            support = [cat.gamma[(p, f, c)] for p in producers]
+            hard.append((-cat.x[c], *support))
+            for p in producers:
+                g = cat.gamma[(p, f, c)]
+                hard.append((-g, cat.tau[(p, c)]))
+                hard.append((-g, cat.x[p]))
+    for (p, f, c), g in sorted(cat.gamma.items()):
+        for d in steps:
+            if d in (p, c, INIT_ID):
+                continue
+            if f in blocks[d].dels:
+                hard.append((-g, -cat.x[d], cat.tau[(d, p)], cat.tau[(c, d)]))
+    for (a, b), v in sorted(cat.tau.items()):
+        wcnf.soft.append((1, (-v,)))
+    real = [s for s in steps if s not in (INIT_ID, GOAL_ID)]
+    if mclcp:
+        k = len(steps) ** 2 + 1
+        for s in real:
+            wcnf.soft.append((pop.steps[s].cost + k, (-cat.x[s],)))
+    else:
+        for s in real:
+            hard.append((cat.x[s],))
+
+    wcnf.n_vars = len(cat.rev)
+    return wcnf, cat

@@ -15,7 +15,8 @@ from popflex.bdpo import GOAL_ID, INIT_ID, CycleDetected
 from popflex.task import (PlanningTask, SequentialPlan, Variable, apply_op,
                           make_operator, validate_sequential)
 
-from references import all_linearizations, closure_from_edges
+from references import (all_linearizations, closure_from_edges,
+                        reference_encode_mr)
 
 
 def test_poset_counts_match_the_literature():
@@ -280,18 +281,24 @@ def test_to_dimacs_of_a_long_run_and_no_soft_clauses():
 # the clause layer on real encodings
 
 
-def _prefix_encoding(seed, k, goal_mask, mclcp):
-    """`encode_mr` of the first k steps of `random_task(seed)`'s plan, with
-    the goal cut to the variables of `goal_mask` in the state those steps
-    reach; k is capped at the plan's length, and k = 0 is the empty plan."""
-    task, plan = random_task(seed, max_vars=4, max_steps=12)
+def _prefix_plan(seed, k, goal_mask, max_vars=4, max_steps=12):
+    """The task and `eog` POP of the first k steps of `random_task(seed)`'s
+    plan, with the goal cut to the variables of `goal_mask` in the state
+    those steps reach; k is capped at the plan's length, and k = 0 is the
+    empty plan."""
+    task, plan = random_task(seed, max_vars=max_vars, max_steps=max_steps)
     steps = plan.steps[:k]
     state = dict(task.init)
     for i in steps:
         state = apply_op(task.operators[i], state)
     goal = {v: state[v] for v in state if goal_mask >> v & 1}
     task = PlanningTask(task.variables, task.operators, task.init, goal)
-    pop = eog(task, SequentialPlan(steps))
+    return task, eog(task, SequentialPlan(steps))
+
+
+def _prefix_encoding(seed, k, goal_mask, mclcp):
+    """`encode_mr` of `_prefix_plan(seed, k, goal_mask)`'s POP."""
+    task, pop = _prefix_plan(seed, k, goal_mask)
     return pop, *encode_mr(task, pop, mclcp)
 
 
@@ -381,3 +388,67 @@ def test_encoding_writing_checking_and_decoding_never_list_the_hard_clauses(
     assert str(err.value) == (f"hard clause ({-cat.tau[(a, b)]}, "
                               f"{-cat.tau[(b, c)]}, {cat.tau[(a, c)]}) "
                               f"violated")
+
+
+# ---------------------------------------------------------------------------
+# the encoder against the one that numbers a variable and adds a clause at
+# a time
+
+
+def _same_encoding(task, pop, mclcp):
+    """Assert that `encode_mr` and `reference_encode_mr` give the same
+    clauses, rows and catalogue, each dict in the same insertion order;
+    return the encoding."""
+    wcnf, cat = encode_mr(task, pop, mclcp)
+    ref, ref_cat = reference_encode_mr(task, pop, mclcp)
+    assert wcnf.other_hard == ref.other_hard
+    assert wcnf.soft == ref.soft
+    assert wcnf.n_vars == ref.n_vars
+    assert wcnf.rows == ref.rows
+    assert cat.steps == ref_cat.steps
+    for name in ("x", "tau", "gamma", "rev"):
+        assert list(getattr(cat, name).items()) \
+            == list(getattr(ref_cat, name).items()), name
+    return wcnf, cat
+
+
+_LONG_PREFIXES = st.tuples(st.integers(0, 500), st.integers(0, 50),
+                           st.integers(0, 255), st.booleans())
+
+
+@given(_LONG_PREFIXES, st.data())
+@example((0, 0, 255, False), None)
+@example((0, 0, 255, True), None)
+@example((15, 1, 255, False), None)
+@example((15, 1, 255, True), None)
+@example((16, 43, 255, False), None)
+@example((16, 43, 255, True), None)
+@settings(max_examples=60, deadline=None)
+def test_encode_mr_matches_the_reference_encoder(case, data):
+    """Plan prefixes of 0-50 steps over up to 8 variables, both modes; the
+    explicit examples are the empty plan, a one-step plan and a 43-step
+    plan.  An arbitrary model and the plan's total order with up to three
+    ordering variables flipped are checked as the literal reference checks
+    them."""
+    seed, k, goal_mask, mclcp = case
+    task, pop = _prefix_plan(seed, k, goal_mask, max_vars=8, max_steps=50)
+    wcnf, cat = _same_encoding(task, pop, mclcp)
+    total = _total_order_model(pop, cat)
+    models = [total]
+    if data is not None:
+        models.append(data.draw(st.sets(st.integers(1, wcnf.n_vars + 2))))
+        models.append(total ^ data.draw(st.sets(
+            st.sampled_from(sorted(cat.tau.values())), max_size=3)))
+    for model in models:
+        assert _check_outcome(wcnf, model) == _reference_check(wcnf, model)
+
+
+def test_encode_mr_matches_the_reference_on_the_benchmark_plans():
+    """The emit-only plans of the `maxsat-reorder` workload (41-43 steps),
+    with their own goals, in both modes."""
+    for seed in (9, 10, 20):
+        task, plan = random_task(seed, max_vars=8, max_steps=80)
+        assert 41 <= len(plan.steps) <= 43
+        pop = eog(task, plan)
+        for mclcp in (False, True):
+            _same_encoding(task, pop, mclcp)
