@@ -70,6 +70,9 @@ class FibsConfig:
     seed: int = 0
 
     def __post_init__(self) -> None:
+        if not isinstance(self.criteria, AcceptanceCriteria):
+            raise ValueError(f"criteria must be an AcceptanceCriteria, "
+                             f"not {self.criteria!r}")
         if self.reduce not in REDUCE_MODES:
             raise ValueError(f"unknown reduction mode {self.reduce!r}")
         # a cap below 1 would let no subtask find a plan, so the run would

@@ -298,9 +298,11 @@ def solve_subtask(st: Subtask,
 
     `successors`, when given, maps a state's values to the operators
     applicable in it.  The search fills it, so the subtasks of one task
-    that share it find each state's successors once."""
+    that share it find each state's successors once.  A planner command in
+    the environment is checked by `check_planner_cmd` before it runs."""
     cmd = os.environ.get(PLANNER_CMD_ENV)
     if cmd:
+        check_planner_cmd(cmd)
         return _solve_external(st, cmd)
     plans = _solve_gbfs(st, {} if successors is None else successors)
     plans.sort(key=lambda p: (p.cost(st.base), tuple(p.steps)))

@@ -10,6 +10,7 @@ from types import SimpleNamespace
 import pytest
 
 import popflex.fibs as fibs_mod
+import popflex.subplanner as subplanner_mod
 from popflex.bdpo import BdpoPlan, block_deorder
 from popflex.corpus import (chain_task, elevator_plan, elevator_task,
                             independent_task, inverse_pair_task, random_task,
@@ -19,7 +20,8 @@ from popflex.fibs import (AcceptanceCriteria, FibsConfig,
                           SubtaskInfeasible, _scan_basic_edges,
                           backward_justify, build_subtask, fibs, reduce_plan,
                           resolve, remove_blocks, substitution_deorder)
-from popflex.subplanner import _SuccessorGenerator, capped_length
+from popflex.subplanner import (PLANNER_CMD_ENV, _SuccessorGenerator,
+                                capped_length)
 from popflex.substitution import CRITERIA_REJECT, CandidateBlock, substitute
 from popflex.task import (NotApplicable, SequentialPlan, apply_op,
                           validate_sequential)
@@ -262,6 +264,30 @@ def test_acceptance_criteria_reject_an_unknown_mode():
 def test_fibs_config_rejects_an_unknown_reduction_mode():
     with pytest.raises(ValueError, match="gjj"):
         FibsConfig(reduce="gjj")
+
+
+@pytest.mark.parametrize("criteria", ["rco", None, "rfo"])
+def test_fibs_config_rejects_criteria_that_are_not_acceptance_criteria(
+        criteria):
+    """A mode string where the criteria object belongs fails at once, not
+    on the first acceptance test of the run."""
+    with pytest.raises(ValueError, match="criteria must be an "
+                                         "AcceptanceCriteria"):
+        FibsConfig(criteria=criteria)
+
+
+def test_fibs_rejects_a_planner_cmd_field_before_starting_a_process(
+        monkeypatch):
+    """A library caller gets the same typed error as the CLI for a planner
+    command with a stray field, and no planner process is started."""
+    def no_process(*args, **kwargs):
+        raise AssertionError("a planner process was started")
+
+    monkeypatch.setattr(subplanner_mod.subprocess, "Popen", no_process)
+    monkeypatch.setenv(PLANNER_CMD_ENV, "awk '{print}' {sas}")
+    task, plan = chain_task(2)
+    with pytest.raises(ValueError, match=r"field \{print\}"):
+        fibs(task, plan)
 
 
 @pytest.mark.parametrize("setting", [
