@@ -216,10 +216,13 @@ def encode_mr(task: PlanningTask, pop: BdpoPlan, mclcp: bool = False
         if s != INIT_ID:
             for f in blocks[s].dels:
                 deleters.setdefault(f, []).append(i)
-    # rows[i][j] is the variable of step i < step j; the diagonal stays 0
+    # the ordering variables of the pairs (a, b), a != b, in row-major
+    # order; rows[i][j] is the variable of step i < step j, 0 on the diagonal
+    pairs = [(a, b) for a in steps for b in steps if a != b]
+    tvars = list(range(n + 1, n * n + 1))
     rows = []
     for i in range(n):
-        row = list(range(n + 1 + i * (n - 1), n + (i + 1) * (n - 1) + 1))
+        row = tvars[i * (n - 1):(i + 1) * (n - 1)]
         row.insert(i, 0)
         rows.append(row)
     init, goal = steps.index(INIT_ID), steps.index(GOAL_ID)
@@ -246,28 +249,28 @@ def encode_mr(task: PlanningTask, pop: BdpoPlan, mclcp: bool = False
                 gamma[(steps[p], f, s)] = g
                 links.append((p, f, c, g))
                 hard += (-g, rows[p][c]), (-g, p + 1)
-    # threat freedom: deleters fall outside every link's span
+    # threat freedom: deleters fall outside every link's span; the links
+    # in (producer, fact, consumer) order
     links.sort()
     for p, f, c, g in links:
         for d in deleters.get(f, ()):
             if d != p and d != c:
                 hard.append((-g, -d - 1, rows[d][p], rows[c][d]))
     # soft: each ordering costs 1
-    soft = [(1, (-t,)) for t in range(n + 1, n * n + 1)]
+    soft = [(1, (-t,)) for t in tvars]
     if mclcp:
         k = n * n + 1
         soft += [(pop.steps[steps[i]].cost + k, (-i - 1,)) for i in real]
     else:
         hard += [(i + 1,) for i in real]
 
-    x = dict(zip(steps, range(1, n + 1)))
-    tau = {(a, b): t for a, row in zip(steps, rows)
-           for b, t in zip(steps, row) if t}
     # the catalogue's dicts share the variables' int objects
+    x = dict(zip(steps, range(1, n + 1)))
     rev = {i: ("x", s) for s, i in x.items()}
-    rev.update({t: ("tau", *pair) for pair, t in tau.items()})
+    rev.update(zip(tvars, [("tau", a, b) for a, b in pairs]))
     rev.update({g: ("gamma", *link) for link, g in gamma.items()})
-    return Wcnf(hard, soft, v, rows), VarCatalog(x, tau, gamma, rev, steps)
+    return Wcnf(hard, soft, v, rows), VarCatalog(x, dict(zip(pairs, tvars)),
+                                                 gamma, rev, steps)
 
 
 def check_model(wcnf: Wcnf, true_vars: set[int]) -> int:
