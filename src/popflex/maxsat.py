@@ -28,8 +28,8 @@ built once in step order instead of scanning every step for each consumed
 fact, appends the clause tuples straight to `other_hard`, and takes the
 soft clauses in the order the ordering variables were numbered, which is
 their sorted order.  At the 200-step cap it encodes
-`eog(scaling_task(50, 4))` in 0.04-0.07 s, where numbering each variable
-and adding each clause with a call of its own took 0.12-0.16 s (2 vCPUs,
+`eog(scaling_task(50, 4))` in 0.04-0.05 s, where numbering each variable
+and adding each clause with a call of its own took 0.08-0.12 s (2 vCPUs,
 Python 3.11.7, `scripts/profile_corpus.py maxsat-cap`, five alternating
 pairs).
 
