@@ -16,15 +16,17 @@ in index order), with gj reduction, 2,000 expansions per subtask and no
 wall-clock budget.  `all` runs `random` and `scaling300`.
 Each runs under cProfile and prints the 25 functions with the largest
 cumulative time, the call counts of `BdpoPlan.rebuild_closure`,
-`BdpoPlan.threats`, `BdpoPlan.refresh`, `BdpoPlan.validate_current` (one
-per substitution that meets its acceptance test, and one per removal
-that gj or bj builds), `BdpoPlan.flex`, `solve_subtask`, `substitute`,
-`remove_blocks` (one per removal that gj or bj builds),
-the subplanner's `_search` (one call per search, two where the expansion
-cap makes it search again), `_proved_empty` (one per proof of emptiness),
-`_h_add` and `_SuccessorGenerator.applicable` (recursive calls included)
-with their cumulative times, and a sha1 over each run's plan JSON and
-phase reports.
+`BdpoPlan.reasons`, `BdpoPlan.threats`, `BdpoPlan.refresh`,
+`BdpoPlan.validate_current` (one per substitution that meets its
+acceptance test, and one per removal that gj or bj builds),
+`BdpoPlan.flex`, `solve_subtask`, `substitute`, `remove_blocks` (one per
+removal that gj or bj builds), the subplanner's `_search` (one call per
+search, two where the expansion cap makes it search again),
+`_proved_empty` (one per proof of emptiness), `_h_add` and
+`_SuccessorGenerator.applicable` (recursive calls included) with their
+cumulative times, and a sha1 over each run's plan JSON and phase reports.
+Each counted function is imported and found by its code object, so one
+that is renamed stops the script at import instead of reading 0 calls.
 The random digest is the one `tests/test_golden.py` pins as RANDOM_DIGEST,
 so a change that moves the cost can be seen to keep the outputs.
 `time towers K` makes the `towers K` run without the profiler and prints
@@ -49,7 +51,6 @@ import cProfile
 import hashlib
 import json
 import math
-import os
 import pstats
 import resource
 import sys
@@ -57,7 +58,8 @@ import tempfile
 import time
 from pathlib import Path
 
-from popflex import maxsat
+from popflex import maxsat, subplanner, substitution
+from popflex.bdpo import BdpoPlan
 from popflex.corpus import random_task, scaling_task
 from popflex.eog import eog
 from popflex.fibs import FibsConfig, fibs
@@ -65,24 +67,27 @@ from popflex.task import parse_plan, parse_sas
 
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 
-# (module file, function, printed name)
-COUNTED = (("bdpo.py", "rebuild_closure", "BdpoPlan.rebuild_closure"),
-           ("bdpo.py", "threats", "BdpoPlan.threats"),
-           ("bdpo.py", "refresh", "BdpoPlan.refresh"),
-           ("bdpo.py", "validate_current", "BdpoPlan.validate_current"),
-           ("bdpo.py", "flex", "BdpoPlan.flex"),
-           ("subplanner.py", "solve_subtask", "solve_subtask"),
-           ("substitution.py", "substitute", "substitute"),
-           ("substitution.py", "remove_blocks", "remove_blocks"),
-           ("subplanner.py", "_search", "_search"),
-           ("subplanner.py", "_proved_empty", "_proved_empty"),
-           ("subplanner.py", "_h_add", "_h_add"),
-           ("subplanner.py", "applicable", "_SuccessorGenerator.applicable"))
-MAXSAT_COUNTED = (("maxsat.py", "encode_mr", "encode_mr"),
-                  ("maxsat.py", "to_dimacs", "Wcnf.to_dimacs"),
-                  ("maxsat.py", "check_model", "check_model"),
-                  ("maxsat.py", "optimal_model", "optimal_model"),
-                  ("maxsat.py", "decode_model", "decode_model"))
+# (function, printed name); `profile` finds each by its code object, so a
+# counted function that is renamed fails here, at import
+COUNTED = ((BdpoPlan.rebuild_closure, "BdpoPlan.rebuild_closure"),
+           (BdpoPlan.reasons, "BdpoPlan.reasons"),
+           (BdpoPlan.threats, "BdpoPlan.threats"),
+           (BdpoPlan.refresh, "BdpoPlan.refresh"),
+           (BdpoPlan.validate_current, "BdpoPlan.validate_current"),
+           (BdpoPlan.flex, "BdpoPlan.flex"),
+           (subplanner.solve_subtask, "solve_subtask"),
+           (substitution.substitute, "substitute"),
+           (substitution.remove_blocks, "remove_blocks"),
+           (subplanner._search, "_search"),
+           (subplanner._proved_empty, "_proved_empty"),
+           (subplanner._h_add, "_h_add"),
+           (subplanner._SuccessorGenerator.applicable,
+            "_SuccessorGenerator.applicable"))
+MAXSAT_COUNTED = ((maxsat.encode_mr, "encode_mr"),
+                  (maxsat.Wcnf.to_dimacs, "Wcnf.to_dimacs"),
+                  (maxsat.check_model, "check_model"),
+                  (maxsat.optimal_model, "optimal_model"),
+                  (maxsat.decode_model, "decode_model"))
 
 
 def random_corpus():
@@ -146,14 +151,11 @@ def profile(name: str, work, counted=COUNTED) -> None:
           f"profiler")
     stats = pstats.Stats(profiler, stream=sys.stdout)
     stats.sort_stats("cumulative").print_stats(25)
-    calls = {(module, func): [0, 0.0] for module, func, _ in counted}
-    for (path, _, func), (_, ncalls, _, cumtime, _) in stats.stats.items():
-        module = os.path.basename(path)
-        if (module, func) in calls:
-            calls[module, func][0] += ncalls
-            calls[module, func][1] += cumtime
-    for module, func, printed in counted:
-        ncalls, cumtime = calls[module, func]
+    for func, printed in counted:
+        code = func.__code__
+        _, ncalls, _, cumtime, _ = stats.stats.get(
+            (code.co_filename, code.co_firstlineno, code.co_name),
+            (0, 0, 0, 0.0, None))
         print(f"{name} {printed} calls: {ncalls}, {cumtime:.3f} s cumulative")
     print(f"{name} output digest: {digest.hexdigest()}")
 

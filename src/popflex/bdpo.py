@@ -483,6 +483,13 @@ class BdpoPlan:
                 out.setdefault(pair, set()).update(rs)
         return out
 
+    def pair_reasons(self, a: int, b: int) -> set[Reason]:
+        """`reasons().get((a, b), set())`, without building the others."""
+        out = {Reason(PC, f) for (c, f), p in self.links.items()
+               if c == b and p == a}
+        out.update(self.resolutions.get((a, b), ()))
+        return out
+
     def threats(self) -> list[tuple[int, tuple[int, Fact, int]]]:
         """All (deleter, link) conflicts, resolved or not."""
         deleters: dict[Fact, list[int]] = {}
@@ -849,6 +856,16 @@ def wrap_blocks(plan: BdpoPlan, span: set[int]) -> int:
     Root-level links and commitments among span members move inside the new
     block; boundary-crossing links re-point to it (keeping, per consumed
     fact, the earliest external producer).  Returns the new block id.
+
+    The plan's closure must be current.  Then no cycle can arise, so
+    nothing here raises CycleDetected.  The commitments among span members
+    are a subgraph of the acyclic input.  `relinked` only merges the span's
+    edges into the new block's or drops them, so a cycle would have to
+    leave the new block for a root x outside the span and come back: the
+    input would order x after one span member and before another.  Such an
+    x is between two span members, and the span, being betweenness-closed,
+    already holds it.  `refresh` then records only orderings that the
+    closure already holds.
     """
     assert span <= plan.roots and len(span) >= 2
     ilinks = {}
@@ -877,15 +894,6 @@ def _span_ok(span: set[int], forbidden: int) -> bool:
     return not span & {INIT_BLOCK, GOAL_BLOCK, forbidden}
 
 
-def _apply_wrap(plan: BdpoPlan, span: set[int]) -> Optional[BdpoPlan]:
-    work = plan.clone()
-    try:
-        wrap_blocks(work, span)
-    except CycleDetected:
-        return None
-    return work
-
-
 def _wrapped_spans(plan: BdpoPlan, partner: int, anchors: list[int],
                    forbidden: int) -> Iterator[tuple[BdpoPlan, int]]:
     """Wrap `partner` with each anchor and the blocks between them, smallest
@@ -899,9 +907,9 @@ def _wrapped_spans(plan: BdpoPlan, partner: int, anchors: list[int],
             spans.append((len(span), plan.pos_key(b), span))
     partner_step = min(plan.blocks[partner].members)
     for _, _, span in sorted(spans, key=lambda t: (t[0], t[1])):
-        work = _apply_wrap(plan, span)
-        if work is not None:
-            yield work, work.block_of_step(partner_step)
+        work = plan.clone()
+        wrap_blocks(work, span)
+        yield work, work.block_of_step(partner_step)
 
 
 def _pc_candidates(plan: BdpoPlan, edge: tuple[int, int], fact: Fact
@@ -959,9 +967,8 @@ def _dp_candidates(plan: BdpoPlan, edge: tuple[int, int], fact: Fact
     span = between_closure(plan, consumers | {b_j})
     if len(span) < 2 or not _span_ok(span, b_i):
         return
-    work = _apply_wrap(plan, span)
-    if work is None:
-        return
+    work = plan.clone()
+    wrap_blocks(work, span)
     wrapped = work.block_of_step(min(plan.blocks[b_j].members))
     if any(p == wrapped and f == fact for (c, f), p in work.links.items()):
         return
@@ -991,7 +998,7 @@ def _attempt_edge(plan: BdpoPlan, si: int, sj: int,
     b = plan.block_of_step(sj)
     if a == b:
         return None
-    reasons = plan.reasons().get((a, b), set())
+    reasons = plan.pair_reasons(a, b)
     if not reasons:
         return plan
     reason = min(reasons, key=reason_sort_key)
@@ -1000,7 +1007,7 @@ def _attempt_edge(plan: BdpoPlan, si: int, sj: int,
         b2 = work.block_of_step(sj)
         if a2 == b2:
             continue
-        if reason in work.reasons().get((a2, b2), set()):
+        if reason in work.pair_reasons(a2, b2):
             continue
         if not work.validate_current():
             continue

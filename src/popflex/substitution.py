@@ -11,7 +11,13 @@ input plan untouched.
 
 The caller's acceptance test, when given, judges the edited plan's flex
 and cost before the plan is validated, so a plan it rejects is never
-validated; it fails with the reason CRITERIA_REJECT.
+validated; it fails with the reason CRITERIA_REJECT.  An edit that would
+only rebuild the plan as it stands under a new block id (`_renames`) is
+judged before it is built: its flex and cost are the input's, so when the
+test rejects the input's own score the edit fails with CRITERIA_REJECT
+and nothing is cloned.  That needs the input plan valid and at its
+`refresh` fixpoint, as every plan that `eog`, `substitute`,
+`remove_blocks` and block deordering return is.
 
 An empty substitute removes the block by the steps of `remove_blocks`, the
 one removal primitive, which does every other removal of blocks with their
@@ -121,6 +127,43 @@ def _materialize(plan: BdpoPlan, cand: CandidateBlock) -> int:
     return bid
 
 
+def _renames(plan: BdpoPlan, old: int, cand: CandidateBlock) -> bool:
+    """Whether substituting `cand` for the root `old` of a valid plan at
+    its `refresh` fixpoint rebuilds the plan as it stands, with `old`
+    renamed to the fresh block.
+
+    It does when `old` is primitive and `cand` is one step with its
+    profile and cost, and `old`'s links, one per precondition, come from
+    the producers `substitute` would pick, and every commitment pair
+    that touches `old` carries only CD reasons.  The fresh block precedes
+    only the goal, so those producers can be found on the input: the
+    blocks after `old` that it skips there follow `old`'s own producer,
+    so none of them is the earliest.  Then the links are the input's,
+    renamed.  Dropping `old` and its commitments leaves a closure inside
+    the input's.  So a threat that the input resolves by a DP commitment,
+    which does not touch `old`, stays ordered as in the input, and the
+    refresh keeps every commitment that does not touch `old`.  A threat
+    left unordered is one of the dropped CD pairs, which the demotion
+    that threat resolution tries first adds back: the input has the
+    consumer before the deleter, so the closure cannot hold the reverse.
+    The commitments and closure come out as the input's, and so do flex
+    and cost."""
+    blk = plan.blocks[old]
+    if len(cand) != 1 or not blk.primitive or cand.cost != blk.cost \
+            or plan.task.profile(cand.ops[0]) != (blk.pre, blk.prod,
+                                                   blk.dels):
+        return False
+    linked = {f: p for (c, f), p in plan.links.items() if c == old}
+    if linked.keys() != blk.pre:
+        return False
+    exclude = frozenset([old])
+    if any(earliest_producer_for_insert(plan, f, old, exclude) != p
+           for f, p in linked.items()):
+        return False
+    return all(r.kind == CD for pair, rs in plan.resolutions.items()
+               if old in pair for r in rs)
+
+
 def substitute(plan: BdpoPlan, old: int,
                new: CandidateBlock | int,
                accept: Optional[Callable[[Fraction, int], bool]] = None,
@@ -132,8 +175,13 @@ def substitute(plan: BdpoPlan, old: int,
     in the plan (internal).  `accept`, when given, judges the edited plan's
     flex and cost before it is validated; a plan it rejects fails with
     CRITERIA_REJECT, and one it accepts carries its (flex, cost) as the
-    outcome's `score`.  The plan's closure must be current; the result
-    keeps it current.  On failure the returned plan is the input, untouched.
+    outcome's `score`.  The plan must be valid and at its `refresh`
+    fixpoint, with its closure current; the result keeps all three.  On
+    failure the returned plan is the input, untouched.
+
+    A candidate that `_renames` the target would give back the input's
+    flex and cost, so when `accept` rejects the input's own score it fails
+    with CRITERIA_REJECT before anything is built.
     """
     if _depth > 8:
         return SubstitutionOutcome(plan, False, UNRESOLVABLE_THREAT,
@@ -160,6 +208,10 @@ def substitute(plan: BdpoPlan, old: int,
         trace.append(f"deleted block {old}")
         return SubstitutionOutcome(work, True, EMPTY_CANDIDATE, trace,
                                    score=score)
+    if external and accept is not None and _renames(plan, old, new) \
+            and not accept(plan.flex().frac, plan.cost()):
+        trace.append(f"candidate only renames block {old}")
+        return SubstitutionOutcome(plan, False, CRITERIA_REJECT, trace)
 
     work = plan.clone()
     if external:

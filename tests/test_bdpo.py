@@ -172,6 +172,19 @@ def test_init_pc_reason_is_not_removed_and_plan_is_intact():
     assert snapshot(plan) == snap
 
 
+def test_pair_reasons_reads_one_pair_of_reasons():
+    """`pair_reasons(a, b)` is the entry of `reasons()` for (a, b), or
+    the empty set, on plans before and after block deordering."""
+    for seed in range(40):
+        task, seq = random_task(seed, max_vars=8, max_steps=12)
+        for plan in (eog(task, seq), block_deorder(eog(task, seq))):
+            reasons = plan.reasons()
+            for a in plan.roots:
+                for b in plan.roots:
+                    assert plan.pair_reasons(a, b) == reasons.get((a, b),
+                                                                  set())
+
+
 def test_block_deorder_elevator_reaches_walkthrough_flex():
     task, plan = elevator_bdpo()
     out = block_deorder(plan)

@@ -179,15 +179,11 @@ def test_core_after_direct_operations(seed, data):
         span = between_closure(plan, set(pair))
         assert span == reference_between_closure(plan, set(pair))
         work = plan.clone()
-        try:
-            wrap_blocks(work, span)
-        except CycleDetected:
-            pass
-        else:
-            check_core(work)
-            if work.validate():
-                plan = work
-                roots = plan.real_roots()
+        wrap_blocks(work, span)     # a betweenness-closed span closes no cycle
+        check_core(work)
+        if work.validate():
+            plan = work
+            roots = plan.real_roots()
 
     old = data.draw(st.sampled_from(roots))
     before = snapshot(plan)

@@ -2,6 +2,8 @@
 the success/failure contracts."""
 
 import math
+import random
+from functools import partial
 from unittest import mock
 
 import pytest
@@ -9,8 +11,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as hst
 
 import popflex.fibs as fibs_module
-from popflex.bdpo import CD, DP, BdpoPlan, Reason, block_deorder
-from popflex.corpus import elevator_plan, elevator_task, random_task
+from popflex.fibs import RCO, RFO, AcceptanceCriteria
+from popflex.bdpo import (CD, DP, BdpoPlan, Reason, block_deorder,
+                          earliest_producer_for_insert)
+from popflex.corpus import (elevator_plan, elevator_task, random_task,
+                            scaling_task)
 from popflex.eog import eog, generalize
 from popflex.substitution import (CRITERIA_REJECT, MISSING_PRODUCT,
                                   UNBOUND_PRECONDITION, UNRESOLVABLE_THREAT,
@@ -25,7 +30,8 @@ from scenarios import (between_scenario as _between_scenario,
                        blocks_by_name, mutual_threat_scenario
                        as _mutual_threat_scenario,
                        relink_scenario as _relink_scenario,
-                       single_op_candidate, witness_scenario as _witness)
+                       single_op_candidate, towers,
+                       witness_scenario as _witness)
 
 
 
@@ -316,10 +322,134 @@ def test_substitution_ends_at_its_refresh_fixpoint(monkeypatch):
         task, seq = random_task(seed, max_vars=8, max_steps=12)
         fibs_module.fibs(task, seq, config)
     assert outcomes
-    for plan in outcomes:
+    for plan in outcomes + [plan for _, plan in _renaming_inputs()]:
         fresh = plan.clone()
         fresh.refresh()
         assert plan.resolutions == fresh.resolutions
+
+
+def _chains_wide_plan(chains=10, depth=4, seed=1):
+    """The benchmark's `chains-wide` input: independent chains, each in
+    chain order, interleaved by a seeded shuffle."""
+    task, _ = scaling_task(chains, depth)
+    turns = [c for c in range(chains) for _ in range(depth)]
+    random.Random(seed).shuffle(turns)
+    done = [0] * chains
+    steps = []
+    for c in turns:
+        steps.append(c * depth + done[c])
+        done[c] += 1
+    return task, SequentialPlan(steps)
+
+
+def _with_unneeded_link(plan):
+    """A copy of the plan with one more link into a primitive root, for a
+    fact the root does not consume, as gj's removals can leave at the
+    root, from a block not yet ordered before it that a fresh block would
+    take the fact from; None when no such copy is valid at its refresh
+    fixpoint."""
+    for b in plan.real_roots():
+        for p in plan.real_roots():
+            if p == b or plan.ordered(p, b) or plan.ordered(b, p):
+                continue
+            for f in sorted(plan.blocks[p].prod - plan.blocks[b].pre):
+                work = plan.clone()
+                work.links[(b, f)] = p
+                work.add_ordering(p, b)
+                if earliest_producer_for_insert(
+                        work, f, b, exclude=frozenset([b])) != p:
+                    continue
+                work.refresh()
+                fresh = work.clone()
+                fresh.refresh()
+                if work.validate_current() \
+                        and fresh.resolutions == work.resolutions:
+                    return work
+    return None
+
+
+def _renaming_inputs():
+    """The golden random corpus's plans, a `chains-wide` plan and two
+    elevator towers, each after EOG and after block deordering, and the
+    corpus's EOG plans with an unneeded link."""
+    inputs = [random_task(seed, max_vars=8, max_steps=12)
+              for seed in range(300)]
+    inputs += [_chains_wide_plan(), towers(2)[:2]]
+    for task, seq in inputs:
+        plan = eog(task, seq)
+        yield task, plan
+        yield task, block_deorder(plan)
+        if (linked := _with_unneeded_link(plan)) is not None:
+            yield task, linked
+
+
+def _only_renames(plan, b):
+    """Whether a one-step candidate with the profile and cost of the
+    primitive root `b` would only rename it: `b`'s links, one per
+    precondition, come from the producers a fresh block gets, and no
+    commitment pair that touches `b` carries a DP reason."""
+    blk = plan.blocks[b]
+    linked = {f: p for (c, f), p in plan.links.items() if c == b}
+    return (linked.keys() == blk.pre
+            and all(earliest_producer_for_insert(
+                plan, f, b, exclude=frozenset([b])) == p
+                for f, p in linked.items())
+            and not any(r.kind == DP for pair, rs in plan.resolutions.items()
+                        if b in pair for r in rs))
+
+
+def _renamed(plan, new, old):
+    """The plan's links and commitments with block `new` called `old`."""
+    def name(x):
+        return old if x == new else x
+    return ({(name(c), f): name(p) for (c, f), p in plan.links.items()},
+            {(name(a), name(b)): rs
+             for (a, b), rs in plan.resolutions.items() if rs})
+
+
+def test_a_renaming_edit_is_judged_without_being_built():
+    """A one-step candidate with its target's profile and cost, whose
+    links and CD-only commitments a fresh block would get back, rebuilds
+    the plan as it stands under a new id.  Both criteria reject it without
+    a clone.  Every other such candidate is built and judged as before."""
+    criteria = (AcceptanceCriteria(RFO), AcceptanceCriteria(RCO))
+    renamings = gains = 0
+    for task, plan in _renaming_inputs():
+        assert plan.validate_current()
+        score = (plan.flex().frac, plan.cost())
+        for b in plan.real_roots():
+            blk = plan.blocks[b]
+            if not blk.primitive:
+                continue
+            for op in task.operators:
+                if op.cost != blk.cost or task.profile(op) != (
+                        blk.pre, blk.prod, blk.dels):
+                    continue
+                cand = single_op_candidate(op)
+                free = substitute(plan, b, cand)
+                after = (free.success
+                         and (free.plan.flex().frac, free.plan.cost()))
+                if not _only_renames(plan, b):
+                    for crit in criteria:
+                        judged = substitute(plan, b, cand,
+                                            partial(crit.accepts, *score))
+                        assert judged.success == (
+                            free.success and crit.accepts(*score, *after))
+                    gains += free.success and after[0] > score[0]
+                    continue
+                renamings += 1
+                assert after == score
+                assert _renamed(free.plan, free.new_block, b) == \
+                    _renamed(plan, None, None)
+                with mock.patch.object(BdpoPlan, "clone",
+                                       side_effect=AssertionError):
+                    for crit in criteria:
+                        judged = substitute(plan, b, cand,
+                                            partial(crit.accepts, *score))
+                        assert judged.reason == CRITERIA_REJECT
+                        assert judged.plan is plan
+    # candidates of each kind, some of the others with a flex gain
+    assert renamings > 1000 and gains > 0
 
 
 def test_an_acceptance_test_judges_the_edit_before_it_is_validated():
