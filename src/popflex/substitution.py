@@ -175,13 +175,17 @@ def substitute(plan: BdpoPlan, old: int,
     in the plan (internal).  `accept`, when given, judges the edited plan's
     flex and cost before it is validated; a plan it rejects fails with
     CRITERIA_REJECT, and one it accepts carries its (flex, cost) as the
-    outcome's `score`.  The plan must be valid and at its `refresh`
-    fixpoint, with its closure current; the result keeps all three.  On
-    failure the returned plan is the input, untouched.
+    outcome's `score`.  The plan's closure must be current; the result
+    keeps it current, and a successful result is valid and at its
+    `refresh` fixpoint.  On failure the returned plan is the input,
+    untouched.
 
-    A candidate that `_renames` the target would give back the input's
-    flex and cost, so when `accept` rejects the input's own score it fails
-    with CRITERIA_REJECT before anything is built.
+    A candidate block that `_renames` the target would give back the
+    input's flex and cost, so when `accept` rejects the input's own score
+    it fails with CRITERIA_REJECT before anything is built.  This needs
+    the input valid and at its `refresh` fixpoint, as the plans of
+    `fibs`' phases are; only the internal substitutions of threat
+    resolution, which never take this path, see a plan mid-edit.
     """
     if _depth > 8:
         return SubstitutionOutcome(plan, False, UNRESOLVABLE_THREAT,

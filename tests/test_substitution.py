@@ -2,7 +2,6 @@
 the success/failure contracts."""
 
 import math
-import random
 from functools import partial
 from unittest import mock
 
@@ -14,8 +13,7 @@ import popflex.fibs as fibs_module
 from popflex.fibs import RCO, RFO, AcceptanceCriteria
 from popflex.bdpo import (CD, DP, BdpoPlan, Reason, block_deorder,
                           earliest_producer_for_insert)
-from popflex.corpus import (elevator_plan, elevator_task, random_task,
-                            scaling_task)
+from popflex.corpus import elevator_plan, elevator_task, random_task
 from popflex.eog import eog, generalize
 from popflex.substitution import (CRITERIA_REJECT, MISSING_PRODUCT,
                                   UNBOUND_PRECONDITION, UNRESOLVABLE_THREAT,
@@ -30,7 +28,7 @@ from scenarios import (between_scenario as _between_scenario,
                        blocks_by_name, mutual_threat_scenario
                        as _mutual_threat_scenario,
                        relink_scenario as _relink_scenario,
-                       single_op_candidate, towers,
+                       perfbench_workloads, single_op_candidate, towers,
                        witness_scenario as _witness)
 
 
@@ -328,20 +326,6 @@ def test_substitution_ends_at_its_refresh_fixpoint(monkeypatch):
         assert plan.resolutions == fresh.resolutions
 
 
-def _chains_wide_plan(chains=10, depth=4, seed=1):
-    """The benchmark's `chains-wide` input: independent chains, each in
-    chain order, interleaved by a seeded shuffle."""
-    task, _ = scaling_task(chains, depth)
-    turns = [c for c in range(chains) for _ in range(depth)]
-    random.Random(seed).shuffle(turns)
-    done = [0] * chains
-    steps = []
-    for c in turns:
-        steps.append(c * depth + done[c])
-        done[c] += 1
-    return task, SequentialPlan(steps)
-
-
 def _with_unneeded_link(plan):
     """A copy of the plan with one more link into a primitive root, for a
     fact the root does not consume, as gj's removals can leave at the
@@ -374,7 +358,8 @@ def _renaming_inputs():
     corpus's EOG plans with an unneeded link."""
     inputs = [random_task(seed, max_vars=8, max_steps=12)
               for seed in range(300)]
-    inputs += [_chains_wide_plan(), towers(2)[:2]]
+    chains, = perfbench_workloads().ChainsWide().setup(1)
+    inputs += [(chains.task, chains.plan), towers(2)[:2]]
     for task, seq in inputs:
         plan = eog(task, seq)
         yield task, plan
