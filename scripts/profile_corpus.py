@@ -19,7 +19,9 @@ cumulative time, the call counts of `BdpoPlan.rebuild_closure`,
 `BdpoPlan.reasons`, `BdpoPlan.threats`, `BdpoPlan.refresh`,
 `BdpoPlan.validate_current` (one per substitution that meets its
 acceptance test, and one per removal that gj or bj builds),
-`BdpoPlan.flex`, `solve_subtask`, `substitute`, `remove_blocks` (one per
+`BdpoPlan.flex`, `BdpoPlan.clone` (one per trial edit that substitution,
+removal or block deordering builds),
+`solve_subtask`, `substitute`, `remove_blocks` (one per
 removal that gj or bj builds), the subplanner's `_search` (one call per
 search, two where the expansion cap makes it search again),
 `_proved_empty` (one per proof of emptiness), `_h_add` and
@@ -75,6 +77,7 @@ COUNTED = ((BdpoPlan.rebuild_closure, "BdpoPlan.rebuild_closure"),
            (BdpoPlan.refresh, "BdpoPlan.refresh"),
            (BdpoPlan.validate_current, "BdpoPlan.validate_current"),
            (BdpoPlan.flex, "BdpoPlan.flex"),
+           (BdpoPlan.clone, "BdpoPlan.clone"),
            (subplanner.solve_subtask, "solve_subtask"),
            (substitution.substitute, "substitute"),
            (substitution.remove_blocks, "remove_blocks"),

@@ -35,7 +35,10 @@ plus precondition/effect/consumed/produced/deleted fact sets computed from
 the children.  The plan mutates only its root context.  Every context, the
 root or a compound block, is a set of blocks plus one successor-bitmask row
 per block, so ordered pairs, linearizations and minimal blocks are computed
-the same way in each.
+the same way in each.  A block also carries its interior pair count, the
+step pairs its own context and every nested one order, fixed when it is
+made; so flex counts the root context and reads the roots' counts, and
+walks no block below them.
 
 Deordering scans the committed orderings and tries to strip each one of all
 its reasons by encapsulating spans of blocks, following the four removal
@@ -182,6 +185,8 @@ class Block:
     dels: frozenset[Fact] = frozenset()
     cost: int = 0
     pos: int = 0
+    # step pairs ordered inside the block, at every nesting level
+    ipairs: int = 0
 
     @property
     def primitive(self) -> bool:
@@ -335,7 +340,9 @@ class BdpoPlan:
             iclosure=iclosure,
             pre=pre, eff=eff, prod=prod, dels=frozenset(dels),
             cost=sum(self.blocks[c].cost for c in children),
-            pos=min(self.blocks[c].pos for c in children))
+            pos=min(self.blocks[c].pos for c in children),
+            ipairs=self._context_pairs(children, iclosure)
+            + sum(self.blocks[c].ipairs for c in children))
         return bid
 
     def _compound_pre_eff(self, children, ilinks, iclosure):
@@ -538,12 +545,11 @@ class BdpoPlan:
     # -- metrics -------------------------------------------------------------
 
     def ordered_step_pairs(self) -> int:
-        total = self._context_pairs(self.roots - {INIT_BLOCK, GOAL_BLOCK},
-                                    self.closure)
-        for bid in self._compound_blocks():
-            blk = self.blocks[bid]
-            total += self._context_pairs(blk.children, blk.iclosure)
-        return total
+        """Step pairs that the plan orders: those the root context puts
+        apart, and those each root orders inside itself."""
+        roots = self.roots - {INIT_BLOCK, GOAL_BLOCK}
+        return self._context_pairs(roots, self.closure) + sum(
+            self.blocks[r].ipairs for r in roots)
 
     def _context_pairs(self, blocks: Collection[int], rows: dict[int, int]
                        ) -> int:
@@ -583,7 +589,7 @@ class BdpoPlan:
         return out
 
     def _compound_blocks(self) -> set[int]:
-        """Live compound blocks, at any nesting level."""
+        """Live compound blocks, at any nesting level, for validation."""
         out: set[int] = set()
         for r in self.roots:
             if not self.blocks[r].primitive:
@@ -787,7 +793,7 @@ def candidate_producers(plan: BdpoPlan, fact: Fact, consumer: int
     """Blocks already ordered before `consumer` whose effect holds `fact`
     with no deleter that could fall between, earliest first."""
     out = []
-    for p in sorted(plan.roots, key=plan.pos_key):
+    for p in plan.roots:
         if p == consumer or p == GOAL_BLOCK:
             continue
         if fact not in plan.blocks[p].eff:
@@ -795,7 +801,7 @@ def candidate_producers(plan: BdpoPlan, fact: Fact, consumer: int
         if p != INIT_BLOCK and not plan.ordered(p, consumer):
             continue
         blocked = False
-        for t in sorted(plan.roots):
+        for t in plan.roots:
             if t in (consumer, GOAL_BLOCK):
                 continue
             if fact not in plan.blocks[t].dels:
@@ -818,7 +824,7 @@ def earliest_producer_for_insert(plan: BdpoPlan, fact: Fact, consumer: int,
     the consumer are unusable (the link would close a cycle).
     """
     cands = []
-    for p in sorted(plan.roots, key=plan.pos_key):
+    for p in plan.roots:
         if p == consumer or p == GOAL_BLOCK or p in exclude:
             continue
         if fact not in plan.blocks[p].eff or fact in plan.blocks[p].dels:

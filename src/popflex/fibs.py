@@ -15,7 +15,6 @@ import random
 import time
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import partial
 from typing import Optional
 
 from .bdpo import GOAL_BLOCK, INIT_BLOCK, BdpoPlan, block_deorder
@@ -136,8 +135,9 @@ def build_subtask(task: PlanningTask, plan: BdpoPlan, excluded: int,
     its other predecessors feed across it.
 
     It reads the closure rows once, for the blocks before the target, and
-    the links once, sorted, for the target's facts and the crossing facts;
-    the goal lists the target's facts first, each part in link order."""
+    the links once, for the target's facts and the crossing facts, and
+    sorts only the links it keeps; the goal lists the target's facts
+    first, each part in link order."""
     closure = plan.closure
     before, after = 0, closure[target]
     context = []                # the blocks progressed, in any order
@@ -156,16 +156,16 @@ def build_subtask(task: PlanningTask, plan: BdpoPlan, excluded: int,
         except NotApplicable as exc:
             raise SubtaskInfeasible(str(exc)) from exc
 
-    supplied: list[Fact] = []
-    crossing: list[Fact] = []
-    for (c, f), p in sorted(plan.links.items()):
+    supplied: list[tuple[int, Fact]] = []
+    crossing: list[tuple[int, Fact]] = []
+    for (c, f), p in plan.links.items():
         if p == target:
-            supplied.append(f)
+            supplied.append((c, f))
         elif p != excluded and before >> p & 1 and after >> c & 1:
-            crossing.append(f)
+            crossing.append((c, f))
     goal: dict[int, int] = {}
-    for facts, kind in ((supplied, "goal"), (crossing, "crossing")):
-        for f in facts:
+    for links, kind in ((supplied, "goal"), (crossing, "crossing")):
+        for _, f in sorted(links):
             if goal.setdefault(f.var, f.val) != f.val:
                 raise SubtaskInfeasible(f"conflicting {kind} fact {f}")
 
@@ -191,12 +191,14 @@ class PhaseMemo:
     Kept for one plan, the object `plan`: `subtasks` maps (excluded,
     target) to the subtask `build_subtask` gives, or to None where it is
     infeasible; `tried` holds the (target, candidate) pairs already
-    substituted into the plan; `score` is the plan's (flex, cost).  A pair
-    tried again on the same plan can only be rejected again.  `bind` drops
-    all three when `resolve` is given another plan object, and only then,
-    so they survive from SD1 into SD2 when block deordering commits
-    nothing and hands SD1's plan on.  Plans are never edited in place, so
-    the same object is the same plan."""
+    substituted into the plan; `score` is the plan's (flex, cost), counted
+    once per plan and handed to every `substitute` call with the acceptance
+    test, so no attempt counts it again.  A pair tried again on the same
+    plan can only be rejected again.  `bind` drops all three when `resolve`
+    is given another plan object, and only then, so they survive from SD1
+    into SD2 when block deordering commits nothing and hands SD1's plan
+    on.  Plans are never edited in place, so the same object is the same
+    plan."""
     candidates: dict[tuple, list[CandidateBlock]] = field(default_factory=dict)
     successors: dict[tuple, list[int]] = field(default_factory=dict)
     plan: Optional[BdpoPlan] = None
@@ -247,8 +249,8 @@ def _post_accept_sweep(plan: BdpoPlan, new_block: Optional[int],
         for b in plan.real_roots():
             if b == new_block:
                 continue
-            outcome = substitute(plan, b, new_block,
-                                 partial(criteria.sweep_accepts, *current))
+            outcome = substitute(plan, b, new_block, criteria.sweep_accepts,
+                                 current)
             if outcome.success:
                 plan, current = outcome.plan, outcome.score
                 changed = True
@@ -282,12 +284,12 @@ def resolve(task: PlanningTask, plan: BdpoPlan, excluded: int, target: int,
             task, subtask.cost_bound, max_len_override))
     if memo.score is None:
         memo.score = (plan.flex().frac, plan.cost())
-    accept = partial(config.criteria.accepts, *memo.score)
     for cand in _candidates(task, subtask, memo):
         if (target, cand) in memo.tried:
             continue
         memo.tried.add((target, cand))
-        outcome = substitute(plan, target, cand, accept)
+        outcome = substitute(plan, target, cand, config.criteria.accepts,
+                             memo.score)
         if outcome.success:
             new_plan, score = _post_accept_sweep(
                 outcome.plan, outcome.new_block, config.criteria,
@@ -371,7 +373,19 @@ def backward_justify(plan: BdpoPlan) -> set[int]:
 
 
 def reduce_plan(plan: BdpoPlan, mode: str) -> BdpoPlan:
-    """Strip redundant blocks; `mode` picks the justification notion."""
+    """Strip redundant blocks; `mode` picks the justification notion.  The
+    plan must be valid and at its `refresh` fixpoint, as every plan of
+    `fibs`' phases is.
+
+    bj removes every block that `backward_justify` leaves unjustified, and
+    on such a plan the remainder is always valid.  A consumer of an
+    unjustified block is unjustified itself, or would justify its
+    producer; so the set is closed under `_dependents` and holds no
+    synthetic block, and `remove_blocks` takes out exactly it.  Every link
+    left has both ends kept, so it is still ordered, and every
+    precondition left keeps its link.  A threat left was a threat of the
+    input, which orders it by a commitment of its own between three kept
+    blocks; that commitment stays, so the threat stays ordered."""
     if mode == "none":
         return plan
     if mode == "bj":
@@ -380,9 +394,8 @@ def reduce_plan(plan: BdpoPlan, mode: str) -> BdpoPlan:
             return plan
         reduced = remove_blocks(plan, redundant)
         if reduced is None:
-            logger.warning("backward justification produced an invalid "
-                           "remainder; keeping the input plan")
-            return plan
+            raise ValueError("bj reduction needs a valid plan at its "
+                             "refresh fixpoint")
         return reduced
     if mode != "gj":
         raise ValueError(f"unknown reduction mode {mode!r}")

@@ -9,15 +9,16 @@ either would close a cycle and the conflicting pair involves the substitute,
 by substituting the conflicting block away as well.  Failure leaves the
 input plan untouched.
 
-The caller's acceptance test, when given, judges the edited plan's flex
-and cost before the plan is validated, so a plan it rejects is never
-validated; it fails with the reason CRITERIA_REJECT.  An edit that would
-only rebuild the plan as it stands under a new block id (`_renames`) is
-judged before it is built: its flex and cost are the input's, so when the
-test rejects the input's own score the edit fails with CRITERIA_REJECT
-and nothing is cloned.  That needs the input plan valid and at its
-`refresh` fixpoint, as every plan that `eog`, `substitute`,
-`remove_blocks` and block deordering return is.
+The caller's acceptance test, when given, comes with the input's flex and
+cost, which the caller already holds, and judges the edited plan's flex
+and cost against them before the plan is validated, so a plan it rejects
+is never validated; it fails with the reason CRITERIA_REJECT.  An edit
+that would only rebuild the plan as it stands under a new block id
+(`_renames`) is judged before it is built: its flex and cost are the
+input's, so when the test rejects the input's own score the edit fails
+with CRITERIA_REJECT, and nothing is cloned or counted.  That needs the
+input plan valid and at its `refresh` fixpoint, as every plan that `eog`,
+`substitute`, `remove_blocks` and block deordering return is.
 
 An empty substitute removes the block by the steps of `remove_blocks`, the
 one removal primitive, which does every other removal of blocks with their
@@ -166,27 +167,34 @@ def _renames(plan: BdpoPlan, old: int, cand: CandidateBlock) -> bool:
 
 def substitute(plan: BdpoPlan, old: int,
                new: CandidateBlock | int,
-               accept: Optional[Callable[[Fraction, int], bool]] = None,
+               accept: Optional[Callable[[Fraction, int, Fraction, int],
+                                         bool]] = None,
+               before: Optional[tuple[Fraction, int]] = None,
                _new_marker: Optional[int] = None,
                _depth: int = 0) -> SubstitutionOutcome:
     """Replace block `old` with `new`, preserving plan validity.
 
     `new` is either a CandidateBlock (external) or the id of a block already
-    in the plan (internal).  `accept`, when given, judges the edited plan's
-    flex and cost before it is validated; a plan it rejects fails with
-    CRITERIA_REJECT, and one it accepts carries its (flex, cost) as the
-    outcome's `score`.  The plan's closure must be current; the result
-    keeps it current, and a successful result is valid and at its
-    `refresh` fixpoint.  On failure the returned plan is the input,
-    untouched.
+    in the plan (internal).  `accept`, when given, comes with `before`, the
+    input plan's (flex, cost), which the caller already holds: `accept(
+    *before, flex, cost)` judges the edited plan's flex and cost before it
+    is validated.  A plan it rejects fails with CRITERIA_REJECT, and one it
+    accepts carries its (flex, cost) as the outcome's `score`.  The plan's
+    closure must be current; the result keeps it current, and a successful
+    result is valid and at its `refresh` fixpoint.  On failure the returned
+    plan is the input, untouched.
 
-    A candidate block that `_renames` the target would give back the
-    input's flex and cost, so when `accept` rejects the input's own score
-    it fails with CRITERIA_REJECT before anything is built.  This needs
-    the input valid and at its `refresh` fixpoint, as the plans of
-    `fibs`' phases are; only the internal substitutions of threat
-    resolution, which never take this path, see a plan mid-edit.
+    A candidate block that `_renames` the target would give back `before`,
+    so when `accept` rejects `before` against itself it fails with
+    CRITERIA_REJECT before anything is built.  This needs the input valid
+    and at its `refresh` fixpoint, as the plans of `fibs`' phases are; only
+    the internal substitutions of threat resolution, which never take this
+    path, see a plan mid-edit.  An internal substitution whose block lacks
+    a fact that `old` supplies fails with MISSING_PRODUCT before anything
+    is built, too.
     """
+    if (accept is None) != (before is None):
+        raise ValueError("an acceptance test comes with the input's score")
     if _depth > 8:
         return SubstitutionOutcome(plan, False, UNRESOLVABLE_THREAT,
                                    ["recursion limit"])
@@ -205,7 +213,7 @@ def substitute(plan: BdpoPlan, old: int,
             return SubstitutionOutcome(plan, False, UNRESOLVABLE_THREAT, trace)
         work, threats = _removed(plan, *scope)
         score = None if accept is None else (work.flex().frac, work.cost())
-        if score is not None and not accept(*score):
+        if score is not None and not accept(*before, *score):
             return SubstitutionOutcome(plan, False, CRITERIA_REJECT, trace)
         if not work.validate_current(threats):
             return SubstitutionOutcome(plan, False, UNRESOLVABLE_THREAT, trace)
@@ -213,12 +221,12 @@ def substitute(plan: BdpoPlan, old: int,
         return SubstitutionOutcome(work, True, EMPTY_CANDIDATE, trace,
                                    score=score)
     if external and accept is not None and _renames(plan, old, new) \
-            and not accept(plan.flex().frac, plan.cost()):
+            and not accept(*before, *before):
         trace.append(f"candidate only renames block {old}")
         return SubstitutionOutcome(plan, False, CRITERIA_REJECT, trace)
 
-    work = plan.clone()
     if external:
+        work = plan.clone()
         b_new = _materialize(work, new)
         trace.append(f"inserted candidate as block {b_new}")
         for fact in sorted(work.blocks[b_new].pre):
@@ -230,22 +238,26 @@ def substitute(plan: BdpoPlan, old: int,
             work.links[(b_new, fact)] = producer
             work.add_ordering(producer, b_new)
             trace.append(f"link {producer} -{fact}-> {b_new}")
+        prod = work.blocks[b_new].prod
     else:
         b_new = new
-        if b_new not in work.roots:
+        if b_new not in plan.roots:
             raise ValueError(f"block {b_new} is not in the plan")
+        prod = plan.blocks[b_new].prod
 
-    marker = b_new if _new_marker is None else _new_marker
-
-    # re-point every causal link the old block supports, once the old block
-    # and its commitments are gone from the closure
-    supported = sorted((c, f) for (c, f), p in work.links.items()
+    # every causal link the old block supports, to be re-pointed once the
+    # old block and its commitments are gone from the closure; the input's
+    # links are the edit's so far, less the fresh block's own
+    supported = sorted((c, f) for (c, f), p in plan.links.items()
                        if p == old and c != b_new)
     for c, f in supported:
-        if f not in work.blocks[b_new].prod:
+        if f not in prod:
             return SubstitutionOutcome(plan, False, MISSING_PRODUCT,
                                        trace + [f"{b_new} cannot produce {f}"])
         trace.append(f"relink {b_new} -{f}-> {c}")
+    if not external:
+        work = plan.clone()
+    marker = b_new if _new_marker is None else _new_marker
     work.delete_block(old)
     work.remove_from_closure([old])
     try:
@@ -264,7 +276,7 @@ def substitute(plan: BdpoPlan, old: int,
         return SubstitutionOutcome(plan, False, failure, trace)
 
     score = None if accept is None else (work.flex().frac, work.cost())
-    if score is not None and not accept(*score):
+    if score is not None and not accept(*before, *score):
         return SubstitutionOutcome(plan, False, CRITERIA_REJECT, trace)
     report = work.validate_current(threats)
     if not report:

@@ -1,9 +1,10 @@
 """Plain references that the tests compare the program against: a set-based
 transitive closure, a deep image of a plan, every linearization of a plan,
-the laminar and contiguity checks of a block family, the blocks whose
-removal keeps a plan valid, gj reduction by building every removal, and
-the MaxSAT reordering encoder that numbers one variable and adds one
-clause at a time."""
+the ordered step pairs counted by walking every compound block, the laminar
+and contiguity checks of a block family, the blocks whose removal keeps a
+plan valid, gj reduction by building every removal, and the MaxSAT
+reordering encoder that numbers one variable and adds one clause at a
+time."""
 
 from typing import Collection, Iterable, Iterator
 
@@ -73,6 +74,28 @@ def all_linearizations(plan: BdpoPlan, cap: int = 50000
             raise RuntimeError("too many linearizations")
         yield SequentialPlan([plan.task.operator_index(plan.steps[s].name)
                               for s in steps])
+
+
+def interior_pairs_by_walk(plan: BdpoPlan, bid: int) -> int:
+    """The step pairs that block `bid` orders inside itself, summed over
+    the contexts of it and of every compound block below it."""
+    total = 0
+    for b in plan._descendant_blocks(bid):
+        blk = plan.blocks[b]
+        if not blk.primitive:
+            total += plan._context_pairs(blk.children, blk.iclosure)
+    return total
+
+
+def ordered_step_pairs_by_walk(plan: BdpoPlan) -> int:
+    """`BdpoPlan.ordered_step_pairs` by walking every live compound block:
+    the root context's pairs plus each compound block's own context's."""
+    total = plan._context_pairs(plan.roots - {INIT_BLOCK, GOAL_BLOCK},
+                                plan.closure)
+    for bid in plan._compound_blocks():
+        blk = plan.blocks[bid]
+        total += plan._context_pairs(blk.children, blk.iclosure)
+    return total
 
 
 def check_laminar(plan: BdpoPlan) -> bool:

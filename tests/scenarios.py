@@ -1,11 +1,15 @@
 """Hand-built micro instances shared between the unit and acceptance suites,
-and the benchmark's elevator towers."""
+the deordered plans of the golden removal corpus, and the benchmark's
+elevator towers."""
 
 import importlib
 import math
 import sys
 from pathlib import Path
 
+from popflex.bdpo import block_deorder
+from popflex.corpus import random_task
+from popflex.eog import eog
 from popflex.fibs import FibsConfig
 from popflex.substitution import CandidateBlock
 from popflex.task import (PlanningTask, SequentialPlan, Variable,
@@ -91,6 +95,19 @@ def witness_scenario():
     task = PlanningTask(variables, ops, {i: 0 for i in range(5)},
                         {3: 1, 4: 1})
     return task, SequentialPlan([0, 1, 2, 3])
+
+
+def removal_corpus():
+    """The 40 deordered plans of `random_task(seed, max_vars=8,
+    max_steps=30)` with 15 steps or more, seeds in order; their blocks
+    nest up to seven deep."""
+    plans = seed = 0
+    while plans < 40:
+        task, seq = random_task(seed, max_vars=8, max_steps=30)
+        seed += 1
+        if len(seq.steps) >= 15:
+            plans += 1
+            yield block_deorder(eog(task, seq))
 
 
 def perfbench_workloads():

@@ -354,6 +354,30 @@ def test_reduce_bj_removes_danglers():
     assert out.validate()
 
 
+def test_reduce_bj_leaves_a_valid_remainder_of_every_golden_plan():
+    """bj's remainder of a valid plan at its refresh fixpoint is valid, as
+    `reduce_plan` proves: on the golden random corpus, after EOG and after
+    block deordering, `remove_blocks` never refuses it.  A plan with a
+    threat left unordered is refused with a ValueError."""
+    reduced = 0
+    for seed in range(300):
+        task, seq = random_task(seed, max_vars=8, max_steps=12)
+        plan = eog(task, seq)
+        for plan in (plan, block_deorder(plan)):
+            redundant = backward_justify(plan)
+            if redundant:
+                assert remove_blocks(plan, redundant) is not None
+                reduced += 1
+    assert reduced > 500
+    task, seq = random_task(1, max_vars=8, max_steps=12)
+    plan = eog(task, seq)
+    del plan.resolutions[2, 3]
+    plan.rebuild_closure()
+    assert backward_justify(plan) and not plan.validate()
+    with pytest.raises(ValueError):
+        reduce_plan(plan, "bj")
+
+
 def _elevator_after_second_lift_substitution():
     """The walkthrough state in which the trailing lift move turns redundant:
     the p2 pipeline has been moved onto the second lift."""

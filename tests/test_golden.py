@@ -40,7 +40,7 @@ from popflex.subplanner import solve_subtask
 from popflex.substitution import CandidateBlock, candidate_block, substitute
 from popflex.task import emit_plan, emit_sas
 
-from scenarios import towers
+from scenarios import removal_corpus, towers
 
 RANDOM_DIGEST = "c8eb2200297e136b41180f12c516c421e1b5c02b"
 MICRO_DIGEST = "3c35e3a595f6493b556f1f5aededb0e882fcca95"
@@ -231,14 +231,8 @@ def test_golden_removal():
     """Every single-block removal, at every nesting depth, and the bj
     reduction of 40 deordered plans of 15 steps or more."""
     digest = hashlib.sha1()
-    deep_removals = plans = seed = 0
-    while plans < 40:
-        task, seq = random_task(seed, max_vars=8, max_steps=30)
-        seed += 1
-        if len(seq.steps) < 15:
-            continue
-        plans += 1
-        plan = block_deorder(eog(task, seq))
+    deep_removals = 0
+    for plan in removal_corpus():
         depths = _block_depths(plan)
         for bid in sorted(depths):
             if bid in (INIT_BLOCK, GOAL_BLOCK):

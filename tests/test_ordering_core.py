@@ -6,7 +6,10 @@ count are checked on the plans that `eog`, `wrap_blocks`,
 direct calls and on every call that a whole `fibs` run makes, and so are
 the closure after each incremental update and the threat list each of
 those calls reuses.  `between_closure` is checked against its fixpoint
-definition.
+definition.  Each block's stored interior pair count, and the plan's
+ordered-pair count built from the roots' counts, are checked against a
+walk over every compound block on deordered plans, on the remainders of
+removals at every nesting depth and on a towers-4 run.
 """
 
 import math
@@ -24,11 +27,13 @@ from popflex.bdpo import (CD, GOAL_BLOCK, GOAL_ID, INIT_BLOCK, INIT_ID,
                           wrap_blocks)
 from popflex.corpus import chain_task, random_task
 from popflex.eog import eog
-from popflex.fibs import FibsConfig, fibs, remove_blocks
+from popflex.fibs import FibsConfig, fibs, reduce_plan, remove_blocks
 from popflex.substitution import substitute
 from popflex.task import Fact
-from references import closure_from_edges, flat_closure, snapshot
-from scenarios import single_op_candidate
+from references import (closure_from_edges, flat_closure,
+                        interior_pairs_by_walk, ordered_step_pairs_by_walk,
+                        snapshot)
+from scenarios import removal_corpus, single_op_candidate, towers
 
 
 def reference_closure(plan) -> dict[int, set[int]]:
@@ -235,6 +240,48 @@ def test_core_on_every_step_of_a_fibs_run(seed):
         mp.setattr(bdpo_module, "wrap_blocks", checked_wrap)
         plan, _ = fibs(task, seq, config)
     check_core(plan)
+
+
+def _checked_pair_counts(plan) -> int:
+    """Check every live block's interior pair count and the plan's
+    ordered-pair count against the walks; returns the compound blocks
+    checked."""
+    compound = 0
+    for bid in plan.live_blocks():
+        assert plan.blocks[bid].ipairs == interior_pairs_by_walk(plan, bid)
+        compound += not plan.blocks[bid].primitive
+    assert plan.ordered_step_pairs() == ordered_step_pairs_by_walk(plan)
+    return compound
+
+
+def test_interior_pair_counts_match_the_walk():
+    """On the golden random corpus after block deordering, on every
+    remainder of the golden removal corpus, whose nested rebuilds go
+    through `make_compound`, and on each plan of a towers-4 run that a
+    substitution or the run returns."""
+    deordered = sum(_checked_pair_counts(bdpo_module.block_deorder(
+        eog(*random_task(seed, max_vars=8, max_steps=12))))
+        for seed in range(300))
+    remainders = 0
+    for plan in removal_corpus():
+        for bid in sorted(plan.live_blocks() - {INIT_BLOCK, GOAL_BLOCK}):
+            if (result := remove_blocks(plan, {bid})) is not None:
+                remainders += _checked_pair_counts(result)
+        remainders += _checked_pair_counts(reduce_plan(plan, "bj"))
+    assert deordered > 0 and remainders > 0
+
+    substituted = []
+
+    def recorded(plan, *args, **kwargs):
+        outcome = substitute(plan, *args, **kwargs)
+        if outcome.success:
+            substituted.append(outcome.plan)
+        return outcome
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(fibs_module, "substitute", recorded)
+        plan, _ = fibs(*towers(4))
+    assert sum(map(_checked_pair_counts, substituted + [plan])) > 0
 
 
 def test_add_ordering_matches_a_rebuild():

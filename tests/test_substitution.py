@@ -2,7 +2,7 @@
 the success/failure contracts."""
 
 import math
-from functools import partial
+from contextlib import contextmanager
 from unittest import mock
 
 import pytest
@@ -20,8 +20,8 @@ from popflex.substitution import (CRITERIA_REJECT, MISSING_PRODUCT,
                                   CandidateBlock,
                                   candidate_block, removal_saving,
                                   remove_blocks, substitute)
-from popflex.task import (Fact, PlanningTask, SequentialPlan, apply_op,
-                          make_operator, validate_sequential)
+from popflex.task import (Fact, PlanningTask, SequentialPlan, Variable,
+                          apply_op, make_operator, validate_sequential)
 
 from references import all_linearizations, snapshot
 from scenarios import (between_scenario as _between_scenario,
@@ -392,11 +392,22 @@ def _renamed(plan, new, old):
              for (a, b), rs in plan.resolutions.items() if rs})
 
 
+@contextmanager
+def _nothing_built_or_counted():
+    """Fail on any clone of a plan, and on any count of its flex or cost."""
+    with mock.patch.object(BdpoPlan, "clone", side_effect=AssertionError), \
+            mock.patch.object(BdpoPlan, "flex", side_effect=AssertionError), \
+            mock.patch.object(BdpoPlan, "cost", side_effect=AssertionError):
+        yield
+
+
 def test_a_renaming_edit_is_judged_without_being_built():
     """A one-step candidate with its target's profile and cost, whose
     links and CD-only commitments a fresh block would get back, rebuilds
-    the plan as it stands under a new id.  Both criteria reject it without
-    a clone.  Every other such candidate is built and judged as before."""
+    the plan as it stands under a new id.  Both criteria reject it from
+    the score the caller hands in, without a clone or a count of the
+    input's flex or cost.  Every other such candidate is built and judged
+    as before."""
     criteria = (AcceptanceCriteria(RFO), AcceptanceCriteria(RCO))
     renamings = gains = 0
     for task, plan in _renaming_inputs():
@@ -416,8 +427,8 @@ def test_a_renaming_edit_is_judged_without_being_built():
                          and (free.plan.flex().frac, free.plan.cost()))
                 if not _only_renames(plan, b):
                     for crit in criteria:
-                        judged = substitute(plan, b, cand,
-                                            partial(crit.accepts, *score))
+                        judged = substitute(plan, b, cand, crit.accepts,
+                                            score)
                         assert judged.success == (
                             free.success and crit.accepts(*score, *after))
                     gains += free.success and after[0] > score[0]
@@ -426,11 +437,10 @@ def test_a_renaming_edit_is_judged_without_being_built():
                 assert after == score
                 assert _renamed(free.plan, free.new_block, b) == \
                     _renamed(plan, None, None)
-                with mock.patch.object(BdpoPlan, "clone",
-                                       side_effect=AssertionError):
+                with _nothing_built_or_counted():
                     for crit in criteria:
-                        judged = substitute(plan, b, cand,
-                                            partial(crit.accepts, *score))
+                        judged = substitute(plan, b, cand, crit.accepts,
+                                            score)
                         assert judged.reason == CRITERIA_REJECT
                         assert judged.plan is plan
     # candidates of each kind, some of the others with a flex gain
@@ -446,10 +456,11 @@ def test_an_acceptance_test_judges_the_edit_before_it_is_validated():
     for seed in range(60):
         task, seq = random_task(seed, max_vars=8, max_steps=12)
         bdp = block_deorder(eog(task, seq))
+        score = (bdp.flex().frac, bdp.cost())
         for b in bdp.real_roots():
             for new in (empty, single_op_candidate(task.operators[0])):
                 free = substitute(bdp, b, new)
-                taken = substitute(bdp, b, new, lambda flex, cost: True)
+                taken = substitute(bdp, b, new, lambda *scores: True, score)
                 assert (taken.success, taken.reason, taken.trace) == \
                     (free.success, free.reason, free.trace)
                 if free.success:
@@ -458,10 +469,38 @@ def test_an_acceptance_test_judges_the_edit_before_it_is_validated():
                                            free.plan.cost())
             with mock.patch.object(BdpoPlan, "validate_current",
                                    side_effect=AssertionError):
-                refused = substitute(bdp, b, empty, lambda flex, cost: False)
+                refused = substitute(bdp, b, empty, lambda *scores: False,
+                                     score)
             assert not refused.success and refused.plan is bdp
             rejected += refused.reason == CRITERIA_REJECT
+            with pytest.raises(ValueError):
+                substitute(bdp, b, empty, lambda *scores: True)
     assert rejected > 0
+
+
+def test_a_block_that_lacks_a_supplied_fact_is_refused_before_a_clone():
+    """An internal substitution of the post-accept sweep's shape, whose
+    block supplies the first of its target's two linked facts but not the
+    second, fails with MISSING_PRODUCT without building anything, and its
+    trace names the relink it got to first."""
+    variables = [Variable(f"v{i}", ("0", "1")) for i in range(1, 6)]
+    ops = [make_operator("a", [], [(0, 1), (1, 1)]),
+           make_operator("c1", [(0, 1)], [(2, 1)]),
+           make_operator("c2", [(1, 1)], [(3, 1)]),
+           make_operator("n", [], [(0, 1), (4, 1)])]
+    task = PlanningTask(variables, ops, {i: 0 for i in range(5)},
+                        {2: 1, 3: 1, 4: 1})
+    plan = eog(task, SequentialPlan([0, 1, 2, 3]))
+    names = blocks_by_name(plan)
+    score = (plan.flex().frac, plan.cost())
+    snap = snapshot(plan)
+    with _nothing_built_or_counted():
+        outcome = substitute(plan, names["a"], names["n"],
+                             AcceptanceCriteria(RFO).sweep_accepts, score)
+    assert outcome.reason == MISSING_PRODUCT
+    assert outcome.trace == ["relink 5 -(0=1)-> 3",
+                             "5 cannot produce (1=1)"]
+    assert outcome.plan is plan and snapshot(plan) == snap
 
 
 def test_substitution_work_scales_quadratically():
