@@ -362,8 +362,8 @@ def test_reduce_bj_leaves_a_valid_remainder_of_every_golden_plan():
     reduced = 0
     for seed in range(300):
         task, seq = random_task(seed, max_vars=8, max_steps=12)
-        plan = eog(task, seq)
-        for plan in (plan, block_deorder(plan)):
+        flat = eog(task, seq)
+        for plan in (flat, block_deorder(flat)):
             redundant = backward_justify(plan)
             if redundant:
                 assert remove_blocks(plan, redundant) is not None

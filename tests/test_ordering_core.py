@@ -254,7 +254,7 @@ def _checked_pair_counts(plan) -> int:
     return compound
 
 
-def test_interior_pair_counts_match_the_walk():
+def test_interior_pair_counts_match_the_walk(monkeypatch):
     """On the golden random corpus after block deordering, on every
     remainder of the golden removal corpus, whose nested rebuilds go
     through `make_compound`, and on each plan of a towers-4 run that a
@@ -278,9 +278,8 @@ def test_interior_pair_counts_match_the_walk():
             substituted.append(outcome.plan)
         return outcome
 
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(fibs_module, "substitute", recorded)
-        plan, _ = fibs(*towers(4))
+    monkeypatch.setattr(fibs_module, "substitute", recorded)
+    plan, _ = fibs(*towers(4))
     assert sum(map(_checked_pair_counts, substituted + [plan])) > 0
 
 
