@@ -1,4 +1,6 @@
+import hashlib
 import io
+import json
 
 import pytest
 from hypothesis import example, given, settings
@@ -452,3 +454,57 @@ def test_encode_mr_matches_the_reference_on_the_benchmark_plans():
         pop = eog(task, plan)
         for mclcp in (False, True):
             _same_encoding(task, pop, mclcp)
+
+
+# ---------------------------------------------------------------------------
+# the order of decoded optima and oracle plans
+
+
+def _mr_corpus():
+    """(seed, task, plan, mclcp) over the criterion-4 corpus (MR on its 100
+    tasks of at most 6 steps, MCLCP on those below 6) and over the
+    `maxsat-reorder` benchmark's 100 tiny tasks in both modes."""
+    checked = seed = 0
+    while checked < 100:
+        seed += 1
+        task, plan = random_task(seed, max_vars=4, max_steps=6,
+                                 unit_costs=True)
+        if len(plan.steps) > 6:
+            continue
+        for mclcp in (False, True):
+            if not (mclcp and len(plan.steps) == 6):
+                yield seed, task, plan, mclcp
+        checked += 1
+    for seed in range(1, 101):
+        task, plan = random_task(seed, max_vars=4, max_steps=5,
+                                 unit_costs=True)
+        for mclcp in (False, True):
+            yield seed, task, plan, mclcp
+
+
+def _ordered_pairs(plan):
+    """The ordered step pairs of a flat plan, init and goal included."""
+    return sorted((a, b) for a, row in plan.closure.items()
+                  for b in plan.closure if row >> b & 1)
+
+
+def _order_text(plan):
+    return [_ordered_pairs(plan), sorted(plan.links.items()), plan.cost()]
+
+
+MR_ORDER_DIGEST = "149fdffb8b901541ccd58b104cd7f82df9f5610e"
+
+
+def test_decoded_and_oracle_plans_keep_their_order():
+    """Every decoded optimum and every oracle plan of `_mr_corpus`: its
+    ordered step pairs, its links and its cost, pinned by one digest."""
+    digest = hashlib.sha1()
+    for seed, task, plan, mclcp in _mr_corpus():
+        pop = eog(task, plan)
+        wcnf, cat = encode_mr(task, pop, mclcp)
+        model, _ = optimal_model(task, pop, mclcp)
+        decoded = decode_model(model, cat, task, pop, wcnf)
+        oracle = brute_force_mr(task, plan, mclcp)
+        digest.update(json.dumps([seed, mclcp, _order_text(decoded),
+                                  _order_text(oracle)]).encode())
+    assert digest.hexdigest() == MR_ORDER_DIGEST
