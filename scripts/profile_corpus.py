@@ -38,8 +38,10 @@ its wall time, each phase's elapsed time and the same output digest.
 `MaxsatReorder` class of `perfbench/workloads.py`, imported the same way,
 builds its seed-1 instances and runs each of them once.  It prints the
 calls and cumulative time of `encode_mr`, `Wcnf.to_dimacs`, `check_model`,
-`optimal_model` and `decode_model`, and a sha1 over the workload's digest
-of each output.
+`optimal_model`, `decode_model`, `BdpoPlan.refresh` and
+`BdpoPlan.rebuild_closure` (with these two a decoded plan records its
+threat resolutions and rebuilds its order; `eog` rebuilds one too), and a
+sha1 over the workload's digest of each output.
 `maxsat-cap` encodes the 200-step `eog(scaling_task(50, 4))`, the CLI's
 cap, writes its DIMACS text to a temporary file with `Wcnf.write`, as the
 CLI's `encode-mr` does, and prints the wall time of both, the process's
@@ -90,7 +92,9 @@ MAXSAT_COUNTED = ((maxsat.encode_mr, "encode_mr"),
                   (maxsat.Wcnf.to_dimacs, "Wcnf.to_dimacs"),
                   (maxsat.check_model, "check_model"),
                   (maxsat.optimal_model, "optimal_model"),
-                  (maxsat.decode_model, "decode_model"))
+                  (maxsat.decode_model, "decode_model"),
+                  (BdpoPlan.refresh, "BdpoPlan.refresh"),
+                  (BdpoPlan.rebuild_closure, "BdpoPlan.rebuild_closure"))
 
 
 def random_corpus():

@@ -4,12 +4,12 @@ A plan holds operator instances keyed by step id (including the synthetic
 init and goal steps), a laminar family of blocks over them, and causal-link
 and demotion/promotion commitments between its outermost blocks (the root
 context).  The ordering relation is the transitive closure of those
-commitments plus init-first/goal-last; ordering reasons (PC, CD, DP) are
-derived from the commitments rather than stored separately.  A flat
-partial-order plan is the case whose roots are all primitive blocks, each
-numbered by the id of its step.  Order generalization and the MaxSAT
-decoders build one step by step with `add_step`, and the pipeline deorders,
-substitutes and reduces that plan as it is; there is no separate flat class.
+commitments plus init-first/goal-last, and of nothing else; reasons (PC,
+CD, DP) are derived from the commitments, not stored.  A flat plan is the
+case whose roots are all primitive blocks, each numbered by the id of its
+step.  Order generalization and the MaxSAT decoders build one step by step
+with `add_step`, and the pipeline deorders, substitutes and reduces that
+plan as it is; there is no separate flat class.
 
 The closure is current when it is the transitive closure of the plan's
 commitments.  `rebuild_closure` makes it so from scratch; given a current
@@ -213,8 +213,7 @@ class BdpoPlan:
     """POP plus a laminar block family; orderings live between root blocks.
 
     `closure[a]` is a successor bitmask keyed by root block id: bit `b` is
-    set when block `a` is ordered before block `b`.  `extra_orderings` are
-    bare root orderings with no recorded reason (decoded MaxSAT models).
+    set when the root commitments and the endpoints order `a` before `b`.
     """
 
     def __init__(self, task: PlanningTask):
@@ -224,7 +223,6 @@ class BdpoPlan:
         self.roots: set[int] = set()
         self.links: dict[tuple[int, Fact], int] = {}   # (consumer, fact) -> producer
         self.resolutions: dict[tuple[int, int], set[Reason]] = {}
-        self.extra_orderings: set[tuple[int, int]] = set()
         self.closure: dict[int, int] = {}
         self.next_step_id = 2
         self.next_block_id = 2
@@ -239,7 +237,6 @@ class BdpoPlan:
         other.roots = set(self.roots)
         other.links = dict(self.links)
         other.resolutions = {k: set(v) for k, v in self.resolutions.items()}
-        other.extra_orderings = set(self.extra_orderings)
         other.closure = dict(self.closure)
         other.next_step_id = self.next_step_id
         other.next_block_id = self.next_block_id
@@ -408,8 +405,8 @@ class BdpoPlan:
     # -- ordering ------------------------------------------------------------
 
     def _direct_successors(self) -> dict[int, set[int]]:
-        """Direct successors of each root block: its links, resolutions and
-        extra orderings, and init-first/goal-last."""
+        """Direct successors of each root block, from the only sources of
+        order: links, resolutions and init-first/goal-last."""
         direct: dict[int, set[int]] = {a: set() for a in self.roots}
         for (c, _), p in self.links.items():
             if p != c:
@@ -417,8 +414,6 @@ class BdpoPlan:
         for (a, b), rs in self.resolutions.items():
             if rs:
                 direct[a].add(b)
-        for a, b in self.extra_orderings:
-            direct[a].add(b)
         for b in self.roots:
             if b != INIT_BLOCK:
                 direct[INIT_BLOCK].add(b)
@@ -427,7 +422,7 @@ class BdpoPlan:
         return direct
 
     def rebuild_closure(self) -> None:
-        """Closure of the links, the resolutions, the extra orderings and
+        """Closure of the links, the demotion/promotion commitments and
         init-first/goal-last."""
         self.closure = closure_rows(self._direct_successors())
 
@@ -921,7 +916,9 @@ def _wrapped_spans(plan: BdpoPlan, partner: int, anchors: list[int],
 def _pc_candidates(plan: BdpoPlan, edge: tuple[int, int], fact: Fact
                    ) -> Iterator[BdpoPlan]:
     """Rebind the consumer to an earlier producer after wrapping the source
-    together with an earlier consumer of the same fact."""
+    together with an earlier consumer of the same fact.  The rebuild finds
+    no cycle: `b_p` is init or before `b_j` already, so every commitment of
+    the rebound plan is an ordering of the wrapped plan's current closure."""
     b_i, b_j = edge
     anchors = [b_c for b_c in plan.real_roots()
                if plan.ordered(b_c, b_i) and fact in plan.blocks[b_c].pre]
@@ -932,10 +929,7 @@ def _pc_candidates(plan: BdpoPlan, edge: tuple[int, int], fact: Fact
         if b_p not in candidate_producers(work, fact, b_j):
             continue
         work.links[(b_j, fact)] = b_p
-        try:
-            work.rebuild_closure()
-        except CycleDetected:
-            continue
+        work.rebuild_closure()
         work.refresh()
         yield work
 
@@ -997,23 +991,20 @@ _MAX_CASCADE_DEPTH = 32
 def _attempt_edge(plan: BdpoPlan, si: int, sj: int,
                   depth: int = 0) -> Optional[BdpoPlan]:
     """Depth-first removal of every reason on the (evolving) edge between the
-    blocks containing steps si and sj.  Returns the transformed plan or None."""
+    blocks containing steps si and sj.  Returns the transformed plan or None.
+    The two blocks differ: a scanned edge joins two blocks, and a candidate
+    wraps one span, which holds one end and, by `_span_ok`, not the other."""
     if depth > _MAX_CASCADE_DEPTH:
         return None
     a = plan.block_of_step(si)
     b = plan.block_of_step(sj)
-    if a == b:
-        return None
     reasons = plan.pair_reasons(a, b)
     if not reasons:
         return plan
     reason = min(reasons, key=reason_sort_key)
     for work in _reason_candidates(plan, (a, b), reason):
-        a2 = work.block_of_step(si)
-        b2 = work.block_of_step(sj)
-        if a2 == b2:
-            continue
-        if reason in work.pair_reasons(a2, b2):
+        if reason in work.pair_reasons(work.block_of_step(si),
+                                       work.block_of_step(sj)):
             continue
         if not work.validate_current():
             continue

@@ -61,7 +61,8 @@ import math
 from dataclasses import dataclass, field
 from typing import Iterable, Optional, TextIO
 
-from .bdpo import GOAL_ID, INIT_ID, BdpoPlan, synthetic_operators
+from .bdpo import (GOAL_ID, INIT_ID, BdpoPlan, CycleDetected, closure_rows,
+                   synthetic_operators)
 from .task import Fact, PlanningTask, SequentialPlan, cons_prod_del
 
 MAX_ENCODE_STEPS = 200
@@ -323,26 +324,31 @@ def _broken_transitivity(rows: list[list[int]], true_vars: set[int]
 
 def decode_model(true_vars: set[int], cat: VarCatalog, task: PlanningTask,
                  pop: BdpoPlan, wcnf: Wcnf) -> BdpoPlan:
-    """Rebuild a POP from a model; hard clauses are re-checked first."""
+    """Rebuild a POP from a model, re-checking its hard clauses first: init,
+    goal and each true link's producer and ordering are in it.  Its order
+    over its steps (InvalidModel on a cycle) is the closure while `refresh`
+    records the threat resolutions it picks; `validate` rebuilds it from
+    those, the links and the endpoints.  An optimal model keeps its order
+    (a smaller one is cheaper); another loses the orderings nothing forces."""
     check_model(wcnf, true_vars)
-    included = [s for s in cat.steps if cat.x[s] in true_vars]
-    if INIT_ID not in included or GOAL_ID not in included:
-        raise InvalidModel("synthetic endpoints excluded")
     out = BdpoPlan(task)
-    for s in included:
-        out.add_step(pop.steps[s], s)
+    for s in cat.steps:
+        if cat.x[s] in true_vars:
+            out.add_step(pop.steps[s], s)
     for (p, f, c), g in sorted(cat.gamma.items()):
         if g not in true_vars:
             continue
-        if p not in out.steps or c not in out.steps:
-            raise InvalidModel(f"link {p}->{c} touches an excluded step")
-        if cat.tau[(p, c)] not in true_vars:
-            raise InvalidModel(f"link {p}->{c} without its ordering")
+        if c not in out.steps:
+            raise InvalidModel(f"link {p}->{c} feeds an excluded step")
         if (c, f) not in out.links:
             out.links[(c, f)] = p
-    for (a, b), v in sorted(cat.tau.items()):
-        if v in true_vars and a in out.steps and b in out.steps:
-            out.extra_orderings.add((a, b))
+    try:
+        out.closure = closure_rows({a: {b for b in out.steps if b != a and
+                                        cat.tau[(a, b)] in true_vars}
+                                    for a in out.steps})
+    except CycleDetected as exc:
+        raise InvalidModel(str(exc)) from None
+    out.refresh()
     report = out.validate()
     if not report:
         raise InvalidModel(report.reason)
@@ -586,7 +592,10 @@ def brute_force_mr(task: PlanningTask, plan: SequentialPlan,
     """Optimal reordering by explicit enumeration; instances cap at 6 steps.
 
     The posets of each subset come fewest ordered pairs first, so the first
-    valid one is the subset's least (objective, subset, rows) key."""
+    valid one is the subset's least (objective, subset, rows) key.  It is
+    the closure while `refresh` records its threat resolutions; rebuilt
+    from those and the links, it is that poset again, or a smaller valid
+    one would have come first."""
     n = len(plan.steps)
     if n > 6:
         raise TooLarge(f"{n} steps")
@@ -622,15 +631,17 @@ def brute_force_mr(task: PlanningTask, plan: SequentialPlan,
     out = BdpoPlan(task)
     out.install_synthetics()
     ids = [out.add_step(ops[i]) for i in subset]
-    for a, row in enumerate(rows):
-        for b in range(len(rows)):
-            if row >> b & 1:
-                out.extra_orderings.add((ids[a], ids[b]))
     for need in needs:
         p = _producer(need, rows)
         f, c = need[:2]
         out.links[(GOAL_ID if c is None else ids[c], f)] = (
             INIT_ID if p == -1 else ids[p])
+    bits = [1 << s for s in ids]
+    out.closure = {INIT_ID: sum(bits) | 1 << GOAL_ID, GOAL_ID: 0}
+    for s, row in zip(ids, rows):
+        out.closure[s] = sum(bit for b, bit in enumerate(bits)
+                             if row >> b & 1) | 1 << GOAL_ID
+    out.refresh()
     out.rebuild_closure()
     return out
 

@@ -208,10 +208,8 @@ def substitute(plan: BdpoPlan, old: int,
         # supplies nothing
         if any(p == old for p in plan.links.values()):
             return SubstitutionOutcome(plan, False, MISSING_PRODUCT, trace)
-        scope = _removal_scope(plan, {old})
-        if scope is None:
-            return SubstitutionOutcome(plan, False, UNRESOLVABLE_THREAT, trace)
-        work, threats = _removed(plan, *scope)
+        # `_removal_scope` gives ([], {old}) for a live root supplying none
+        work, threats = _removed(plan, [], {old})
         score = None if accept is None else (work.flex().frac, work.cost())
         if score is not None and not accept(*before, *score):
             return SubstitutionOutcome(plan, False, CRITERIA_REJECT, trace)

@@ -9,11 +9,13 @@ from hypothesis import strategies as st
 from popflex.corpus import (chain_task, independent_task,
                             produce_consume_task, random_task, scaling_task)
 from popflex.eog import eog
+from popflex.fibs import FibsConfig, substitution_deorder
 from popflex.maxsat import (EncodingTooLarge, InvalidModel, TooLarge, Wcnf,
                             _add_edge, _posets, brute_force_mr, check_model,
                             decode_model, encode_mr, optimal_model,
                             ordering_count)
-from popflex.bdpo import GOAL_ID, INIT_ID, CycleDetected
+from popflex.bdpo import (GOAL_ID, INIT_ID, BdpoPlan, CycleDetected,
+                          block_deorder)
 from popflex.task import (PlanningTask, SequentialPlan, Variable, apply_op,
                           make_operator, validate_sequential)
 
@@ -84,6 +86,29 @@ def test_decode_rejects_link_without_ordering():
             broken.discard(cat.tau[(p, c)])
     with pytest.raises(InvalidModel):
         decode_model(broken, cat, task, pop, wcnf)
+
+
+def test_decode_rejects_a_model_without_an_endpoint():
+    task, plan = produce_consume_task()
+    pop = eog(task, plan)
+    wcnf, cat = encode_mr(task, pop)
+    model, _ = optimal_model(task, pop)
+    for endpoint in (INIT_ID, GOAL_ID):
+        with pytest.raises(InvalidModel):
+            decode_model(model - {cat.x[endpoint]}, cat, task, pop, wcnf)
+
+
+def test_decode_rejects_a_cyclic_order():
+    """A model that orders two steps both ways breaks no clause of the
+    encoding, which has no antisymmetry clauses; decoding rejects it."""
+    task, plan = independent_task(2)
+    pop = eog(task, plan)
+    wcnf, cat = encode_mr(task, pop)
+    a, b = pop.real_steps()
+    model = _total_order_model(pop, cat) | {cat.tau[(b, a)]}
+    check_model(wcnf, model)
+    with pytest.raises(InvalidModel, match="ordering cycle"):
+        decode_model(model, cat, task, pop, wcnf)
 
 
 def test_decode_total_order_model():
@@ -495,16 +520,57 @@ def _order_text(plan):
 MR_ORDER_DIGEST = "149fdffb8b901541ccd58b104cd7f82df9f5610e"
 
 
-def test_decoded_and_oracle_plans_keep_their_order():
+def test_decoded_and_oracle_plans_keep_their_order(monkeypatch):
     """Every decoded optimum and every oracle plan of `_mr_corpus`: its
-    ordered step pairs, its links and its cost, pinned by one digest."""
+    ordered step pairs, its links and its cost, pinned by one digest.  The
+    closure is the model's order, or the oracle's poset, which `refresh`
+    is handed; and the plan is at its `refresh` fixpoint."""
+    handed = []
+    refresh = BdpoPlan.refresh
+
+    def recorded(plan, *args):
+        handed.append(_ordered_pairs(plan))
+        refresh(plan, *args)
+
     digest = hashlib.sha1()
     for seed, task, plan, mclcp in _mr_corpus():
         pop = eog(task, plan)
         wcnf, cat = encode_mr(task, pop, mclcp)
         model, _ = optimal_model(task, pop, mclcp)
         decoded = decode_model(model, cat, task, pop, wcnf)
-        oracle = brute_force_mr(task, plan, mclcp)
+        assert _ordered_pairs(decoded) == sorted(
+            pair for pair, v in cat.tau.items() if v in model)
+        with monkeypatch.context() as patch:
+            patch.setattr(BdpoPlan, "refresh", recorded)
+            oracle = brute_force_mr(task, plan, mclcp)
+        assert _ordered_pairs(oracle) == handed.pop()
+        for out in (decoded, oracle):
+            work = out.clone()
+            work.refresh()
+            assert work.resolutions == out.resolutions
+            assert work.closure == out.closure
         digest.update(json.dumps([seed, mclcp, _order_text(decoded),
                                   _order_text(oracle)]).encode())
     assert digest.hexdigest() == MR_ORDER_DIGEST
+
+
+def test_mr_optima_survive_the_pipelines_edits():
+    """SD1 (primitive substitution) and block deordering start from the MR
+    optimum of each of 100 tiny tasks: each result validates, and neither
+    loses flex.  The edits drop and rename blocks with their commitments,
+    so the optimum's order has to be held in them."""
+    config = FibsConfig(max_plans=3, max_expansions=1500)
+    for seed in range(1, 101):
+        task, plan = random_task(seed, max_vars=4, max_steps=6,
+                                 unit_costs=True)
+        pop = eog(task, plan)
+        wcnf, cat = encode_mr(task, pop)
+        model, _ = optimal_model(task, pop)
+        optimum = decode_model(model, cat, task, pop, wcnf)
+        base = optimum.flex().frac
+        sd1, _, _ = substitution_deorder(task, optimum, config,
+                                         primitive_only=True)
+        bd = block_deorder(optimum)
+        for out in (sd1, bd):
+            assert out.validate(), seed
+            assert out.flex().frac >= base, seed

@@ -123,8 +123,7 @@ def test_flex_antitone_in_orderings():
     pop = eog(task, plan)
     base = pop.flex().value
     steps = pop.real_steps()
-    pop.extra_orderings.add((steps[0], steps[1]))
-    pop.rebuild_closure()
+    pop.add_ordering(steps[0], steps[1])
     assert pop.flex().value < base
 
 
