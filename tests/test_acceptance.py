@@ -7,6 +7,7 @@ against the input plan's pair count, the convention under which the
 headline 0.75 figure is exact.
 """
 
+import hashlib
 import json
 import time
 
@@ -253,6 +254,11 @@ def test_criterion_8_scaling_smoke():
     out, reports = fibs(task, plan, cfg)
     elapsed = time.monotonic() - t0
     assert elapsed < 1800.0
+    # the digest `scripts/profile_corpus.py scaling300` prints
+    text = json.dumps([out.to_json(), [r.to_dict() for r in reports]],
+                      sort_keys=True)
+    assert hashlib.sha1(text.encode()).hexdigest() \
+        == "211b8c4df5ea69cc300afe80de36776f29e4a404"
     assert out.validate()
     _check_linearizations(task, out, samples=5)
     with pytest.raises(EncodingTooLarge):
