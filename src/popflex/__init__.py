@@ -3,7 +3,7 @@ MaxSAT reordering encoder for grounded finite-domain planning tasks."""
 
 from .bdpo import (BdpoPlan, Block, FlexScore, Reason, block_deorder,
                    candidate_producers)
-from .fibs import (AcceptanceCriteria, FibsConfig, PhaseReport,
+from .fibs import (AcceptanceCriteria, FibsConfig, PhaseReport, Run,
                    backward_justify, build_subtask, reduce_plan, resolve,
                    substitution_deorder)
 from .maxsat import (Wcnf, VarCatalog, brute_force_mr, decode_model,

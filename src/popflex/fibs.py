@@ -58,7 +58,7 @@ class AcceptanceCriteria:
         return cost_after <= cost_before
 
 
-@dataclass
+@dataclass(frozen=True)
 class FibsConfig:
     criteria: AcceptanceCriteria = field(default_factory=AcceptanceCriteria)
     reduce: str = "none"                # none | bj | gj
@@ -178,9 +178,14 @@ def build_subtask(task: PlanningTask, plan: BdpoPlan, excluded: int,
                    max_expansions=config.max_expansions)
 
 
-@dataclass
-class PhaseMemo:
-    """What one `fibs` run has learnt, so that `resolve` does no work twice.
+class Run:
+    """One `fibs` run: the task, the config, the deadline and what the run
+    has learnt, so that `resolve` does no work twice.  Every phase that
+    reads or writes run state takes the run; a phase called directly is
+    handed a run of its own, `Run(task, config)`.
+
+    `deadline` is `config.time_limit` seconds after the run is built, on
+    the monotonic clock; the substitution phases start no attempt past it.
 
     Kept for the run: `candidates` maps a subtask key to the subtask's
     candidate blocks, and `successors` maps a search state to its
@@ -199,13 +204,17 @@ class PhaseMemo:
     into SD2 when block deordering commits nothing and hands SD1's plan
     on.  Plans are never edited in place, so the same object is the same
     plan."""
-    candidates: dict[tuple, list[CandidateBlock]] = field(default_factory=dict)
-    successors: dict[tuple, list[int]] = field(default_factory=dict)
-    plan: Optional[BdpoPlan] = None
-    subtasks: dict[tuple[int, int], Optional[Subtask]] = field(
-        default_factory=dict)
-    tried: set[tuple[int, CandidateBlock]] = field(default_factory=set)
-    score: Optional[tuple[Fraction, int]] = None
+
+    def __init__(self, task: PlanningTask,
+                 config: FibsConfig = FibsConfig()) -> None:
+        self.task, self.config = task, config
+        self.deadline = time.monotonic() + config.time_limit
+        self.candidates: dict[tuple, list[CandidateBlock]] = {}
+        self.successors: dict[tuple, list[int]] = {}
+        self.plan: Optional[BdpoPlan] = None
+        self.subtasks: dict[tuple[int, int], Optional[Subtask]] = {}
+        self.tried: set[tuple[int, CandidateBlock]] = set()
+        self.score: Optional[tuple[Fraction, int]] = None
 
     def bind(self, plan: BdpoPlan,
              score: Optional[tuple[Fraction, int]] = None) -> None:
@@ -216,21 +225,20 @@ class PhaseMemo:
             self.score = score
 
 
-def _candidates(task: PlanningTask, subtask: Subtask,
-                memo: PhaseMemo) -> list[CandidateBlock]:
+def _candidates(run: Run, subtask: Subtask) -> list[CandidateBlock]:
     """The subtask's candidate blocks, cheapest plan first, solved once."""
     key = (tuple(sorted(subtask.init.items())),
            tuple(sorted(subtask.goal.items())),
            subtask.cost_bound, subtask.max_len)
-    cands = memo.candidates.get(key)
+    cands = run.candidates.get(key)
     if cands is None:
         cands = []
-        for seq in solve_subtask(subtask, memo.successors):
-            if seq.cost(task) > subtask.cost_bound:
+        for seq in solve_subtask(subtask, run.successors):
+            if seq.cost(run.task) > subtask.cost_bound:
                 raise AssertionError("subplanner exceeded the cost bound")
-            cands.append(candidate_block(task, subtask.init, subtask.goal,
-                                         seq))
-        memo.candidates[key] = cands
+            cands.append(candidate_block(run.task, subtask.init,
+                                         subtask.goal, seq))
+        run.candidates[key] = cands
     return cands
 
 
@@ -258,43 +266,38 @@ def _post_accept_sweep(plan: BdpoPlan, new_block: Optional[int],
     return plan, current
 
 
-def resolve(task: PlanningTask, plan: BdpoPlan, excluded: int, target: int,
-            config: FibsConfig, max_len_override: Optional[int] = None,
-            memo: Optional[PhaseMemo] = None) -> tuple[BdpoPlan, bool]:
+def resolve(run: Run, plan: BdpoPlan, excluded: int, target: int,
+            max_len: Optional[int] = None) -> tuple[BdpoPlan, bool]:
     """Try to improve the plan by substituting `target`, assuming the basic
     ordering between `excluded` and `target` is the one under attack.
-
-    `memo`, when given, is the run's memo; on an accept it moves on to the
-    returned plan."""
-    if memo is None:
-        memo = PhaseMemo()
-    memo.bind(plan)
-    if (excluded, target) not in memo.subtasks:
+    `max_len`, when given, caps the subplans' length.  On an accept the
+    run's per-plan state moves on to the returned plan."""
+    run.bind(plan)
+    if (excluded, target) not in run.subtasks:
         try:
-            memo.subtasks[excluded, target] = build_subtask(
-                task, plan, excluded, target, config)
+            run.subtasks[excluded, target] = build_subtask(
+                run.task, plan, excluded, target, run.config)
         except SubtaskInfeasible as exc:
             logger.debug("subtask infeasible for target %s: %s", target, exc)
-            memo.subtasks[excluded, target] = None
-    subtask = memo.subtasks[excluded, target]
+            run.subtasks[excluded, target] = None
+    subtask = run.subtasks[excluded, target]
     if subtask is None:
         return plan, False
-    if max_len_override is not None:
+    if max_len is not None:
         subtask = dataclasses.replace(subtask, max_len=capped_length(
-            task, subtask.cost_bound, max_len_override))
-    if memo.score is None:
-        memo.score = (plan.flex().frac, plan.cost())
-    for cand in _candidates(task, subtask, memo):
-        if (target, cand) in memo.tried:
+            run.task, subtask.cost_bound, max_len))
+    if run.score is None:
+        run.score = (plan.flex().frac, plan.cost())
+    criteria = run.config.criteria
+    for cand in _candidates(run, subtask):
+        if (target, cand) in run.tried:
             continue
-        memo.tried.add((target, cand))
-        outcome = substitute(plan, target, cand, config.criteria.accepts,
-                             memo.score)
+        run.tried.add((target, cand))
+        outcome = substitute(plan, target, cand, criteria.accepts, run.score)
         if outcome.success:
             new_plan, score = _post_accept_sweep(
-                outcome.plan, outcome.new_block, config.criteria,
-                outcome.score)
-            memo.bind(new_plan, score)
+                outcome.plan, outcome.new_block, criteria, outcome.score)
+            run.bind(new_plan, score)
             return new_plan, True
     return plan, False
 
@@ -320,32 +323,26 @@ def _scan_basic_edges(plan: BdpoPlan) -> list[tuple[int, int]]:
     return sorted(out, key=lambda e: (plan.pos_key(e[0]), plan.pos_key(e[1])))
 
 
-def substitution_deorder(task: PlanningTask, plan: BdpoPlan,
-                         config: FibsConfig, primitive_only: bool = False,
-                         deadline: Optional[float] = None,
-                         memo: Optional[PhaseMemo] = None
+def substitution_deorder(run: Run, plan: BdpoPlan,
+                         primitive_only: bool = False
                          ) -> tuple[BdpoPlan, int, int]:
     """Attack each basic ordering by substituting its target, then its
     source; restart on success.  Stops before any attempt that would start
-    past the deadline.  `memo`, when given, is the run's memo.  Returns
-    (plan, attempted, accepted)."""
+    past the run's deadline.  Returns (plan, attempted, accepted)."""
     attempted = 0
     accepted = 0
-    override = 1 if primitive_only else None
-    if memo is None:
-        memo = PhaseMemo()
+    max_len = 1 if primitive_only else None
     while accepted < MAX_ACCEPTS_PER_PHASE:
         progress = False
         for a, b in _scan_basic_edges(plan):
             for excluded, target in ((a, b), (b, a)):
-                if deadline is not None and time.monotonic() > deadline:
+                if time.monotonic() > run.deadline:
                     logger.warning("substitution phase stopped at the time "
                                    "limit")
                     return plan, attempted, accepted
                 attempted += 1
-                plan2, progress = resolve(task, plan, excluded, target,
-                                          config, max_len_override=override,
-                                          memo=memo)
+                plan2, progress = resolve(run, plan, excluded, target,
+                                          max_len)
                 if progress:
                     break
             if progress:
@@ -417,18 +414,29 @@ def reduce_plan(plan: BdpoPlan, mode: str) -> BdpoPlan:
 
 
 def fibs(task: PlanningTask, seq_plan: SequentialPlan,
-         config: Optional[FibsConfig] = None
+         config: FibsConfig = FibsConfig()
          ) -> tuple[BdpoPlan, list[PhaseReport]]:
-    """Run the full pipeline on a valid sequential plan."""
-    config = config or FibsConfig()
-    reports: list[PhaseReport] = []
+    """Run the full pipeline on a valid sequential plan.  Each phase's
+    report compares its output with the previous phase's, or with itself
+    for the first phase."""
+    run = Run(task, config)
+    phases = [
+        ("EOG", lambda _: (eog(task, seq_plan), 0, 0)),
+        ("SD1", lambda plan: substitution_deorder(run, plan,
+                                                  primitive_only=True)),
+        ("BD", lambda plan: (block_deorder(plan), 0, 0)),
+        ("SD2", lambda plan: substitution_deorder(run, plan)),
+    ]
+    if config.reduce != "none":
+        phases.append(("REDUCE", lambda plan: (
+            reduce_plan(plan, config.reduce), 0, 0)))
     n_input = len(seq_plan.steps)
     total_input_pairs = n_input * (n_input - 1) // 2
-
-    def report(phase: str, plan: BdpoPlan, attempted: int, accepted: int,
-               t0: float) -> None:
-        """Report a phase's output plan; its input is the previous phase's
-        output, or the plan itself for the first phase."""
+    reports: list[PhaseReport] = []
+    plan = None
+    for phase, step in phases:
+        t0 = time.monotonic()
+        plan, attempted, accepted = step(plan)
         score = plan.flex()
         ordered = score.total_pairs - score.unordered_pairs
         steps, cost = len(plan.real_steps()), plan.cost()
@@ -446,31 +454,4 @@ def fibs(task: PlanningTask, seq_plan: SequentialPlan,
                            else 1.0 - ordered / total_input_pairs),
             attempted=attempted, accepted=accepted,
             elapsed=time.monotonic() - t0))
-
-    deadline = time.monotonic() + config.time_limit
-    memo = PhaseMemo()
-    t0 = time.monotonic()
-    plan = eog(task, seq_plan)
-    report("EOG", plan, 0, 0, t0)
-
-    t0 = time.monotonic()
-    plan, att, acc = substitution_deorder(task, plan, config,
-                                          primitive_only=True,
-                                          deadline=deadline, memo=memo)
-    report("SD1", plan, att, acc, t0)
-
-    t0 = time.monotonic()
-    plan = block_deorder(plan)
-    report("BD", plan, 0, 0, t0)
-
-    t0 = time.monotonic()
-    plan, att, acc = substitution_deorder(task, plan, config,
-                                          deadline=deadline, memo=memo)
-    report("SD2", plan, att, acc, t0)
-
-    if config.reduce != "none":
-        t0 = time.monotonic()
-        plan = reduce_plan(plan, config.reduce)
-        report("REDUCE", plan, 0, 0, t0)
-
     return plan, reports

@@ -75,15 +75,15 @@ N_RANDOM = 500
 
 
 def _pipeline_stages(task, seq, cfg):
-    from popflex.fibs import substitution_deorder
+    from popflex.fibs import Run, substitution_deorder
+    run = Run(task, cfg)
     plan = eog(task, seq)
     yield "EOG", plan
-    plan, _, _ = substitution_deorder(task, plan, cfg,
-                                      primitive_only=True)
+    plan, _, _ = substitution_deorder(run, plan, primitive_only=True)
     yield "SD1", plan
     plan = block_deorder(plan)
     yield "BD", plan
-    plan, _, _ = substitution_deorder(task, plan, cfg)
+    plan, _, _ = substitution_deorder(run, plan)
     yield "SD2", plan
     plan = reduce_plan(plan, "gj")
     yield "REDUCE", plan

@@ -16,7 +16,7 @@ from popflex.corpus import (chain_task, elevator_plan, elevator_task,
                             independent_task, inverse_pair_task, random_task,
                             scaling_task)
 from popflex.eog import eog
-from popflex.fibs import (AcceptanceCriteria, FibsConfig,
+from popflex.fibs import (AcceptanceCriteria, FibsConfig, Run,
                           SubtaskInfeasible, _scan_basic_edges,
                           backward_justify, build_subtask, fibs, reduce_plan,
                           resolve, remove_blocks, substitution_deorder)
@@ -165,7 +165,7 @@ def test_resolve_replaces_p2_block_with_second_lift():
     p2_block = next(b for b in plan.real_roots()
                     if any(plan.steps[s].name == "board p2 n1 e1"
                            for s in plan.blocks[b].members))
-    out, ok = resolve(task, plan, first, p2_block, CFG)
+    out, ok = resolve(Run(task, CFG), plan, first, p2_block)
     assert ok
     assert out.flex().frac > plan.flex().frac
     assert out.cost() <= plan.cost()
@@ -178,7 +178,7 @@ def test_resolve_fails_on_flat_flex():
     plan = eog(task, seq)
     a, b = plan.real_roots()[:2]
     # no ordering between any pair: resolve must refuse (nothing to gain)
-    out, ok = resolve(task, plan, a, b, CFG)
+    out, ok = resolve(Run(task, CFG), plan, a, b)
     assert not ok
 
 
@@ -199,7 +199,7 @@ def test_resolve_never_validates_a_rejected_candidate(monkeypatch):
 
     monkeypatch.setattr(fibs_mod, "substitute", traced)
     monkeypatch.setattr(BdpoPlan, "validate_current", never)
-    out, ok = resolve(task, plan, a, b, CFG)
+    out, ok = resolve(Run(task, CFG), plan, a, b)
     assert not ok and out is plan
     assert outcomes
     assert all(o.reason == CRITERIA_REJECT for o in outcomes)
@@ -209,14 +209,14 @@ def test_resolve_fails_on_unsolvable_subtask():
     task, seq = chain_task(4)
     plan = eog(task, seq)
     roots = plan.real_roots()
-    out, ok = resolve(task, plan, roots[0], roots[1], CFG)
+    out, ok = resolve(Run(task, CFG), plan, roots[0], roots[1])
     assert not ok and out is plan
 
 
 def test_substitution_deorder_identity_when_nothing_improvable():
     task, seq = chain_task(4)
     plan = eog(task, seq)
-    out, attempted, accepted = substitution_deorder(task, plan, CFG)
+    out, attempted, accepted = substitution_deorder(Run(task, CFG), plan)
     assert accepted == 0
     assert out.flex().value == plan.flex().value
 
@@ -542,6 +542,23 @@ def test_deadline_is_checked_before_every_resolve(monkeypatch):
     assert out.validate()
 
 
+def test_a_direct_phase_call_honours_the_runs_time_limit(monkeypatch):
+    """A run's deadline is set when the run is built, so a phase called
+    outside `fibs` stops at it too."""
+    task = elevator_task()
+    plan = eog(task, elevator_plan(task))
+    cfg = FibsConfig(max_plans=3, max_expansions=2000, time_limit=1.0)
+    assert substitution_deorder(Run(task, cfg), plan)[1] > 0
+    now = [0.0]
+    monkeypatch.setattr(fibs_mod, "time",
+                        SimpleNamespace(monotonic=lambda: now[0]))
+    run = Run(task, cfg)
+    now[0] = cfg.time_limit + 1.0
+    out, attempted, accepted = substitution_deorder(run, plan)
+    assert (attempted, accepted) == (0, 0)
+    assert out is plan
+
+
 SMALL = FibsConfig(reduce="gj", max_plans=3, max_expansions=1500,
                    subtask_time=math.inf, time_limit=math.inf)
 
@@ -668,16 +685,14 @@ def memo_free_phase(task, plan, config, primitive_only):
     """The substitution phase's loop, with direct resolve calls that share
     no phase state."""
     attempted = accepted = 0
-    override = 1 if primitive_only else None
+    max_len = 1 if primitive_only else None
     while accepted < fibs_mod.MAX_ACCEPTS_PER_PHASE:
         for a, b in _scan_basic_edges(plan):
             attempted += 1
-            plan2, ok = resolve(task, plan, a, b, config,
-                                max_len_override=override)
+            plan2, ok = resolve(Run(task, config), plan, a, b, max_len)
             if not ok:
                 attempted += 1
-                plan2, ok = resolve(task, plan, b, a, config,
-                                    max_len_override=override)
+                plan2, ok = resolve(Run(task, config), plan, b, a, max_len)
             if ok:
                 plan = plan2
                 accepted += 1
@@ -696,8 +711,7 @@ def test_phase_counts_equal_memo_free_resolve_calls():
             ref, ref_att, ref_acc = memo_free_phase(task, plan, SMALL,
                                                     primitive_only)
             out, att, acc = substitution_deorder(
-                task, plan, SMALL,
-                primitive_only=primitive_only)
+                Run(task, SMALL), plan, primitive_only=primitive_only)
             assert (att, acc) == (ref_att, ref_acc)
             assert out.to_json() == ref.to_json()
             total_accepted += acc

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 from popflex.corpus import (chain_task, independent_task,
                             produce_consume_task, random_task, scaling_task)
 from popflex.eog import eog
-from popflex.fibs import FibsConfig, substitution_deorder
+from popflex.fibs import FibsConfig, Run, substitution_deorder
 from popflex.maxsat import (EncodingTooLarge, InvalidModel, TooLarge, Wcnf,
                             _add_edge, _posets, brute_force_mr, check_model,
                             decode_model, encode_mr, optimal_model,
@@ -568,7 +568,7 @@ def test_mr_optima_survive_the_pipelines_edits():
         model, _ = optimal_model(task, pop)
         optimum = decode_model(model, cat, task, pop, wcnf)
         base = optimum.flex().frac
-        sd1, _, _ = substitution_deorder(task, optimum, config,
+        sd1, _, _ = substitution_deorder(Run(task, config), optimum,
                                          primitive_only=True)
         bd = block_deorder(optimum)
         for out in (sd1, bd):
