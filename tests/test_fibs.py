@@ -548,7 +548,7 @@ def test_a_direct_phase_call_honours_the_runs_time_limit(monkeypatch):
     task = elevator_task()
     plan = eog(task, elevator_plan(task))
     cfg = FibsConfig(max_plans=3, max_expansions=2000, time_limit=1.0)
-    assert substitution_deorder(Run(task, cfg), plan)[1] > 0
+    assert _scan_basic_edges(plan)      # there is an ordering to attack
     now = [0.0]
     monkeypatch.setattr(fibs_mod, "time",
                         SimpleNamespace(monotonic=lambda: now[0]))
