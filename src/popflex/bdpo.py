@@ -19,15 +19,24 @@ or renamed with their commitments, and `refresh` across re-derived
 commitments (it rebuilds only when a stale one drops out).
 
 Program edits follow one contract.  Commitments move with renamed or
-removed blocks by one rule, `relinked`, in every context; `wrap_blocks`
-and `substitution.remove_blocks` use it, and `delete_block`, which renames
-nothing, applies it as a filter.  Blocks with their dependents leave a plan
-through one primitive, `substitution.remove_blocks`, which also serves
-`substitute` with an empty candidate.  Each edit keeps the closure
-current, so `substitute`, `remove_blocks` and the deordering rules judge
-their result with `validate_current`, which trusts the closure.
+removed blocks by one rule, `relinked`, in every context; `wrap_blocks`,
+`delete_block` and `substitution.remove_blocks` use it.  Blocks with their
+dependents leave a plan through one primitive, `substitution.remove_blocks`,
+which also serves `substitute` with an empty candidate.  Each edit keeps
+the closure current, so `substitute`, `remove_blocks` and the deordering
+rules judge their result with `validate_current`, which trusts the
+closure.
 `validate()` rebuilds the closure first, so a plan whose commitments were
 edited by hand is judged as it stands.
+
+No reason set is ever empty, and no link or commitment joins a block to
+itself, at the root or inside a block.  Every edit records a reason with
+its pair, between two distinct blocks: `generalize` orders a step before a
+later one, a threat's deleter is neither end of its link, and a fresh link
+joins a block to a producer other than itself.  The MaxSAT decoders link
+distinct steps and record their commitments by `refresh`.  `relinked`
+drops a link or commitment that a renaming would turn into a self loop.
+So no code here tests a reason set for emptiness or a link for a loop.
 
 Blocks are frozen once created: a compound block carries its own internal
 causal links, demotion/promotion commitments, and closure over its children,
@@ -143,6 +152,15 @@ def topological_order(direct: dict[int, set[int]]) -> list[int]:
 
 
 def _find_cycle(direct: dict[int, set[int]], candidates: list[int]) -> list[int]:
+    """A cycle through the nodes that Kahn's pass left, `candidates`, as a
+    path that ends where it starts.
+
+    One is always found.  A node the pass left has a predecessor it also
+    left, since only a processed node lowers an in-degree, so walking
+    predecessors among them repeats a node: they hold a cycle.  The search
+    starts from each of them in turn, so it enters that cycle, and the
+    first node of the cycle it enters stays on its path until the whole
+    cycle is explored: the cycle's edge back into it is met there."""
     seen: dict[int, int] = {}
     path: list[int] = []
 
@@ -165,7 +183,6 @@ def _find_cycle(direct: dict[int, set[int]], candidates: list[int]) -> list[int]
             found = dfs(n)
             if found:
                 return found
-    return candidates[:1]
 
 
 @dataclass(frozen=True)
@@ -333,7 +350,7 @@ class BdpoPlan:
         self.blocks[bid] = Block(
             id=bid, members=members, children=children,
             ilinks=dict(ilinks),
-            iresolutions={k: frozenset(v) for k, v in iresolutions.items() if v},
+            iresolutions={k: frozenset(v) for k, v in iresolutions.items()},
             iclosure=iclosure,
             pre=pre, eff=eff, prod=prod, dels=frozenset(dels),
             cost=sum(self.blocks[c].cost for c in children),
@@ -379,28 +396,21 @@ class BdpoPlan:
         new_res: dict[tuple[int, int], set[Reason]] = {}
         for (x, y), rs in resolutions.items():
             nx, ny = swap.get(x, x), swap.get(y, y)
-            if rs and nx is not None and ny is not None and nx != ny:
+            if nx is not None and ny is not None and nx != ny:
                 new_res.setdefault((nx, ny), set()).update(rs)
         return new_links, new_res
 
     def delete_block(self, bid: int) -> None:
         """Remove a block, its descendants and steps, and the root
-        commitments that touch it; the closure is left for the caller to
-        update.
-
-        This is `relinked` with `{bid: None}`, as a filter: with no block
-        renamed, no two links come to carry one fact into one consumer, so
-        no earliest producer has to be chosen, and no commitment comes to
-        join a block to itself (none ever does)."""
+        commitments that touch it, by `relinked`; the closure is left for
+        the caller to update."""
         for s in self.blocks[bid].members:
             self.steps.pop(s, None)
         for sub in self._descendant_blocks(bid):
             self.blocks.pop(sub, None)
         self.roots.discard(bid)
-        self.links = {(c, f): p for (c, f), p in self.links.items()
-                      if bid != c and bid != p}
-        self.resolutions = {pair: rs for pair, rs in self.resolutions.items()
-                            if rs and bid not in pair}
+        self.links, self.resolutions = self.relinked(
+            self.links, self.resolutions, {bid: None})
 
     # -- ordering ------------------------------------------------------------
 
@@ -409,11 +419,9 @@ class BdpoPlan:
         order: links, resolutions and init-first/goal-last."""
         direct: dict[int, set[int]] = {a: set() for a in self.roots}
         for (c, _), p in self.links.items():
-            if p != c:
-                direct[p].add(c)
-        for (a, b), rs in self.resolutions.items():
-            if rs:
-                direct[a].add(b)
+            direct[p].add(c)
+        for a, b in self.resolutions:
+            direct[a].add(b)
         for b in self.roots:
             if b != INIT_BLOCK:
                 direct[INIT_BLOCK].add(b)
@@ -481,9 +489,17 @@ class BdpoPlan:
         for (c, f), p in self.links.items():
             out.setdefault((p, c), set()).add(Reason(PC, f))
         for pair, rs in self.resolutions.items():
-            if rs:
-                out.setdefault(pair, set()).update(rs)
+            out.setdefault(pair, set()).update(rs)
         return out
+
+    def committed_edges(self) -> list[tuple[int, int, set[Reason]]]:
+        """The committed orderings (a, b) between real root blocks, each with
+        its reasons, by the positions of a and then b."""
+        ends = (INIT_BLOCK, GOAL_BLOCK)
+        edges = [(a, b, rs) for (a, b), rs in self.reasons().items()
+                 if a not in ends and b not in ends]
+        return sorted(edges, key=lambda e: (self.pos_key(e[0]),
+                                            self.pos_key(e[1])))
 
     def pair_reasons(self, a: int, b: int) -> set[Reason]:
         """`reasons().get((a, b), set())`, without building the others."""
@@ -531,8 +547,7 @@ class BdpoPlan:
             elif self.ordered(c, t):
                 new_res.setdefault((c, t), set()).add(Reason(CD, f))
             # else: left unresolved; validate() reports it
-        dropped = any(rs and pair not in new_res
-                      for pair, rs in self.resolutions.items())
+        dropped = any(pair not in new_res for pair in self.resolutions)
         self.resolutions = new_res
         if dropped:
             self.rebuild_closure()
@@ -875,7 +890,7 @@ def wrap_blocks(plan: BdpoPlan, span: set[int]) -> int:
         if c in span and p in span:
             ilinks[(c, f)] = p
     for (a, b), rs in sorted(plan.resolutions.items()):
-        if a in span and b in span and rs:
+        if a in span and b in span:
             iresolutions[(a, b)] = set(rs)
     bid = plan.make_compound(sorted(span, key=plan.pos_key), ilinks, iresolutions)
     plan.links, plan.resolutions = plan.relinked(
@@ -1015,16 +1030,8 @@ def _attempt_edge(plan: BdpoPlan, si: int, sj: int,
 
 
 def _scan_edges(plan: BdpoPlan, pure_dp_only: bool) -> list[tuple[int, int]]:
-    out = []
-    for (a, b), rs in plan.reasons().items():
-        if a in (INIT_BLOCK, GOAL_BLOCK) or b in (INIT_BLOCK, GOAL_BLOCK):
-            continue
-        if not rs:
-            continue
-        if pure_dp_only and any(r.kind != DP for r in rs):
-            continue
-        out.append((a, b))
-    return sorted(out, key=lambda e: (plan.pos_key(e[0]), plan.pos_key(e[1])))
+    return [(a, b) for a, b, rs in plan.committed_edges()
+            if not pure_dp_only or all(r.kind == DP for r in rs)]
 
 
 def block_deorder(plan: BdpoPlan) -> BdpoPlan:

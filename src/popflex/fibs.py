@@ -22,8 +22,7 @@ from .eog import eog
 from .subplanner import Subtask, capped_length, solve_subtask
 from .substitution import (CandidateBlock, candidate_block, remove_blocks,
                            removal_saving, substitute)
-from .task import (Fact, NotApplicable, PlanningTask, SequentialPlan,
-                   apply_op)
+from .task import Fact, PlanningTask, SequentialPlan, apply_op
 
 logger = logging.getLogger(__name__)
 
@@ -123,11 +122,6 @@ class PhaseReport:
         return data
 
 
-class SubtaskInfeasible(Exception):
-    """Excluding the edge's source broke the progression used for the
-    subtask's initial state."""
-
-
 def build_subtask(task: PlanningTask, plan: BdpoPlan, excluded: int,
                   target: int, config: FibsConfig) -> Subtask:
     """Initial state from progressing every block before the target except
@@ -137,7 +131,30 @@ def build_subtask(task: PlanningTask, plan: BdpoPlan, excluded: int,
     It reads the closure rows once, for the blocks before the target, and
     the links once, for the target's facts and the crossing facts, and
     sorts only the links it keeps; the goal lists the target's facts
-    first, each part in link order."""
+    first, each part in link order.
+
+    The pair must be a basic edge of a valid plan whose closure is
+    current, in either direction: a committed ordering a < b between real
+    roots with no real root between them, as `substitution_deorder`
+    attacks it.  On such a pair the subtask always exists:
+    - The progressed blocks and init are closed under predecessors.  A
+      predecessor y of a progressed block x precedes the target.  When the
+      excluded block is b it follows the target a, so y is not it; when it
+      is a, y = a would put the real root x between a and b.
+    - So the progressed blocks, then the excluded block if it precedes the
+      target, then the target, then the rest, is a linearization of the
+      plan.  Every linearization of a valid plan executes, so no
+      `apply_op` of the progression fails.
+    - In that linearization a link's fact holds at every block boundary
+      from its producer's end to its consumer's start: a block between
+      them that left it false would be a deleter of it, and a valid plan
+      orders every deleter outside the link.  Each goal fact is carried by
+      a link from the target or from a block before it to a block after
+      it, so all of them hold when the target ends, and no two disagree on
+      a variable.
+
+    On a pair that breaks the precondition, `apply_op`'s NotApplicable
+    propagates, and a conflicting goal fact raises ValueError."""
     closure = plan.closure
     before, after = 0, closure[target]
     context = []                # the blocks progressed, in any order
@@ -148,13 +165,8 @@ def build_subtask(task: PlanningTask, plan: BdpoPlan, excluded: int,
                 context.append(b)
     state = dict(task.init)
     rng = random.Random(config.seed)
-    order = plan._linearize_context(context, closure, rng)
-    for sid in order:
-        op = plan.steps[sid]
-        try:
-            state = apply_op(op, state)
-        except NotApplicable as exc:
-            raise SubtaskInfeasible(str(exc)) from exc
+    for sid in plan._linearize_context(context, closure, rng):
+        state = apply_op(plan.steps[sid], state)
 
     supplied: list[tuple[int, Fact]] = []
     crossing: list[tuple[int, Fact]] = []
@@ -167,7 +179,7 @@ def build_subtask(task: PlanningTask, plan: BdpoPlan, excluded: int,
     for links, kind in ((supplied, "goal"), (crossing, "crossing")):
         for _, f in sorted(links):
             if goal.setdefault(f.var, f.val) != f.val:
-                raise SubtaskInfeasible(f"conflicting {kind} fact {f}")
+                raise ValueError(f"conflicting {kind} fact {f}")
 
     bound = plan.blocks[target].cost
     max_len = capped_length(
@@ -194,16 +206,15 @@ class Run:
     outlives the run.
 
     Kept for one plan, the object `plan`: `subtasks` maps (excluded,
-    target) to the subtask `build_subtask` gives, or to None where it is
-    infeasible; `tried` holds the (target, candidate) pairs already
-    substituted into the plan; `score` is the plan's (flex, cost), counted
-    once per plan and handed to every `substitute` call with the acceptance
-    test, so no attempt counts it again.  A pair tried again on the same
-    plan can only be rejected again.  `bind` drops all three when `resolve`
-    is given another plan object, and only then, so they survive from SD1
-    into SD2 when block deordering commits nothing and hands SD1's plan
-    on.  Plans are never edited in place, so the same object is the same
-    plan."""
+    target) to the subtask `build_subtask` gives; `tried` holds the
+    (target, candidate) pairs already substituted into the plan; `score`
+    is the plan's (flex, cost), counted once per plan and handed to every
+    `substitute` call with the acceptance test, so no attempt counts it
+    again.  A pair tried again on the same plan can only be rejected
+    again.  `bind` drops all three when `resolve` is given another plan
+    object, and only then, so they survive from SD1 into SD2 when block
+    deordering commits nothing and hands SD1's plan on.  Plans are never
+    edited in place, so the same object is the same plan."""
 
     def __init__(self, task: PlanningTask,
                  config: FibsConfig = FibsConfig()) -> None:
@@ -212,7 +223,7 @@ class Run:
         self.candidates: dict[tuple, list[CandidateBlock]] = {}
         self.successors: dict[tuple, list[int]] = {}
         self.plan: Optional[BdpoPlan] = None
-        self.subtasks: dict[tuple[int, int], Optional[Subtask]] = {}
+        self.subtasks: dict[tuple[int, int], Subtask] = {}
         self.tried: set[tuple[int, CandidateBlock]] = set()
         self.score: Optional[tuple[Fraction, int]] = None
 
@@ -248,8 +259,10 @@ def _post_accept_sweep(plan: BdpoPlan, new_block: Optional[int],
                        ) -> tuple[BdpoPlan, tuple[Fraction, int]]:
     """Remove blocks the freshly substituted block can itself substitute;
     `current` is the plan's flex and cost.  Returns the plan with its flex
-    and cost."""
-    if new_block is None or new_block not in plan.roots:
+    and cost.  `new_block` is a successful `substitute`'s, so it is None
+    (an empty candidate) or a root of `plan`: the internal substitutions
+    of threat resolution replace other blocks with it, never it."""
+    if new_block is None:
         return plan, current
     changed = True
     while changed:
@@ -269,20 +282,15 @@ def _post_accept_sweep(plan: BdpoPlan, new_block: Optional[int],
 def resolve(run: Run, plan: BdpoPlan, excluded: int, target: int,
             max_len: Optional[int] = None) -> tuple[BdpoPlan, bool]:
     """Try to improve the plan by substituting `target`, assuming the basic
-    ordering between `excluded` and `target` is the one under attack.
-    `max_len`, when given, caps the subplans' length.  On an accept the
-    run's per-plan state moves on to the returned plan."""
+    ordering between `excluded` and `target` is the one under attack; on
+    any other pair `build_subtask` raises.  `max_len`, when given, caps the
+    subplans' length.  On an accept the run's per-plan state moves on to
+    the returned plan."""
     run.bind(plan)
-    if (excluded, target) not in run.subtasks:
-        try:
-            run.subtasks[excluded, target] = build_subtask(
-                run.task, plan, excluded, target, run.config)
-        except SubtaskInfeasible as exc:
-            logger.debug("subtask infeasible for target %s: %s", target, exc)
-            run.subtasks[excluded, target] = None
-    subtask = run.subtasks[excluded, target]
+    subtask = run.subtasks.get((excluded, target))
     if subtask is None:
-        return plan, False
+        subtask = run.subtasks[excluded, target] = build_subtask(
+            run.task, plan, excluded, target, run.config)
     if max_len is not None:
         subtask = dataclasses.replace(subtask, max_len=capped_length(
             run.task, subtask.cost_bound, max_len))
@@ -304,13 +312,11 @@ def resolve(run: Run, plan: BdpoPlan, excluded: int, target: int,
 
 def _scan_basic_edges(plan: BdpoPlan) -> list[tuple[int, int]]:
     """Committed orderings between real root blocks that are not implied by
-    a chain through a third block."""
+    a chain through a third block, by the positions of their ends."""
     out = []
     closure = plan.closure
     ends = 1 << INIT_BLOCK | 1 << GOAL_BLOCK
-    for (a, b), rs in plan.reasons().items():
-        if not rs or a in (INIT_BLOCK, GOAL_BLOCK) or b in (INIT_BLOCK, GOAL_BLOCK):
-            continue
+    for a, b, _ in plan.committed_edges():
         # a third block z with a < z < b: a successor of a that precedes b
         between = closure[a] & ~(ends | 1 << b)
         while between:
@@ -320,7 +326,7 @@ def _scan_basic_edges(plan: BdpoPlan) -> list[tuple[int, int]]:
             between ^= low
         else:
             out.append((a, b))
-    return sorted(out, key=lambda e: (plan.pos_key(e[0]), plan.pos_key(e[1])))
+    return out
 
 
 def substitution_deorder(run: Run, plan: BdpoPlan,

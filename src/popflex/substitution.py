@@ -170,7 +170,6 @@ def substitute(plan: BdpoPlan, old: int,
                accept: Optional[Callable[[Fraction, int, Fraction, int],
                                          bool]] = None,
                before: Optional[tuple[Fraction, int]] = None,
-               _new_marker: Optional[int] = None,
                _depth: int = 0) -> SubstitutionOutcome:
     """Replace block `old` with `new`, preserving plan validity.
 
@@ -183,6 +182,12 @@ def substitute(plan: BdpoPlan, old: int,
     closure must be current; the result keeps it current, and a successful
     result is valid and at its `refresh` fixpoint.  On failure the returned
     plan is the input, untouched.
+
+    A successful outcome's `new_block` is the substitute block (None for
+    an empty candidate), and it is a root of the result.  Threat
+    resolution may substitute a block that conflicts with it by the
+    substitute block itself; that internal call has the same substitute
+    block, and replaces another block, never it.
 
     A candidate block that `_renames` the target would give back `before`,
     so when `accept` rejects `before` against itself it fails with
@@ -255,7 +260,6 @@ def substitute(plan: BdpoPlan, old: int,
         trace.append(f"relink {b_new} -{f}-> {c}")
     if not external:
         work = plan.clone()
-    marker = b_new if _new_marker is None else _new_marker
     work.delete_block(old)
     work.remove_from_closure([old])
     try:
@@ -268,7 +272,7 @@ def substitute(plan: BdpoPlan, old: int,
     threats = work.threats()
     work.refresh(threats)
 
-    work, threats, failure = _resolve_all_threats(work, threats, marker,
+    work, threats, failure = _resolve_all_threats(work, threats, b_new,
                                                   trace, _depth)
     if failure is not None:
         return SubstitutionOutcome(plan, False, failure, trace)
@@ -281,11 +285,11 @@ def substitute(plan: BdpoPlan, old: int,
         logger.debug("substitution left an invalid plan: %s", report.reason)
         return SubstitutionOutcome(plan, False, UNRESOLVABLE_THREAT,
                                    trace + [report.reason])
-    return SubstitutionOutcome(work, True, "", trace, new_block=marker,
+    return SubstitutionOutcome(work, True, "", trace, new_block=b_new,
                                score=score)
 
 
-def _resolve_all_threats(work: BdpoPlan, threats: list, marker: int,
+def _resolve_all_threats(work: BdpoPlan, threats: list, b_new: int,
                          trace: list[str], depth: int
                          ) -> tuple[BdpoPlan, list, Optional[str]]:
     """Demotion first, promotion second, internal substitution last.
@@ -296,9 +300,9 @@ def _resolve_all_threats(work: BdpoPlan, threats: list, marker: int,
     and its plan, with its own threat list, is carried on instead.  Once
     every threat is resolved, the plan is refreshed again if anything was
     recorded; with nothing recorded, that refresh would re-derive the same
-    commitments from the same threats and closure.  Edits `work`; returns
-    the plan and threat list it ends with, and a failure code, or None when
-    every threat is resolved.
+    commitments from the same threats and closure.  `b_new` is the
+    substitute block.  Edits `work`; returns the plan and threat list it
+    ends with, and a failure code, or None when every threat is resolved.
     """
     guard = 0
     while True:
@@ -326,12 +330,10 @@ def _resolve_all_threats(work: BdpoPlan, threats: list, marker: int,
         # both orderings would close a cycle: internal substitution, only
         # when the conflicting pair involves the substitute block and the
         # victim is an ordinary block
-        if t == marker and c not in (INIT_BLOCK, GOAL_BLOCK):
-            inner = substitute(work, c, t, _new_marker=marker,
-                               _depth=depth + 1)
-        elif c == marker and t not in (INIT_BLOCK, GOAL_BLOCK):
-            inner = substitute(work, t, c, _new_marker=marker,
-                               _depth=depth + 1)
+        if t == b_new and c not in (INIT_BLOCK, GOAL_BLOCK):
+            inner = substitute(work, c, t, _depth=depth + 1)
+        elif c == b_new and t not in (INIT_BLOCK, GOAL_BLOCK):
+            inner = substitute(work, t, c, _depth=depth + 1)
         else:
             return work, threats, UNRESOLVABLE_THREAT
         if not inner.success:

@@ -31,9 +31,8 @@ from popflex.bdpo import GOAL_BLOCK, INIT_BLOCK, block_deorder
 from popflex.corpus import (elevator_plan, elevator_task, micro_corpus,
                             random_task, scaling_task)
 from popflex.eog import eog
-from popflex.fibs import (AcceptanceCriteria, FibsConfig, SubtaskInfeasible,
-                          _scan_basic_edges, build_subtask, fibs, reduce_plan,
-                          remove_blocks)
+from popflex.fibs import (AcceptanceCriteria, FibsConfig, _scan_basic_edges,
+                          build_subtask, fibs, reduce_plan, remove_blocks)
 from popflex.maxsat import (brute_force_mr, decode_model, encode_mr,
                             optimal_model)
 from popflex.subplanner import solve_subtask
@@ -263,11 +262,7 @@ def test_golden_candidates():
         plan = block_deorder(eog(task, seq))
         for a, b in _scan_basic_edges(plan):
             for excluded, target in ((a, b), (b, a)):
-                try:
-                    subtask = build_subtask(task, plan, excluded, target,
-                                            config)
-                except SubtaskInfeasible:
-                    continue
+                subtask = build_subtask(task, plan, excluded, target, config)
                 for found in solve_subtask(subtask):
                     cand = candidate_block(task, subtask.init, subtask.goal,
                                            found)
@@ -315,11 +310,8 @@ def test_golden_search():
         for plan in (flat, block_deorder(flat)):
             for a, b in _scan_basic_edges(plan):
                 for excluded, target in ((a, b), (b, a)):
-                    try:
-                        subtask = build_subtask(task, plan, excluded, target,
-                                                config)
-                    except SubtaskInfeasible:
-                        continue
+                    subtask = build_subtask(task, plan, excluded, target,
+                                            config)
                     plans = solve_subtask(subtask)
                     searches += 1
                     found += bool(plans)

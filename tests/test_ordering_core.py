@@ -6,10 +6,12 @@ count are checked on the plans that `eog`, `wrap_blocks`,
 direct calls and on every call that a whole `fibs` run makes, and so are
 the closure after each incremental update and the threat list each of
 those calls reuses.  `between_closure` is checked against its fixpoint
-definition.  Each block's stored interior pair count, and the plan's
-ordered-pair count built from the roots' counts, are checked against a
-walk over every compound block on deordered plans, on the remainders of
-removals at every nesting depth and on a towers-4 run.
+definition.  None of those plans, nor any plan `refresh` leaves, holds an
+empty reason set or a link or commitment from a block to itself.  Each
+block's stored interior pair count, and the plan's ordered-pair count
+built from the roots' counts, are checked against a walk over every
+compound block on deordered plans, on the remainders of removals at every
+nesting depth and on a towers-4 run.
 """
 
 import math
@@ -110,6 +112,19 @@ def check_core(plan) -> None:
     assert plan.threats() == reference_threats(plan)
     assert flat_closure(plan) == reference_step_order(plan)
     assert plan.ordered_step_pairs() == reference_ordered_step_pairs(plan)
+    check_no_empty_reasons_or_loops(plan)
+
+
+def check_no_empty_reasons_or_loops(plan) -> None:
+    """What `bdpo`'s module docstring promises in place of guards: no reason
+    set is empty, and no link or commitment joins a block to itself, at
+    the root or inside any live compound block."""
+    contexts = [(plan.links, plan.resolutions)]
+    contexts += [(plan.blocks[b].ilinks, plan.blocks[b].iresolutions)
+                 for b in plan.live_blocks() if not plan.blocks[b].primitive]
+    for links, resolutions in contexts:
+        assert all(c != p for (c, _), p in links.items())
+        assert all(rs and a != b for (a, b), rs in resolutions.items())
 
 
 @contextmanager
@@ -156,6 +171,7 @@ def core_checked_after_each_update():
         check_threats(plan, threats)
         refresh(plan, threats)
         check_closure(plan)
+        check_no_empty_reasons_or_loops(plan)
 
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(substitution_module, "_materialize", checked_materialize)

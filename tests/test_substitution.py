@@ -10,7 +10,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as hst
 
 import popflex.fibs as fibs_module
-from popflex.fibs import RCO, RFO, AcceptanceCriteria
+import popflex.substitution as substitution_module
+from popflex.fibs import (RCO, RFO, AcceptanceCriteria, FibsConfig, Run,
+                          _scan_basic_edges, resolve)
 from popflex.bdpo import (CD, DP, BdpoPlan, Reason, block_deorder,
                           earliest_producer_for_insert)
 from popflex.corpus import elevator_plan, elevator_task, random_task
@@ -501,6 +503,102 @@ def test_a_block_that_lacks_a_supplied_fact_is_refused_before_a_clone():
     assert outcome.trace == ["relink 5 -(0=1)-> 3",
                              "5 cannot produce (1=1)"]
     assert outcome.plan is plan and snapshot(plan) == snap
+
+
+# ---------------------------------------------------------------------------
+# the UnresolvableThreat returns that the pipeline reaches, each pinned on
+# the golden random corpus (`random_task(seed, 8, 12)`, 3 plans, 1,500
+# expansions) at an SD1 attack that the phase makes before its first accept
+
+
+GOLDEN_CONFIGS = {
+    RFO: FibsConfig(reduce="gj", max_plans=3, max_expansions=1500,
+                    subtask_time=math.inf, time_limit=math.inf),
+    RCO: FibsConfig(criteria=AcceptanceCriteria(RCO), reduce="bj",
+                    max_plans=3, max_expansions=1500,
+                    subtask_time=math.inf, time_limit=math.inf),
+}
+
+
+def _sd1_attack(monkeypatch, seed, mode, excluded, target):
+    """SD1's attack on the basic edge (excluded, target) of EOG's plan of
+    golden seed `seed`, under the golden config of `mode`.  Returns whether
+    it was accepted, and every `substitute` call it made, the post-accept
+    sweep's and threat resolution's included, as (depth, plan, old, new,
+    outcome), in the order the calls returned."""
+    task, seq = random_task(seed, max_vars=8, max_steps=12)
+    plan = eog(task, seq)
+    assert {(excluded, target), (target, excluded)} & set(
+        _scan_basic_edges(plan))
+    calls = []
+
+    def recorded(work, old, new, *args, _depth=0, **kwargs):
+        outcome = substitute(work, old, new, *args, _depth=_depth, **kwargs)
+        calls.append((_depth, work, old, new, outcome))
+        return outcome
+
+    monkeypatch.setattr(fibs_module, "substitute", recorded)
+    monkeypatch.setattr(substitution_module, "substitute", recorded)
+    _, accepted = resolve(Run(task, GOLDEN_CONFIGS[mode]), plan, excluded,
+                          target, max_len=1)
+    return accepted, calls
+
+
+def _unresolvable(calls):
+    return [(depth, old, new, outcome.trace[-1])
+            for depth, _, old, new, outcome in calls
+            if outcome.reason == UNRESOLVABLE_THREAT]
+
+
+def test_a_sweep_substitution_fails_on_a_cycle_after_relinking(monkeypatch):
+    """Seed 160 under rfo/gj: the attack on (7, 8) puts a candidate in as
+    block 12, and the sweep tries block 12 for block 5.  Re-pointing block
+    5's links to block 12 closes a cycle."""
+    accepted, calls = _sd1_attack(monkeypatch, 160, RFO, 7, 8)
+    assert accepted
+    assert _unresolvable(calls) == [(0, 5, 12, "cycle after relinking")]
+
+
+@pytest.mark.parametrize("mode", [RFO, RCO])
+def test_a_sweep_substitution_fails_validation(monkeypatch, mode):
+    """Seed 117: the attack on (2, 4) puts a candidate in as block 14,
+    which consumes (2=0) from block 2, and every sweep pass tries block 14
+    for block 2.  The edit leaves block 14 with no producer for (2=0), and
+    only `validate_current` finds it."""
+    accepted, calls = _sd1_attack(monkeypatch, 117, mode, 2, 4)
+    assert accepted
+    failed = _unresolvable(calls)
+    assert len(failed) > 1
+    assert set(failed) == {(0, 2, 14, "block 14: no producer for (2=0)")}
+    work = next(work for _, work, old, _, _ in calls if old == 2)
+    assert work.links[14, Fact(2, 0)] == 2
+
+
+@pytest.mark.parametrize("mode", [RFO, RCO])
+def test_a_threat_between_two_old_blocks_is_unresolvable(monkeypatch, mode):
+    """Seed 93: the one candidate for block 6 on the attack on (5, 6)
+    leaves a threat that neither ordering resolves, between two blocks
+    neither of which is the substitute block, so nothing is substituted
+    for it."""
+    accepted, calls = _sd1_attack(monkeypatch, 93, mode, 5, 6)
+    assert not accepted
+    assert [(depth, old) for depth, _, old, _, _ in calls] == [(0, 6)]
+    assert _unresolvable(calls) == [
+        (0, 6, calls[0][3], "resolved 5 vs 9-(1=0)->8 via CD(1=0)")]
+
+
+@pytest.mark.parametrize("mode", [RFO, RCO])
+def test_a_failed_internal_substitution_fails_its_caller(monkeypatch, mode):
+    """Seed 3: the first candidate for block 8 on the attack on (3, 8),
+    inserted as block 12, leaves a threat between block 12 and block 5
+    that neither ordering resolves.  Substituting block 12 for block 5
+    fails, and so does the candidate."""
+    accepted, calls = _sd1_attack(monkeypatch, 3, mode, 3, 8)
+    assert not accepted
+    cand = calls[1][3]
+    assert _unresolvable(calls) == [
+        (1, 5, 12, "resolved 6 vs 12-(2=1)->10 via CD(2=1)"),
+        (0, 8, cand, "resolved 9 vs 0-(2=0)->12 via CD(2=0)")]
 
 
 def test_substitution_work_scales_quadratically():
