@@ -2,16 +2,18 @@
 transitive closure, a deep image of a plan, every linearization of a plan,
 the ordered step pairs counted by walking every compound block, the laminar
 and contiguity checks of a block family, the blocks whose removal keeps a
-plan valid, gj reduction by building every removal, and the MaxSAT
+plan valid, gj reduction by building every removal, the MaxSAT
 reordering encoder that numbers one variable and adds one clause at a
-time."""
+time, and the subplanner's search over dict states."""
 
-from typing import Collection, Iterable, Iterator
+import heapq
+from typing import Collection, Iterable, Iterator, Optional
 
 from popflex.bdpo import (GOAL_BLOCK, GOAL_ID, INIT_BLOCK, INIT_ID, BdpoPlan,
                           topological_order)
 from popflex.maxsat import (MAX_ENCODE_STEPS, EncodingTooLarge, VarCatalog,
                             Wcnf)
+from popflex.subplanner import Subtask, _Relaxation, _tables
 from popflex.substitution import remove_blocks
 from popflex.task import PlanningTask, SequentialPlan
 
@@ -250,3 +252,199 @@ def reference_encode_mr(task: PlanningTask, pop: BdpoPlan, mclcp: bool = False
 
     wcnf.n_vars = len(cat.rev)
     return wcnf, cat
+
+
+def reference_h_add(rx: _Relaxation, state: dict[int, int]) -> Optional[int]:
+    """`popflex.subplanner._h_add` over a dict state, seeded from every
+    fact of the state that the relaxation knows."""
+    facts = rx.facts
+    heap = [(0, f) for f in state.items() if f in facts]
+    best: dict[tuple[int, int], int] = {}
+    for o in rx.no_pre:
+        c = rx.cost[o]
+        for f in rx.eff[o]:
+            if f not in best or c < best[f]:
+                best[f] = c
+                heap.append((c, f))
+    heapq.heapify(heap)
+    pre_of, eff = rx.pre_of, rx.eff
+    unmet = rx.n_pre[:]
+    acc = rx.cost[:]
+    settled: dict[tuple[int, int], int] = {}
+    open_goals = len(rx.goal)
+    goal_facts = rx.goal
+    while heap and open_goals:
+        c, f = heapq.heappop(heap)
+        if f in settled:
+            continue
+        settled[f] = c
+        if f in goal_facts:
+            open_goals -= 1
+        for o in pre_of.get(f, ()):
+            acc[o] += c
+            unmet[o] -= 1
+            if unmet[o]:
+                continue
+            c2 = acc[o]
+            for f2 in eff[o]:
+                if f2 not in settled and (f2 not in best or c2 < best[f2]):
+                    best[f2] = c2
+                    heapq.heappush(heap, (c2, f2))
+    total = 0
+    for f in goal_facts:
+        c = settled.get(f)
+        if c is None:
+            return None
+        total += c
+    return total
+
+
+def _dict_applicable(st: Subtask, state: dict) -> list[int]:
+    return [i for i, op in enumerate(st.base.operators)
+            if all(state.get(v) == d for v, d in op.pre)]
+
+
+def _dict_goal(state: dict, goal: dict[int, int]) -> bool:
+    return all(state.get(v) == d for v, d in goal.items())
+
+
+def _dict_start(st: Subtask) -> dict:
+    start = dict.fromkeys(range(len(st.base.variables)))
+    start.update(st.init)
+    return start
+
+
+def reference_proved_empty(st: Subtask, rx: _Relaxation) -> bool:
+    """`popflex.subplanner._proved_empty` over dict states, with no clock:
+    the depth-first search over the goal's relevant operators within the
+    cost bound, False at its first goal state or after max_expansions
+    pops."""
+    operators = st.base.operators
+    goal, bound = st.goal, st.cost_bound
+    start = _dict_start(st)
+    if _dict_goal(start, goal):
+        return False
+    key = tuple(start.values())
+    best_g = {key: 0}
+    stack = [(0, key, start)]
+    pops = 0
+    while stack:
+        pops += 1
+        if pops > st.max_expansions:
+            return False
+        g, key, state = stack.pop()
+        if best_g[key] < g:
+            continue
+        for op_idx in _dict_applicable(st, state):
+            if op_idx not in rx.relevant:
+                continue
+            g2 = g + operators[op_idx].cost
+            if g2 > bound:
+                continue
+            state2 = dict(state)
+            state2.update(operators[op_idx].eff_map())
+            key2 = tuple(state2.values())
+            prev = best_g.get(key2)
+            if prev is not None and g2 >= prev:
+                continue
+            if _dict_goal(state2, goal):
+                return False
+            best_g[key2] = g2
+            stack.append((g2, key2, state2))
+    return True
+
+
+def reference_search(st: Subtask, rx: Optional[_Relaxation], h0: int,
+                     queue_leaves: bool) -> Optional[list[SequentialPlan]]:
+    """`popflex.subplanner._search` over dict states, with no clock and no
+    successor table shared between searches: None where the expansion cap
+    binds with leaves goal-tested and left unqueued."""
+    operators, goal = st.base.operators, st.goal
+    if rx is None and queue_leaves:
+        rx = _Relaxation(_tables(st.base), goal)
+        h0 = reference_h_add(rx, st.init)
+        if h0 is None:
+            return []
+    if rx is not None:
+        relaxed_vars = {v for v, _ in rx.facts}
+        changes_h = [not relaxed_vars.isdisjoint(op.eff_map())
+                     for op in operators]
+    found: list[SequentialPlan] = []
+    banned: set[tuple] = set()
+    counter = 0
+    start = _dict_start(st)
+    key = tuple(start.values())
+    heap: list[tuple] = [(h0, 0, counter, key, start, [])]
+    best_g: dict[tuple, int] = {key: 0}
+    expansions = leaves = 0
+    while heap:
+        if len(found) >= st.max_plans:
+            break
+        expansions += 1
+        if expansions + leaves > st.max_expansions:
+            if leaves:
+                return None
+            break
+        h, g, _, key, state, path = heapq.heappop(heap)
+        if _dict_goal(state, goal):
+            multiset = tuple(sorted(path))
+            if multiset not in banned:
+                banned.add(multiset)
+                found.append(SequentialPlan(list(path)))
+        if len(path) >= st.max_len:
+            continue
+        at_leaf = not queue_leaves and len(path) + 1 == st.max_len
+        for op_idx in _dict_applicable(st, state):
+            g2 = g + operators[op_idx].cost
+            if g2 > st.cost_bound:
+                continue
+            state2 = dict(state)
+            state2.update(operators[op_idx].eff_map())
+            key2 = tuple(state2.values())
+            prev = best_g.get(key2)
+            if prev is not None and g2 >= prev:
+                continue
+            best_g[key2] = g2
+            if at_leaf:
+                if not _dict_goal(state2, goal):
+                    leaves += 1
+                    continue
+                h2 = 0
+            elif changes_h[op_idx]:
+                h2 = reference_h_add(rx, state2)
+                if h2 is None:
+                    continue
+            else:
+                h2 = h
+            counter += 1
+            heapq.heappush(heap, (h2, g2, counter, key2, state2,
+                                  path + [op_idx]))
+    if _dict_goal(st.init, goal):
+        empty = SequentialPlan([])
+        if tuple() not in banned:
+            found.append(empty)
+    return found
+
+
+def reference_solve_subtask(st: Subtask) -> list[SequentialPlan]:
+    """`popflex.subplanner.solve_subtask` with the dict-state search, for a
+    subtask with no time bound: the relaxation and the proof of emptiness
+    where the length bound is above 1, the search with the leaves
+    goal-tested, and again with every leaf queued where that gives None;
+    the plans cheapest first, then by operator sequence."""
+    rx, h0 = None, 0
+    if st.max_len > 1:
+        tables = _tables(st.base)
+        rx = _Relaxation(tables, st.goal)
+        h0 = reference_h_add(rx, st.init)
+        if h0 is None:
+            return []
+        least = tables.least_cost
+        if (least > 0 and st.max_len >= st.cost_bound // least
+                and reference_proved_empty(st, rx)):
+            return []
+    found = reference_search(st, rx, h0, False)
+    if found is None:
+        found = reference_search(st, rx, h0, True)
+    found.sort(key=lambda p: (p.cost(st.base), tuple(p.steps)))
+    return found

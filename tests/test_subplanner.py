@@ -23,6 +23,9 @@ from popflex.subplanner import (PLANNER_CMD_ENV, Subtask, _h_add,
 from popflex.task import (Fact, OperatorDef, PlanningTask, Variable,
                           apply_op, make_operator, validate_sequential)
 
+from references import (reference_h_add, reference_proved_empty,
+                        reference_solve_subtask)
+
 
 def test_elevator_second_lift_subplan_found():
     task = elevator_task()
@@ -564,3 +567,51 @@ def test_the_expansion_cap_counts_the_leaves_left_unqueued():
         found, verdicts, searched = _solve_recorded(st)
         # max_len < cost_bound // least: the proof does not run
         assert (_steps(found), verdicts, searched) == (plans, [], searches)
+
+
+def _packed(st: Subtask, state: dict[int, int]):
+    """`state`, a full state of the subtask's task, as the search holds it."""
+    return subplanner._start_state(dataclasses.replace(st, init=state))
+
+
+def test_the_search_finds_the_plans_of_the_dict_state_reference():
+    """`solve_subtask` gives the plans of the dict-state search kept in
+    `references`, also where the expansion cap makes it search again with
+    every leaf queued; the proof of emptiness gives the reference's
+    verdict, and h_add the reference's value on the initial state and on
+    every state along each plan found."""
+    search = subplanner._search
+    restarts, verdicts = [], []
+
+    def recorded(*args):
+        out = search(*args)
+        if out is None:
+            restarts.append(args[0])
+        return out
+
+    @settings(max_examples=500, deadline=None)
+    @given(search_subtasks())
+    # the cap forces a restart; the cap lets the plan out
+    @example(_dead_ends_subtask(4, 10))
+    @example(_dead_ends_subtask(4, 11))
+    def check(st):
+        with mock.patch.object(subplanner, "_search", recorded):
+            plans = solve_subtask(st)
+        assert _steps(plans) == _steps(reference_solve_subtask(st))
+        tables = _tables(st.base)
+        rx = _Relaxation(tables, st.goal)
+        verdict = subplanner._proved_empty(st, tables, rx, {}, math.inf)
+        assert verdict == reference_proved_empty(st, rx)
+        verdicts.append(verdict)
+        states = [dict(st.init)]
+        for plan in plans:
+            state = dict(st.init)
+            for i in plan.steps:
+                state = apply_op(st.base.operators[i], state)
+                states.append(state)
+        for state in states:
+            assert _h_add(rx, _packed(st, state)) \
+                == reference_h_add(rx, state)
+
+    check()
+    assert restarts and True in verdicts and False in verdicts
