@@ -6,16 +6,23 @@ going after the first solution, banning already-emitted operator multisets,
 so several alternative subplans come out; results are sorted by cost and
 then by operator index sequence, which makes the whole thing deterministic.
 
+A search state is a tuple over every variable of the task, in index
+order, None where the subtask leaves a variable unset, and the tuple is
+also the state's key.  A successor copies its parent's tuple and rebinds
+the variables of the operator's effect by index; the goal test reads the
+goal's (var, val) pairs by index too.
+
 The tables that depend only on the task (the achievers of each fact, the
 writers of each variable, an index of the operators by their first
-precondition fact, each operator's effect map, the least operator cost)
-are built once per task and kept on it, so the subtasks of one run share
-them.  Each search that reads h compiles its goal once: h_add is computed
-over the operators backward-relevant to the goal only, by a single
-priority-queue pass per state.  An operator that sets no variable of a
-fact of that relaxation cannot change h_add, so its successor takes the
-popped state's h without a pass; the writers of the relaxation's variables
-are the operators that can.  The applicable operators of each state go
+precondition fact, each operator's effect as (var, val) pairs, the least
+operator cost) are built once per task and kept on it, so the subtasks of
+one run share them.  Each search that reads h compiles its goal once:
+h_add is computed over the operators backward-relevant to the goal only,
+by a single priority-queue pass per state, seeded from the values of the
+relaxation's own variables alone.  An operator that sets none of those
+variables cannot change h_add, so its successor takes the popped state's
+h without a pass; the writers of the relaxation's variables are the
+operators that can.  The applicable operators of each state go
 into a table that the caller may share between searches; `fibs` keeps one
 for the whole run, so a state that an earlier subtask of the run expanded
 is not matched again.  The search still branches over every applicable
@@ -73,6 +80,9 @@ logger = logging.getLogger(__name__)
 
 PLANNER_CMD_ENV = "POPFLEX_PLANNER_CMD"
 
+# a search state: one value per variable of the task, None where unset
+SearchState = tuple[Optional[int], ...]
+
 
 def check_planner_cmd(cmd: str) -> None:
     """Raise ValueError, naming the field, unless every format field of an
@@ -104,6 +114,13 @@ class Subtask:
     max_plans: int = 10
     max_expansions: int = 20000
 
+    def __post_init__(self) -> None:
+        # `_search` goal-tests the initial state only when it pops it
+        for name in ("max_plans", "max_expansions"):
+            if getattr(self, name) < 1:
+                raise ValueError(f"{name} must be at least 1, "
+                                 f"not {getattr(self, name)!r}")
+
     def as_task(self) -> PlanningTask:
         return PlanningTask(self.base.variables, self.base.operators,
                             dict(self.init), dict(self.goal),
@@ -113,8 +130,8 @@ class Subtask:
 class _TaskTables:
     """What the search needs of a task's operators, whatever the subtask:
     the achievers of each fact, the writers of each variable, the successor
-    generator, each operator's effect as a map, and the least operator
-    cost."""
+    generator, each operator's effect as (var, val) pairs, one per
+    variable, and the least operator cost."""
 
     __slots__ = ("operators", "achievers", "writers", "successors",
                  "effects", "least_cost")
@@ -127,10 +144,10 @@ class _TaskTables:
             for f in op.eff:
                 self.achievers.setdefault(f, []).append(i)
         self.successors = _SuccessorGenerator(operators)
-        self.effects = [op.eff_map() for op in operators]
+        self.effects = [tuple(op.eff_map().items()) for op in operators]
         self.writers: dict[int, list[int]] = {}
         for i, eff in enumerate(self.effects):
-            for v in eff:
+            for v, _ in eff:
                 self.writers.setdefault(v, []).append(i)
 
 
@@ -156,11 +173,12 @@ class _Relaxation:
 
     Only those operators can lower the additive cost of a goal fact, so h_add
     over them equals h_add over all operators (Bonet & Geffner 2001).  Facts
-    are (var, val) pairs; operators are numbered locally.
+    are (var, val) pairs; `variables` are the variables of the facts,
+    ascending; operators are numbered locally.
     """
 
-    __slots__ = ("goal", "facts", "relevant", "pre_of", "n_pre", "cost",
-                 "eff", "no_pre")
+    __slots__ = ("goal", "facts", "variables", "relevant", "pre_of", "n_pre",
+                 "cost", "eff", "no_pre")
 
     def __init__(self, tables: _TaskTables, goal: dict[int, int]):
         operators, achievers = tables.operators, tables.achievers
@@ -177,6 +195,7 @@ class _Relaxation:
                     if f not in self.facts:
                         self.facts.add(f)
                         stack.append(f)
+        self.variables = tuple(sorted({v for v, _ in self.facts}))
         self.pre_of: dict[tuple[int, int], list[int]] = {}
         self.n_pre: list[int] = []
         self.cost: list[int] = []
@@ -194,17 +213,19 @@ class _Relaxation:
             self.eff.append(tuple(f for f in op.eff if f in self.facts))
 
 
-def _h_add(rx: _Relaxation, state: State) -> Optional[int]:
-    """Additive delete-relaxation estimate of the goal of `rx`; None when the
-    goal is unreachable even ignoring deletes.
+def _h_add(rx: _Relaxation, state: SearchState) -> Optional[int]:
+    """Additive delete-relaxation estimate of the goal of `rx` in `state`;
+    None when the goal is unreachable even ignoring deletes.
 
     One generalized-Dijkstra pass (Knuth 1977): facts are settled cheapest
     first and an operator fires once, when its last precondition settles.
     With nonnegative costs this is the least fixpoint of the sweep
     h(f) = min over achievers of cost(op) + sum of h over its preconditions.
+    A fact of the state off the relaxation fires nothing and is no goal,
+    so the pass reads only the relaxation's own variables.
     """
     facts = rx.facts
-    heap = [(0, f) for f in state.items() if f in facts]
+    heap = [(0, f) for v in rx.variables if (f := (v, state[v])) in facts]
     best: dict[tuple[int, int], int] = {}
     for o in rx.no_pre:
         c = rx.cost[o]
@@ -262,14 +283,14 @@ class _SuccessorGenerator:
             else:
                 self.no_pre.append(i)
 
-    def applicable(self, state: State) -> list[int]:
+    def applicable(self, state: SearchState) -> list[int]:
         """Indices of the operators applicable in `state`, ascending."""
         out = list(self.no_pre)
         by_first, rest = self.by_first, self.rest
-        for f in state.items():
+        for f in enumerate(state):
             for i in by_first.get(f, ()):
                 for v, d in rest[i]:
-                    if state.get(v) != d:
+                    if state[v] != d:
                         break
                 else:
                     out.append(i)
@@ -277,18 +298,25 @@ class _SuccessorGenerator:
         return out
 
 
-def _goal_satisfied(state: State, goal: dict[int, int]) -> bool:
-    return all(state.get(v) == d for v, d in goal.items())
+def _satisfies(state: SearchState, facts: tuple[tuple[int, int], ...]
+               ) -> bool:
+    """True when `state` holds every (var, val) pair of `facts`."""
+    for v, d in facts:
+        if state[v] != d:
+            return False
+    return True
 
 
-def _start_state(st: Subtask) -> State:
-    """The subtask's initial state over every variable of the task, in index
-    order, None where it leaves one unset.  Effects only rebind variables,
-    so every state reached from it keeps that order and a state's values
-    are its key."""
-    start: State = dict.fromkeys(range(len(st.base.variables)))
-    start.update(st.init)
-    return start
+def _start_state(st: Subtask) -> SearchState:
+    """The subtask's initial state as a search state: a tuple over every
+    variable of the task, in index order, None where the subtask leaves one
+    unset.  A successor rebinds the variables of its operator's effect by
+    index, so every state reached from it is a tuple of the same length,
+    and the tuple is the state's key."""
+    start: list[Optional[int]] = [None] * len(st.base.variables)
+    for v, d in st.init.items():
+        start[v] = d
+    return tuple(start)
 
 
 def solve_subtask(st: Subtask,
@@ -296,8 +324,8 @@ def solve_subtask(st: Subtask,
                   ) -> list[SequentialPlan]:
     """Plans for the subtask, valid and within the cost bound, cheapest first.
 
-    `successors`, when given, maps a state's values to the operators
-    applicable in it.  The search fills it, so the subtasks of one task
+    `successors`, when given, maps a search state, the tuple of
+    `_start_state`, to the operators applicable in it.  The search fills it, so the subtasks of one task
     that share it find each state's successors once.  A planner command in
     the environment is checked by `check_planner_cmd` before it runs."""
     cmd = os.environ.get(PLANNER_CMD_ENV)
@@ -316,7 +344,7 @@ def _solve_gbfs(st: Subtask, successors: dict[tuple, list[int]]
     rx, h0 = None, 0
     if st.max_len > 1:
         rx = _Relaxation(tables, st.goal)
-        h0 = _h_add(rx, st.init)
+        h0 = _h_add(rx, _start_state(st))
         if h0 is None:
             return []
         least = tables.least_cost
@@ -344,13 +372,12 @@ def _proved_empty(st: Subtask, tables: _TaskTables, rx: _Relaxation,
     state, after max_expansions pops or once the deadline has passed."""
     operators, effects = tables.operators, tables.effects
     applicable, relevant = tables.successors.applicable, rx.relevant
-    goal, bound = st.goal, st.cost_bound
+    goal, bound = tuple(st.goal.items()), st.cost_bound
     start = _start_state(st)
-    if _goal_satisfied(start, goal):
+    if _satisfies(start, goal):
         return False
-    key = tuple(start.values())
-    best_g = {key: 0}
-    stack = [(0, key, start)]
+    best_g = {start: 0}
+    stack = [(0, start)]
     pops = 0
     while stack:
         pops += 1
@@ -358,28 +385,29 @@ def _proved_empty(st: Subtask, tables: _TaskTables, rx: _Relaxation,
             return False
         if pops % 256 == 0 and time.monotonic() > deadline:
             return False
-        g, key, state = stack.pop()
-        if best_g[key] < g:
+        g, state = stack.pop()
+        if best_g[state] < g:
             continue  # reached more cheaply since it was pushed
-        ops = successors.get(key)
+        ops = successors.get(state)
         if ops is None:
-            ops = successors[key] = applicable(state)
+            ops = successors[state] = applicable(state)
         for op_idx in ops:
             if op_idx not in relevant:
                 continue
             g2 = g + operators[op_idx].cost
             if g2 > bound:
                 continue
-            state2 = dict(state)
-            state2.update(effects[op_idx])
-            key2 = tuple(state2.values())
-            prev = best_g.get(key2)
+            values = list(state)
+            for v, d in effects[op_idx]:
+                values[v] = d
+            state2 = tuple(values)
+            prev = best_g.get(state2)
             if prev is not None and g2 >= prev:
                 continue
-            if _goal_satisfied(state2, goal):
+            if _satisfies(state2, goal):
                 return False
-            best_g[key2] = g2
-            stack.append((g2, key2, state2))
+            best_g[state2] = g2
+            stack.append((g2, state2))
     return True
 
 
@@ -402,28 +430,34 @@ def _search(st: Subtask, tables: _TaskTables, rx: Optional[_Relaxation],
     With a length bound of at most 1 and the leaves goal-tested, the search
     expands the initial state alone and reads no h, so `rx` and `h0`, the
     goal's relaxation and the initial state's h, may be None and 0.  With
-    the leaves queued it builds them when they are missing."""
-    operators, goal = tables.operators, st.goal
+    the leaves queued it builds them when they are missing.
+
+    The initial state is goal-tested where it is popped, and only there.
+    The heap holds it alone at the start, and with `max_plans` and
+    `max_expansions` at least 1, which `Subtask` checks, the first pass of
+    the loop neither stops nor passes the cap, so it is always the first
+    pop: a subtask whose initial state meets its goal gets the empty plan
+    exactly once."""
+    operators, goal = tables.operators, tuple(st.goal.items())
     applicable, effects = tables.successors.applicable, tables.effects
+    start = _start_state(st)
     if rx is None and queue_leaves:
-        rx = _Relaxation(tables, goal)
-        h0 = _h_add(rx, st.init)
+        rx = _Relaxation(tables, st.goal)
+        h0 = _h_add(rx, start)
         if h0 is None:
             return []
     if rx is not None:
-        # h_add reads a state only through the relaxation's facts, so an
-        # operator that sets none of their variables leaves h as it is
+        # h_add reads a state only through the relaxation's variables, so
+        # an operator that sets none of them leaves h as it is
         changes_h = [False] * len(operators)
-        for v in {v for v, _ in rx.facts}:
+        for v in rx.variables:
             for i in tables.writers.get(v, ()):
                 changes_h[i] = True
     found: list[SequentialPlan] = []
     banned: set[tuple] = set()
     counter = 0
-    start = _start_state(st)
-    key = tuple(start.values())
-    heap: list[tuple] = [(h0, 0, counter, key, start, [])]
-    best_g: dict[tuple, int] = {key: 0}
+    heap: list[tuple] = [(h0, 0, counter, start, [])]
+    best_g: dict[SearchState, int] = {start: 0}
     expansions = leaves = 0
     while heap:
         if len(found) >= st.max_plans:
@@ -435,8 +469,8 @@ def _search(st: Subtask, tables: _TaskTables, rx: Optional[_Relaxation],
             break
         if expansions % 256 == 0 and time.monotonic() > deadline:
             break
-        h, g, _, key, state, path = heapq.heappop(heap)
-        if _goal_satisfied(state, goal):
+        h, g, _, state, path = heapq.heappop(heap)
+        if _satisfies(state, goal):
             multiset = tuple(sorted(path))
             if multiset not in banned:
                 banned.add(multiset)
@@ -445,22 +479,23 @@ def _search(st: Subtask, tables: _TaskTables, rx: Optional[_Relaxation],
         if len(path) >= st.max_len:
             continue
         at_leaf = not queue_leaves and len(path) + 1 == st.max_len
-        ops = successors.get(key)
+        ops = successors.get(state)
         if ops is None:
-            ops = successors[key] = applicable(state)
+            ops = successors[state] = applicable(state)
         for op_idx in ops:
             g2 = g + operators[op_idx].cost
             if g2 > st.cost_bound:
                 continue
-            state2 = dict(state)
-            state2.update(effects[op_idx])
-            key2 = tuple(state2.values())
-            prev = best_g.get(key2)
+            values = list(state)
+            for v, d in effects[op_idx]:
+                values[v] = d
+            state2 = tuple(values)
+            prev = best_g.get(state2)
             if prev is not None and g2 >= prev:
                 continue
-            best_g[key2] = g2
+            best_g[state2] = g2
             if at_leaf:
-                if not _goal_satisfied(state2, goal):
+                if not _satisfies(state2, goal):
                     leaves += 1
                     continue
                 h2 = 0
@@ -471,12 +506,7 @@ def _search(st: Subtask, tables: _TaskTables, rx: Optional[_Relaxation],
             else:
                 h2 = h
             counter += 1
-            heapq.heappush(heap, (h2, g2, counter, key2, state2,
-                                  path + [op_idx]))
-    if _goal_satisfied(st.init, goal):
-        empty = SequentialPlan([])
-        if tuple() not in banned:
-            found.append(empty)
+            heapq.heappush(heap, (h2, g2, counter, state2, path + [op_idx]))
     return found
 
 

@@ -621,7 +621,7 @@ def test_a_run_finds_each_states_successors_once(monkeypatch):
     seen = []
 
     def recording(self, state):
-        seen.append(tuple(state.values()))
+        seen.append(state)
         return original(self, state)
 
     monkeypatch.setattr(_SuccessorGenerator, "applicable", recording)

@@ -9,6 +9,7 @@ import time
 import types
 from unittest import mock
 
+import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as hst
 
@@ -50,6 +51,28 @@ def test_goal_in_init_yields_empty_plan_first():
     st = Subtask(base=task, init={0: 1}, goal={0: 1}, cost_bound=2, max_len=4)
     plans = solve_subtask(st)
     assert plans and plans[0].steps == []
+
+
+@pytest.mark.parametrize("caps", [{"max_plans": 0}, {"max_plans": -5},
+                                  {"max_expansions": 0}])
+def test_a_subtask_rejects_a_cap_below_1(caps):
+    task, _ = chain_task(3)
+    with pytest.raises(ValueError, match=f"{next(iter(caps))} must be at "
+                                         "least 1"):
+        Subtask(base=task, init={0: 1}, goal={0: 1}, cost_bound=2,
+                max_len=4, **caps)
+
+
+def test_an_initial_state_that_meets_the_goal_gives_one_empty_plan():
+    """The search's first pop is the initial state, so its empty plan
+    comes out once, however low the caps, where operators apply (at a)
+    and where none does (at c)."""
+    task = _branching_task()
+    for loc in (0, 2):
+        for caps in ({"max_plans": 1}, {"max_expansions": 1}, {}):
+            st = Subtask(base=task, init={0: loc}, goal={0: loc},
+                         cost_bound=3, max_len=4, **caps)
+            assert _steps(solve_subtask(st)) == [[]]
 
 
 def test_unreachable_goal_gives_no_plans():
@@ -111,6 +134,11 @@ def test_external_planner_hook(tmp_path, monkeypatch):
     assert plans[0].steps == [0, 1]
 
 
+def _tuple_state(state: dict[int, int]) -> tuple:
+    """A full state as the search holds it: its values in variable order."""
+    return tuple(state[v] for v in range(len(state)))
+
+
 def _sweep_h_add(operators, state, goal):
     """Reference h_add: sweep every operator until no fact gets cheaper."""
     cost = {(v, d): 0 for v, d in state.items()}
@@ -157,11 +185,11 @@ def test_h_add_and_successors_match_naive_references(query):
     ops, state, goal = query
     tables = _TaskTables(ops)
     expected = _sweep_h_add(ops, state, goal)
-    got = _h_add(_Relaxation(tables, goal), state)
+    got = _h_add(_Relaxation(tables, goal), _tuple_state(state))
     assert got == expected and type(got) is type(expected)
     applicable = [i for i, op in enumerate(ops)
                   if all(state.get(f.var) == f.val for f in op.pre)]
-    assert tables.successors.applicable(state) == applicable
+    assert tables.successors.applicable(_tuple_state(state)) == applicable
 
 
 @settings(max_examples=300, deadline=None)
@@ -169,18 +197,21 @@ def test_h_add_and_successors_match_naive_references(query):
 def test_an_effect_off_the_relaxation_leaves_h_add_unchanged(query):
     """An operator that sets no variable of a relaxed fact cannot change
     h_add, whatever the state it is applied to; the writers of the relaxed
-    variables are the other operators."""
+    variables are the other operators.  Each operator's effect pairs are
+    its effect map's."""
     ops, state, goal = query
     tables = _TaskTables(ops)
     rx = _Relaxation(tables, goal)
     relaxed_vars = {v for v, _ in rx.facts}
-    h = _h_add(rx, state)
+    assert rx.variables == tuple(sorted(relaxed_vars))
+    assert tables.effects == [tuple(op.eff_map().items()) for op in ops]
+    h = _h_add(rx, _tuple_state(state))
     for eff in tables.effects:
-        if relaxed_vars.isdisjoint(eff):
-            assert _h_add(rx, {**state, **eff}) == h
+        if relaxed_vars.isdisjoint(v for v, _ in eff):
+            assert _h_add(rx, _tuple_state({**state, **dict(eff)})) == h
     assert {i for v in relaxed_vars for i in tables.writers.get(v, ())} == \
         {i for i, eff in enumerate(tables.effects)
-         if not relaxed_vars.isdisjoint(eff)}
+         if not relaxed_vars.isdisjoint(v for v, _ in eff)}
 
 
 def test_h_add_counts_a_repeated_precondition_twice():
@@ -188,7 +219,8 @@ def test_h_add_counts_a_repeated_precondition_twice():
     twice = OperatorDef("twice", (Fact(0, 1), Fact(0, 1)), (Fact(1, 1),), 0)
     state, goal = {0: 0, 1: 0}, {1: 1}
     assert _sweep_h_add([make_x, twice], state, goal) == 4
-    assert _h_add(_Relaxation(_TaskTables([make_x, twice]), goal), state) == 4
+    assert _h_add(_Relaxation(_TaskTables([make_x, twice]), goal),
+                  _tuple_state(state)) == 4
 
 
 def test_subtasks_of_one_task_share_its_tables():
@@ -216,10 +248,11 @@ def test_subtasks_of_one_task_share_its_tables():
             state = dict(task.init)
             for i in plan.steps:
                 expected = _sweep_h_add(task.operators, state, goal)
-                assert _h_add(_Relaxation(shared[-1], goal), state) \
+                packed = _tuple_state(state)
+                assert _h_add(_Relaxation(shared[-1], goal), packed) \
                     == expected
                 assert _h_add(_Relaxation(_TaskTables(task.operators), goal),
-                              state) == expected
+                              packed) == expected
                 state = apply_op(task.operators[i], state)
     assert shared[0] is shared[1]
 
@@ -412,7 +445,7 @@ def _relaxation_first(st: Subtask) -> list[list[int]]:
     proof where it applies before searching."""
     tables = _tables(st.base)
     rx = _Relaxation(tables, st.goal)
-    h0 = _h_add(rx, st.init)
+    h0 = _h_add(rx, subplanner._start_state(st))
     if h0 is None:
         return []
     least = tables.least_cost
@@ -569,11 +602,6 @@ def test_the_expansion_cap_counts_the_leaves_left_unqueued():
         assert (_steps(found), verdicts, searched) == (plans, [], searches)
 
 
-def _packed(st: Subtask, state: dict[int, int]):
-    """`state`, a full state of the subtask's task, as the search holds it."""
-    return subplanner._start_state(dataclasses.replace(st, init=state))
-
-
 def test_the_search_finds_the_plans_of_the_dict_state_reference():
     """`solve_subtask` gives the plans of the dict-state search kept in
     `references`, also where the expansion cap makes it search again with
@@ -610,7 +638,7 @@ def test_the_search_finds_the_plans_of_the_dict_state_reference():
                 state = apply_op(st.base.operators[i], state)
                 states.append(state)
         for state in states:
-            assert _h_add(rx, _packed(st, state)) \
+            assert _h_add(rx, _tuple_state(state)) \
                 == reference_h_add(rx, state)
 
     check()
