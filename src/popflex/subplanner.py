@@ -115,7 +115,8 @@ class Subtask:
     max_expansions: int = 20000
 
     def __post_init__(self) -> None:
-        # `_search` goal-tests the initial state only when it pops it
+        # a cap below 1 would stop `_search` before its first pop, the only
+        # place where it goal-tests the initial state
         for name in ("max_plans", "max_expansions"):
             if getattr(self, name) < 1:
                 raise ValueError(f"{name} must be at least 1, "
@@ -324,10 +325,11 @@ def solve_subtask(st: Subtask,
                   ) -> list[SequentialPlan]:
     """Plans for the subtask, valid and within the cost bound, cheapest first.
 
-    `successors`, when given, maps a search state, the tuple of
-    `_start_state`, to the operators applicable in it.  The search fills it, so the subtasks of one task
-    that share it find each state's successors once.  A planner command in
-    the environment is checked by `check_planner_cmd` before it runs."""
+    `successors`, when given, maps a search state (a tuple over the task's
+    variables, see `_start_state`) to the operators applicable in it.  The
+    search fills it, so the subtasks of one task that share it find each
+    state's successors once.  A planner command in the environment is
+    checked by `check_planner_cmd` before it runs."""
     cmd = os.environ.get(PLANNER_CMD_ENV)
     if cmd:
         check_planner_cmd(cmd)
