@@ -57,7 +57,6 @@ for CD, and consumer bundling for DP).
 
 from __future__ import annotations
 
-import logging
 import random
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -65,8 +64,6 @@ from typing import Collection, Iterable, Iterator, NamedTuple, Optional
 
 from .task import (Fact, OperatorDef, PartialState, PlanningTask,
                    SequentialPlan, State, ValidationReport, make_operator)
-
-logger = logging.getLogger(__name__)
 
 PC = "PC"
 CD = "CD"

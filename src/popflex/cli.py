@@ -20,9 +20,10 @@ from .eog import eog
 from .fibs import (RCO, REDUCE_MODES, RFO, AcceptanceCriteria, FibsConfig,
                    fibs, reduce_plan)
 from .maxsat import EncodingTooLarge, encode_mr
-from .subplanner import PLANNER_CMD_ENV, check_planner_cmd
 from .task import (PlanningTask, SequentialPlan, emit_plan, parse_plan,
                    parse_sas, validate_sequential)
+
+PLANNER_CMD_ENV = "POPFLEX_PLANNER_CMD"
 
 
 def _load(args) -> tuple[PlanningTask, SequentialPlan]:
@@ -46,6 +47,9 @@ def _json(data) -> str:
 
 
 def _config(args) -> FibsConfig:
+    """The `fibs` flags as a config.  The planner command comes from
+    --planner-cmd, or else from the PLANNER_CMD_ENV variable, the one
+    variable that the package reads."""
     return FibsConfig(
         criteria=AcceptanceCriteria(args.criteria),
         reduce=args.reduce,
@@ -53,7 +57,9 @@ def _config(args) -> FibsConfig:
         max_plans=args.max_plans,
         max_expansions=args.max_expansions,
         time_limit=args.time_limit,
-        seed=args.seed)
+        seed=args.seed,
+        planner_cmd=(args.planner_cmd or os.environ.get(PLANNER_CMD_ENV)
+                     or None))
 
 
 def _report_text(reports, with_timings: bool) -> str:
@@ -181,9 +187,6 @@ def run(argv: Sequence[str]) -> int:
     if args.command == "fibs":
         try:
             config = _config(args)
-            planner_cmd = args.planner_cmd or os.environ.get(PLANNER_CMD_ENV)
-            if planner_cmd:
-                check_planner_cmd(planner_cmd)
         except ValueError as exc:
             print(f"error: {exc}", file=sys.stderr)
             return 2
@@ -220,16 +223,7 @@ def run(argv: Sequence[str]) -> int:
         return 0
 
     if args.command == "fibs":
-        prior = os.environ.get(PLANNER_CMD_ENV)
-        if args.planner_cmd:
-            os.environ[PLANNER_CMD_ENV] = args.planner_cmd
-        try:
-            out, reports = fibs(task, plan, config)
-        finally:
-            if prior is None:
-                os.environ.pop(PLANNER_CMD_ENV, None)
-            else:
-                os.environ[PLANNER_CMD_ENV] = prior
+        out, reports = fibs(task, plan, config)
         if args.report:
             _write(args.report, _report_text(reports, args.with_timings))
         if args.report_csv:

@@ -19,7 +19,8 @@ from typing import Optional
 
 from .bdpo import GOAL_BLOCK, INIT_BLOCK, BdpoPlan, block_deorder
 from .eog import eog
-from .subplanner import Subtask, capped_length, solve_subtask
+from .subplanner import (Subtask, capped_length, check_planner_cmd,
+                         solve_subtask)
 from .substitution import (CandidateBlock, candidate_block, remove_blocks,
                            removal_saving, substitute)
 from .task import Fact, PlanningTask, SequentialPlan, apply_op
@@ -59,6 +60,11 @@ class AcceptanceCriteria:
 
 @dataclass(frozen=True)
 class FibsConfig:
+    """Everything a `fibs` run reads besides its task and plan.  The
+    subtask fields go to every `Subtask` the run builds; `planner_cmd`,
+    when set, is the external planner that solves them all (see
+    `check_planner_cmd`), and None means the internal search.  Each field
+    is checked here, once per run."""
     criteria: AcceptanceCriteria = field(default_factory=AcceptanceCriteria)
     reduce: str = "none"                # none | bj | gj
     subtask_time: float = 5.0
@@ -66,6 +72,7 @@ class FibsConfig:
     max_expansions: int = 20000
     time_limit: float = 1800.0          # whole-run budget in seconds
     seed: int = 0
+    planner_cmd: Optional[str] = None
 
     def __post_init__(self) -> None:
         if not isinstance(self.criteria, AcceptanceCriteria):
@@ -84,6 +91,8 @@ class FibsConfig:
             if not value >= 0:      # also rejects NaN
                 raise ValueError(f"{name} must be a nonnegative number of "
                                  f"seconds, not {value!r}")
+        if self.planner_cmd is not None:
+            check_planner_cmd(self.planner_cmd)
 
 
 @dataclass
@@ -187,14 +196,17 @@ def build_subtask(task: PlanningTask, plan: BdpoPlan, excluded: int,
     return Subtask(base=task, init=state, goal=goal, cost_bound=bound,
                    max_len=max_len, time_bound=config.subtask_time,
                    max_plans=config.max_plans,
-                   max_expansions=config.max_expansions)
+                   max_expansions=config.max_expansions,
+                   planner_cmd=config.planner_cmd)
 
 
 class Run:
     """One `fibs` run: the task, the config, the deadline and what the run
     has learnt, so that `resolve` does no work twice.  Every phase that
     reads or writes run state takes the run; a phase called directly is
-    handed a run of its own, `Run(task, config)`.
+    handed a run of its own, `Run(task, config)`.  The run reads no
+    process state: the config alone says which planner solves its
+    subtasks.
 
     `deadline` is `config.time_limit` seconds after the run is built, on
     the monotonic clock; the substitution phases start no attempt past it.

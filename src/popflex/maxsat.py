@@ -86,7 +86,6 @@ class VarCatalog:
     x: dict[int, int] = field(default_factory=dict)
     tau: dict[tuple[int, int], int] = field(default_factory=dict)
     gamma: dict[tuple[int, Fact, int], int] = field(default_factory=dict)
-    rev: dict[int, tuple] = field(default_factory=dict)
     steps: list[int] = field(default_factory=list)
 
 
@@ -265,13 +264,9 @@ def encode_mr(task: PlanningTask, pop: BdpoPlan, mclcp: bool = False
     else:
         hard += [(i + 1,) for i in real]
 
-    # the catalogue's dicts share the variables' int objects
     x = dict(zip(steps, range(1, n + 1)))
-    rev = {i: ("x", s) for s, i in x.items()}
-    rev.update(zip(tvars, [("tau", a, b) for a, b in pairs]))
-    rev.update({g: ("gamma", *link) for link, g in gamma.items()})
     return Wcnf(hard, soft, v, rows), VarCatalog(x, dict(zip(pairs, tvars)),
-                                                 gamma, rev, steps)
+                                                 gamma, steps)
 
 
 def check_model(wcnf: Wcnf, true_vars: set[int]) -> int:

@@ -53,8 +53,9 @@ Three cuts skip work that cannot change the plans:
   the expansion cap forces it, builds the relaxation.
 
 The search stops after max_plans plans, max_expansions expansions or the
-subtask's time bound, whichever comes first.  An external planner can be
-plugged in through a subprocess hook speaking SAS+ in, plan files out.
+subtask's time bound, whichever comes first.  A subtask whose `planner_cmd`
+is set goes to that external planner instead, a subprocess that reads
+SAS+ and writes plan files; its plans are sorted the same way.
 """
 
 from __future__ import annotations
@@ -77,8 +78,6 @@ from .task import (OperatorDef, PlanningTask, SequentialPlan, State,
                    validate_sequential)
 
 logger = logging.getLogger(__name__)
-
-PLANNER_CMD_ENV = "POPFLEX_PLANNER_CMD"
 
 # a search state: one value per variable of the task, None where unset
 SearchState = tuple[Optional[int], ...]
@@ -105,6 +104,9 @@ def check_planner_cmd(cmd: str) -> None:
 
 @dataclass
 class Subtask:
+    """A subplanning problem.  `planner_cmd`, when set, is the external
+    planner that solves it (see `_solve_external`); None means the
+    internal search."""
     base: PlanningTask
     init: State
     goal: dict[int, int]
@@ -113,6 +115,7 @@ class Subtask:
     time_bound: float = 5.0
     max_plans: int = 10
     max_expansions: int = 20000
+    planner_cmd: Optional[str] = None
 
     def __post_init__(self) -> None:
         # a cap below 1 would stop `_search` before its first pop, the only
@@ -121,6 +124,12 @@ class Subtask:
             if getattr(self, name) < 1:
                 raise ValueError(f"{name} must be at least 1, "
                                  f"not {getattr(self, name)!r}")
+        # NaN would never time out; a negative bound stops at once
+        if not self.time_bound >= 0:
+            raise ValueError(f"time_bound must be a nonnegative number of "
+                             f"seconds, not {self.time_bound!r}")
+        if self.planner_cmd is not None:
+            check_planner_cmd(self.planner_cmd)
 
     def as_task(self) -> PlanningTask:
         return PlanningTask(self.base.variables, self.base.operators,
@@ -328,13 +337,12 @@ def solve_subtask(st: Subtask,
     `successors`, when given, maps a search state (a tuple over the task's
     variables, see `_start_state`) to the operators applicable in it.  The
     search fills it, so the subtasks of one task that share it find each
-    state's successors once.  A planner command in the environment is
-    checked by `check_planner_cmd` before it runs."""
-    cmd = os.environ.get(PLANNER_CMD_ENV)
-    if cmd:
-        check_planner_cmd(cmd)
-        return _solve_external(st, cmd)
-    plans = _solve_gbfs(st, {} if successors is None else successors)
+    state's successors once.  A subtask with a `planner_cmd` goes to that
+    external planner, which reads no table."""
+    if st.planner_cmd is not None:
+        plans = _solve_external(st)
+    else:
+        plans = _solve_gbfs(st, {} if successors is None else successors)
     plans.sort(key=lambda p: (p.cost(st.base), tuple(p.steps)))
     return plans
 
@@ -512,8 +520,8 @@ def _search(st: Subtask, tables: _TaskTables, rx: Optional[_Relaxation],
     return found
 
 
-def _solve_external(st: Subtask, cmd: str) -> list[SequentialPlan]:
-    """Run a planner subprocess on the subtask.
+def _solve_external(st: Subtask) -> list[SequentialPlan]:
+    """Run the subtask's `planner_cmd` as a subprocess on it.
 
     The command may reference {sas} (task file path) and {plans} (output
     prefix), which are substituted shell-quoted, so the command must not
@@ -524,14 +532,14 @@ def _solve_external(st: Subtask, cmd: str) -> list[SequentialPlan]:
     time bound.
     """
     task = st.as_task()
-    plans: list[SequentialPlan] = []
+    plans: dict[tuple, SequentialPlan] = {}     # one per step sequence
     with tempfile.TemporaryDirectory(prefix="popflex-planner-") as tmp:
         sas_path = os.path.join(tmp, "task.sas")
         plan_prefix = os.path.join(tmp, "plan")
         with open(sas_path, "w", encoding="utf-8") as fh:
             fh.write(emit_sas(task))
-        command = cmd.format(sas=shlex.quote(sas_path),
-                             plans=shlex.quote(plan_prefix))
+        command = st.planner_cmd.format(sas=shlex.quote(sas_path),
+                                        plans=shlex.quote(plan_prefix))
         proc = subprocess.Popen(command, shell=True, cwd=tmp,
                                 stdin=subprocess.DEVNULL,
                                 stdout=subprocess.DEVNULL,
@@ -556,8 +564,5 @@ def _solve_external(st: Subtask, cmd: str) -> list[SequentialPlan]:
                 continue
             if plan.cost(task) > st.cost_bound or len(plan.steps) > st.max_len:
                 continue
-            plans.append(plan)
-    unique: dict[tuple, SequentialPlan] = {}
-    for p in plans:
-        unique.setdefault(tuple(p.steps), p)
-    return list(unique.values())
+            plans.setdefault(tuple(plan.steps), plan)
+    return list(plans.values())

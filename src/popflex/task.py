@@ -258,7 +258,7 @@ class _Lines:
         return var, val
 
 
-def parse_sas(text: str | bytes) -> PlanningTask:
+def parse_sas(text: str) -> PlanningTask:
     """Parse translator output (SAS+ version 3) into a task.
 
     Prevail conditions fold into the precondition; pre/post pairs contribute
@@ -268,8 +268,6 @@ def parse_sas(text: str | bytes) -> PlanningTask:
     outside its domain, a variable set twice in one operator or named twice
     in the goal, an empty effect, a negative cost, a repeated operator name.
     """
-    if isinstance(text, bytes):
-        text = text.decode("utf-8")
     src = _Lines(text)
     src.expect("begin_version")
     version = src.next_int()
@@ -397,12 +395,10 @@ _PLAN_LINE = re.compile(r"^\((?P<body>[^)]*)\)\s*$")
 _COST_COMMENT = re.compile(r";\s*cost\s*=\s*(\d+)")
 
 
-def parse_plan(text: str | bytes, task: PlanningTask) -> SequentialPlan:
+def parse_plan(text: str, task: PlanningTask) -> SequentialPlan:
     """Parse a plan file against a task; costs are recomputed from the task.
     A line that is not '(name)', or names no operator of the task, raises
     PlanSyntaxError with its line number."""
-    if isinstance(text, bytes):
-        text = text.decode("utf-8")
     steps: list[int] = []
     declared_cost: Optional[int] = None
     for line_no, line in enumerate(text.splitlines(), 1):

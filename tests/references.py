@@ -7,6 +7,7 @@ reordering encoder that numbers one variable and adds one clause at a
 time, and the subplanner's search over dict states."""
 
 import heapq
+import itertools
 from typing import Collection, Iterable, Iterator, Optional
 
 from popflex.bdpo import (GOAL_BLOCK, GOAL_ID, INIT_BLOCK, INIT_ID, BdpoPlan,
@@ -190,18 +191,15 @@ def reference_encode_mr(task: PlanningTask, pop: BdpoPlan, mclcp: bool = False
             f"{len(steps) - 2} steps exceed the {MAX_ENCODE_STEPS}-step cap")
     cat = VarCatalog(steps=steps)
     blocks = pop.blocks
-
-    def new_var(tag: tuple) -> int:
-        cat.rev[len(cat.rev) + 1] = tag
-        return len(cat.rev)
+    numbers = itertools.count(1)
 
     for s in steps:
-        cat.x[s] = new_var(("x", s))
+        cat.x[s] = next(numbers)
     t = [[0] * len(steps) for _ in steps]
     for i, a in enumerate(steps):
         for j, b in enumerate(steps):
             if i != j:
-                t[i][j] = cat.tau[(a, b)] = new_var(("tau", a, b))
+                t[i][j] = cat.tau[(a, b)] = next(numbers)
     for c in steps:
         if c == INIT_ID:
             continue
@@ -210,7 +208,7 @@ def reference_encode_mr(task: PlanningTask, pop: BdpoPlan, mclcp: bool = False
                 if p == c or p == GOAL_ID:
                     continue
                 if f in blocks[p].prod:
-                    cat.gamma[(p, f, c)] = new_var(("gamma", p, f, c))
+                    cat.gamma[(p, f, c)] = next(numbers)
 
     wcnf = Wcnf(rows=t)
     hard = wcnf.other_hard
@@ -250,8 +248,17 @@ def reference_encode_mr(task: PlanningTask, pop: BdpoPlan, mclcp: bool = False
         for s in real:
             hard.append((cat.x[s],))
 
-    wcnf.n_vars = len(cat.rev)
+    wcnf.n_vars = next(numbers) - 1
     return wcnf, cat
+
+
+def catalog_inverse(cat: VarCatalog) -> dict[int, tuple]:
+    """Each variable of an encoding's catalogue with what it stands for:
+    ("x", s), ("tau", a, b) or ("gamma", p, f, c)."""
+    inverse = {v: ("x", s) for s, v in cat.x.items()}
+    inverse.update({v: ("tau", a, b) for (a, b), v in cat.tau.items()})
+    inverse.update({v: ("gamma", *link) for link, v in cat.gamma.items()})
+    return inverse
 
 
 def reference_h_add(rx: _Relaxation, state: dict[int, int]) -> Optional[int]:

@@ -1,15 +1,15 @@
 import json
 import os
+import shlex
 import sys
 
 import pytest
 
-from popflex.cli import run
+from popflex.cli import PLANNER_CMD_ENV, run
 from popflex.corpus import (ELEVATOR_PLAN_TEXT, chain_task, elevator_task,
                             scaling_task)
 from popflex.eog import eog
 from popflex.maxsat import encode_mr
-from popflex.subplanner import PLANNER_CMD_ENV
 from popflex.task import emit_plan, emit_sas, parse_plan, parse_sas
 
 
@@ -212,7 +212,6 @@ def test_fibs_rejects_a_planner_cmd_field_before_the_run(
     out = tmp_path / "plan.json"
     argv = ["fibs", "--task", sas, "--plan", plan, "-o", str(out)]
     if source == "flag":
-        monkeypatch.delenv(PLANNER_CMD_ENV, raising=False)
         argv += ["--planner-cmd", cmd]
     else:
         monkeypatch.setenv(PLANNER_CMD_ENV, cmd)
@@ -226,12 +225,26 @@ def test_fibs_rejects_a_planner_cmd_field_before_the_run(
 @pytest.mark.parametrize("prior", [None, "prior-planner {sas} {plans}"])
 def test_fibs_planner_cmd_does_not_outlive_the_command(elevator_files,
                                                        monkeypatch, prior):
-    if prior is None:
-        monkeypatch.delenv(PLANNER_CMD_ENV, raising=False)
-    else:
+    if prior is not None:
         monkeypatch.setenv(PLANNER_CMD_ENV, prior)
     sas, plan = elevator_files
     # doubled braces are literal ones, not format fields
     assert run(["fibs", "--task", sas, "--plan", plan,
                 "--planner-cmd", "true '{{x}}' {sas} {plans}"]) == 0
     assert os.environ.get(PLANNER_CMD_ENV) == prior
+
+
+@pytest.mark.parametrize("flag", [False, True])
+def test_fibs_takes_the_planner_from_the_variable_unless_the_flag_names_one(
+        elevator_files, tmp_path, monkeypatch, flag):
+    """The variable alone reaches the subplanner; --planner-cmd wins over
+    it.  Each fake planner records that it ran and finds no plan."""
+    ran_env, ran_flag = tmp_path / "ran-env", tmp_path / "ran-flag"
+    monkeypatch.setenv(PLANNER_CMD_ENV, f"touch {shlex.quote(str(ran_env))}")
+    sas, plan = elevator_files
+    argv = ["fibs", "--task", sas, "--plan", plan]
+    if flag:
+        argv += ["--planner-cmd", f"touch {shlex.quote(str(ran_flag))}"]
+    assert run(argv) == 0
+    assert ran_env.exists() != flag
+    assert ran_flag.exists() == flag

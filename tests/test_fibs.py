@@ -20,8 +20,7 @@ from popflex.fibs import (AcceptanceCriteria, FibsConfig, Run,
                           _scan_basic_edges, backward_justify, build_subtask,
                           fibs, reduce_plan, resolve, remove_blocks,
                           substitution_deorder)
-from popflex.subplanner import (PLANNER_CMD_ENV, _SuccessorGenerator,
-                                capped_length)
+from popflex.subplanner import _SuccessorGenerator, capped_length
 from popflex.substitution import CRITERIA_REJECT, CandidateBlock, substitute
 from popflex.task import (NotApplicable, SequentialPlan, apply_op,
                           validate_sequential)
@@ -287,10 +286,9 @@ def test_fibs_rejects_a_planner_cmd_field_before_starting_a_process(
         raise AssertionError("a planner process was started")
 
     monkeypatch.setattr(subplanner_mod.subprocess, "Popen", no_process)
-    monkeypatch.setenv(PLANNER_CMD_ENV, "awk '{print}' {sas}")
     task, plan = chain_task(2)
     with pytest.raises(ValueError, match=r"field \{print\}"):
-        fibs(task, plan)
+        fibs(task, plan, FibsConfig(planner_cmd="awk '{print}' {sas}"))
 
 
 @pytest.mark.parametrize("setting", [

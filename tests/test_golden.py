@@ -25,7 +25,7 @@ import json
 import math
 from collections import Counter
 
-from popflex.cli import run
+from popflex.cli import PLANNER_CMD_ENV, run
 
 from popflex.bdpo import GOAL_BLOCK, INIT_BLOCK, block_deorder
 from popflex.corpus import (elevator_plan, elevator_task, micro_corpus,
@@ -39,6 +39,7 @@ from popflex.subplanner import solve_subtask
 from popflex.substitution import CandidateBlock, candidate_block, substitute
 from popflex.task import emit_plan, emit_sas
 
+from references import catalog_inverse
 from scenarios import removal_corpus, towers
 
 RANDOM_DIGEST = "c8eb2200297e136b41180f12c516c421e1b5c02b"
@@ -102,6 +103,13 @@ def test_golden_towers(monkeypatch):
     assert hashlib.sha1(text).hexdigest() == TOWERS_DIGEST
 
 
+def test_golden_towers_ignores_the_planner_variable(monkeypatch):
+    """The library reads no environment: with the CLI's planner variable
+    set to a planner that fails, a run is the one without it."""
+    monkeypatch.setenv(PLANNER_CMD_ENV, "false")
+    assert hashlib.sha1(_run_text(*towers(4))).hexdigest() == TOWERS_DIGEST
+
+
 def test_golden_towers8(monkeypatch):
     """One run on 8 towers, where the expansion cap binds on searches that
     goal-test their leaves, so they run again with every leaf queued."""
@@ -148,7 +156,8 @@ def test_golden_maxsat():
             wcnf, cat = encode_mr(task, pop, mclcp)
             digest.update(wcnf.to_dimacs().encode())
             digest.update(json.dumps(
-                sorted((str(k), v) for k, v in cat.rev.items())).encode())
+                sorted((str(k), v) for k, v in catalog_inverse(cat).items())
+            ).encode())
     for seed in range(1, 101):
         task, plan = random_task(seed, max_vars=4, max_steps=5,
                                  unit_costs=True)

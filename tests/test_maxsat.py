@@ -352,9 +352,9 @@ def test_real_encodings_cover_the_empty_and_one_step_plans():
     for k, clauses in ((0, 0), (1, 6)):
         pop, wcnf, cat = _prefix_encoding(3, k, 15, False)
         assert len(pop.real_steps()) == k
+        tau = set(cat.tau.values())
         transitive = [c for c in wcnf.hard if len(c) == 3
-                      and all(abs(l) in cat.rev and cat.rev[abs(l)][0] == "tau"
-                              for l in c)]
+                      and all(abs(l) in tau for l in c)]
         assert len(transitive) == clauses
 
 
@@ -433,7 +433,7 @@ def _same_encoding(task, pop, mclcp):
     assert wcnf.n_vars == ref.n_vars
     assert wcnf.rows == ref.rows
     assert cat.steps == ref_cat.steps
-    for name in ("x", "tau", "gamma", "rev"):
+    for name in ("x", "tau", "gamma"):
         assert list(getattr(cat, name).items()) \
             == list(getattr(ref_cat, name).items()), name
     return wcnf, cat

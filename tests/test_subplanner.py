@@ -15,12 +15,12 @@ from hypothesis import strategies as hst
 
 import popflex.subplanner as subplanner
 from popflex.bdpo import block_deorder
-from popflex.corpus import chain_task, elevator_task, random_task
+from popflex.corpus import (ELEVATOR_PLAN_TEXT, chain_task, elevator_task,
+                            random_task)
 from popflex.eog import eog
 from popflex.fibs import FibsConfig, _scan_basic_edges, build_subtask
-from popflex.subplanner import (PLANNER_CMD_ENV, Subtask, _h_add,
-                                _Relaxation, _tables, _TaskTables,
-                                solve_subtask)
+from popflex.subplanner import (Subtask, _h_add, _Relaxation, _tables,
+                                _TaskTables, solve_subtask)
 from popflex.task import (Fact, OperatorDef, PlanningTask, Variable,
                           apply_op, make_operator, validate_sequential)
 
@@ -61,6 +61,24 @@ def test_a_subtask_rejects_a_cap_below_1(caps):
                                          "least 1"):
         Subtask(base=task, init={0: 1}, goal={0: 1}, cost_bound=2,
                 max_len=4, **caps)
+
+
+@pytest.mark.parametrize("time_bound", [math.nan, -1.0])
+def test_a_subtask_rejects_a_clock_that_cannot_bound_it(time_bound):
+    """NaN never times out and a negative bound stops at the first clock
+    check; both fail as `FibsConfig` fails them for `subtask_time`."""
+    task, _ = chain_task(3)
+    with pytest.raises(ValueError, match="time_bound must be a nonnegative "
+                                         "number of seconds"):
+        Subtask(base=task, init={0: 1}, goal={0: 1}, cost_bound=2,
+                max_len=4, time_bound=time_bound)
+
+
+def test_a_subtask_rejects_a_planner_cmd_field():
+    task, _ = chain_task(3)
+    with pytest.raises(ValueError, match=r"field \{print\}"):
+        Subtask(base=task, init={0: 1}, goal={0: 1}, cost_bound=2,
+                max_len=4, planner_cmd="awk '{print}' {sas}")
 
 
 def test_an_initial_state_that_meets_the_goal_gives_one_empty_plan():
@@ -115,7 +133,7 @@ def test_determinism():
     assert a == b
 
 
-def test_external_planner_hook(tmp_path, monkeypatch):
+def test_external_planner_hook(tmp_path):
     task, _ = chain_task(2)
     script = tmp_path / "fake-planner.py"
     script.write_text(textwrap.dedent("""\
@@ -126,12 +144,32 @@ def test_external_planner_hook(tmp_path, monkeypatch):
         with open(prefix + ".2", "w") as fh:
             fh.write("(not a real line\\n")
         """))
-    monkeypatch.setenv(PLANNER_CMD_ENV,
-                       f"{sys.executable} {script} {{sas}} {{plans}}")
-    st = Subtask(base=task, init={0: 0}, goal={0: 2}, cost_bound=4, max_len=4)
+    st = Subtask(base=task, init={0: 0}, goal={0: 2}, cost_bound=4, max_len=4,
+                 planner_cmd=f"{sys.executable} {script} {{sas}} {{plans}}")
     plans = solve_subtask(st)
     assert len(plans) == 1
     assert plans[0].steps == [0, 1]
+
+
+def test_external_planner_plans_come_cheapest_first(tmp_path):
+    """The plan files are read in name order, and their plans are sorted
+    like the internal search's."""
+    task = elevator_task()
+    detour = ELEVATOR_PLAN_TEXT + "(move_up e1 n2 n3)\n(move_down e1 n3 n2)\n"
+    script = tmp_path / "fake-planner.py"
+    script.write_text(textwrap.dedent(f"""\
+        import sys
+        prefix = sys.argv[1]
+        with open(prefix + ".1", "w") as fh:
+            fh.write({detour!r})
+        with open(prefix + ".2", "w") as fh:
+            fh.write({ELEVATOR_PLAN_TEXT!r})
+        """))
+    st = Subtask(base=task, init=dict(task.init), goal=dict(task.goal),
+                 cost_bound=11, max_len=11,
+                 planner_cmd=f"{shlex.quote(sys.executable)} "
+                             f"{shlex.quote(str(script))} {{plans}}")
+    assert [p.cost(task) for p in solve_subtask(st)] == [9, 11]
 
 
 def _tuple_state(state: dict[int, int]) -> tuple:
@@ -271,10 +309,9 @@ def test_external_planner_paths_with_spaces(tmp_path, monkeypatch):
             fh.write("(advance 0)\\n(advance 1)\\n")
         """))
     monkeypatch.setattr(tempfile, "tempdir", str(spaced))
-    monkeypatch.setenv(PLANNER_CMD_ENV,
-                       f"{shlex.quote(sys.executable)} "
-                       f"{shlex.quote(str(script))} {{sas}} {{plans}}")
-    st = Subtask(base=task, init={0: 0}, goal={0: 2}, cost_bound=4, max_len=4)
+    st = Subtask(base=task, init={0: 0}, goal={0: 2}, cost_bound=4, max_len=4,
+                 planner_cmd=f"{shlex.quote(sys.executable)} "
+                             f"{shlex.quote(str(script))} {{sas}} {{plans}}")
     plans = solve_subtask(st)
     assert [p.steps for p in plans] == [[0, 1]]
 
@@ -287,8 +324,7 @@ def _pid_gone(pid):
     return False
 
 
-def test_external_planner_timeout_kills_its_process_group(tmp_path,
-                                                          monkeypatch):
+def test_external_planner_timeout_kills_its_process_group(tmp_path):
     task, _ = chain_task(2)
     pid_file = tmp_path / "child.pid"
     script = tmp_path / "slow-planner.py"
@@ -299,12 +335,11 @@ def test_external_planner_timeout_kills_its_process_group(tmp_path,
             fh.write(str(child.pid))
         time.sleep(30)
         """))
-    monkeypatch.setenv(PLANNER_CMD_ENV,
-                       f"{shlex.quote(sys.executable)} "
-                       f"{shlex.quote(str(script))} "
-                       f"{shlex.quote(str(pid_file))}")
     st = Subtask(base=task, init={0: 0}, goal={0: 2}, cost_bound=4,
-                 max_len=4, time_bound=2.0)
+                 max_len=4, time_bound=2.0,
+                 planner_cmd=f"{shlex.quote(sys.executable)} "
+                             f"{shlex.quote(str(script))} "
+                             f"{shlex.quote(str(pid_file))}")
     start = time.monotonic()
     assert solve_subtask(st) == []
     assert time.monotonic() - start < st.time_bound + 2.0
