@@ -25,9 +25,9 @@ dependents leave a plan through one primitive, `substitution.remove_blocks`,
 which also serves `substitute` with an empty candidate.  Each edit keeps
 the closure current, so `substitute`, `remove_blocks` and the deordering
 rules judge their result with `validate_current`, which trusts the
-closure.
-`validate()` rebuilds the closure first, so a plan whose commitments were
-edited by hand is judged as it stands.
+closure and scans the plan once, in sorted order, so that a failure names
+the first fault.  `validate()` rebuilds the closure first, so a plan whose
+commitments were edited by hand is judged as it stands.
 
 No reason set is ever empty, and no link or commitment joins a block to
 itself, at the root or inside a block.  Every edit records a reason with
@@ -52,7 +52,9 @@ walks no block below them.
 Deordering scans the committed orderings and tries to strip each one of all
 its reasons by encapsulating spans of blocks, following the four removal
 rules (producer rebinding for PC, producer-side and restorer-side wrapping
-for CD, and consumer bundling for DP).
+for CD, and consumer bundling for DP).  An edge is named by its two root
+blocks; each rule yields its candidate plan with the edge's ends there,
+the block it wrapped standing for the end that block took in.
 """
 
 from __future__ import annotations
@@ -218,11 +220,6 @@ def synthetic_operators(init: State, goal: PartialState
             make_operator("<goal>", sorted(goal.items()), [], 0))
 
 
-def _as_is(items, key=None):
-    """`sorted`'s signature, the items' own order."""
-    return items
-
-
 class BdpoPlan:
     """POP plus a laminar block family; orderings live between root blocks.
 
@@ -277,12 +274,6 @@ class BdpoPlan:
 
     def pos_key(self, bid: int) -> tuple[int, int]:
         return (1 if bid == GOAL_BLOCK else 0, self.blocks[bid].pos)
-
-    def block_of_step(self, step_id: int) -> int:
-        for b in self.roots:
-            if step_id in self.blocks[b].members:
-                return b
-        raise KeyError(step_id)
 
     # -- block construction --------------------------------------------------
 
@@ -628,43 +619,35 @@ class BdpoPlan:
                          ) -> ValidationReport:
         """Check the plan against its closure as it stands, which the caller
         keeps current; `threats`, when given, is the plan's `threats()`
-        list.  A valid plan passes one scan in whatever order its maps
-        hold; only a failing plan is scanned again in sorted order, so that
+        list.  One scan takes links, blocks and facts in sorted order, so
         the failure named is always the first one."""
-        report = self._check_current(threats, _as_is)
-        return report if report else self._check_current(threats, sorted)
-
-    def _check_current(self, threats: Optional[list], order
-                       ) -> ValidationReport:
-        """`validate_current`'s checks, taking links, blocks and facts in
-        `order` (`sorted` or `_as_is`)."""
-        for (c, f), p in order(self.links.items()):
+        for (c, f), p in sorted(self.links.items()):
             if c not in self.roots or p not in self.roots:
                 return ValidationReport(False, reason=f"dangling link {p}->{c}")
             blk = self.blocks[p]
             if f not in blk.eff or f in blk.dels:
                 return ValidationReport(False, reason=f"{p} does not supply {f}")
-            if p != INIT_BLOCK and not self.ordered(p, c):
+            # a current closure orders init before every other root
+            if not self.ordered(p, c):
                 return ValidationReport(False, reason=f"link {p}->{c} unordered")
-        for b in order(self.roots, key=self.pos_key):
-            if b == INIT_BLOCK:
-                continue
-            for f in order(self.blocks[b].pre):
+        # init's precondition is empty, so it needs no producer
+        for b in sorted(self.roots, key=self.pos_key):
+            for f in sorted(self.blocks[b].pre):
                 if (b, f) not in self.links:
                     return ValidationReport(
                         False, reason=f"block {b}: no producer for {f}")
         for t, (p, f, c) in self.unresolved_threats(threats):
             return ValidationReport(
                 False, reason=f"block {t} threatens {p}-{f}->{c}")
-        for bid in order(self._compound_blocks()):
-            report = self._validate_interior(self.blocks[bid], order)
+        for bid in sorted(self._compound_blocks()):
+            report = self._validate_interior(self.blocks[bid])
             if not report:
                 return report
         return ValidationReport(True)
 
-    def _validate_interior(self, blk: Block, order) -> ValidationReport:
+    def _validate_interior(self, blk: Block) -> ValidationReport:
         for c in blk.children:
-            for f in order(self.blocks[c].pre):
+            for f in sorted(self.blocks[c].pre):
                 p = blk.ilinks.get((c, f))
                 if p is None:
                     if f not in blk.pre:
@@ -676,7 +659,7 @@ class BdpoPlan:
                 if f not in pb.eff or f in pb.dels:
                     return ValidationReport(
                         False, reason=f"block {blk.id}: {p} can't supply {f}")
-        for (c, f), p in order(blk.ilinks.items()):
+        for (c, f), p in sorted(blk.ilinks.items()):
             for t in blk.children:
                 if t in (p, c):
                     continue
@@ -798,18 +781,19 @@ class BdpoPlan:
 def candidate_producers(plan: BdpoPlan, fact: Fact, consumer: int
                         ) -> list[int]:
     """Blocks already ordered before `consumer` whose effect holds `fact`
-    with no deleter that could fall between, earliest first."""
+    with no deleter that could fall between, earliest first.  The closure
+    must be current: it orders init before every other root and no block
+    before itself, and the goal block has no effect and deletes nothing, so
+    no synthetic block needs a test of its own."""
     out = []
     for p in plan.roots:
-        if p == consumer or p == GOAL_BLOCK:
-            continue
         if fact not in plan.blocks[p].eff:
             continue
-        if p != INIT_BLOCK and not plan.ordered(p, consumer):
+        if not plan.ordered(p, consumer):
             continue
         blocked = False
         for t in plan.roots:
-            if t in (consumer, GOAL_BLOCK):
+            if t == consumer:
                 continue
             if fact not in plan.blocks[t].dels:
                 continue
@@ -903,30 +887,25 @@ def wrap_blocks(plan: BdpoPlan, span: set[int]) -> int:
 # Rule-based reason removal and the greedy deordering loop
 
 
-def _span_ok(span: set[int], forbidden: int) -> bool:
-    return not span & {INIT_BLOCK, GOAL_BLOCK, forbidden}
-
-
 def _wrapped_spans(plan: BdpoPlan, partner: int, anchors: list[int],
                    forbidden: int) -> Iterator[tuple[BdpoPlan, int]]:
     """Wrap `partner` with each anchor and the blocks between them, smallest
     span first, then by the anchor's position; spans that would take in
-    `forbidden` or a synthetic block are skipped.  Yields each wrapped plan
-    with the id of the block that holds `partner`."""
+    `forbidden` are skipped.  Yields each wrapped plan with the id of the
+    block that holds `partner`.  No span holds a synthetic block: its seeds
+    are real roots, and `between_closure` adds only real roots."""
     spans = []
     for b in anchors:
         span = between_closure(plan, {b, partner})
-        if _span_ok(span, forbidden):
+        if forbidden not in span:
             spans.append((len(span), plan.pos_key(b), span))
-    partner_step = min(plan.blocks[partner].members)
     for _, _, span in sorted(spans, key=lambda t: (t[0], t[1])):
         work = plan.clone()
-        wrap_blocks(work, span)
-        yield work, work.block_of_step(partner_step)
+        yield work, wrap_blocks(work, span)
 
 
 def _pc_candidates(plan: BdpoPlan, edge: tuple[int, int], fact: Fact
-                   ) -> Iterator[BdpoPlan]:
+                   ) -> Iterator[tuple[BdpoPlan, tuple[int, int]]]:
     """Rebind the consumer to an earlier producer after wrapping the source
     together with an earlier consumer of the same fact.  The rebuild finds
     no cycle: `b_p` is init or before `b_j` already, so every commitment of
@@ -943,11 +922,11 @@ def _pc_candidates(plan: BdpoPlan, edge: tuple[int, int], fact: Fact
         work.links[(b_j, fact)] = b_p
         work.rebuild_closure()
         work.refresh()
-        yield work
+        yield work, (wrapped, b_j)
 
 
 def _cd_candidates(plan: BdpoPlan, edge: tuple[int, int], fact: Fact
-                   ) -> Iterator[BdpoPlan]:
+                   ) -> Iterator[tuple[BdpoPlan, tuple[int, int]]]:
     """Wrap the consumer with an internal producer (producer side), else wrap
     the deleter with a later restorer (deleter side)."""
     b_i, b_j = edge
@@ -957,38 +936,37 @@ def _cd_candidates(plan: BdpoPlan, edge: tuple[int, int], fact: Fact
     for work, wrapped in _wrapped_spans(plan, b_i, earlier, b_j):
         if fact in work.blocks[wrapped].pre:
             continue
-        yield work
+        yield work, (wrapped, b_j)
 
     later = [b_p for b_p in producers if plan.ordered(b_j, b_p)]
     for work, wrapped in _wrapped_spans(plan, b_j, later, b_i):
         if fact in work.blocks[wrapped].dels:
             continue
-        yield work
+        yield work, (b_i, wrapped)
 
 
 def _dp_candidates(plan: BdpoPlan, edge: tuple[int, int], fact: Fact
-                   ) -> Iterator[BdpoPlan]:
-    """Bundle the producer with every block it feeds the fact to."""
+                   ) -> Iterator[tuple[BdpoPlan, tuple[int, int]]]:
+    """Bundle the producer with every block it feeds the fact to.  Init
+    consumes nothing, and no block links to itself, so the span holds no
+    synthetic block and at least two blocks."""
     b_i, b_j = edge
     consumers = {c for (c, f), p in plan.links.items()
                  if p == b_j and f == fact}
-    if not consumers:
-        return
-    if GOAL_BLOCK in consumers or INIT_BLOCK in consumers:
+    if not consumers or GOAL_BLOCK in consumers:
         return
     span = between_closure(plan, consumers | {b_j})
-    if len(span) < 2 or not _span_ok(span, b_i):
+    if b_i in span:
         return
     work = plan.clone()
-    wrap_blocks(work, span)
-    wrapped = work.block_of_step(min(plan.blocks[b_j].members))
+    wrapped = wrap_blocks(work, span)
     if any(p == wrapped and f == fact for (c, f), p in work.links.items()):
         return
-    yield work
+    yield work, (b_i, wrapped)
 
 
 def _reason_candidates(plan: BdpoPlan, edge: tuple[int, int], reason: Reason
-                       ) -> Iterator[BdpoPlan]:
+                       ) -> Iterator[tuple[BdpoPlan, tuple[int, int]]]:
     if reason.kind == PC:
         yield from _pc_candidates(plan, edge, reason.fact)
     elif reason.kind == CD:
@@ -1000,27 +978,25 @@ def _reason_candidates(plan: BdpoPlan, edge: tuple[int, int], reason: Reason
 _MAX_CASCADE_DEPTH = 32
 
 
-def _attempt_edge(plan: BdpoPlan, si: int, sj: int,
+def _attempt_edge(plan: BdpoPlan, a: int, b: int,
                   depth: int = 0) -> Optional[BdpoPlan]:
-    """Depth-first removal of every reason on the (evolving) edge between the
-    blocks containing steps si and sj.  Returns the transformed plan or None.
-    The two blocks differ: a scanned edge joins two blocks, and a candidate
-    wraps one span, which holds one end and, by `_span_ok`, not the other."""
+    """Depth-first removal of every reason on the (evolving) edge between
+    root blocks a and b, followed into each candidate by the edge it
+    yields.  Returns the transformed plan or None.  The two blocks differ:
+    a scanned edge joins two blocks, and a candidate wraps one span, which
+    holds one end and never the other: each rule skips such a span."""
     if depth > _MAX_CASCADE_DEPTH:
         return None
-    a = plan.block_of_step(si)
-    b = plan.block_of_step(sj)
     reasons = plan.pair_reasons(a, b)
     if not reasons:
         return plan
     reason = min(reasons, key=reason_sort_key)
-    for work in _reason_candidates(plan, (a, b), reason):
-        if reason in work.pair_reasons(work.block_of_step(si),
-                                       work.block_of_step(sj)):
+    for work, (wa, wb) in _reason_candidates(plan, (a, b), reason):
+        if reason in work.pair_reasons(wa, wb):
             continue
         if not work.validate_current():
             continue
-        result = _attempt_edge(work, si, sj, depth + 1)
+        result = _attempt_edge(work, wa, wb, depth + 1)
         if result is not None:
             return result
     return None
@@ -1046,9 +1022,7 @@ def block_deorder(plan: BdpoPlan) -> BdpoPlan:
         for wave, strict in (("dp", False), ("all", True)):
             before = plan.flex().unordered_pairs
             for a, b in _scan_edges(plan, pure_dp_only=(wave == "dp")):
-                si = min(plan.blocks[a].members)
-                sj = min(plan.blocks[b].members)
-                result = _attempt_edge(plan, si, sj)
+                result = _attempt_edge(plan, a, b)
                 if result is None:
                     continue
                 after = result.flex().unordered_pairs

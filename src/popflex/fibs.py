@@ -191,8 +191,9 @@ def build_subtask(task: PlanningTask, plan: BdpoPlan, excluded: int,
                 raise ValueError(f"conflicting {kind} fact {f}")
 
     bound = plan.blocks[target].cost
+    # a real block has a step, so the length is at least LENGTH_FACTOR
     max_len = capped_length(
-        task, bound, max(1, LENGTH_FACTOR * plan.blocks[target].size()))
+        task, bound, LENGTH_FACTOR * plan.blocks[target].size())
     return Subtask(base=task, init=state, goal=goal, cost_bound=bound,
                    max_len=max_len, time_bound=config.subtask_time,
                    max_plans=config.max_plans,

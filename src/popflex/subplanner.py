@@ -124,6 +124,12 @@ class Subtask:
             if getattr(self, name) < 1:
                 raise ValueError(f"{name} must be at least 1, "
                                  f"not {getattr(self, name)!r}")
+        # below 0 even the empty plan breaks the bound, yet the search's
+        # first goal test would return it
+        for name in ("cost_bound", "max_len"):
+            if getattr(self, name) < 0:
+                raise ValueError(f"{name} must be nonnegative, "
+                                 f"not {getattr(self, name)!r}")
         # NaN would never time out; a negative bound stops at once
         if not self.time_bound >= 0:
             raise ValueError(f"time_bound must be a nonnegative number of "

@@ -329,10 +329,11 @@ def _resolve_all_threats(work: BdpoPlan, threats: list, b_new: int,
             continue
         # both orderings would close a cycle: internal substitution, only
         # when the conflicting pair involves the substitute block and the
-        # victim is an ordinary block
-        if t == b_new and c not in (INIT_BLOCK, GOAL_BLOCK):
+        # victim is an ordinary block.  `threats()` lists no synthetic
+        # deleter, and init consumes nothing, so only the goal needs a test
+        if t == b_new and c != GOAL_BLOCK:
             inner = substitute(work, c, t, _depth=depth + 1)
-        elif c == b_new and t not in (INIT_BLOCK, GOAL_BLOCK):
+        elif c == b_new:
             inner = substitute(work, t, c, _depth=depth + 1)
         else:
             return work, threats, UNRESOLVABLE_THREAT

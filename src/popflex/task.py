@@ -111,6 +111,11 @@ class PlanningTask:
         for i, op in enumerate(self.operators):
             if op.name in self._by_name:
                 raise ValueError(f"duplicate operator name {op.name!r}")
+            # the subplanner cuts a path once its cost passes the bound,
+            # which a later negative cost could bring back under it
+            if op.cost < 0:
+                raise ValueError(f"operator {op.name!r} has negative cost "
+                                 f"{op.cost}")
             self._by_name[op.name] = i
         self._profiles: dict[OperatorDef, Profile] = {}
 

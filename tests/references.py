@@ -1,5 +1,6 @@
 """Plain references that the tests compare the program against: a set-based
-transitive closure, a deep image of a plan, every linearization of a plan,
+transitive closure, a deep image of a plan, the root block that holds a
+step, every linearization of a plan,
 the ordered step pairs counted by walking every compound block, the laminar
 and contiguity checks of a block family, the blocks whose removal keeps a
 plan valid, gj reduction by building every removal, the MaxSAT
@@ -45,6 +46,13 @@ def snapshot(plan: BdpoPlan) -> tuple:
         tuple(sorted((pair, tuple(sorted(rs)))
                      for pair, rs in plan.resolutions.items() if rs)),
     )
+
+
+def root_of_step(plan: BdpoPlan, step_id: int) -> int:
+    """The root block whose members include `step_id`, by scanning every
+    root."""
+    (root,) = [b for b in plan.roots if step_id in plan.blocks[b].members]
+    return root
 
 
 def all_linearizations(plan: BdpoPlan, cap: int = 50000

@@ -2,7 +2,7 @@ import pytest
 
 from popflex.bdpo import (DP, GOAL_BLOCK, INIT_BLOCK, PC, Reason,
                           _reason_candidates, block_deorder,
-                          candidate_producers, wrap_blocks)
+                          candidate_producers, reason_sort_key, wrap_blocks)
 from popflex.corpus import (chain_task, elevator_plan, elevator_task,
                             independent_task, random_task)
 from popflex.eog import eog
@@ -10,7 +10,7 @@ from popflex.task import (Fact, PlanningTask, SequentialPlan, Variable,
                           make_operator, validate_sequential)
 
 from references import (all_linearizations, check_contiguity, check_laminar,
-                        snapshot)
+                        root_of_step, snapshot)
 
 
 def elevator_bdpo():
@@ -149,8 +149,8 @@ def test_dp_rule_wraps_producer_and_consumer():
     edge = (by_name["clobber"], by_name["make"])
     reason = Reason(DP, Fact(0, 1))
     assert reason in plan.reasons()[edge]
-    work = next(_reason_candidates(plan, edge, reason))
-    wrapped = work.block_of_step(plan.blocks[by_name["make"]].step)
+    work, (clobber, wrapped) = next(_reason_candidates(plan, edge, reason))
+    assert clobber == by_name["clobber"]
     assert work.blocks[wrapped].size() == 2
     assert reason not in work.reasons().get(
         (by_name["clobber"], wrapped), set())
@@ -164,12 +164,28 @@ def test_init_pc_reason_is_not_removed_and_plan_is_intact():
     reason = next(iter(plan.reasons()[edge]))
     snap = snapshot(plan)
     assert reason.kind == PC
-    si, sj = (min(plan.blocks[b].members) for b in edge)
-    for work in _reason_candidates(plan, edge, reason):
-        remapped = (work.block_of_step(si), work.block_of_step(sj))
+    for work, remapped in _reason_candidates(plan, edge, reason):
         assert (reason in work.reasons().get(remapped, set())
                 or not work.validate())
     assert snapshot(plan) == snap
+
+
+def test_reason_candidates_name_the_edge_by_the_roots_of_its_first_steps():
+    """Every candidate that a rule yields, for every reason of every
+    committed edge of the EOG and BD plans of golden seeds 0-39, names the
+    edge by the roots that now hold the first steps of the edge's ends."""
+    yielded = 0
+    for seed in range(40):
+        task, seq = random_task(seed, max_vars=8, max_steps=12)
+        for plan in (eog(task, seq), block_deorder(eog(task, seq))):
+            for a, b, reasons in plan.committed_edges():
+                si, sj = min(plan.blocks[a].members), min(plan.blocks[b].members)
+                for reason in sorted(reasons, key=reason_sort_key):
+                    for work, edge in _reason_candidates(plan, (a, b), reason):
+                        assert edge == (root_of_step(work, si),
+                                        root_of_step(work, sj))
+                        yielded += 1
+    assert yielded > 0
 
 
 def test_pair_reasons_reads_one_pair_of_reasons():

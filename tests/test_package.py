@@ -45,10 +45,25 @@ def _loaded_names(tree: ast.AST) -> set[str]:
     return names
 
 
+def _defined(statement: ast.stmt) -> list[ast.stmt]:
+    """The definitions a top-level statement makes: a function or class,
+    and each method of a class whose name is not a dunder."""
+    if not isinstance(statement, (ast.FunctionDef, ast.AsyncFunctionDef,
+                                  ast.ClassDef)):
+        return []
+    methods = [node for node in statement.body
+               if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+               and not (node.name.startswith("__")
+                        and node.name.endswith("__"))] \
+        if isinstance(statement, ast.ClassDef) else []
+    return [statement] + methods
+
+
 def test_every_module_level_definition_has_a_caller():
-    """Each function and class defined at the top of a module is read
-    somewhere other than its own definition, by the package, the benchmark
-    or the scripts; the package's re-exports do not count."""
+    """Each function and class defined at the top of a module, and each
+    method that is not a dunder, is read somewhere other than its own
+    definition, by the package, the benchmark or the scripts; the
+    package's re-exports and the tests do not count."""
     repo = Path(popflex.__path__[0]).parents[1]
     package = [path for path in sorted(Path(popflex.__path__[0]).glob("*.py"))
                if path.name != "__init__.py"]
@@ -61,12 +76,16 @@ def test_every_module_level_definition_has_a_caller():
         statements = [(node, _loaded_names(node)) for node in trees[path].body]
         elsewhere = set().union(*(names for other, names in readers.items()
                                   if other != path))
-        for node, _ in statements:
-            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
-                                 ast.ClassDef)) \
-                    and node.name not in elsewhere \
-                    and not any(node.name in names
-                                for other, names in statements
-                                if other is not node):
-                uncalled.append(f"{path.name}:{node.name}")
+        for statement, _ in statements:
+            for node in _defined(statement):
+                # the module with the definition's own lines left out
+                inside = [names for other, names in statements
+                          if other is not statement]
+                if node is not statement:
+                    inside += [_loaded_names(other) for other in
+                               statement.bases + statement.decorator_list
+                               + statement.body if other is not node]
+                if node.name not in elsewhere \
+                        and not any(node.name in names for names in inside):
+                    uncalled.append(f"{path.name}:{node.name}")
     assert uncalled == []

@@ -74,6 +74,19 @@ def test_a_subtask_rejects_a_clock_that_cannot_bound_it(time_bound):
                 max_len=4, time_bound=time_bound)
 
 
+@pytest.mark.parametrize("field, bounds", [
+    ("cost_bound", {"cost_bound": -1, "max_len": 3}),
+    ("max_len", {"cost_bound": 2, "max_len": -1})])
+def test_a_subtask_rejects_a_negative_bound(field, bounds):
+    """Below 0 even the empty plan is out of bounds, though the search
+    would return it for an initial state that meets the goal."""
+    task, _ = chain_task(2)
+    with pytest.raises(ValueError, match=f"{field} must be nonnegative, "
+                                         f"not -1"):
+        Subtask(base=task, init=dict(task.init), goal={0: task.init[0]},
+                **bounds)
+
+
 def test_a_subtask_rejects_a_planner_cmd_field():
     task, _ = chain_task(3)
     with pytest.raises(ValueError, match=r"field \{print\}"):

@@ -6,11 +6,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from popflex.corpus import elevator_plan, elevator_task, micro_corpus
-from popflex.task import (Fact, NotApplicable, PlanSyntaxError,
-                          SasSyntaxError, SequentialPlan, UnknownOperator,
-                          Unsupported, apply_op, cons_prod_del, emit_plan,
-                          emit_sas, make_operator, parse_plan, parse_sas,
-                          validate_sequential)
+from popflex.task import (Fact, NotApplicable, PlanningTask,
+                          PlanSyntaxError, SasSyntaxError, SequentialPlan,
+                          UnknownOperator, Unsupported, Variable, apply_op,
+                          cons_prod_del, emit_plan, emit_sas, make_operator,
+                          parse_plan, parse_sas, validate_sequential)
 
 MINIMAL_SAS = """\
 begin_version
@@ -349,3 +349,14 @@ def test_validate_sequential_swapped_steps():
 def test_validate_sequential_empty_plan_goal_in_init():
     task = parse_sas(MINIMAL_SAS.replace("0 1", "0 0"))
     assert validate_sequential(task, SequentialPlan([]))
+
+
+def test_a_task_built_in_python_rejects_a_negative_cost():
+    """`parse_sas` rejects a negative cost at its line; a task built
+    directly rejects it too, naming the operator.  With `y` at -4, the plan
+    [x, y] would cost 1, yet the subplanner's cost pruning cuts it at x."""
+    variables = [Variable("a", ("0", "1")), Variable("b", ("0", "1"))]
+    x = make_operator("x", [(0, 0)], [(0, 1)], 5)
+    y = make_operator("y", [(0, 1)], [(1, 1)], -4)
+    with pytest.raises(ValueError, match="operator 'y' has negative cost -4"):
+        PlanningTask(variables, [x, y], {0: 0, 1: 0}, {1: 1})
