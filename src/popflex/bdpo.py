@@ -54,7 +54,12 @@ its reasons by encapsulating spans of blocks, following the four removal
 rules (producer rebinding for PC, producer-side and restorer-side wrapping
 for CD, and consumer bundling for DP).  An edge is named by its two root
 blocks; each rule yields its candidate plan with the edge's ends there,
-the block it wrapped standing for the end that block took in.
+the block it wrapped standing for the end that block took in.  Every edge
+handed to a rule runs a < b in the current closure of a valid plan at its
+`refresh` fixpoint.  That order decides what the rules would otherwise
+test: a span wraps one end with blocks on its own side of the edge, so it
+never holds the other end, and each candidate has lost the reason it
+attacked.
 """
 
 from __future__ import annotations
@@ -887,18 +892,19 @@ def wrap_blocks(plan: BdpoPlan, span: set[int]) -> int:
 # Rule-based reason removal and the greedy deordering loop
 
 
-def _wrapped_spans(plan: BdpoPlan, partner: int, anchors: list[int],
-                   forbidden: int) -> Iterator[tuple[BdpoPlan, int]]:
+def _wrapped_spans(plan: BdpoPlan, partner: int, anchors: list[int]
+                   ) -> Iterator[tuple[BdpoPlan, int]]:
     """Wrap `partner` with each anchor and the blocks between them, smallest
-    span first, then by the anchor's position; spans that would take in
-    `forbidden` are skipped.  Yields each wrapped plan with the id of the
-    block that holds `partner`.  No span holds a synthetic block: its seeds
-    are real roots, and `between_closure` adds only real roots."""
+    span first, then by the anchor's position.  Yields each wrapped plan
+    with the id of the block that holds `partner`.  No span holds a
+    synthetic block: its seeds are real roots, and `between_closure` adds
+    only real roots.  No span holds the edge's other end either: the
+    anchors lie on `partner`'s side of the edge, away from that end, and
+    `between_closure` adds only blocks between two seeds."""
     spans = []
     for b in anchors:
         span = between_closure(plan, {b, partner})
-        if forbidden not in span:
-            spans.append((len(span), plan.pos_key(b), span))
+        spans.append((len(span), plan.pos_key(b), span))
     for _, _, span in sorted(spans, key=lambda t: (t[0], t[1])):
         work = plan.clone()
         yield work, wrap_blocks(work, span)
@@ -907,15 +913,17 @@ def _wrapped_spans(plan: BdpoPlan, partner: int, anchors: list[int],
 def _pc_candidates(plan: BdpoPlan, edge: tuple[int, int], fact: Fact
                    ) -> Iterator[tuple[BdpoPlan, tuple[int, int]]]:
     """Rebind the consumer to an earlier producer after wrapping the source
-    together with an earlier consumer of the same fact.  The rebuild finds
-    no cycle: `b_p` is init or before `b_j` already, so every commitment of
-    the rebound plan is an ordering of the wrapped plan's current closure."""
+    together with an earlier consumer of the same fact.  The wrapped block
+    consumes the fact: the anchor's producer precedes the anchor, so it lies
+    outside the span, and `relinked` keeps the link on the wrapped block.
+    That link's producer `b_p` is not the wrapped block, so rebinding `b_j`
+    to it takes the PC reason away.  The rebuild finds no cycle: `b_p` is
+    init or before `b_j` already, so every commitment of the rebound plan is
+    an ordering of the wrapped plan's current closure."""
     b_i, b_j = edge
     anchors = [b_c for b_c in plan.real_roots()
                if plan.ordered(b_c, b_i) and fact in plan.blocks[b_c].pre]
-    for work, wrapped in _wrapped_spans(plan, b_i, anchors, b_j):
-        if (wrapped, fact) not in work.links:
-            continue
+    for work, wrapped in _wrapped_spans(plan, b_i, anchors):
         b_p = work.links[(wrapped, fact)]
         if b_p not in candidate_producers(work, fact, b_j):
             continue
@@ -928,36 +936,40 @@ def _pc_candidates(plan: BdpoPlan, edge: tuple[int, int], fact: Fact
 def _cd_candidates(plan: BdpoPlan, edge: tuple[int, int], fact: Fact
                    ) -> Iterator[tuple[BdpoPlan, tuple[int, int]]]:
     """Wrap the consumer with an internal producer (producer side), else wrap
-    the deleter with a later restorer (deleter side)."""
+    the deleter with a later restorer (deleter side).  A producer-side
+    block with no precondition on the fact takes no link for it, so no
+    threat to such a link orders it.  A deleter-side block does not delete
+    the fact: every other member precedes the restorer `b_p`, whose write
+    of the fact's variable kills theirs, so the block's one effect on that
+    variable is the fact, and `make_compound` leaves it out of the dels."""
     b_i, b_j = edge
     producers = [b_p for b_p in plan.real_roots()
                  if fact in plan.blocks[b_p].prod]
     earlier = [b_p for b_p in producers if plan.ordered(b_p, b_i)]
-    for work, wrapped in _wrapped_spans(plan, b_i, earlier, b_j):
+    for work, wrapped in _wrapped_spans(plan, b_i, earlier):
         if fact in work.blocks[wrapped].pre:
             continue
         yield work, (wrapped, b_j)
 
     later = [b_p for b_p in producers if plan.ordered(b_j, b_p)]
-    for work, wrapped in _wrapped_spans(plan, b_j, later, b_i):
-        if fact in work.blocks[wrapped].dels:
-            continue
+    for work, wrapped in _wrapped_spans(plan, b_j, later):
         yield work, (b_i, wrapped)
 
 
 def _dp_candidates(plan: BdpoPlan, edge: tuple[int, int], fact: Fact
                    ) -> Iterator[tuple[BdpoPlan, tuple[int, int]]]:
-    """Bundle the producer with every block it feeds the fact to.  Init
-    consumes nothing, and no block links to itself, so the span holds no
-    synthetic block and at least two blocks."""
+    """Bundle the producer with every block it feeds the fact to.  There is
+    such a block: a DP commitment of the fact on (b_i, b_j) stands for
+    `b_i`'s threat to a link from `b_j` that carries it.  Init consumes
+    nothing, and no block links to itself, so the span holds no synthetic
+    block and at least two blocks.  It does not hold `b_i`, which precedes
+    `b_j` and so every seed."""
     b_i, b_j = edge
     consumers = {c for (c, f), p in plan.links.items()
                  if p == b_j and f == fact}
-    if not consumers or GOAL_BLOCK in consumers:
+    if GOAL_BLOCK in consumers:
         return
     span = between_closure(plan, consumers | {b_j})
-    if b_i in span:
-        return
     work = plan.clone()
     wrapped = wrap_blocks(work, span)
     if any(p == wrapped and f == fact for (c, f), p in work.links.items()):
@@ -982,9 +994,16 @@ def _attempt_edge(plan: BdpoPlan, a: int, b: int,
                   depth: int = 0) -> Optional[BdpoPlan]:
     """Depth-first removal of every reason on the (evolving) edge between
     root blocks a and b, followed into each candidate by the edge it
-    yields.  Returns the transformed plan or None.  The two blocks differ:
-    a scanned edge joins two blocks, and a candidate wraps one span, which
-    holds one end and never the other: each rule skips such a span."""
+    yields.  Returns the transformed plan or None.
+
+    The edge runs a < b in the plan's current closure, and the plan is
+    valid and at its `refresh` fixpoint; every candidate that validates is
+    so too, and the edge it names still runs forward when it keeps a
+    reason.  So a candidate's span holds one end and never the other, the
+    two blocks differ, and the candidate has lost the reason attacked: PC
+    moves the link, producer-side CD's block has no precondition on the
+    fact, deleter-side CD's block does not delete it, and DP's block feeds
+    it to nothing, so no candidate is tested for that reason here."""
     if depth > _MAX_CASCADE_DEPTH:
         return None
     reasons = plan.pair_reasons(a, b)
@@ -992,8 +1011,6 @@ def _attempt_edge(plan: BdpoPlan, a: int, b: int,
         return plan
     reason = min(reasons, key=reason_sort_key)
     for work, (wa, wb) in _reason_candidates(plan, (a, b), reason):
-        if reason in work.pair_reasons(wa, wb):
-            continue
         if not work.validate_current():
             continue
         result = _attempt_edge(work, wa, wb, depth + 1)
@@ -1013,9 +1030,10 @@ def block_deorder(plan: BdpoPlan) -> BdpoPlan:
     Pure-DP edges are tried first and commit whenever flex does not drop
     (bundling a producer with its consumers is enabling even when no pair is
     freed yet); every other edge commits only on a strict flex gain.  After
-    each commit the scan restarts from the top.  The input's closure must be
-    current; the input is left as it is, and returned itself when no edge
-    commits.
+    each commit the scan restarts from the top.  The input must be a valid
+    plan at its `refresh` fixpoint with a current closure, as `eog`'s output
+    and the output of every phase are; the input is left as it is, and
+    returned itself when no edge commits.
     """
     while True:
         committed = False

@@ -1,7 +1,9 @@
 """Command-line front end.
 
 Subcommands: validate, eog, block-deorder, fibs, reduce, flex, encode-mr,
-lineate.  Exit codes: 0 success, 1 validation failure, 2 usage error.
+lineate.  Exit codes: 0 success, 1 validation failure, 2 usage error
+(which includes an input file that cannot be read and an output file that
+cannot be written).
 All reports are deterministic for a fixed seed and configuration; wall-clock
 timings only appear with --with-timings.
 """
@@ -12,6 +14,7 @@ import argparse
 import json
 import os
 import sys
+from contextlib import contextmanager
 from typing import Optional, Sequence
 
 from .bdpo import (GOAL_ID, INIT_ID, BdpoPlan, block_deorder,
@@ -34,9 +37,24 @@ def _load(args) -> tuple[PlanningTask, SequentialPlan]:
     return task, plan
 
 
+class _Unwritable(Exception):
+    """An output file that could not be written; `run` reports it as a
+    usage error."""
+
+
+@contextmanager
+def _output(path: str):
+    """The text file at `path`, open for writing."""
+    try:
+        with open(path, "w", encoding="utf-8", newline="\n") as fh:
+            yield fh
+    except OSError as exc:
+        raise _Unwritable(exc) from None
+
+
 def _write(path: Optional[str], text: str) -> None:
     if path:
-        with open(path, "w", encoding="utf-8", newline="\n") as fh:
+        with _output(path) as fh:
             fh.write(text)
     else:
         sys.stdout.write(text)
@@ -102,6 +120,11 @@ def _emit_plan_outputs(args, plan: BdpoPlan) -> None:
         _write(args.out, _json(plan.to_json()))
     if getattr(args, "dot", None):
         _write(args.dot, plan.to_dot())
+
+
+def _usage_error(exc: Exception) -> int:
+    print(f"error: {exc}", file=sys.stderr)
+    return 2
 
 
 def run(argv: Sequence[str]) -> int:
@@ -184,19 +207,24 @@ def run(argv: Sequence[str]) -> int:
     except SystemExit as exc:
         return 2 if exc.code not in (0, None) else 0
 
-    if args.command == "fibs":
-        try:
-            config = _config(args)
-        except ValueError as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return 2
-
+    try:
+        config = _config(args) if args.command == "fibs" else None
+    except ValueError as exc:
+        return _usage_error(exc)
     try:
         task, plan = _load(args)
     except Exception as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+        return _usage_error(exc)
+    try:
+        return _execute(args, config, task, plan)
+    except _Unwritable as exc:
+        return _usage_error(exc)
 
+
+def _execute(args, config: Optional[FibsConfig], task: PlanningTask,
+             plan: SequentialPlan) -> int:
+    """Run the parsed command on its loaded input; the required
+    subparser admits no command but these."""
     report = validate_sequential(task, plan)
     if args.command == "validate":
         if report:
@@ -256,7 +284,7 @@ def run(argv: Sequence[str]) -> int:
         except EncodingTooLarge as exc:
             print(f"error: {exc}", file=sys.stderr)
             return 1
-        with open(args.out, "w", encoding="utf-8", newline="\n") as fh:
+        with _output(args.out) as fh:
             wcnf.write(fh)
         if args.catalog:
             catalog = {
@@ -270,14 +298,10 @@ def run(argv: Sequence[str]) -> int:
               f"{wcnf.n_hard} hard, {len(wcnf.soft)} soft")
         return 0
 
-    if args.command == "lineate":
-        pop = eog(task, plan)
-        seq = pop.linearize(args.seed)
-        _write(getattr(args, "out", None), emit_plan(task, seq))
-        return 0
-
-    parser.error(f"unknown command {args.command!r}")
-    return 2
+    pop = eog(task, plan)       # lineate
+    seq = pop.linearize(args.seed)
+    _write(getattr(args, "out", None), emit_plan(task, seq))
+    return 0
 
 
 def main() -> None:

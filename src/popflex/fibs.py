@@ -19,8 +19,8 @@ from typing import Optional
 
 from .bdpo import GOAL_BLOCK, INIT_BLOCK, BdpoPlan, block_deorder
 from .eog import eog
-from .subplanner import (Subtask, capped_length, check_planner_cmd,
-                         solve_subtask)
+from .subplanner import (Subtask, capped_length, check_limits,
+                         check_planner_cmd, solve_subtask)
 from .substitution import (CandidateBlock, candidate_block, remove_blocks,
                            removal_saving, substitute)
 from .task import Fact, PlanningTask, SequentialPlan, apply_op
@@ -81,16 +81,10 @@ class FibsConfig:
         if self.reduce not in REDUCE_MODES:
             raise ValueError(f"unknown reduction mode {self.reduce!r}")
         # a cap below 1 would let no subtask find a plan, so the run would
-        # substitute nothing and say nothing
-        for name in ("max_plans", "max_expansions"):
-            if getattr(self, name) < 1:
-                raise ValueError(f"{name} must be at least 1, "
-                                 f"not {getattr(self, name)!r}")
-        for name in ("subtask_time", "time_limit"):
-            value = getattr(self, name)
-            if not value >= 0:      # also rejects NaN
-                raise ValueError(f"{name} must be a nonnegative number of "
-                                 f"seconds, not {value!r}")
+        # substitute nothing and say nothing; a NaN cap would never bind
+        check_limits(self, ("max_plans", "max_expansions"), 1, "at least 1")
+        check_limits(self, ("subtask_time", "time_limit"), 0,
+                     "a nonnegative number of seconds")
         if self.planner_cmd is not None:
             check_planner_cmd(self.planner_cmd)
 

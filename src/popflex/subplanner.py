@@ -102,6 +102,17 @@ def check_planner_cmd(cmd: str) -> None:
                 "{plans}; write {{ and }} for literal braces")
 
 
+def check_limits(obj, names: tuple[str, ...], floor: float, rule: str
+                 ) -> None:
+    """Raise ValueError, naming the field, unless each field of `obj` in
+    `names` is at least `floor`; `rule` says so in words.  NaN fails, as
+    it compares false with everything."""
+    for name in names:
+        value = getattr(obj, name)
+        if not value >= floor:
+            raise ValueError(f"{name} must be {rule}, not {value!r}")
+
+
 @dataclass
 class Subtask:
     """A subplanning problem.  `planner_cmd`, when set, is the external
@@ -119,21 +130,14 @@ class Subtask:
 
     def __post_init__(self) -> None:
         # a cap below 1 would stop `_search` before its first pop, the only
-        # place where it goal-tests the initial state
-        for name in ("max_plans", "max_expansions"):
-            if getattr(self, name) < 1:
-                raise ValueError(f"{name} must be at least 1, "
-                                 f"not {getattr(self, name)!r}")
+        # place where it goal-tests the initial state; a NaN cap never binds
+        check_limits(self, ("max_plans", "max_expansions"), 1, "at least 1")
         # below 0 even the empty plan breaks the bound, yet the search's
-        # first goal test would return it
-        for name in ("cost_bound", "max_len"):
-            if getattr(self, name) < 0:
-                raise ValueError(f"{name} must be nonnegative, "
-                                 f"not {getattr(self, name)!r}")
+        # first goal test would return it; a NaN bound prunes nothing
+        check_limits(self, ("cost_bound", "max_len"), 0, "nonnegative")
         # NaN would never time out; a negative bound stops at once
-        if not self.time_bound >= 0:
-            raise ValueError(f"time_bound must be a nonnegative number of "
-                             f"seconds, not {self.time_bound!r}")
+        check_limits(self, ("time_bound",), 0,
+                     "a nonnegative number of seconds")
         if self.planner_cmd is not None:
             check_planner_cmd(self.planner_cmd)
 

@@ -11,6 +11,7 @@ from popflex.task import (Fact, PlanningTask, SequentialPlan, Variable,
 
 from references import (all_linearizations, check_contiguity, check_laminar,
                         root_of_step, snapshot)
+from scenarios import towers
 
 
 def elevator_bdpo():
@@ -172,18 +173,25 @@ def test_init_pc_reason_is_not_removed_and_plan_is_intact():
 
 def test_reason_candidates_name_the_edge_by_the_roots_of_its_first_steps():
     """Every candidate that a rule yields, for every reason of every
-    committed edge of the EOG and BD plans of golden seeds 0-39, names the
-    edge by the roots that now hold the first steps of the edge's ends."""
+    committed edge of the EOG and BD plans of golden seeds 0-39 and of
+    towers 4, names the edge by the roots that now hold the first steps of
+    the edge's ends.  Those are two roots, so no span took in the far end,
+    and the candidate has lost the reason the rule attacked: `_attempt_edge`
+    tests neither."""
+    tasks = [random_task(seed, max_vars=8, max_steps=12) for seed in range(40)]
+    tasks.append(towers(4)[:2])
     yielded = 0
-    for seed in range(40):
-        task, seq = random_task(seed, max_vars=8, max_steps=12)
+    for task, seq in tasks:
         for plan in (eog(task, seq), block_deorder(eog(task, seq))):
             for a, b, reasons in plan.committed_edges():
                 si, sj = min(plan.blocks[a].members), min(plan.blocks[b].members)
                 for reason in sorted(reasons, key=reason_sort_key):
-                    for work, edge in _reason_candidates(plan, (a, b), reason):
-                        assert edge == (root_of_step(work, si),
-                                        root_of_step(work, sj))
+                    for work, (wa, wb) in _reason_candidates(plan, (a, b),
+                                                             reason):
+                        assert (wa, wb) == (root_of_step(work, si),
+                                            root_of_step(work, sj))
+                        assert wa != wb
+                        assert reason not in work.pair_reasons(wa, wb)
                         yielded += 1
     assert yielded > 0
 

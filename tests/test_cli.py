@@ -62,6 +62,43 @@ def test_missing_file_exit_code(tmp_path, capsys):
                 "--plan", str(tmp_path / "nope.plan")]) == 2
 
 
+@pytest.mark.parametrize("command", ["eog", "encode-mr"])
+def test_an_output_path_that_cannot_be_written_is_a_usage_error(
+        command, elevator_files, tmp_path, capsys):
+    """A failed write is reported like a missing input file, with no
+    traceback, and not as the validation failure that exit 1 means."""
+    sas, plan = elevator_files
+    out = tmp_path / "missing" / "out"
+    assert run([command, "--task", sas, "--plan", plan, "-o", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and str(out) in err
+    assert "Traceback" not in err
+
+
+def test_eog_without_an_output_path_writes_its_json_to_stdout(
+        elevator_files, tmp_path, capsys):
+    sas, plan = elevator_files
+    out = tmp_path / "pop.json"
+    assert run(["eog", "--task", sas, "--plan", plan, "-o", str(out)]) == 0
+    capsys.readouterr()
+    assert run(["eog", "--task", sas, "--plan", plan]) == 0
+    printed = capsys.readouterr().out
+    assert printed == out.read_text() + "flex 0.000000\n"
+    assert set(json.loads(out.read_text())) == {"steps", "links", "orderings"}
+
+
+@pytest.mark.parametrize("command", ["eog", "fibs"])
+def test_an_invalid_input_plan_exits_1(command, elevator_files, tmp_path,
+                                       capsys):
+    sas, _ = elevator_files
+    bad = tmp_path / "bad.plan"
+    bad.write_text("(board p1 n2 e1)\n", encoding="utf-8")
+    assert run([command, "--task", sas, "--plan", str(bad)]) == 1
+    captured = capsys.readouterr()
+    assert captured.err.startswith("invalid input plan: ")
+    assert captured.out == ""
+
+
 def test_flex_prints_zero(elevator_files, capsys):
     sas, plan = elevator_files
     assert run(["flex", "--task", sas, "--plan", plan]) == 0

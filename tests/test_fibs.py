@@ -294,8 +294,10 @@ def test_fibs_rejects_a_planner_cmd_field_before_starting_a_process(
 @pytest.mark.parametrize("setting", [
     {"max_plans": 0}, {"max_plans": -3}, {"max_expansions": 0},
     {"subtask_time": -1.0}, {"subtask_time": math.nan},
-    {"time_limit": -0.5}, {"time_limit": math.nan}])
+    {"time_limit": -0.5}, {"time_limit": math.nan},
+    {"max_plans": math.nan}, {"max_expansions": math.nan}])
 def test_fibs_config_rejects_a_setting_that_turns_substitution_off(setting):
+    """A NaN cap would never bind: it compares false with everything."""
     name, = setting
     with pytest.raises(ValueError, match=name):
         FibsConfig(**setting)

@@ -54,8 +54,11 @@ def test_goal_in_init_yields_empty_plan_first():
 
 
 @pytest.mark.parametrize("caps", [{"max_plans": 0}, {"max_plans": -5},
-                                  {"max_expansions": 0}])
+                                  {"max_expansions": 0},
+                                  {"max_plans": math.nan},
+                                  {"max_expansions": math.nan}])
 def test_a_subtask_rejects_a_cap_below_1(caps):
+    """A NaN cap, which is not at least 1 either, would never bind."""
     task, _ = chain_task(3)
     with pytest.raises(ValueError, match=f"{next(iter(caps))} must be at "
                                          "least 1"):
@@ -76,13 +79,17 @@ def test_a_subtask_rejects_a_clock_that_cannot_bound_it(time_bound):
 
 @pytest.mark.parametrize("field, bounds", [
     ("cost_bound", {"cost_bound": -1, "max_len": 3}),
-    ("max_len", {"cost_bound": 2, "max_len": -1})])
+    ("max_len", {"cost_bound": 2, "max_len": -1}),
+    ("cost_bound", {"cost_bound": math.nan, "max_len": 3}),
+    ("max_len", {"cost_bound": 2, "max_len": math.nan})])
 def test_a_subtask_rejects_a_negative_bound(field, bounds):
     """Below 0 even the empty plan is out of bounds, though the search
-    would return it for an initial state that meets the goal."""
+    would return it for an initial state that meets the goal.  A NaN
+    bound, which is not nonnegative either, would prune nothing; a NaN
+    `max_len` left the search without its heuristic table."""
     task, _ = chain_task(2)
     with pytest.raises(ValueError, match=f"{field} must be nonnegative, "
-                                         f"not -1"):
+                                         f"not {bounds[field]!r}"):
         Subtask(base=task, init=dict(task.init), goal={0: task.init[0]},
                 **bounds)
 
@@ -147,6 +154,8 @@ def test_determinism():
 
 
 def test_external_planner_hook(tmp_path):
+    """Of the plan files, only those that parse, execute and keep within
+    the subtask's cost bound and `max_len` count."""
     task, _ = chain_task(2)
     script = tmp_path / "fake-planner.py"
     script.write_text(textwrap.dedent("""\
@@ -156,12 +165,21 @@ def test_external_planner_hook(tmp_path):
             fh.write("(advance 0)\\n(advance 1)\\n")
         with open(prefix + ".2", "w") as fh:
             fh.write("(not a real line\\n")
+        with open(prefix + ".3", "w") as fh:
+            fh.write("(advance 1)\\n(advance 0)\\n")
         """))
+    cmd = f"{sys.executable} {script} {{sas}} {{plans}}"
     st = Subtask(base=task, init={0: 0}, goal={0: 2}, cost_bound=4, max_len=4,
-                 planner_cmd=f"{sys.executable} {script} {{sas}} {{plans}}")
+                 planner_cmd=cmd)
     plans = solve_subtask(st)
     assert len(plans) == 1
     assert plans[0].steps == [0, 1]
+    # the one plan that executes costs 2 and has 2 steps
+    for bounds in ({"cost_bound": 1, "max_len": 4},
+                   {"cost_bound": 4, "max_len": 1}):
+        st = Subtask(base=task, init={0: 0}, goal={0: 2}, planner_cmd=cmd,
+                     **bounds)
+        assert solve_subtask(st) == []
 
 
 def test_external_planner_plans_come_cheapest_first(tmp_path):
